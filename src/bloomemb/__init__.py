@@ -13,17 +13,15 @@ from .codec import (BloomVector, ItemScores, ProbabilityVector, ScoreOrder,
                     SparseInstance, decode_likelihood, decode_likelihood_batch,
                     decode_nll, decode_nll_batch, encode, encode_batch, rank,
                     rank_batch, renormalize)
-from .data import (DataError, ProfileDataset, SyntheticSpec, dataset_stats,
-                   generate_synthetic, load_profiles, split_profile)
+from .data import (DataError, ProfileDataset, SyntheticSpec, generate_synthetic,
+                   load_profiles, split_profile)
 from .experiment import (ExperimentConfig, ExperimentOutcome, config_from_text,
-                         config_to_text, evaluate_model, run_experiment,
+                         config_to_text, evaluate_model, fit, run_experiment,
                          run_sweep)
-from .hashing import (HashFamilySpec, HashMatrix, HashMode, build_hash_matrix,
-                      identity_hash_matrix, load_hash_matrix, project,
-                      save_hash_matrix)
-from .metrics import (EvaluationResult, MannWhitneyResult, Measure, RatioReport,
-                      accuracy, average_precision, mann_whitney_u, ratio_report,
-                      reciprocal_rank)
+from .hashing import (HashMatrix, build_hash_matrix, identity_hash_matrix,
+                      load_hash_matrix, save_hash_matrix)
+from .metrics import (EvaluationResult, MannWhitneyResult, Measure,
+                      average_precision, mann_whitney_u, reciprocal_rank)
 from .trainer import (Network, NetworkSpec, OptimizerSpec, TrainReport,
                       backward_and_step, forward, forward_batch, init_network,
                       load_network, loss_cross_entropy, multi_hot, save_network,

@@ -161,12 +161,7 @@ def cooccurrence_stats(table: CooccurrenceTable, n: int) -> CooccurrenceStats:
     return CooccurrenceStats(percent_cooccurring_pairs=percent, mean_ratio_rho=rho)
 
 
-def stats_report_tsv(input_stats: CooccurrenceStats,
-                     output_stats: CooccurrenceStats | None) -> str:
-    lines = ["side\tpercent_cooccurring_pairs\tmean_ratio_rho"]
-    lines.append(f"input\t{input_stats.percent_cooccurring_pairs:.6g}"
-                 f"\t{input_stats.mean_ratio_rho:.6g}")
-    if output_stats is not None:
-        lines.append(f"output\t{output_stats.percent_cooccurring_pairs:.6g}"
-                     f"\t{output_stats.mean_ratio_rho:.6g}")
-    return "\n".join(lines) + "\n"
+def stats_report_tsv(stats: CooccurrenceStats) -> str:
+    return ("side\tpercent_cooccurring_pairs\tmean_ratio_rho\n"
+            f"input\t{stats.percent_cooccurring_pairs:.6g}"
+            f"\t{stats.mean_ratio_rho:.6g}\n")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cbe as cbe_mod
-from . import codec, data, experiment, hashing, trainer
+from . import codec, experiment, hashing, trainer
 from .data import DataError
 
 
@@ -162,7 +162,7 @@ def cmd_cbe(args) -> int:
         payload = hashing.matrix_to_text(rebuilt)
     atomic_write(args.out, payload)
     stats = cbe_mod.cooccurrence_stats(table, len(instances))
-    atomic_write(args.stats_out, cbe_mod.stats_report_tsv(stats, None))
+    atomic_write(args.stats_out, cbe_mod.stats_report_tsv(stats))
     _log_config(args.out, _flags_config_text(
         args, ("hash", "instances", "seed", "format")))
     return 0
@@ -234,18 +234,7 @@ def cmd_train(args) -> int:
         h_in, h_out = experiment.build_matrices(cfg, ds)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    n_in = ds.d if h_in is None else h_in.m
-    n_out = ds.d if h_out is None else h_out.m
-    spec = trainer.NetworkSpec(layer_sizes=(n_in, *cfg.hidden, n_out),
-                               init_seed=cfg.init_seed)
-    net = trainer.init_network(spec)
-    optimizer = trainer.OptimizerSpec(kind=cfg.optimizer,
-                                      learning_rate=cfg.learning_rate,
-                                      momentum=cfg.momentum, beta1=cfg.beta1,
-                                      beta2=cfg.beta2, clip_norm=cfg.clip_norm)
-    report = trainer.train(net, ds.train_profiles(), h_in, h_out, optimizer,
-                           epochs=cfg.epochs, batch_size=cfg.batch_size,
-                           shuffle_seed=cfg.shuffle_seed)
+    net, report = experiment.fit(cfg, ds, h_in, h_out)
     buf = io.BytesIO()
     trainer.save_network(net, buf)
     atomic_write(args.out, buf.getvalue())

@@ -157,13 +157,7 @@ def pack_instances(instances: Sequence[SparseInstance]) -> tuple[np.ndarray, np.
 
 def encode(instance: SparseInstance, matrix: HashMatrix) -> BloomVector:
     """Embed one instance; O(c*k), independent of d."""
-    if instance.d != matrix.d:
-        raise ValueError(
-            f"instance dimensionality {instance.d} != matrix d {matrix.d}")
-    bits = np.zeros(matrix.m, dtype=np.uint8)
-    if instance.c:
-        bits[matrix.rows[instance.positions - 1].ravel() - 1] = 1
-    return BloomVector(m=matrix.m, bits=bits)
+    return BloomVector(m=matrix.m, bits=encode_batch([instance], matrix)[0])
 
 
 def encode_batch(instances: Sequence[SparseInstance], matrix: HashMatrix) -> np.ndarray:
@@ -229,17 +223,9 @@ def decode_nll_batch(probs: np.ndarray, matrix: HashMatrix,
 # ---------------------------------------------------------------------------
 
 
-def _sort_key(scores: np.ndarray, ordering: ScoreOrder) -> np.ndarray:
-    return scores if ordering is ScoreOrder.ASCENDING_NLL else -scores
-
-
 def rank(scores: ItemScores, top_n: int) -> np.ndarray:
     """Best-first 1-based item ids; ties break by ascending item index."""
-    if not 1 <= top_n <= scores.d:
-        raise ValueError(f"top_n {top_n} out of range [1, {scores.d}]")
-    key = _sort_key(scores.scores, scores.ordering)
-    order = np.lexsort((np.arange(scores.d), key))
-    return (order[:top_n] + 1).astype(np.int64)
+    return rank_batch(scores.scores[None, :], scores.ordering, top_n)[0]
 
 
 def rank_batch(scores: np.ndarray, ordering: ScoreOrder, top_n: int) -> np.ndarray:
@@ -247,7 +233,7 @@ def rank_batch(scores: np.ndarray, ordering: ScoreOrder, top_n: int) -> np.ndarr
     n, d = scores.shape
     if not 1 <= top_n <= d:
         raise ValueError(f"top_n {top_n} out of range [1, {d}]")
-    key = _sort_key(scores, ordering)
+    key = scores if ordering is ScoreOrder.ASCENDING_NLL else -scores
     idx = np.tile(np.arange(d), (n, 1))
     order = np.lexsort((idx, key), axis=1)
     return (order[:, :top_n] + 1).astype(np.int64)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,14 +62,6 @@ class ProfileDataset:
 
     def test_profiles(self) -> list[tuple[SparseInstance, SparseInstance]]:
         return [self.profiles[i] for i in self.test_indices]
-
-    def external_id(self, dense: int) -> str:
-        if self.item_index is None:
-            return str(dense)
-        for ext, idx in self.item_index.items():
-            if idx == dense:
-                return ext
-        raise KeyError(dense)
 
 
 def split_profile(items: Sequence[int], d: int,
@@ -224,11 +216,6 @@ class SyntheticSpec:
             raise ValueError("noise must lie in [0, 1]")
 
 
-def cluster_of(spec: SyntheticSpec, item: int) -> int:
-    """0-based cluster owning 1-based `item` (contiguous equal blocks)."""
-    return (item - 1) * spec.n_clusters // spec.d
-
-
 def _cluster_bounds(spec: SyntheticSpec, g: int) -> tuple[int, int]:
     lo = g * spec.d // spec.n_clusters + 1
     hi = (g + 1) * spec.d // spec.n_clusters
@@ -264,35 +251,3 @@ def generate_synthetic(spec: SyntheticSpec) -> ProfileDataset:
     test_idx = _select_test_indices(len(profiles), spec.test_size, rng)
     return ProfileDataset(d=spec.d, profiles=profiles, split=len(test_idx),
                           test_indices=test_idx, item_index=None)
-
-
-# ---------------------------------------------------------------------------
-# statistics
-# ---------------------------------------------------------------------------
-
-
-def dataset_stats(ds: ProfileDataset) -> dict[str, float]:
-    """Table of headline statistics: n, split, d, median c, median density."""
-    sizes = [inp.c + out.c for inp, out in ds.profiles]
-    median_c = float(np.median(sizes))
-    return {
-        "n": float(ds.n),
-        "split": float(ds.split),
-        "d": float(ds.d),
-        "median_c": median_c,
-        "median_density": median_c / ds.d,
-    }
-
-
-def stats_report_tsv(ds: ProfileDataset) -> str:
-    stats = dataset_stats(ds)
-    header = "\t".join(stats)
-    values = "\t".join(f"{v:.6g}" for v in stats.values())
-    return f"{header}\n{values}\n"
-
-
-def iter_instances(profiles: Sequence[tuple[SparseInstance, SparseInstance]],
-                   side: str) -> Iterator[SparseInstance]:
-    idx = 0 if side == "input" else 1
-    for pair in profiles:
-        yield pair[idx]

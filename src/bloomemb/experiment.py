@@ -268,9 +268,9 @@ class ExperimentOutcome:
         return float(np.mean(times)) if times else 0.0
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
-    ds = load_dataset(cfg)
-    h_in, h_out = build_matrices(cfg, ds)
+def fit(cfg: ExperimentConfig, ds: ProfileDataset, h_in: HashMatrix | None,
+        h_out: HashMatrix | None) -> tuple[Network, TrainReport]:
+    """Initialise the configured network and train it on the training split."""
     n_in = ds.d if h_in is None else h_in.m
     n_out = ds.d if h_out is None else h_out.m
     spec = NetworkSpec(layer_sizes=(n_in, *cfg.hidden, n_out),
@@ -282,12 +282,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     report = train(net, ds.train_profiles(), h_in, h_out, optimizer,
                    epochs=cfg.epochs, batch_size=cfg.batch_size,
                    shuffle_seed=cfg.shuffle_seed)
+    return net, report
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
+    ds = load_dataset(cfg)
+    h_in, h_out = build_matrices(cfg, ds)
+    net, report = fit(cfg, ds, h_in, h_out)
     evaluation = evaluate_model(net, ds.test_profiles(), h_in, h_out,
                                 decode_mode=cfg.decode_mode, measure=cfg.measure,
                                 top_n=cfg.top_n)
     report.eval_result = evaluation
     return ExperimentOutcome(config=cfg, evaluation=evaluation, training=report,
-                             m_in=n_in, m_out=n_out)
+                             m_in=net.n_in, m_out=net.n_out)
 
 
 # -- sweeps ------------------------------------------------------------------

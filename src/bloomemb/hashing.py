@@ -1,16 +1,10 @@
-"""Projection families mapping items {1..d} to embedding positions {1..m}.
+"""The projection family mapping items {1..d} to embedding positions {1..m}.
 
-Two families are provided:
-
-* a pre-computed d x k matrix of indices drawn uniformly at random without
-  replacement from {1..m} per row (the canonical variant; rows are stored
-  in RAM and looked up in O(1));
-* an on-the-fly enhanced double-hashing family that evaluates projections
-  on demand with no stored table. Unlike the matrix, it does not guarantee
-  that the k projections of one item are pairwise distinct.
-
-All randomness comes from the SplitMix64 streams in :mod:`bloomemb.rng`,
-so matrices are bit-reproducible across platforms for a fixed seed.
+A hash matrix is a pre-computed d x k table whose rows are drawn uniformly
+at random without replacement from {1..m}, so the k projections of an item
+are pairwise distinct. Rows are stored in RAM and looked up in O(1). All
+randomness comes from the SplitMix64 streams in :mod:`bloomemb.rng`, so
+matrices are bit-reproducible across platforms for a fixed seed.
 
 File formats (both carry the full (d, m, k, seed) header and 1-based
 indices; ``load_hash_matrix`` sniffs the magic bytes):
@@ -24,7 +18,6 @@ indices; ``load_hash_matrix`` sniffs the magic bytes):
 
 from __future__ import annotations
 
-import enum
 import io
 import struct
 from dataclasses import dataclass
@@ -33,14 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .rng import MASK64, SplitMix64, row_stream_seed
+from .rng import MASK64
 
 _BINARY_MAGIC = b"BEH1"
-
-
-class HashMode(enum.Enum):
-    PRECOMPUTED_MATRIX = "precomputed-matrix"
-    DOUBLE_HASHING = "double-hashing"
 
 
 def _check_dims(d: int, m: int, k: int) -> None:
@@ -89,27 +77,6 @@ class HashMatrix:
                 and self.seed == other.seed
                 and np.array_equal(self.rows, other.rows))
 
-    def row(self, item: int) -> np.ndarray:
-        """Projections of 1-based `item`."""
-        if not 1 <= item <= self.d:
-            raise ValueError(f"item {item} out of range [1, {self.d}]")
-        return self.rows[item - 1]
-
-
-@dataclass(frozen=True)
-class HashFamilySpec:
-    """Description of a projection family, evaluable without a stored table."""
-
-    mode: HashMode
-    d: int
-    m: int
-    k: int
-    seed: int
-
-    def __post_init__(self):
-        _check_dims(self.d, self.m, self.k)
-        object.__setattr__(self, "seed", self.seed & MASK64)
-
 
 def build_hash_matrix(d: int, m: int, k: int, seed: int) -> HashMatrix:
     """Construct the pre-computed matrix; pure function of (d, m, k, seed)."""
@@ -122,34 +89,6 @@ def identity_hash_matrix(d: int) -> HashMatrix:
     """The m=d, k=1 matrix mapping every item to its own position."""
     rows = np.arange(1, d + 1, dtype=np.int32).reshape(d, 1)
     return HashMatrix(d=d, m=d, k=1, seed=0, rows=rows)
-
-
-def matrix_row(spec_seed: int, row_index: int, m: int, k: int) -> list[int]:
-    """Row `row_index` (0-based) of the matrix with the given seed, on demand."""
-    stream = SplitMix64(row_stream_seed(spec_seed, row_index))
-    pool = list(range(1, m + 1))
-    out = []
-    for j in range(k):
-        t = j + stream.randbelow(m - j)
-        pool[j], pool[t] = pool[t], pool[j]
-        out.append(pool[j])
-    return out
-
-
-def project(spec: HashFamilySpec, item: int, j: int) -> int:
-    """Projection j (1-based) of `item` under the family, in [1, m].
-
-    Precomputed mode regenerates the row from the seed, so the result equals
-    the corresponding matrix lookup; this costs O(m) per call, use
-    build_hash_matrix for bulk work.
-    """
-    if not 1 <= item <= spec.d:
-        raise ValueError(f"item {item} out of range [1, {spec.d}]")
-    if not 1 <= j <= spec.k:
-        raise ValueError(f"projection index {j} out of range [1, {spec.k}]")
-    if spec.mode is HashMode.PRECOMPUTED_MATRIX:
-        return matrix_row(spec.seed, item - 1, spec.m, spec.k)[j - 1]
-    return kernels.double_hash_index(spec.seed, item, j, spec.m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,8 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""Hot numeric kernels in plain numpy.
 
-Every kernel exists in two variants:
-
-* ``*_nb`` — numba ``@njit`` (parallel where it pays off), used by default;
-* ``*_np`` — pure numpy/Python fallback.
-
-The fallback is selected when numba is not importable or when the
-environment variable ``BLOOMEMB_NUMBA`` is set to ``0``/``false``/``off``.
-Integer kernels (matrix construction, encoding, membership) are bit-for-bit
-identical between the two paths; float kernels agree to rounding.
-``benchmarks/bench_kernels.py`` times both paths side by side.
+Each kernel has exactly one implementation. Integer kernels (matrix
+construction, encoding) are exact; the decode kernels gather the k
+projected probabilities of every item in bounded chunks.
 
 All index arrays passed in here follow the package convention: hash-matrix
 entries and instance positions are 1-based, conversion happens inside the
@@ -18,44 +11,14 @@ kernel.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .rng import GOLDEN_GAMMA, MASK64, SplitMix64, mix64, row_stream_seed
+from .rng import SplitMix64, row_stream_seed
+
+NUMBA_ENABLED = False  # no compiled path; kept because bench/rep.py records it
 
 
-def _env_enables_numba() -> bool:
-    flag = os.environ.get("BLOOMEMB_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-NUMBA_ENABLED = False
-if _env_enables_numba():
-    try:
-        from numba import njit, prange
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised only without numba
-        pass
-
-
-# uint64 constants for the numba path; the Python path uses rng.py directly.
-_U_GAMMA = np.uint64(GOLDEN_GAMMA)
-_U_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_U_MIX2 = np.uint64(0x94D049BB133111EB)
-_U0 = np.uint64(0)
-_U1 = np.uint64(1)
-_U27 = np.uint64(27)
-_U30 = np.uint64(30)
-_U31 = np.uint64(31)
-
-# ---------------------------------------------------------------------------
-# pure numpy / Python fallbacks
-# ---------------------------------------------------------------------------
-
-
-def build_rows_np(d: int, m: int, k: int, seed: int) -> np.ndarray:
+def build_rows(d: int, m: int, k: int, seed: int) -> np.ndarray:
     """Draw d rows of k distinct indices from {1..m} by partial Fisher-Yates.
 
     Each row uses its own SplitMix64 stream (see bloomemb.rng); the swaps are
@@ -78,8 +41,8 @@ def build_rows_np(d: int, m: int, k: int, seed: int) -> np.ndarray:
     return out
 
 
-def encode_bits_np(rows: np.ndarray, indptr: np.ndarray, flat: np.ndarray,
-                   m: int) -> np.ndarray:
+def encode_bits(rows: np.ndarray, indptr: np.ndarray, flat: np.ndarray,
+                m: int) -> np.ndarray:
     """Scatter the k projections of every active position into bit vectors."""
     n = indptr.shape[0] - 1
     out = np.zeros((n, m), dtype=np.uint8)
@@ -95,7 +58,8 @@ def _chunk_size(d: int, k: int) -> int:
     return max(1, (8 << 20) // max(d * k, 1))
 
 
-def decode_likelihood_bulk_np(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def decode_likelihood_bulk(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(n, m) probabilities -> (n, d) products of each item's k projections."""
     n = probs.shape[0]
     d, k = rows.shape
     out = np.empty((n, d), dtype=np.float64)
@@ -107,8 +71,9 @@ def decode_likelihood_bulk_np(probs: np.ndarray, rows: np.ndarray) -> np.ndarray
     return out
 
 
-def decode_nll_bulk_np(probs: np.ndarray, rows: np.ndarray,
-                       eps: float) -> np.ndarray:
+def decode_nll_bulk(probs: np.ndarray, rows: np.ndarray,
+                    eps: float) -> np.ndarray:
+    """(n, m) probabilities -> (n, d) sums of -log(max(p, eps)) per item."""
     n = probs.shape[0]
     d, k = rows.shape
     out = np.empty((n, d), dtype=np.float64)
@@ -118,175 +83,3 @@ def decode_nll_bulk_np(probs: np.ndarray, rows: np.ndarray,
         e = min(n, s + step)
         out[s:e] = -np.log(np.maximum(probs[s:e, idx], eps)).sum(axis=2)
     return out
-
-
-def membership_bulk_np(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    n = bits.shape[0]
-    d, k = rows.shape
-    out = np.empty((n, d), dtype=np.uint8)
-    step = _chunk_size(d, k)
-    idx = rows - 1
-    for s in range(0, n, step):
-        e = min(n, s + step)
-        out[s:e] = bits[s:e, idx].all(axis=2)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba variants
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _mix64_nb(z):
-        z = (z ^ (z >> _U30)) * _U_MIX1
-        z = (z ^ (z >> _U27)) * _U_MIX2
-        return z ^ (z >> _U31)
-
-    @njit(cache=True)
-    def _randbelow_nb(state, n):
-        # returns (uniform value in [0, n), advanced state); n is uint64 >= 1
-        x = n - _U1
-        mask = _U0
-        while mask < x:
-            mask = (mask << _U1) | _U1
-        while True:
-            state = state + _U_GAMMA
-            v = _mix64_nb(state) & mask
-            if v < n:
-                return v, state
-
-    @njit(cache=True)
-    def build_rows_nb(d, m, k, seed, out):
-        pool = np.empty(m, dtype=np.int32)
-        for i in range(m):
-            pool[i] = i + 1
-        targets = np.empty(k, dtype=np.int64)
-        for i in range(d):
-            state = _mix64_nb(seed + np.uint64(i + 1) * _U_GAMMA)
-            for j in range(k):
-                r, state = _randbelow_nb(state, np.uint64(m - j))
-                t = j + np.int64(r)
-                tmp = pool[j]
-                pool[j] = pool[t]
-                pool[t] = tmp
-                out[i, j] = pool[j]
-                targets[j] = t
-            for j in range(k - 1, -1, -1):
-                t = targets[j]
-                tmp = pool[j]
-                pool[j] = pool[t]
-                pool[t] = tmp
-        return out
-
-    @njit(cache=True)
-    def encode_bits_nb(rows, indptr, flat, out):
-        n = indptr.shape[0] - 1
-        k = rows.shape[1]
-        for i in range(n):
-            for t in range(indptr[i], indptr[i + 1]):
-                p = flat[t] - 1
-                for j in range(k):
-                    out[i, rows[p, j] - 1] = 1
-        return out
-
-    @njit(cache=True, parallel=True)
-    def decode_likelihood_bulk_nb(probs, rows, out):
-        n = probs.shape[0]
-        d, k = rows.shape
-        for i in prange(n):
-            for a in range(d):
-                acc = 1.0
-                for j in range(k):
-                    acc *= probs[i, rows[a, j] - 1]
-                out[i, a] = acc
-        return out
-
-    @njit(cache=True, parallel=True)
-    def decode_nll_bulk_nb(probs, rows, eps, out):
-        n = probs.shape[0]
-        d, k = rows.shape
-        for i in prange(n):
-            for a in range(d):
-                acc = 0.0
-                for j in range(k):
-                    v = probs[i, rows[a, j] - 1]
-                    if v < eps:
-                        v = eps
-                    acc += np.log(v)
-                out[i, a] = -acc
-        return out
-
-    @njit(cache=True, parallel=True)
-    def membership_bulk_nb(bits, rows, out):
-        n = bits.shape[0]
-        d, k = rows.shape
-        for i in prange(n):
-            for a in range(d):
-                ok = np.uint8(1)
-                for j in range(k):
-                    if bits[i, rows[a, j] - 1] == 0:
-                        ok = np.uint8(0)
-                        break
-                out[i, a] = ok
-        return out
-
-
-# ---------------------------------------------------------------------------
-# dispatching wrappers (public API)
-# ---------------------------------------------------------------------------
-
-
-def build_rows(d: int, m: int, k: int, seed: int) -> np.ndarray:
-    if NUMBA_ENABLED:
-        out = np.empty((d, k), dtype=np.int32)
-        return build_rows_nb(np.int64(d), np.int64(m), np.int64(k),
-                             np.uint64(seed & MASK64), out)
-    return build_rows_np(d, m, k, seed)
-
-
-def encode_bits(rows: np.ndarray, indptr: np.ndarray, flat: np.ndarray,
-                m: int) -> np.ndarray:
-    if NUMBA_ENABLED:
-        out = np.zeros((indptr.shape[0] - 1, m), dtype=np.uint8)
-        return encode_bits_nb(rows, indptr, flat, out)
-    return encode_bits_np(rows, indptr, flat, m)
-
-
-def decode_likelihood_bulk(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    if NUMBA_ENABLED:
-        out = np.empty((probs.shape[0], rows.shape[0]), dtype=np.float64)
-        return decode_likelihood_bulk_nb(probs, rows, out)
-    return decode_likelihood_bulk_np(probs, rows)
-
-
-def decode_nll_bulk(probs: np.ndarray, rows: np.ndarray, eps: float) -> np.ndarray:
-    if NUMBA_ENABLED:
-        out = np.empty((probs.shape[0], rows.shape[0]), dtype=np.float64)
-        return decode_nll_bulk_nb(probs, rows, eps, out)
-    return decode_nll_bulk_np(probs, rows, eps)
-
-
-def membership_bulk(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    if NUMBA_ENABLED:
-        out = np.empty((bits.shape[0], rows.shape[0]), dtype=np.uint8)
-        return membership_bulk_nb(bits, rows, out)
-    return membership_bulk_np(bits, rows)
-
-
-def double_hash_index(seed: int, item: int, j: int, m: int) -> int:
-    """Enhanced double hashing: projection j of `item` into {1..m}.
-
-    With i = j - 1, the index is (h1 + i*h2 + (i^3 - i)/6) mod m, 1-based,
-    where h1 and h2 are the first two draws of a SplitMix64 stream seeded
-    with mix64(seed XOR item * GOLDEN_GAMMA), reduced mod m, and h2 is
-    forced odd. Oddness guarantees h2 != 0 and, for power-of-two m, a
-    full-period stride; for other m the cubic term still separates the
-    projections when h2 happens to divide m.
-    """
-    stream = SplitMix64(mix64(seed ^ ((item * GOLDEN_GAMMA) & MASK64)))
-    h1 = stream.next_u64() % m
-    h2 = (stream.next_u64() % m) | 1
-    i = j - 1
-    return (h1 + i * h2 + (i * i * i - i) // 6) % m + 1

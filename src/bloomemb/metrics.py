@@ -1,9 +1,11 @@
-"""Ranking/classification measures and relative-comparison ratios.
+"""Ranking measures and a significance test for repeated-run scores.
 
-Scores are compared across runs in relative terms: score ratio S_i/S_0
-against a no-embedding baseline, dimensionality ratio m/d, and time ratio
-T_i/T_0. A Mann-Whitney U utility is included for deciding whether two
-sets of repeated-run scores differ significantly.
+Average precision (MAP) and reciprocal rank (RR) score one ranked item
+list. Runs are compared in relative terms (score ratio S_i/S_0 against a
+no-embedding baseline, dimensionality ratio m/d, time ratio T_i/T_0);
+:func:`bloomemb.experiment.run_sweep` computes those ratios per cell. A
+Mann-Whitney U utility decides whether two sets of repeated-run scores
+differ significantly.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from scipy import stats as _scipy_stats
 class Measure(enum.Enum):
     MAP = "MAP"
     RR = "RR"
-    ACC = "Acc"
 
 
 @dataclass(frozen=True)
@@ -30,19 +31,10 @@ class EvaluationResult:
     wall_time: float
 
     def __post_init__(self):
-        if self.measure in (Measure.MAP, Measure.RR) and not 0.0 <= self.score <= 1.0:
+        if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"{self.measure.value} must lie in [0, 1], got {self.score}")
-        if self.measure is Measure.ACC and not 0.0 <= self.score <= 100.0:
-            raise ValueError(f"Acc must lie in [0, 100], got {self.score}")
         if self.wall_time < 0:
             raise ValueError("wall_time must be >= 0")
-
-
-@dataclass(frozen=True)
-class RatioReport:
-    score_ratio: float
-    dim_ratio: float
-    time_ratio: float
 
 
 def average_precision(ranked: Sequence[int], relevant: set[int]) -> float:
@@ -68,31 +60,6 @@ def reciprocal_rank(ranked: Sequence[int], correct: int) -> float:
         if item == correct:
             return 1.0 / position
     return 0.0
-
-
-def accuracy(predicted: Sequence, truth: Sequence) -> float:
-    """Percentage of positions where the two label sequences agree."""
-    if len(predicted) != len(truth):
-        raise ValueError(f"length mismatch: {len(predicted)} != {len(truth)}")
-    if len(predicted) == 0:
-        raise ValueError("cannot compute accuracy of empty inputs")
-    matches = sum(1 for p, t in zip(predicted, truth) if p == t)
-    return 100.0 * matches / len(predicted)
-
-
-def ratio_report(run: EvaluationResult, baseline: EvaluationResult,
-                 m: int, d: int) -> RatioReport:
-    """Componentwise ratios of a run against the no-embedding baseline."""
-    if run.measure is not baseline.measure:
-        raise ValueError(
-            f"measure mismatch: {run.measure.value} vs {baseline.measure.value}")
-    if baseline.score <= 0:
-        raise ValueError("baseline score must be positive")
-    if baseline.wall_time <= 0:
-        raise ValueError("baseline wall time must be positive")
-    return RatioReport(score_ratio=run.score / baseline.score,
-                       dim_ratio=m / d,
-                       time_ratio=run.wall_time / baseline.wall_time)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,8 @@ Layout of the streams used by the package:
   random-access.
 * Bounded draws use bitmask rejection, which is exactly uniform.
 
-The numba kernels in :mod:`bloomemb.kernels` re-implement the same
-arithmetic on ``uint64``; the test suite pins both implementations to the
-same frozen output values.
+:func:`bloomemb.kernels.build_rows` draws every hash-matrix row from these
+streams; the test suite pins its output to frozen values.
 """
 
 from __future__ import annotations

@@ -232,7 +232,10 @@ def gradients(net: Network, x: np.ndarray, targets: np.ndarray
         grads.append(activations[l].T @ dz)          # weight
         if l > 0:
             da = dz @ net.weights[l].T
-            dz = da * (pre[l - 1] > 0)
+            z = pre[l - 1]
+            slope = (z > 0).astype(net.dtype)
+            slope[z == 0] = 0.5  # symmetric derivative at the ReLU kink
+            dz = da * slope
     grads.reverse()
     return loss, grads
 

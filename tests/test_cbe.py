@@ -7,7 +7,8 @@ import pytest
 
 from bloomemb.cbe import (CooccurrenceTable, average_item_frequency,
                           cooccurrence_stats, count_cooccurrences,
-                          rebuild_hash_matrix, threshold_and_order)
+                          rebuild_hash_matrix, stats_report_tsv,
+                          threshold_and_order)
 from bloomemb.codec import SparseInstance
 from bloomemb.hashing import HashMatrix, build_hash_matrix
 
@@ -163,6 +164,12 @@ class TestStats:
             stats = cooccurrence_stats(count_cooccurrences(instances), n=15)
             assert 0.0 <= stats.percent_cooccurring_pairs <= 100.0
             assert stats.mean_ratio_rho >= 0.0
+
+    def test_report_tsv_hand_example(self):
+        table = count_cooccurrences(insts(3, {1, 2}, {1, 2}, {1}, {3}))
+        report = stats_report_tsv(cooccurrence_stats(table, n=4))
+        assert report == ("side\tpercent_cooccurring_pairs\tmean_ratio_rho\n"
+                          "input\t33.3333\t0.5\n")
 
     def test_needs_two_items(self):
         table = count_cooccurrences(insts(1, {1}))

@@ -1,57 +1,8 @@
-"""The numba and numpy kernel paths must agree on identical inputs."""
+"""Kernel contracts on small hand-checked inputs."""
 
 import numpy as np
-import pytest
 
 from bloomemb import kernels as K
-
-
-def _random_instances(rng, n, d, max_c):
-    lens = rng.integers(0, max_c + 1, size=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(lens)
-    chunks = [rng.choice(d, size=c, replace=False) + 1 for c in lens]
-    flat = (np.concatenate(chunks).astype(np.int32)
-            if indptr[-1] else np.empty(0, dtype=np.int32))
-    return indptr, flat
-
-
-numba_only = pytest.mark.skipif(not K.NUMBA_ENABLED,
-                                reason="numba path not active")
-
-
-@numba_only
-def test_build_rows_paths_identical():
-    for d, m, k, seed in [(1, 1, 1, 0), (30, 7, 3, 1), (200, 64, 10, 12345),
-                          (50, 50, 50, 9)]:
-        a = K.build_rows(d, m, k, seed)
-        b = K.build_rows_np(d, m, k, seed)
-        assert np.array_equal(a, b)
-
-
-@numba_only
-def test_encode_decode_membership_paths_agree():
-    rng = np.random.default_rng(7)
-    d, m, k, n = 120, 31, 4, 64
-    rows = K.build_rows(d, m, k, 3)
-    indptr, flat = _random_instances(rng, n, d, 8)
-
-    bits_nb = K.encode_bits(rows, indptr, flat, m)
-    bits_np = K.encode_bits_np(rows, indptr, flat, m)
-    assert np.array_equal(bits_nb, bits_np)
-
-    probs = rng.random((n, m))
-    like_nb = K.decode_likelihood_bulk(probs, rows)
-    like_np = K.decode_likelihood_bulk_np(probs, rows)
-    assert np.allclose(like_nb, like_np, rtol=1e-14, atol=0)
-
-    nll_nb = K.decode_nll_bulk(probs, rows, 1e-12)
-    nll_np = K.decode_nll_bulk_np(probs, rows, 1e-12)
-    assert np.allclose(nll_nb, nll_np, rtol=1e-12, atol=1e-12)
-
-    mem_nb = K.membership_bulk(bits_nb, rows)
-    mem_np = K.membership_bulk_np(bits_nb, rows)
-    assert np.array_equal(mem_nb, mem_np)
 
 
 def test_build_rows_without_replacement():
@@ -73,16 +24,3 @@ def test_decode_handles_empty_probability_edge():
     probs = np.array([[0.5, 0.0]])
     out = K.decode_likelihood_bulk(probs, rows)
     assert out[0, 0] == 0.0
-
-
-def test_double_hash_index_range_and_determinism():
-    for item in (1, 17, 999):
-        for j in range(1, 6):
-            v = K.double_hash_index(42, item, j, 37)
-            assert 1 <= v <= 37
-            assert v == K.double_hash_index(42, item, j, 37)
-
-
-def test_double_hash_index_frozen_values():
-    # regression pin for the documented formula
-    assert [K.double_hash_index(3, 5, j, 10) for j in (1, 2, 3, 4)] == [5, 2, 10, 10]

@@ -1,11 +1,10 @@
-"""Measure values and ratio arithmetic, pinned by hand-computed oracles."""
+"""Measure values, pinned by hand-computed oracles."""
 
 import numpy as np
 import pytest
 
-from bloomemb.metrics import (EvaluationResult, Measure, accuracy,
-                              average_precision, mann_whitney_u, ratio_report,
-                              reciprocal_rank)
+from bloomemb.metrics import (EvaluationResult, Measure, average_precision,
+                              mann_whitney_u, reciprocal_rank)
 
 
 def brute_force_ap(ranked, relevant):
@@ -65,58 +64,10 @@ class TestReciprocalRank:
         assert reciprocal_rank([10, 20, 30], 20) == reciprocal_rank([3, 2, 1], 2)
 
 
-class TestAccuracy:
-    def test_identical(self):
-        assert accuracy([1, 0, 2], [1, 0, 2]) == 100.0
-
-    def test_disjoint(self):
-        assert accuracy([1, 1], [0, 0]) == 0.0
-
-    def test_half(self):
-        assert accuracy([1, 0, 1, 0], [1, 0, 0, 1]) == 50.0
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            accuracy([1], [1, 2])
-        with pytest.raises(ValueError):
-            accuracy([], [])
-
-
-class TestRatioReport:
-    def run(self, score, secs, measure=Measure.MAP):
-        return EvaluationResult(score=score, measure=measure, n_evaluated=10,
-                                wall_time=secs)
-
-    def test_identity(self):
-        base = self.run(0.4, 2.0)
-        report = ratio_report(base, base, m=100, d=100)
-        assert (report.score_ratio, report.dim_ratio, report.time_ratio) == (1, 1, 1)
-
-    def test_m_equals_d(self):
-        report = ratio_report(self.run(0.2, 1.0), self.run(0.4, 2.0), m=50, d=50)
-        assert report.dim_ratio == 1.0
-
-    def test_hand_arithmetic(self):
-        report = ratio_report(self.run(0.3, 1.5), self.run(0.4, 3.0), m=20, d=80)
-        assert report.score_ratio == pytest.approx(0.75)
-        assert report.dim_ratio == pytest.approx(0.25)
-        assert report.time_ratio == pytest.approx(0.5)
-
-    def test_measure_mismatch(self):
-        with pytest.raises(ValueError, match="measure"):
-            ratio_report(self.run(0.3, 1.0),
-                         self.run(0.4, 1.0, measure=Measure.RR), m=1, d=2)
-
-    def test_zero_baseline(self):
-        with pytest.raises(ValueError):
-            ratio_report(self.run(0.3, 1.0), self.run(0.0, 1.0), m=1, d=2)
-
+class TestEvaluationResult:
     def test_result_validation(self):
         with pytest.raises(ValueError):
             EvaluationResult(score=1.5, measure=Measure.MAP, n_evaluated=1,
-                             wall_time=0.0)
-        with pytest.raises(ValueError):
-            EvaluationResult(score=105.0, measure=Measure.ACC, n_evaluated=1,
                              wall_time=0.0)
 
 
