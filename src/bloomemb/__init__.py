@@ -9,10 +9,8 @@ and sweep harness.
 
 from .cbe import (CooccurrenceStats, CooccurrenceTable, cooccurrence_stats,
                   count_cooccurrences, rebuild_hash_matrix, threshold_and_order)
-from .codec import (BloomVector, ItemScores, ProbabilityVector, ScoreOrder,
-                    SparseInstance, decode_likelihood, decode_likelihood_batch,
-                    decode_nll, decode_nll_batch, encode, encode_batch, rank,
-                    rank_batch, renormalize)
+from .codec import (ScoreOrder, SparseInstance, decode_likelihood_batch,
+                    decode_nll_batch, encode_batch, rank_batch)
 from .data import (DataError, ProfileDataset, SyntheticSpec, generate_synthetic,
                    load_profiles, split_profile)
 from .experiment import (ExperimentConfig, ExperimentOutcome, config_from_text,
@@ -20,10 +18,9 @@ from .experiment import (ExperimentConfig, ExperimentOutcome, config_from_text,
                          run_sweep)
 from .hashing import (HashMatrix, build_hash_matrix, identity_hash_matrix,
                       load_hash_matrix, save_hash_matrix)
-from .metrics import (EvaluationResult, MannWhitneyResult, Measure,
-                      average_precision, mann_whitney_u, reciprocal_rank)
+from .metrics import EvaluationResult, Measure, average_precision, reciprocal_rank
 from .trainer import (Network, NetworkSpec, OptimizerSpec, TrainReport,
-                      backward_and_step, forward, forward_batch, init_network,
+                      backward_and_step, forward_batch, init_network,
                       load_network, loss_cross_entropy, multi_hot, save_network,
                       train)
 

@@ -238,7 +238,7 @@ def cmd_train(args) -> int:
     buf = io.BytesIO()
     trainer.save_network(net, buf)
     atomic_write(args.out, buf.getvalue())
-    if h_in is not None:
+    if not cfg.baseline:
         atomic_write(args.out + ".hash-in", hashing.matrix_to_text(h_in))
         atomic_write(args.out + ".hash-out", hashing.matrix_to_text(h_out))
     lines = ["epoch\tloss\tseconds"]

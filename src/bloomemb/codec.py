@@ -1,14 +1,17 @@
 """Encoding of sparse binary instances and ranked recovery of item scores.
 
 An instance is the set of active positions of a d-dimensional binary
-vector. Encoding sets, for every active position, the bits at its k
-projected embedding positions; the result is an m-bit vector. Decoding
-maps an m-dimensional probability vector back to per-item scores: the
-likelihood of item i is the product of the probabilities at its k
-projections, and the negative-log variant is the numerically stable form
-of the same ranking. Membership never produces false negatives; false
+vector. Every function works on a batch: encoding sets, for every active
+position of every instance, the bits at its k projected embedding
+positions, giving an (n, m) bit array. Decoding maps (n, m) probabilities
+back to (n, d) per-item scores: the likelihood of item i is the product of
+the probabilities at its k projections, and the negative-log variant is
+the numerically stable form of the same ranking. Ranking turns scores
+into best-first item ids. Membership never produces false negatives; false
 positives occur when all k projections of an absent item collide with set
-bits.
+bits. The no-embedding baseline is the identity matrix (m = d, k = 1),
+whose encoding is the multi-hot vector and whose likelihood decoding
+returns the probabilities unchanged.
 
 File formats:
 
@@ -74,71 +77,6 @@ class SparseInstance:
         return self.d == other.d and np.array_equal(self.positions, other.positions)
 
 
-@dataclass(frozen=True)
-class BloomVector:
-    """m-dimensional binary embedding."""
-
-    m: int
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.ascontiguousarray(self.bits, dtype=np.uint8)
-        if bits.shape != (self.m,):
-            raise ValueError(f"bits shape {bits.shape} != ({self.m},)")
-        if bits.size and bits.max() > 1:
-            raise ValueError("bits must be 0 or 1")
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-
-    def popcount(self) -> int:
-        return int(self.bits.sum())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BloomVector):
-            return NotImplemented
-        return self.m == other.m and np.array_equal(self.bits, other.bits)
-
-    def as_probabilities(self) -> "ProbabilityVector":
-        return ProbabilityVector(m=self.m, probs=self.bits.astype(np.float64))
-
-
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """m-dimensional vector of probabilities in [0, 1]."""
-
-    m: int
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.ascontiguousarray(self.probs, dtype=np.float64)
-        if probs.shape != (self.m,):
-            raise ValueError(f"probs shape {probs.shape} != ({self.m},)")
-        if not np.isfinite(probs).all():
-            raise ValueError("probabilities must be finite")
-        if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
-            raise ValueError("probabilities must lie in [0, 1]")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-
-
-@dataclass(frozen=True)
-class ItemScores:
-    """Per-item scores over the original d items plus their sort direction."""
-
-    d: int
-    scores: np.ndarray
-    ordering: ScoreOrder
-
-    def __post_init__(self):
-        scores = np.ascontiguousarray(self.scores, dtype=np.float64)
-        if scores.shape != (self.d,):
-            raise ValueError(f"scores shape {scores.shape} != ({self.d},)")
-        if not np.isfinite(scores).all():
-            raise ValueError("scores must be finite")
-        scores.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
-
-
 # ---------------------------------------------------------------------------
 # encoding
 # ---------------------------------------------------------------------------
@@ -147,21 +85,14 @@ class ItemScores:
 def pack_instances(instances: Sequence[SparseInstance]) -> tuple[np.ndarray, np.ndarray]:
     """Flatten instances to (indptr, positions) CSR-style arrays."""
     indptr = np.zeros(len(instances) + 1, dtype=np.int64)
-    for i, inst in enumerate(instances):
-        indptr[i + 1] = indptr[i] + inst.c
-    flat = np.empty(int(indptr[-1]), dtype=np.int32)
-    for i, inst in enumerate(instances):
-        flat[indptr[i]:indptr[i + 1]] = inst.positions
+    np.cumsum([inst.c for inst in instances], out=indptr[1:])
+    flat = np.concatenate([np.empty(0, dtype=np.int32),
+                           *(inst.positions for inst in instances)])
     return indptr, flat
 
 
-def encode(instance: SparseInstance, matrix: HashMatrix) -> BloomVector:
-    """Embed one instance; O(c*k), independent of d."""
-    return BloomVector(m=matrix.m, bits=encode_batch([instance], matrix)[0])
-
-
 def encode_batch(instances: Sequence[SparseInstance], matrix: HashMatrix) -> np.ndarray:
-    """Embed many instances into an (n, m) uint8 bit array."""
+    """Embed instances into an (n, m) uint8 bit array; O(c*k) per instance."""
     for inst in instances:
         if inst.d != matrix.d:
             raise ValueError(
@@ -175,32 +106,11 @@ def encode_batch(instances: Sequence[SparseInstance], matrix: HashMatrix) -> np.
 # ---------------------------------------------------------------------------
 
 
-def decode_likelihood(probs: ProbabilityVector, matrix: HashMatrix) -> ItemScores:
-    """Score item i as the product of its k projected probabilities."""
-    if probs.m != matrix.m:
-        raise ValueError(f"probability length {probs.m} != matrix m {matrix.m}")
-    scores = kernels.decode_likelihood_bulk(probs.probs[None, :], matrix.rows)[0]
-    return ItemScores(d=matrix.d, scores=scores,
-                      ordering=ScoreOrder.DESCENDING_LIKELIHOOD)
-
-
-def decode_nll(probs: ProbabilityVector, matrix: HashMatrix,
-               epsilon: float = DEFAULT_NLL_EPSILON) -> ItemScores:
-    """Score item i as -sum(log(max(prob, epsilon))) over its projections.
-
-    Lower is better. For items whose projected probabilities all exceed
-    epsilon, ascending order equals the descending likelihood order.
-    """
-    if probs.m != matrix.m:
-        raise ValueError(f"probability length {probs.m} != matrix m {matrix.m}")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    scores = kernels.decode_nll_bulk(probs.probs[None, :], matrix.rows, epsilon)[0]
-    return ItemScores(d=matrix.d, scores=scores, ordering=ScoreOrder.ASCENDING_NLL)
-
-
 def decode_likelihood_batch(probs: np.ndarray, matrix: HashMatrix) -> np.ndarray:
-    """(n, m) probabilities -> (n, d) likelihood scores."""
+    """(n, m) probabilities -> (n, d) likelihood scores; higher is better.
+
+    Item i scores the product of the probabilities at its k projections.
+    """
     if probs.shape[1] != matrix.m:
         raise ValueError(f"probability width {probs.shape[1]} != matrix m {matrix.m}")
     return kernels.decode_likelihood_bulk(
@@ -209,7 +119,12 @@ def decode_likelihood_batch(probs: np.ndarray, matrix: HashMatrix) -> np.ndarray
 
 def decode_nll_batch(probs: np.ndarray, matrix: HashMatrix,
                      epsilon: float = DEFAULT_NLL_EPSILON) -> np.ndarray:
-    """(n, m) probabilities -> (n, d) negative-log-likelihood scores."""
+    """(n, m) probabilities -> (n, d) negative-log-likelihoods; lower is better.
+
+    Item i scores -sum(log(max(prob, epsilon))) over its projections. For
+    items whose projected probabilities all exceed epsilon, ascending order
+    equals the descending likelihood order.
+    """
     if probs.shape[1] != matrix.m:
         raise ValueError(f"probability width {probs.shape[1]} != matrix m {matrix.m}")
     if not epsilon > 0:
@@ -223,30 +138,17 @@ def decode_nll_batch(probs: np.ndarray, matrix: HashMatrix,
 # ---------------------------------------------------------------------------
 
 
-def rank(scores: ItemScores, top_n: int) -> np.ndarray:
-    """Best-first 1-based item ids; ties break by ascending item index."""
-    return rank_batch(scores.scores[None, :], scores.ordering, top_n)[0]
-
-
 def rank_batch(scores: np.ndarray, ordering: ScoreOrder, top_n: int) -> np.ndarray:
-    """(n, d) scores -> (n, top_n) ranked 1-based item ids."""
-    n, d = scores.shape
+    """(n, d) scores -> (n, top_n) best-first 1-based item ids.
+
+    Ties break by ascending item index (the sort is stable).
+    """
+    d = scores.shape[1]
     if not 1 <= top_n <= d:
         raise ValueError(f"top_n {top_n} out of range [1, {d}]")
     key = scores if ordering is ScoreOrder.ASCENDING_NLL else -scores
-    idx = np.tile(np.arange(d), (n, 1))
-    order = np.lexsort((idx, key), axis=1)
-    return (order[:, :top_n] + 1).astype(np.int64)
-
-
-def renormalize(scores: ItemScores) -> np.ndarray:
-    """Turn likelihood scores into a probability distribution over d items."""
-    if scores.ordering is not ScoreOrder.DESCENDING_LIKELIHOOD:
-        raise ValueError("renormalize requires likelihood-ordered scores")
-    total = scores.scores.sum()
-    if total <= 0.0:
-        raise ValueError("cannot renormalize all-zero scores")
-    return scores.scores / total
+    order = np.argsort(key, axis=1, kind="stable")
+    return (order[:, :top_n] + 1).astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------

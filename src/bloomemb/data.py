@@ -39,13 +39,10 @@ class DataError(Exception):
 class ProfileDataset:
     d: int
     profiles: list[tuple[SparseInstance, SparseInstance]]
-    split: int                      # number of test profiles
     test_indices: np.ndarray        # sorted profile indices reserved for testing
     item_index: dict[str, int] | None = None  # external id -> dense 1..d
 
     def __post_init__(self):
-        if self.split != len(self.test_indices):
-            raise ValueError("split must equal the number of test indices")
         for inp, out in self.profiles:
             if inp.c == 0 or out.c == 0:
                 raise ValueError("profile with empty input or output side")
@@ -183,8 +180,8 @@ def load_profiles(source,
         dense = [item_index[it] for it in items]
         profiles.append(split_profile(dense, d, rng))
     test_idx = _select_test_indices(len(profiles), test_size, rng)
-    return ProfileDataset(d=d, profiles=profiles, split=len(test_idx),
-                          test_indices=test_idx, item_index=item_index)
+    return ProfileDataset(d=d, profiles=profiles, test_indices=test_idx,
+                          item_index=item_index)
 
 
 # ---------------------------------------------------------------------------
@@ -249,5 +246,5 @@ def generate_synthetic(spec: SyntheticSpec) -> ProfileDataset:
                 items.append(it)
         profiles.append(split_profile(items, spec.d, rng))
     test_idx = _select_test_indices(len(profiles), spec.test_size, rng)
-    return ProfileDataset(d=spec.d, profiles=profiles, split=len(test_idx),
-                          test_indices=test_idx, item_index=None)
+    return ProfileDataset(d=spec.d, profiles=profiles, test_indices=test_idx,
+                          item_index=None)

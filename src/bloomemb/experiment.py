@@ -5,8 +5,8 @@ An experiment is described by a flat config (round-trippable through a
 dataset, builds input/output hash matrices (optionally rebuilt from
 co-occurrence statistics), trains the feed-forward model on encoded
 instances, and evaluates ranked recovery on the held-out test profiles.
-The no-embedding baseline trains on the raw multi-hot vectors and ranks
-model outputs directly.
+The no-embedding baseline is the identity embedding (m = d, k = 1) and
+runs through the same encode, train, decode and rank path.
 
 Sweeps run one cell per (k, m/d, seed) plus per-seed baseline cells and
 emit TSV rows with score and time ratios against the seed-matched
@@ -29,10 +29,10 @@ from . import cbe as cbe_mod
 from .codec import ScoreOrder, SparseInstance, decode_likelihood_batch, \
     decode_nll_batch, encode_batch, rank_batch
 from .data import ProfileDataset, SyntheticSpec, generate_synthetic, load_profiles
-from .hashing import HashMatrix, build_hash_matrix
+from .hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
 from .metrics import EvaluationResult, Measure
 from .trainer import Network, NetworkSpec, OptimizerSpec, TrainReport, \
-    forward_batch, init_network, multi_hot, train
+    forward_batch, init_network, train
 
 SWEEP_COLUMNS = ("measure", "variant", "k", "m_ratio", "seed", "S_i", "S_0",
                  "score_ratio", "train_time_ratio", "eval_time_ratio")
@@ -189,10 +189,11 @@ def load_dataset(cfg: ExperimentConfig) -> ProfileDataset:
 
 
 def build_matrices(cfg: ExperimentConfig, ds: ProfileDataset
-                   ) -> tuple[HashMatrix | None, HashMatrix | None]:
-    """Input/output hash matrices for a run; (None, None) for the baseline."""
+                   ) -> tuple[HashMatrix, HashMatrix]:
+    """Input/output hash matrices for a run; the identity for the baseline."""
     if cfg.baseline:
-        return None, None
+        identity = identity_hash_matrix(ds.d)
+        return identity, identity
     h_in = build_hash_matrix(ds.d, cfg.m_in, cfg.k, cfg.hash_seed_in)
     h_out = build_hash_matrix(ds.d, cfg.m_out, cfg.k, cfg.hash_seed_out)
     if cfg.use_cbe:
@@ -213,26 +214,27 @@ def evaluate_model(net: Network,
                    decode_mode: str = "likelihood",
                    measure: str = "MAP",
                    top_n: int | None = None) -> EvaluationResult:
-    """Ranked-recovery evaluation over held-out profiles (MAP or RR)."""
+    """Ranked-recovery evaluation over held-out profiles (MAP or RR).
+
+    hash_in/hash_out None = identity (the no-embedding baseline).
+    """
     if not test_profiles:
         raise ValueError("no test profiles to evaluate")
     d = test_profiles[0][0].d
-    inputs = [p[0] for p in test_profiles]
-    t0 = time.perf_counter()
     if hash_in is None:
-        x = multi_hot(inputs, d)
-    else:
-        x = encode_batch(inputs, hash_in)
-    probs = forward_batch(net, x.astype(net.dtype)).astype(np.float64)
+        hash_in = identity_hash_matrix(d)
     if hash_out is None:
-        scores = probs
-        ordering = ScoreOrder.DESCENDING_LIKELIHOOD
-    elif decode_mode == "likelihood":
+        hash_out = identity_hash_matrix(test_profiles[0][1].d)
+    t0 = time.perf_counter()
+    x = encode_batch([p[0] for p in test_profiles], hash_in)
+    probs = forward_batch(net, x.astype(net.dtype)).astype(np.float64)
+    if decode_mode == "likelihood":
         scores = decode_likelihood_batch(probs, hash_out)
         ordering = ScoreOrder.DESCENDING_LIKELIHOOD
     else:
         scores = decode_nll_batch(probs, hash_out)
         ordering = ScoreOrder.ASCENDING_NLL
+    del x, probs  # free before ranking, whose temporaries peak the memory
     depth = top_n if top_n is not None else d
     ranked = rank_batch(scores, ordering, depth)
     values = []
@@ -259,8 +261,6 @@ class ExperimentOutcome:
     config: ExperimentConfig
     evaluation: EvaluationResult
     training: TrainReport
-    m_in: int
-    m_out: int
 
     @property
     def train_time_per_epoch(self) -> float:
@@ -268,12 +268,10 @@ class ExperimentOutcome:
         return float(np.mean(times)) if times else 0.0
 
 
-def fit(cfg: ExperimentConfig, ds: ProfileDataset, h_in: HashMatrix | None,
-        h_out: HashMatrix | None) -> tuple[Network, TrainReport]:
+def fit(cfg: ExperimentConfig, ds: ProfileDataset, h_in: HashMatrix,
+        h_out: HashMatrix) -> tuple[Network, TrainReport]:
     """Initialise the configured network and train it on the training split."""
-    n_in = ds.d if h_in is None else h_in.m
-    n_out = ds.d if h_out is None else h_out.m
-    spec = NetworkSpec(layer_sizes=(n_in, *cfg.hidden, n_out),
+    spec = NetworkSpec(layer_sizes=(h_in.m, *cfg.hidden, h_out.m),
                        init_seed=cfg.init_seed)
     net = init_network(spec)
     optimizer = OptimizerSpec(kind=cfg.optimizer, learning_rate=cfg.learning_rate,
@@ -292,9 +290,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     evaluation = evaluate_model(net, ds.test_profiles(), h_in, h_out,
                                 decode_mode=cfg.decode_mode, measure=cfg.measure,
                                 top_n=cfg.top_n)
-    report.eval_result = evaluation
-    return ExperimentOutcome(config=cfg, evaluation=evaluation, training=report,
-                             m_in=net.n_in, m_out=net.n_out)
+    return ExperimentOutcome(config=cfg, evaluation=evaluation, training=report)
 
 
 # -- sweeps ------------------------------------------------------------------

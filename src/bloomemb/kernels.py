@@ -1,8 +1,9 @@
 """Hot numeric kernels in plain numpy.
 
 Each kernel has exactly one implementation. Integer kernels (matrix
-construction, encoding) are exact; the decode kernels gather the k
-projected probabilities of every item in bounded chunks.
+construction, encoding) are exact; the decode kernels combine the k
+gathered columns of every item one projection at a time, so no
+temporary is larger than the (n, d) result.
 
 All index arrays passed in here follow the package convention: hash-matrix
 entries and instance positions are 1-based, conversion happens inside the
@@ -45,41 +46,28 @@ def encode_bits(rows: np.ndarray, indptr: np.ndarray, flat: np.ndarray,
                 m: int) -> np.ndarray:
     """Scatter the k projections of every active position into bit vectors."""
     n = indptr.shape[0] - 1
+    k = rows.shape[1]
     out = np.zeros((n, m), dtype=np.uint8)
-    for i in range(n):
-        pos = flat[indptr[i]:indptr[i + 1]]
-        if pos.shape[0]:
-            out[i, rows[pos - 1].ravel() - 1] = 1
+    owner = np.repeat(np.arange(n), np.diff(indptr) * k)
+    out[owner, rows[flat - 1].ravel() - 1] = 1
     return out
-
-
-def _chunk_size(d: int, k: int) -> int:
-    # bound the (chunk, d, k) float64 temporary to ~64 MB
-    return max(1, (8 << 20) // max(d * k, 1))
 
 
 def decode_likelihood_bulk(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """(n, m) probabilities -> (n, d) products of each item's k projections."""
-    n = probs.shape[0]
-    d, k = rows.shape
-    out = np.empty((n, d), dtype=np.float64)
-    step = _chunk_size(d, k)
     idx = rows - 1
-    for s in range(0, n, step):
-        e = min(n, s + step)
-        out[s:e] = probs[s:e, idx].prod(axis=2)
+    out = probs.take(idx[:, 0], axis=1)
+    for j in range(1, idx.shape[1]):
+        out *= probs.take(idx[:, j], axis=1)
     return out
 
 
 def decode_nll_bulk(probs: np.ndarray, rows: np.ndarray,
                     eps: float) -> np.ndarray:
     """(n, m) probabilities -> (n, d) sums of -log(max(p, eps)) per item."""
-    n = probs.shape[0]
-    d, k = rows.shape
-    out = np.empty((n, d), dtype=np.float64)
-    step = _chunk_size(d, k)
+    neg_log = -np.log(np.maximum(probs, eps))
     idx = rows - 1
-    for s in range(0, n, step):
-        e = min(n, s + step)
-        out[s:e] = -np.log(np.maximum(probs[s:e, idx], eps)).sum(axis=2)
+    out = neg_log.take(idx[:, 0], axis=1)
+    for j in range(1, idx.shape[1]):
+        out += neg_log.take(idx[:, j], axis=1)
     return out

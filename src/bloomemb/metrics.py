@@ -1,11 +1,9 @@
-"""Ranking measures and a significance test for repeated-run scores.
+"""Ranking measures.
 
 Average precision (MAP) and reciprocal rank (RR) score one ranked item
 list. Runs are compared in relative terms (score ratio S_i/S_0 against a
 no-embedding baseline, dimensionality ratio m/d, time ratio T_i/T_0);
-:func:`bloomemb.experiment.run_sweep` computes those ratios per cell. A
-Mann-Whitney U utility decides whether two sets of repeated-run scores
-differ significantly.
+:func:`bloomemb.experiment.run_sweep` computes those ratios per cell.
 """
 
 from __future__ import annotations
@@ -13,9 +11,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
-from scipy import stats as _scipy_stats
 
 
 class Measure(enum.Enum):
@@ -60,23 +55,3 @@ def reciprocal_rank(ranked: Sequence[int], correct: int) -> float:
         if item == correct:
             return 1.0 / position
     return 0.0
-
-
-@dataclass(frozen=True)
-class MannWhitneyResult:
-    u_statistic: float
-    p_value: float
-    significant: bool
-
-
-def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float],
-                   alpha: float = 0.05) -> MannWhitneyResult:
-    """Two-sided Mann-Whitney U test over repeated-run score samples."""
-    a = np.asarray(sample_a, dtype=np.float64)
-    b = np.asarray(sample_b, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both samples must be nonempty")
-    res = _scipy_stats.mannwhitneyu(a, b, alternative="two-sided")
-    return MannWhitneyResult(u_statistic=float(res.statistic),
-                             p_value=float(res.pvalue),
-                             significant=bool(res.pvalue <= alpha))

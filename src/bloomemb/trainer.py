@@ -1,10 +1,12 @@
-"""Minimal feed-forward trainer for multi-hot inputs and targets.
+"""Minimal feed-forward trainer for Bloom-encoded inputs and targets.
 
 Dense layers with ReLU hidden activations and a softmax output, trained
-with categorical cross-entropy against multi-hot targets normalized to a
-distribution. Optimizers: SGD with momentum and Adam. Everything is plain
-numpy; training runs in float32 by default, gradient checking uses
-float64 networks.
+on batches with categorical cross-entropy against multi-hot targets
+normalized to a distribution. Inputs and targets are encoded by hash
+matrices; the no-embedding baseline uses the identity matrix.
+Optimizers: SGD with momentum and Adam. Everything is plain numpy;
+training runs in float32 by default, gradient checking uses float64
+networks.
 
 Weight init is scaled uniform, U(-sqrt(1/fan_in), +sqrt(1/fan_in)), from
 a seeded generator; with fixed init and shuffle seeds a training run is
@@ -26,9 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import BloomVector, ProbabilityVector, SparseInstance, encode_batch
-from .hashing import HashMatrix
-from .metrics import EvaluationResult
+from .codec import SparseInstance, encode_batch
+from .hashing import HashMatrix, identity_hash_matrix
 
 _CHECKPOINT_MAGIC = b"BENC"
 _LOSS_EPS = 1e-12
@@ -76,7 +77,6 @@ class TrainReport:
     epoch_losses: list[float]
     epoch_times: list[float]
     wall_time: float
-    eval_result: EvaluationResult | None = None
 
 
 class Network:
@@ -147,30 +147,13 @@ def forward_batch(net: Network, x: np.ndarray,
     return a
 
 
-def forward(net: Network, x) -> ProbabilityVector:
-    """Single-instance forward pass; accepts a dense vector or a BloomVector."""
-    if isinstance(x, BloomVector):
-        x = x.bits
-    arr = np.asarray(x, dtype=net.dtype).reshape(1, -1)
-    probs = forward_batch(net, arr)[0]
-    # clip tiny softmax rounding noise so the result is a valid distribution
-    return ProbabilityVector(m=net.n_out, probs=np.clip(probs, 0.0, 1.0))
+def loss_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
+    """Mean cross-entropy of (B, m) probabilities against (B, m) targets.
 
-
-def _batch_loss(probs: np.ndarray, targets: np.ndarray) -> float:
+    Each target row is a distribution: a multi-hot target normalized to sum 1.
+    """
     logp = np.log(np.maximum(probs.astype(np.float64), _LOSS_EPS))
     return float(-(targets * logp).sum(axis=1).mean())
-
-
-def loss_cross_entropy(probs: ProbabilityVector, target: BloomVector) -> float:
-    """Cross-entropy against the multi-hot target normalized to sum 1."""
-    if probs.m != target.m:
-        raise ValueError(f"length mismatch: {probs.m} != {target.m}")
-    total = target.bits.sum()
-    if total == 0:
-        raise ValueError("target has no set bits")
-    t = target.bits.astype(np.float64) / total
-    return _batch_loss(probs.probs[None, :], t[None, :])
 
 
 class _OptimizerState:
@@ -221,7 +204,7 @@ def gradients(net: Network, x: np.ndarray, targets: np.ndarray
     """Batch loss and analytic gradients in parameter order (W0, b0, W1, ...)."""
     probs, (activations, pre) = forward_batch(net, x, keep_cache=True)
     t = np.ascontiguousarray(targets, dtype=net.dtype)
-    loss = _batch_loss(probs, t)
+    loss = loss_cross_entropy(probs, t)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite training loss")
     batch = x.shape[0]
@@ -256,22 +239,8 @@ def backward_and_step(net: Network, batch: tuple[np.ndarray, np.ndarray],
 
 
 def multi_hot(instances: Sequence[SparseInstance], dim: int) -> np.ndarray:
-    """Direct (n, dim) multi-hot matrix; the no-embedding input/target path."""
-    out = np.zeros((len(instances), dim), dtype=np.uint8)
-    for i, inst in enumerate(instances):
-        if inst.d != dim:
-            raise ValueError(f"instance dimensionality {inst.d} != {dim}")
-        if inst.c:
-            out[i, inst.positions - 1] = 1
-    return out
-
-
-def _encoded_dataset(dataset, matrix: HashMatrix | None, side: str,
-                     dim: int) -> np.ndarray:
-    instances = [pair[0 if side == "input" else 1] for pair in dataset]
-    if matrix is None:
-        return multi_hot(instances, dim)
-    return encode_batch(instances, matrix)
+    """(n, dim) multi-hot matrix: the encoding by the identity matrix."""
+    return encode_batch(instances, identity_hash_matrix(dim))
 
 
 def train(net: Network,
@@ -282,7 +251,7 @@ def train(net: Network,
           epochs: int,
           batch_size: int = 128,
           shuffle_seed: int = 0) -> TrainReport:
-    """Train on encoded inputs/targets; hash_in/hash_out None = no embedding.
+    """Train on encoded inputs/targets; hash_in/hash_out None = identity.
 
     Targets are the encoded multi-hot vectors normalized to sum 1. Batch
     order is a seeded permutation per epoch, so runs are reproducible.
@@ -291,10 +260,12 @@ def train(net: Network,
         raise ValueError("dataset must be nonempty")
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
-    d_in = dataset[0][0].d
-    d_out = dataset[0][1].d
-    x_bits = _encoded_dataset(dataset, hash_in, "input", d_in)
-    t_bits = _encoded_dataset(dataset, hash_out, "output", d_out)
+    if hash_in is None:
+        hash_in = identity_hash_matrix(dataset[0][0].d)
+    if hash_out is None:
+        hash_out = identity_hash_matrix(dataset[0][1].d)
+    x_bits = encode_batch([pair[0] for pair in dataset], hash_in)
+    t_bits = encode_batch([pair[1] for pair in dataset], hash_out)
     if x_bits.shape[1] != net.n_in:
         raise ValueError(f"encoded input width {x_bits.shape[1]} != n_in {net.n_in}")
     if t_bits.shape[1] != net.n_out:
@@ -327,7 +298,7 @@ def train(net: Network,
         probs = forward_batch(net, x_bits.astype(net.dtype))
         targets = t_bits.astype(np.float64) / t_sum[:, None]
         epoch_losses = []
-        final = _batch_loss(probs, targets)
+        final = loss_cross_entropy(probs, targets)
     else:
         final = epoch_losses[-1]
     return TrainReport(epochs=epochs, final_loss=final,

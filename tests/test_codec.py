@@ -13,11 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bloomemb.codec import (BloomVector, ItemScores, ProbabilityVector,
-                            ScoreOrder, SparseInstance, decode_likelihood,
-                            decode_likelihood_batch, decode_nll, encode,
-                            encode_batch, rank, rank_batch, read_instances,
-                            renormalize, write_bit_vectors, write_instances)
+from bloomemb.codec import (ScoreOrder, SparseInstance, decode_likelihood_batch,
+                            decode_nll_batch, encode_batch, rank_batch,
+                            read_instances, write_bit_vectors, write_instances)
 from bloomemb.hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
 
 SPEC_ROWS = np.array([(1, 3), (2, 4), (1, 2), (3, 4), (2, 3), (1, 4)],
@@ -37,48 +35,55 @@ def naive_encode(positions, matrix) -> np.ndarray:
     return np.array(u, dtype=np.uint8)
 
 
+def encode_items(d, items, matrix) -> np.ndarray:
+    """Bits of one instance, through encode_batch on a batch of one."""
+    return encode_batch([SparseInstance.from_items(d, items)], matrix)[0]
+
+
 class TestEncode:
     def test_worked_example(self):
-        inst = SparseInstance.from_items(6, [1, 4])
-        assert encode(inst, spec_matrix()).bits.tolist() == [1, 0, 1, 1]
+        assert encode_items(6, [1, 4], spec_matrix()).tolist() == [1, 0, 1, 1]
 
     def test_empty_instance_is_all_zeros(self):
-        inst = SparseInstance.from_items(6, [])
-        u = encode(inst, spec_matrix())
-        assert u.popcount() == 0
+        assert encode_items(6, [], spec_matrix()).sum() == 0
+
+    def test_empty_batch(self):
+        assert encode_batch([], spec_matrix()).shape == (0, 4)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            encode(SparseInstance.from_items(5, [1]), spec_matrix())
+            encode_batch([SparseInstance.from_items(5, [1])], spec_matrix())
 
     def test_union_homomorphism_randomized(self):
-        # encode(p | q) == OR(encode(p), encode(q)) against the naive oracle
+        # encode(p | q) == OR(encode(p), encode(q)) against the naive oracle,
+        # all 3000 instances in one batch
         rng = np.random.default_rng(11)
         matrix = build_hash_matrix(d=80, m=23, k=3, seed=4)
+        sets, instances = [], []
         for _ in range(1000):
             p = set(rng.choice(80, size=rng.integers(0, 9), replace=False) + 1)
             q = set(rng.choice(80, size=rng.integers(0, 9), replace=False) + 1)
-            u_p = encode(SparseInstance.from_items(80, p), matrix).bits
-            u_q = encode(SparseInstance.from_items(80, q), matrix).bits
-            u_union = encode(SparseInstance.from_items(80, p | q), matrix).bits
+            sets.append(p | q)
+            instances += [SparseInstance.from_items(80, s) for s in (p, q, p | q)]
+        bits = encode_batch(instances, matrix)
+        for i, union in enumerate(sets):
+            u_p, u_q, u_union = bits[3 * i:3 * i + 3]
             assert np.array_equal(u_union, u_p | u_q)
-            assert np.array_equal(u_union, naive_encode(sorted(p | q), matrix))
+            assert np.array_equal(u_union, naive_encode(sorted(union), matrix))
 
     @given(st.sets(st.integers(1, 40), max_size=12),
            st.integers(1, 40))
     @settings(max_examples=60, deadline=None)
     def test_monotone_under_item_insertion(self, items, extra):
         matrix = build_hash_matrix(d=40, m=11, k=2, seed=8)
-        base = encode(SparseInstance.from_items(40, items), matrix).bits
-        grown = encode(SparseInstance.from_items(40, items | {extra}),
-                       matrix).bits
+        base = encode_items(40, items, matrix)
+        grown = encode_items(40, items | {extra}, matrix)
         assert (grown >= base).all()
 
     def test_popcount_bound(self):
         matrix = build_hash_matrix(d=100, m=29, k=3, seed=1)
-        inst = SparseInstance.from_items(100, range(1, 12))
-        u = encode(inst, matrix)
-        assert u.popcount() <= min(29, 11 * 3)
+        u = encode_items(100, range(1, 12), matrix)
+        assert u.sum() <= min(29, 11 * 3)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(3)
@@ -88,16 +93,16 @@ class TestEncode:
             for _ in range(50)]
         bits = encode_batch(instances, matrix)
         for i, inst in enumerate(instances):
-            assert np.array_equal(bits[i], encode(inst, matrix).bits)
+            assert np.array_equal(bits[i], encode_batch([inst], matrix)[0])
 
     def test_runtime_independent_of_d(self):
         # O(c*k): the same instance should cost about the same under a
         # 1000x larger item space (generous 5x margin for timer noise)
         small = build_hash_matrix(d=1000, m=256, k=4, seed=0)
         big = build_hash_matrix(d=1_000_000, m=256, k=4, seed=0)
-        inst_small = SparseInstance.from_items(1000, range(1, 33))
-        inst_big = SparseInstance.from_items(1_000_000, range(1, 33))
-        encode(inst_small, small), encode(inst_big, big)  # warm up
+        inst_small = [SparseInstance.from_items(1000, range(1, 33))]
+        inst_big = [SparseInstance.from_items(1_000_000, range(1, 33))]
+        encode_batch(inst_small, small), encode_batch(inst_big, big)  # warm up
 
         def best_of(fn, reps=7, loops=200):
             best = math.inf
@@ -108,140 +113,114 @@ class TestEncode:
                 best = min(best, time.perf_counter() - t0)
             return best
 
-        t_small = best_of(lambda: encode(inst_small, small))
-        t_big = best_of(lambda: encode(inst_big, big))
+        t_small = best_of(lambda: encode_batch(inst_small, small))
+        t_big = best_of(lambda: encode_batch(inst_big, big))
         assert t_big < 5 * t_small
 
 
 class TestDecode:
+    PROBS = np.array([[0.1, 0.2, 0.3, 0.4]])
+
     def test_likelihood_worked_example(self):
         # item 1 projects to positions (1, 3): score 0.1 * 0.3 = 0.03
-        probs = ProbabilityVector(4, np.array([0.1, 0.2, 0.3, 0.4]))
-        scores = decode_likelihood(probs, spec_matrix())
-        assert scores.scores[0] == pytest.approx(0.03, abs=1e-15)
-        assert scores.ordering is ScoreOrder.DESCENDING_LIKELIHOOD
+        scores = decode_likelihood_batch(self.PROBS, spec_matrix())
+        assert scores.shape == (1, 6)
+        assert scores[0, 0] == pytest.approx(0.03, abs=1e-15)
 
     def test_zero_probability_annihilates(self):
-        probs = ProbabilityVector(4, np.array([0.0, 0.2, 0.3, 0.4]))
-        scores = decode_likelihood(probs, spec_matrix())
-        assert scores.scores[0] == 0.0  # item 1 projects to position 1
+        probs = np.array([[0.0, 0.2, 0.3, 0.4]])
+        scores = decode_likelihood_batch(probs, spec_matrix())
+        assert scores[0, 0] == 0.0  # item 1 projects to position 1
 
     def test_k1_identity_returns_probs(self):
-        probs = ProbabilityVector(5, np.array([0.3, 0.1, 0.25, 0.2, 0.15]))
-        scores = decode_likelihood(probs, identity_hash_matrix(5))
-        assert np.array_equal(scores.scores, probs.probs)
+        rng = np.random.default_rng(8)
+        probs = rng.random((50, 37))
+        probs /= probs.sum(axis=1, keepdims=True)
+        scores = decode_likelihood_batch(probs, identity_hash_matrix(37))
+        assert np.array_equal(scores, probs)
 
     def test_nll_worked_example(self):
-        probs = ProbabilityVector(4, np.array([0.1, 0.2, 0.3, 0.4]))
-        scores = decode_nll(probs, spec_matrix(), epsilon=1e-12)
-        assert scores.scores[0] == pytest.approx(-(math.log(0.1) + math.log(0.3)),
-                                                 rel=1e-12)
-        assert scores.scores[0] == pytest.approx(3.5065578973199818, rel=1e-10)
-        assert scores.ordering is ScoreOrder.ASCENDING_NLL
+        scores = decode_nll_batch(self.PROBS, spec_matrix(), epsilon=1e-12)
+        assert scores[0, 0] == pytest.approx(-(math.log(0.1) + math.log(0.3)),
+                                             rel=1e-12)
+        assert scores[0, 0] == pytest.approx(3.5065578973199818, rel=1e-10)
 
     def test_nll_all_equal_probs_tie(self):
-        probs = ProbabilityVector(4, np.full(4, 0.25))
-        scores = decode_nll(probs, spec_matrix())
-        assert np.allclose(scores.scores, scores.scores[0])
+        scores = decode_nll_batch(np.full((1, 4), 0.25), spec_matrix())
+        assert np.allclose(scores, scores[0, 0])
 
     def test_nll_rejects_bad_epsilon(self):
-        probs = ProbabilityVector(4, np.full(4, 0.25))
         with pytest.raises(ValueError):
-            decode_nll(probs, spec_matrix(), epsilon=0.0)
+            decode_nll_batch(np.full((1, 4), 0.25), spec_matrix(), epsilon=0.0)
 
     def test_dimension_mismatch_rejected(self):
-        probs = ProbabilityVector(5, np.full(5, 0.2))
-        with pytest.raises(ValueError):
-            decode_likelihood(probs, spec_matrix())
+        probs = np.full((1, 5), 0.2)
+        for decode in (decode_likelihood_batch, decode_nll_batch):
+            with pytest.raises(ValueError):
+                decode(probs, spec_matrix())
 
     def test_rank_agreement_between_decoders(self):
         # cross-check oracle: strictly positive probabilities make the two
         # decoders produce identical rankings
         rng = np.random.default_rng(23)
         matrix = build_hash_matrix(d=40, m=16, k=3, seed=9)
-        for _ in range(1000):
-            probs = ProbabilityVector(16, rng.uniform(1e-6, 1.0, size=16))
-            like = rank(decode_likelihood(probs, matrix), 40)
-            nll = rank(decode_nll(probs, matrix), 40)
-            assert np.array_equal(like, nll)
+        probs = rng.uniform(1e-6, 1.0, size=(1000, 16))
+        like = rank_batch(decode_likelihood_batch(probs, matrix),
+                          ScoreOrder.DESCENDING_LIKELIHOOD, 40)
+        nll = rank_batch(decode_nll_batch(probs, matrix),
+                         ScoreOrder.ASCENDING_NLL, 40)
+        assert np.array_equal(like, nll)
 
     def test_members_score_one_on_binary_embedding(self):
         rng = np.random.default_rng(5)
         matrix = build_hash_matrix(d=200, m=64, k=4, seed=14)
-        for _ in range(50):
-            items = rng.choice(200, size=10, replace=False) + 1
-            inst = SparseInstance.from_items(200, items)
-            u = encode(inst, matrix)
-            scores = decode_likelihood(u.as_probabilities(), matrix)
-            assert (scores.scores[items - 1] == 1.0).all()
+        members = [rng.choice(200, size=10, replace=False) + 1 for _ in range(50)]
+        bits = encode_batch([SparseInstance.from_items(200, items)
+                             for items in members], matrix)
+        scores = decode_likelihood_batch(bits.astype(np.float64), matrix)
+        for row, items in zip(scores, members):
+            assert (row[items - 1] == 1.0).all()
 
 
 class TestRank:
     def test_worked_example_with_ties(self):
-        scores = ItemScores(4, np.array([0.2, 0.9, 0.9, 0.1]),
-                            ScoreOrder.DESCENDING_LIKELIHOOD)
-        assert rank(scores, 3).tolist() == [2, 3, 1]
+        scores = np.array([[0.2, 0.9, 0.9, 0.1]])
+        ranked = rank_batch(scores, ScoreOrder.DESCENDING_LIKELIHOOD, 3)
+        assert ranked.tolist() == [[2, 3, 1]]
 
     def test_full_depth_is_permutation(self):
         rng = np.random.default_rng(1)
-        scores = ItemScores(30, rng.random(30), ScoreOrder.DESCENDING_LIKELIHOOD)
-        assert sorted(rank(scores, 30).tolist()) == list(range(1, 31))
+        ranked = rank_batch(rng.random((5, 30)), ScoreOrder.DESCENDING_LIKELIHOOD, 30)
+        for row in ranked:
+            assert sorted(row.tolist()) == list(range(1, 31))
 
     def test_against_naive_sort_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(1000):
             d = int(rng.integers(1, 12))
-            vals = rng.integers(0, 4, size=d) / 4.0  # force ties
+            vals = rng.integers(0, 4, size=(3, d)) / 4.0  # force ties
+            vals[rng.random((3, d)) < 0.3] *= -1.0  # and mix in -0.0
             for ordering in ScoreOrder:
-                scores = ItemScores(d, vals, ordering)
                 sign = 1.0 if ordering is ScoreOrder.ASCENDING_NLL else -1.0
-                oracle = sorted(range(1, d + 1),
-                                key=lambda i: (sign * vals[i - 1], i))
-                assert rank(scores, d).tolist() == oracle
+                ranked = rank_batch(vals, ordering, d)
+                for row, v in zip(ranked, vals):
+                    oracle = sorted(range(1, d + 1),
+                                    key=lambda i: (sign * v[i - 1], i))
+                    assert row.tolist() == oracle
 
     def test_rank_batch_matches_rank(self):
+        # rows of a batch rank exactly as each row ranked alone
         rng = np.random.default_rng(4)
         vals = rng.integers(0, 3, size=(20, 15)) / 3.0
         batch = rank_batch(vals, ScoreOrder.DESCENDING_LIKELIHOOD, 15)
         for i in range(20):
-            single = rank(ItemScores(15, vals[i], ScoreOrder.DESCENDING_LIKELIHOOD), 15)
-            assert np.array_equal(batch[i], single)
+            single = rank_batch(vals[i:i + 1], ScoreOrder.DESCENDING_LIKELIHOOD, 15)
+            assert np.array_equal(batch[i], single[0])
 
     def test_top_n_out_of_range(self):
-        scores = ItemScores(4, np.zeros(4), ScoreOrder.DESCENDING_LIKELIHOOD)
         for bad in (0, 5):
             with pytest.raises(ValueError):
-                rank(scores, bad)
-
-
-class TestRenormalize:
-    def test_proportionality(self):
-        scores = ItemScores(2, np.array([0.03, 0.01]),
-                            ScoreOrder.DESCENDING_LIKELIHOOD)
-        assert renormalize(scores) == pytest.approx([0.75, 0.25])
-
-    def test_single_nonzero(self):
-        scores = ItemScores(3, np.array([0.0, 0.4, 0.0]),
-                            ScoreOrder.DESCENDING_LIKELIHOOD)
-        assert renormalize(scores).tolist() == [0.0, 1.0, 0.0]
-
-    def test_sums_to_one_randomized(self):
-        rng = np.random.default_rng(6)
-        for _ in range(1000):
-            vals = rng.random(8)
-            out = renormalize(ItemScores(8, vals, ScoreOrder.DESCENDING_LIKELIHOOD))
-            assert abs(out.sum() - 1.0) < 1e-12
-            assert out.argmax() == vals.argmax()
-
-    def test_all_zero_rejected(self):
-        scores = ItemScores(3, np.zeros(3), ScoreOrder.DESCENDING_LIKELIHOOD)
-        with pytest.raises(ValueError):
-            renormalize(scores)
-
-    def test_requires_likelihood_ordering(self):
-        scores = ItemScores(3, np.ones(3), ScoreOrder.ASCENDING_NLL)
-        with pytest.raises(ValueError):
-            renormalize(scores)
+                rank_batch(np.zeros((1, 4)), ScoreOrder.DESCENDING_LIKELIHOOD, bad)
 
 
 class TestFileFormats:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bloomemb.metrics import (EvaluationResult, Measure, average_precision,
-                              mann_whitney_u, reciprocal_rank)
+                              reciprocal_rank)
 
 
 def brute_force_ap(ranked, relevant):
@@ -69,21 +69,3 @@ class TestEvaluationResult:
         with pytest.raises(ValueError):
             EvaluationResult(score=1.5, measure=Measure.MAP, n_evaluated=1,
                              wall_time=0.0)
-
-
-class TestMannWhitney:
-    def test_clearly_separated_samples_significant(self):
-        res = mann_whitney_u([0.9, 0.92, 0.91, 0.95, 0.93],
-                             [0.1, 0.12, 0.11, 0.15, 0.13])
-        assert res.significant
-        assert res.p_value < 0.05
-
-    def test_same_distribution_not_significant(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(0.5, 0.01, size=8)
-        res = mann_whitney_u(a, a[::-1])
-        assert not res.significant
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mann_whitney_u([], [1.0])

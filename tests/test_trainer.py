@@ -6,14 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from bloomemb.codec import BloomVector, ProbabilityVector, SparseInstance
+from bloomemb.codec import SparseInstance
 from bloomemb.data import SyntheticSpec, generate_synthetic
 from bloomemb.hashing import identity_hash_matrix
-from bloomemb.trainer import (Network, NetworkSpec, OptimizerSpec,
-                              backward_and_step, forward, forward_batch,
-                              gradients, init_network, load_network,
-                              loss_cross_entropy, multi_hot, save_network,
-                              train)
+from bloomemb.trainer import (NetworkSpec, OptimizerSpec, backward_and_step,
+                              forward_batch, gradients, init_network,
+                              load_network, loss_cross_entropy, multi_hot,
+                              save_network, train)
 
 
 def small_net(sizes, seed=0, dtype=np.float64):
@@ -25,15 +24,15 @@ class TestForward:
         net = small_net((4, 3))
         for w in net.weights:
             w[:] = 0.0
-        out = forward(net, np.array([1.0, 0.0, 1.0, 0.0]))
-        assert np.allclose(out.probs, 1 / 3)
+        out = forward_batch(net, np.array([[1.0, 0.0, 1.0, 0.0]]))
+        assert np.allclose(out, 1 / 3)
 
     def test_softmax_sums_to_one(self):
         rng = np.random.default_rng(0)
         for seed in range(5):
             net = small_net((6, 4, 3), seed=seed)
-            out = forward(net, rng.random(6))
-            assert abs(out.probs.sum() - 1.0) < 1e-6
+            out = forward_batch(net, rng.random((4, 6)))
+            assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-6
 
     def test_matches_hand_rolled_oracle_2_2_2(self):
         net = small_net((2, 2, 2))
@@ -49,56 +48,63 @@ class TestForward:
               a1[0] * -0.5 + a1[1] * 0.75 + 0.1]
         exps = [math.exp(v) for v in z2]
         expected = [e / sum(exps) for e in exps]
-        out = forward(net, np.array(x))
-        assert np.allclose(out.probs, expected, rtol=1e-12)
+        out = forward_batch(net, np.array([x]))
+        assert np.allclose(out[0], expected, rtol=1e-12)
 
     def test_accepts_bloom_vector(self):
         net = small_net((4, 2))
-        u = BloomVector(4, np.array([1, 0, 1, 0], dtype=np.uint8))
-        out = forward(net, u)
-        assert out.m == 2
+        out = forward_batch(net, np.array([[1, 0, 1, 0]], dtype=np.uint8))
+        assert out.shape == (1, 2)
 
     def test_size_mismatch(self):
         net = small_net((4, 2))
         with pytest.raises(ValueError):
-            forward(net, np.ones(3))
+            forward_batch(net, np.ones((1, 3)))
 
     def test_nonfinite_reported(self):
         net = small_net((2, 2))
         net.weights[0][:] = np.inf
         with pytest.raises(FloatingPointError):
-            forward(net, np.array([1.0, 1.0]))
+            forward_batch(net, np.array([[1.0, 1.0]]))
 
 
 class TestLoss:
     def test_perfect_prediction_loss_vanishes(self):
-        target = BloomVector(3, np.array([0, 1, 0], dtype=np.uint8))
-        almost_one = ProbabilityVector(3, np.array([5e-13, 1.0 - 1e-12, 5e-13]))
+        target = np.array([[0.0, 1.0, 0.0]])
+        almost_one = np.array([[5e-13, 1.0 - 1e-12, 5e-13]])
         assert loss_cross_entropy(almost_one, target) == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_prediction_single_bit_target(self):
         m = 7
-        probs = ProbabilityVector(m, np.full(m, 1 / m))
-        target = BloomVector(m, np.eye(m, dtype=np.uint8)[2])
+        probs = np.full((1, m), 1 / m)
+        target = np.eye(m)[2:3]
         assert loss_cross_entropy(probs, target) == pytest.approx(math.log(m))
 
     def test_matches_arithmetic_oracle(self):
+        # mean over a batch of rows of the per-row cross-entropy against the
+        # multi-hot target normalized to sum 1
         rng = np.random.default_rng(5)
         for _ in range(100):
             m = int(rng.integers(2, 9))
-            raw = rng.random(m)
-            probs = ProbabilityVector(m, raw / raw.sum())
-            bits = np.zeros(m, dtype=np.uint8)
-            bits[rng.choice(m, size=rng.integers(1, m + 1), replace=False)] = 1
-            target = BloomVector(m, bits)
-            t = bits / bits.sum()
-            oracle = -sum(t[i] * math.log(probs.probs[i]) for i in range(m))
-            assert loss_cross_entropy(probs, target) == pytest.approx(oracle)
+            batch = int(rng.integers(1, 5))
+            raw = rng.random((batch, m))
+            probs = raw / raw.sum(axis=1, keepdims=True)
+            bits = np.zeros((batch, m))
+            for row in bits:
+                row[rng.choice(m, size=rng.integers(1, m + 1), replace=False)] = 1
+            t = bits / bits.sum(axis=1, keepdims=True)
+            oracle = sum(-sum(t[b, i] * math.log(probs[b, i]) for i in range(m))
+                         for b in range(batch)) / batch
+            assert loss_cross_entropy(probs, t) == pytest.approx(oracle)
 
     def test_all_zero_target_rejected(self):
-        probs = ProbabilityVector(3, np.full(3, 1 / 3))
-        with pytest.raises(ValueError):
-            loss_cross_entropy(probs, BloomVector(3, np.zeros(3, dtype=np.uint8)))
+        # train refuses a profile whose encoded target cannot be normalized
+        rng = np.random.default_rng(14)
+        dataset = tiny_dataset(rng)
+        dataset[3] = (dataset[3][0], SparseInstance.from_items(20, []))
+        net = small_net((20, 4, 20), seed=1)
+        with pytest.raises(ValueError, match="no set bits"):
+            train(net, dataset, None, None, OptimizerSpec("adam"), epochs=1)
 
 
 class TestGradients:
@@ -190,7 +196,7 @@ class TestTrain:
             report = train(net, dataset, h, h, OptimizerSpec("adam", 0.01),
                            epochs=3, batch_size=16, shuffle_seed=4)
             runs.append(report.epoch_losses)
-        assert np.allclose(runs[0], runs[1], rtol=0, atol=1e-9)
+        assert runs[0] == runs[1]
 
     def test_epochs_zero_leaves_network_untouched(self):
         rng = np.random.default_rng(11)
@@ -252,8 +258,8 @@ class TestCheckpoints:
         path = tmp_path / "model.bin"
         save_network(net, path)
         loaded = load_network(path)
-        x = np.linspace(0, 1, 6)
-        assert np.array_equal(forward(net, x).probs, forward(loaded, x).probs)
+        x = np.linspace(0, 1, 6)[None, :]
+        assert np.array_equal(forward_batch(net, x), forward_batch(loaded, x))
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
