@@ -224,6 +224,11 @@ def _resolve_config(args) -> experiment.ExperimentConfig:
     return cfg
 
 
+def _check_top_n(cfg: experiment.ExperimentConfig, d: int) -> None:
+    if cfg.top_n is not None and cfg.top_n > d:
+        raise ConfigError(f"--top-n {cfg.top_n} exceeds the dataset's {d} items")
+
+
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     try:
@@ -270,6 +275,7 @@ def cmd_evaluate(args) -> int:
         ds = experiment.load_dataset(cfg)
     except (OSError, DataError) as exc:
         raise DataError(str(exc)) from None
+    _check_top_n(cfg, ds.d)
     result = experiment.evaluate_model(net, ds.test_profiles(), h_in, h_out,
                                        decode_mode=cfg.decode_mode,
                                        measure=cfg.measure, top_n=cfg.top_n)
@@ -298,10 +304,12 @@ def cmd_sweep(args) -> int:
     if any(not 0 < r <= 1.0 for r in m_ratios):
         raise ConfigError("m ratios must lie in (0, 1]")
     try:
-        rows = experiment.run_sweep(cfg, m_ratios, k_values, seeds,
-                                    parallel=args.parallel)
+        ds = experiment.load_dataset(cfg)
     except (OSError, DataError) as exc:
         raise DataError(str(exc)) from None
+    _check_top_n(cfg, ds.d)
+    rows = experiment.run_sweep(cfg, m_ratios, k_values, seeds,
+                                parallel=args.parallel)
     atomic_write(args.out, experiment.sweep_rows_tsv(rows))
     _log_config(args.out, experiment.config_to_text(cfg))
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -7,7 +7,10 @@ positions, giving an (n, m) bit array. Decoding maps (n, m) probabilities
 back to (n, d) per-item scores: the likelihood of item i is the product of
 the probabilities at its k projections, and the negative-log variant is
 the numerically stable form of the same ranking. Ranking turns scores
-into best-first item ids. Membership never produces false negatives; false
+into best-first item ids; :func:`rank_batch` serves the top-n score dumps
+and is the oracle the tests hold evaluation to, while
+:func:`bloomemb.experiment.evaluate_model` counts only the relevant items'
+ranks, with the same tie rule. Membership never produces false negatives; false
 positives occur when all k projections of an absent item collide with set
 bits. The no-embedding baseline is the identity matrix (m = d, k = 1),
 whose encoding is the multi-hot vector and whose likelihood decoding

@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from . import cbe as cbe_mod
-from .codec import ScoreOrder, SparseInstance, decode_likelihood_batch, \
-    decode_nll_batch, encode_batch, rank_batch
+from .codec import SparseInstance, decode_likelihood_batch, decode_nll_batch, \
+    encode_batch
 from .data import ProfileDataset, SyntheticSpec, generate_synthetic, load_profiles
 from .hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
 from .metrics import EvaluationResult, Measure
@@ -86,6 +86,8 @@ class ExperimentConfig:
                              f"{self.decode_mode!r}")
         if self.measure not in ("MAP", "RR"):
             raise ValueError(f"measure must be MAP or RR, got {self.measure!r}")
+        if self.top_n is not None and self.top_n < 1:
+            raise ValueError(f"top_n must be >= 1, got {self.top_n}")
         if isinstance(self.hidden, list):
             self.hidden = tuple(self.hidden)
 
@@ -207,6 +209,17 @@ def build_matrices(cfg: ExperimentConfig, ds: ProfileDataset
     return h_in, h_out
 
 
+def _ranks(row: np.ndarray, items: np.ndarray, beats, ties_or_beats) -> np.ndarray:
+    """1-based ranks of `items` (1-based ids) in the best-first order of `row`.
+
+    An item is preceded by every lower id that ties or beats it and every
+    higher id that beats it: the order of a stable sort, counted without one.
+    """
+    return np.array([1 + np.count_nonzero(ties_or_beats(row[:p - 1], row[p - 1]))
+                     + np.count_nonzero(beats(row[p:], row[p - 1]))
+                     for p in items.tolist()], dtype=np.int64)
+
+
 def evaluate_model(net: Network,
                    test_profiles: Sequence[tuple[SparseInstance, SparseInstance]],
                    hash_in: HashMatrix | None,
@@ -216,39 +229,42 @@ def evaluate_model(net: Network,
                    top_n: int | None = None) -> EvaluationResult:
     """Ranked-recovery evaluation over held-out profiles (MAP or RR).
 
-    hash_in/hash_out None = identity (the no-embedding baseline).
+    hash_in/hash_out None = identity (the no-embedding baseline). Only the
+    relevant items are ranked, each by counting: for decoded scores s, item
+    p ranks 1 + #{j < p : s_j ties or beats s_p} + #{j > p : s_j beats s_p},
+    where beating means a higher likelihood or a lower NLL. Ties thus go to
+    the lower item id, as in :func:`bloomemb.codec.rank_batch`. Items ranked
+    below `top_n` count as not retrieved.
     """
     if not test_profiles:
         raise ValueError("no test profiles to evaluate")
-    d = test_profiles[0][0].d
+    d = test_profiles[0][1].d
+    depth = top_n if top_n is not None else d
+    if not 1 <= depth <= d:
+        raise ValueError(f"top_n {top_n} out of range [1, {d}]")
     if hash_in is None:
-        hash_in = identity_hash_matrix(d)
+        hash_in = identity_hash_matrix(test_profiles[0][0].d)
     if hash_out is None:
-        hash_out = identity_hash_matrix(test_profiles[0][1].d)
+        hash_out = identity_hash_matrix(d)
     t0 = time.perf_counter()
     x = encode_batch([p[0] for p in test_profiles], hash_in)
     probs = forward_batch(net, x.astype(net.dtype)).astype(np.float64)
     if decode_mode == "likelihood":
         scores = decode_likelihood_batch(probs, hash_out)
-        ordering = ScoreOrder.DESCENDING_LIKELIHOOD
+        beats, ties_or_beats = np.greater, np.greater_equal
     else:
         scores = decode_nll_batch(probs, hash_out)
-        ordering = ScoreOrder.ASCENDING_NLL
-    del x, probs  # free before ranking, whose temporaries peak the memory
-    depth = top_n if top_n is not None else d
-    ranked = rank_batch(scores, ordering, depth)
+        beats, ties_or_beats = np.less, np.less_equal
     values = []
-    for row, (_, out) in zip(ranked, test_profiles):
-        inv = np.full(d + 1, depth + 1, dtype=np.int64)
-        inv[row] = np.arange(1, depth + 1)
+    for row, (_, out) in zip(scores, test_profiles):
         if measure == "MAP":
-            ranks = np.sort(inv[out.positions])
+            ranks = np.sort(_ranks(row, out.positions, beats, ties_or_beats))
             ranks = ranks[ranks <= depth]
             hits = np.arange(1, ranks.size + 1, dtype=np.float64)
             values.append(float((hits / ranks).sum() / out.c))
         else:
-            correct = int(out.positions.min())
-            r = int(inv[correct])
+            correct = out.positions.min(keepdims=True)
+            r = int(_ranks(row, correct, beats, ties_or_beats)[0])
             values.append(1.0 / r if r <= depth else 0.0)
     wall = time.perf_counter() - t0
     return EvaluationResult(score=float(np.mean(values)),

@@ -136,7 +136,9 @@ def forward_batch(net: Network, x: np.ndarray,
         if l < last:
             a = np.maximum(z, 0)
         else:
-            a = _softmax(z)
+            # a non-finite logit makes NaNs here; the check below reports them
+            with np.errstate(invalid="ignore", over="ignore"):
+                a = _softmax(z)
         if keep_cache:
             pre.append(z)
             activations.append(a)

@@ -4,7 +4,11 @@ Exit code 2 marks a configuration fault, 1 a data fault, and replaying a
 run's ``<out>.config`` reproduces its outputs byte for byte.
 """
 
-from bloomemb import cli
+import os
+
+import pytest
+
+from bloomemb import cli, experiment
 
 TINY = ["--synthetic", "--d", "200", "--n", "500", "--epochs", "2"]
 
@@ -44,3 +48,27 @@ def test_evaluate_without_hash_matrices_is_a_config_fault(tmp_path):
     model = str(tmp_path / "baseline.model")
     assert cli.main(["train", *TINY, "--baseline", "--out", model]) == 0
     assert cli.main(["evaluate", *TINY, "--model", model]) == 2
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started before the config was checked")
+
+
+@pytest.mark.parametrize("top_n", ["0", "-3", "201"])
+def test_evaluate_top_n_outside_item_range_is_a_config_fault(tmp_path,
+                                                             monkeypatch, top_n):
+    model = str(tmp_path / "baseline.model")
+    assert cli.main(["train", *TINY, "--baseline", "--out", model]) == 0
+    monkeypatch.setattr(experiment, "evaluate_model", _must_not_run)
+    assert cli.main(["evaluate", *TINY, "--baseline", "--model", model,
+                     "--top-n", top_n]) == 2
+
+
+@pytest.mark.parametrize("top_n", ["0", "500"])
+def test_sweep_top_n_outside_item_range_is_a_config_fault(tmp_path,
+                                                          monkeypatch, top_n):
+    out = str(tmp_path / "sweep.tsv")
+    monkeypatch.setattr(experiment, "fit", _must_not_run)
+    assert cli.main(["sweep", *TINY, "--m-ratios", "0.2", "--k-values", "2",
+                     "--top-n", top_n, "--out", out]) == 2
+    assert not os.path.exists(out)

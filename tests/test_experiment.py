@@ -1,5 +1,6 @@
 """Pipeline contracts: evaluation against the metric oracle, sweep parity."""
 
+import copy
 import os
 import subprocess
 import sys
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import bloomemb
-from bloomemb.codec import ScoreOrder, decode_likelihood_batch, encode_batch, \
-    rank_batch
+from bloomemb.codec import ScoreOrder, decode_likelihood_batch, decode_nll_batch, \
+    encode_batch, rank_batch
 from bloomemb.experiment import (ExperimentConfig, build_matrices,
                                  evaluate_model, fit, load_dataset, run_sweep)
 from bloomemb.metrics import average_precision, reciprocal_rank
@@ -28,23 +29,60 @@ ORACLES = {
 }
 
 
-@pytest.mark.parametrize("measure", ["MAP", "RR"])
-def test_evaluate_model_map_equals_metric_oracle(measure):
+@pytest.fixture(scope="module")
+def trained():
     cfg = tiny_config()
     ds = load_dataset(cfg)
     h_in, h_out = build_matrices(cfg, ds)
     net, _ = fit(cfg, ds, h_in, h_out)
-    test = ds.test_profiles()
-    result = evaluate_model(net, test, h_in, h_out, measure=measure)
+    return ds, h_in, h_out, net
 
+
+DECODERS = {
+    "likelihood": (decode_likelihood_batch, ScoreOrder.DESCENDING_LIKELIHOOD),
+    "nll": (decode_nll_batch, ScoreOrder.ASCENDING_NLL),
+}
+
+
+@pytest.mark.parametrize("output", ["trained", "flat"])
+@pytest.mark.parametrize("top_n", [None, 10])
+@pytest.mark.parametrize("decode_mode", ["likelihood", "nll"])
+@pytest.mark.parametrize("measure", ["MAP", "RR"])
+def test_evaluate_model_map_equals_metric_oracle(trained, measure, decode_mode,
+                                                 top_n, output):
+    ds, h_in, h_out, net = trained
+    if output == "flat":
+        # a zero output layer scores every item alike: each rank is its id
+        net = copy.deepcopy(net)
+        net.weights[-1][:] = 0
+        net.biases[-1][:] = 0
+    test = ds.test_profiles()
+    result = evaluate_model(net, test, h_in, h_out, decode_mode=decode_mode,
+                            measure=measure, top_n=top_n)
+
+    decode, ordering = DECODERS[decode_mode]
     x = encode_batch([p[0] for p in test], h_in).astype(net.dtype)
     probs = forward_batch(net, x).astype(np.float64)
-    scores = decode_likelihood_batch(probs, h_out)
-    ranked = rank_batch(scores, ScoreOrder.DESCENDING_LIKELIHOOD, ds.d)
+    ranked = rank_batch(decode(probs, h_out), ordering, top_n or ds.d)
+    if output == "flat":
+        assert (ranked == np.arange(1, ranked.shape[1] + 1)).all()
     oracle = np.mean([ORACLES[measure](row.tolist(), out)
                       for row, (_, out) in zip(ranked, test)])
     assert result.score == pytest.approx(oracle, abs=1e-12)
     assert result.n_evaluated == len(test)
+
+
+@pytest.mark.parametrize("top_n", [0, -3, 201])
+def test_evaluate_model_rejects_top_n_outside_item_range(trained, top_n):
+    ds, h_in, h_out, net = trained
+    with pytest.raises(ValueError, match="top_n"):
+        evaluate_model(net, ds.test_profiles(), h_in, h_out, top_n=top_n)
+
+
+@pytest.mark.parametrize("top_n", [0, -3])
+def test_config_rejects_top_n_below_one(top_n):
+    with pytest.raises(ValueError, match="top_n"):
+        ExperimentConfig(top_n=top_n)
 
 
 def test_sweep_rows_do_not_depend_on_worker_count():

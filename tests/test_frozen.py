@@ -1,16 +1,17 @@
-"""Frozen outputs of the seeded hashing paths.
+"""Frozen outputs of the seeded hashing and evaluation paths.
 
-Hash rows, encodings and CBE rebuilds must stay bit-identical for a fixed
-seed, so checkpoints, matrices and sweep scores written by one version
-are reproduced by the next. The expected values were captured once and
-must never be edited to make a change pass.
+Hash rows, encodings, CBE rebuilds and evaluation scores must stay
+bit-identical for a fixed seed, so checkpoints, matrices and sweep scores
+written by one version are reproduced by the next. The expected values
+were captured once and must never be edited to make a change pass.
 """
 
 import numpy as np
 import pytest
 
-from bloomemb import (SparseInstance, build_hash_matrix, encode_batch,
-                      rebuild_hash_matrix)
+from bloomemb import (ExperimentConfig, SparseInstance, build_hash_matrix,
+                      encode_batch, evaluate_model, rebuild_hash_matrix)
+from bloomemb.experiment import build_matrices, fit, load_dataset
 
 
 @pytest.mark.parametrize("d,m,k,seed,expected", [
@@ -55,3 +56,29 @@ def test_rebuild_hash_matrix_rows():
     assert rebuilt.rows.tolist() == [
         [10, 2, 8], [8, 5, 6], [1, 8, 7], [7, 8, 4], [5, 7, 3], [3, 10, 5],
         [4, 1, 5], [9, 5, 1], [3, 10, 2], [7, 9, 8]]
+
+
+@pytest.fixture(scope="module")
+def tiny_run():
+    cfg = ExperimentConfig(d=200, n=500, m_in=40, m_out=40, epochs=2)
+    ds = load_dataset(cfg)
+    h_in, h_out = build_matrices(cfg, ds)
+    net, _ = fit(cfg, ds, h_in, h_out)
+    return ds.test_profiles(), h_in, h_out, net
+
+
+@pytest.mark.parametrize("measure,decode_mode,top_n,expected", [
+    ("MAP", "likelihood", None, 0.0669685031131882),
+    ("MAP", "likelihood", 10, 0.039966269841269844),
+    ("MAP", "nll", None, 0.0669685031131882),
+    ("MAP", "nll", 10, 0.039966269841269844),
+    ("RR", "likelihood", None, 0.0565223289059904),
+    ("RR", "likelihood", 10, 0.04352380952380952),
+    ("RR", "nll", None, 0.0565223289059904),
+    ("RR", "nll", 10, 0.04352380952380952),
+])
+def test_evaluate_model_scores(tiny_run, measure, decode_mode, top_n, expected):
+    test, h_in, h_out, net = tiny_run
+    result = evaluate_model(net, test, h_in, h_out, decode_mode=decode_mode,
+                            measure=measure, top_n=top_n)
+    assert result.score == expected
