@@ -209,15 +209,32 @@ def build_matrices(cfg: ExperimentConfig, ds: ProfileDataset
     return h_in, h_out
 
 
-def _ranks(row: np.ndarray, items: np.ndarray, beats, ties_or_beats) -> np.ndarray:
+def _ranks(row: np.ndarray, items: np.ndarray, descending: bool) -> np.ndarray:
     """1-based ranks of `items` (1-based ids) in the best-first order of `row`.
 
-    An item is preceded by every lower id that ties or beats it and every
-    higher id that beats it: the order of a stable sort, counted without one.
+    Item p is preceded by every item that beats it (scores higher when
+    `descending`, lower otherwise) and by every lower id that ties it: the
+    order of a stable sort. Both counts come from one sort of the row's
+    values and binary searches of the relevant scores in it, so the cost is
+    O(d log d) per row whatever the number of relevant items.
     """
-    return np.array([1 + np.count_nonzero(ties_or_beats(row[:p - 1], row[p - 1]))
-                     + np.count_nonzero(beats(row[p:], row[p - 1]))
-                     for p in items.tolist()], dtype=np.int64)
+    d = row.size
+    values = row[items - 1]
+    ordered = np.sort(row)
+    lo = np.searchsorted(ordered, values, "left")
+    hi = np.searchsorted(ordered, values, "right")
+    ranks = 1 + (d - hi if descending else lo)
+    tied = hi - lo > 1
+    if tied.any():
+        # count the equal scores at lower ids, keyed (tie group, id)
+        groups = np.unique(values[tied])
+        slot = np.minimum(np.searchsorted(groups, row), groups.size - 1)
+        ids = np.flatnonzero(groups[slot] == row)
+        keys = np.sort(slot[ids] * d + ids)
+        first = np.searchsorted(groups, values[tied]) * d
+        ranks[tied] += (np.searchsorted(keys, first + items[tied] - 1)
+                        - np.searchsorted(keys, first))
+    return ranks
 
 
 def evaluate_model(net: Network,
@@ -231,10 +248,11 @@ def evaluate_model(net: Network,
 
     hash_in/hash_out None = identity (the no-embedding baseline). Only the
     relevant items are ranked, each by counting: for decoded scores s, item
-    p ranks 1 + #{j < p : s_j ties or beats s_p} + #{j > p : s_j beats s_p},
-    where beating means a higher likelihood or a lower NLL. Ties thus go to
-    the lower item id, as in :func:`bloomemb.codec.rank_batch`. Items ranked
-    below `top_n` count as not retrieved.
+    p ranks 1 + #{j : s_j beats s_p} + #{j < p : s_j = s_p}, where beating
+    means a higher likelihood or a lower NLL. Ties thus go to the lower item
+    id, as in :func:`bloomemb.codec.rank_batch`. The counts are binary
+    searches in a sort of each row's values; no item permutation is built.
+    Items ranked below `top_n` count as not retrieved.
     """
     if not test_profiles:
         raise ValueError("no test profiles to evaluate")
@@ -251,20 +269,19 @@ def evaluate_model(net: Network,
     probs = forward_batch(net, x.astype(net.dtype)).astype(np.float64)
     if decode_mode == "likelihood":
         scores = decode_likelihood_batch(probs, hash_out)
-        beats, ties_or_beats = np.greater, np.greater_equal
     else:
         scores = decode_nll_batch(probs, hash_out)
-        beats, ties_or_beats = np.less, np.less_equal
+    descending = decode_mode == "likelihood"
     values = []
     for row, (_, out) in zip(scores, test_profiles):
         if measure == "MAP":
-            ranks = np.sort(_ranks(row, out.positions, beats, ties_or_beats))
+            ranks = np.sort(_ranks(row, out.positions, descending))
             ranks = ranks[ranks <= depth]
             hits = np.arange(1, ranks.size + 1, dtype=np.float64)
             values.append(float((hits / ranks).sum() / out.c))
         else:
             correct = out.positions.min(keepdims=True)
-            r = int(_ranks(row, correct, beats, ties_or_beats)[0])
+            r = int(_ranks(row, correct, descending)[0])
             values.append(1.0 / r if r <= depth else 0.0)
     wall = time.perf_counter() - t0
     return EvaluationResult(score=float(np.mean(values)),

@@ -12,7 +12,7 @@ import pytest
 import bloomemb
 from bloomemb.codec import ScoreOrder, decode_likelihood_batch, decode_nll_batch, \
     encode_batch, rank_batch
-from bloomemb.experiment import (ExperimentConfig, build_matrices,
+from bloomemb.experiment import (ExperimentConfig, _ranks, build_matrices,
                                  evaluate_model, fit, load_dataset, run_sweep)
 from bloomemb.metrics import average_precision, reciprocal_rank
 from bloomemb.trainer import forward_batch
@@ -70,6 +70,22 @@ def test_evaluate_model_map_equals_metric_oracle(trained, measure, decode_mode,
                       for row, (_, out) in zip(ranked, test)])
     assert result.score == pytest.approx(oracle, abs=1e-12)
     assert result.n_evaluated == len(test)
+
+
+@pytest.mark.parametrize("descending", [True, False])
+@pytest.mark.parametrize("c", [1, 3, 40, 300])
+def test_relevant_item_ranks_equal_stable_sort_positions(c, descending):
+    # few distinct values (and both zeros) force ties within and across
+    # the relevant items; c = 300 is every item of the row
+    rng = np.random.default_rng(c)
+    for _ in range(20):
+        row = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0], size=300) \
+            + rng.choice([0.0, 1e-3], size=300) * rng.random(300)
+        items = np.sort(rng.choice(300, size=c, replace=False)) + 1
+        order = np.argsort(-row if descending else row, kind="stable")
+        position = np.empty(300, dtype=np.int64)
+        position[order] = np.arange(1, 301)
+        assert (_ranks(row, items, descending) == position[items - 1]).all()
 
 
 @pytest.mark.parametrize("top_n", [0, -3, 201])
