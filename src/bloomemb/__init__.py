@@ -17,7 +17,7 @@ from .experiment import (ExperimentConfig, ExperimentOutcome, config_from_text,
                          config_to_text, evaluate_model, fit, run_experiment,
                          run_sweep)
 from .hashing import (HashMatrix, build_hash_matrix, identity_hash_matrix,
-                      load_hash_matrix, save_hash_matrix)
+                      load_hash_matrix)
 from .metrics import EvaluationResult, Measure, average_precision, reciprocal_rank
 from .trainer import (Network, NetworkSpec, OptimizerSpec, TrainReport,
                       backward_and_step, forward_batch, init_network,

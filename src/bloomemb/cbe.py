@@ -47,15 +47,6 @@ class CooccurrenceTable:
         if len(self.rows) and not (self.rows > self.cols).all():
             raise ValueError("coordinates must lie in the strict lower triangle")
 
-    def count(self, a: int, b: int) -> int:
-        """C[a][b] for any a, b (symmetric; diagonal = item frequency)."""
-        if a == b:
-            return int(self.diag[a - 1])
-        hi, lo = max(a, b), min(a, b)
-        match = (self.rows == hi) & (self.cols == lo)
-        idx = np.flatnonzero(match)
-        return int(self.values[idx[0]]) if idx.size else 0
-
 
 @dataclass(frozen=True)
 class CooccurrenceStats:

@@ -22,10 +22,7 @@ import numpy as np
 from . import cbe as cbe_mod
 from . import codec, experiment, hashing, trainer
 from .data import DataError
-
-
-class ConfigError(Exception):
-    """Invalid flag combination or configuration value."""
+from .experiment import ConfigError
 
 
 def atomic_write(path, payload) -> None:
@@ -231,10 +228,7 @@ def _check_top_n(cfg: experiment.ExperimentConfig, d: int) -> None:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    try:
-        ds = experiment.load_dataset(cfg)
-    except (OSError, DataError) as exc:
-        raise DataError(str(exc)) from None
+    ds = experiment.load_dataset(cfg)
     try:
         h_in, h_out = experiment.build_matrices(cfg, ds)
     except ValueError as exc:
@@ -271,10 +265,7 @@ def cmd_evaluate(args) -> int:
         else:
             raise ConfigError(
                 "no hash matrices found; pass --hash-in/--hash-out or --baseline")
-    try:
-        ds = experiment.load_dataset(cfg)
-    except (OSError, DataError) as exc:
-        raise DataError(str(exc)) from None
+    ds = experiment.load_dataset(cfg)
     _check_top_n(cfg, ds.d)
     result = experiment.evaluate_model(net, ds.test_profiles(), h_in, h_out,
                                        decode_mode=cfg.decode_mode,
@@ -299,15 +290,6 @@ def cmd_sweep(args) -> int:
         seeds = [int(v) for v in args.seeds.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad sweep grid: {exc}") from None
-    if not m_ratios or not k_values or not seeds:
-        raise ConfigError("sweep grid must be nonempty")
-    if any(not 0 < r <= 1.0 for r in m_ratios):
-        raise ConfigError("m ratios must lie in (0, 1]")
-    try:
-        ds = experiment.load_dataset(cfg)
-    except (OSError, DataError) as exc:
-        raise DataError(str(exc)) from None
-    _check_top_n(cfg, ds.d)
     rows = experiment.run_sweep(cfg, m_ratios, k_values, seeds,
                                 parallel=args.parallel)
     atomic_write(args.out, experiment.sweep_rows_tsv(rows))
@@ -424,10 +406,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 1
 

@@ -175,11 +175,6 @@ def read_instances(source, d: int) -> list[SparseInstance]:
     return out
 
 
-def write_instances(instances: Sequence[SparseInstance]) -> str:
-    return "".join(" ".join(str(int(p)) for p in inst.positions) + "\n"
-                   for inst in instances)
-
-
 def read_bit_vectors(source) -> np.ndarray:
     """Parse an embedded-vector file into an (n, m) uint8 array."""
     if hasattr(source, "read"):

@@ -3,8 +3,9 @@
 Profiles are ordered item histories per user. Each profile is split at a
 uniformly random position into a network input (earlier items) and a
 prediction target (later items), both nonempty. Loaded items are
-re-indexed densely to 1..d (lexicographic order of the external ids) and
-the map is kept on the dataset for round-tripping.
+re-indexed densely to 1..d (lexicographic order of the external ids). A
+random share of the profiles is held out once, at build time, as the test
+list; the rest, in file or generation order, is the training list.
 
 Input file formats:
 
@@ -37,13 +38,14 @@ class DataError(Exception):
 
 @dataclass
 class ProfileDataset:
+    """Split profiles: the training list and the held-out test list."""
+
     d: int
-    profiles: list[tuple[SparseInstance, SparseInstance]]
-    test_indices: np.ndarray        # sorted profile indices reserved for testing
-    item_index: dict[str, int] | None = None  # external id -> dense 1..d
+    train: list[tuple[SparseInstance, SparseInstance]]
+    test: list[tuple[SparseInstance, SparseInstance]]
 
     def __post_init__(self):
-        for inp, out in self.profiles:
+        for inp, out in self.train + self.test:
             if inp.c == 0 or out.c == 0:
                 raise ValueError("profile with empty input or output side")
             if inp.d != self.d or out.d != self.d:
@@ -51,14 +53,13 @@ class ProfileDataset:
 
     @property
     def n(self) -> int:
-        return len(self.profiles)
+        return len(self.train) + len(self.test)
 
     def train_profiles(self) -> list[tuple[SparseInstance, SparseInstance]]:
-        test = set(self.test_indices.tolist())
-        return [p for i, p in enumerate(self.profiles) if i not in test]
+        return self.train
 
     def test_profiles(self) -> list[tuple[SparseInstance, SparseInstance]]:
-        return [self.profiles[i] for i in self.test_indices]
+        return self.test
 
 
 def split_profile(items: Sequence[int], d: int,
@@ -71,13 +72,18 @@ def split_profile(items: Sequence[int], d: int,
             SparseInstance.from_items(d, items[cut:]))
 
 
-def _select_test_indices(n: int, test_size, rng: np.random.Generator) -> np.ndarray:
+def _split_dataset(d: int, profiles: list[tuple[SparseInstance, SparseInstance]],
+                   test_size, rng: np.random.Generator) -> ProfileDataset:
+    """Hold out `test_size` of the profiles: a share if float, else a count."""
+    n = len(profiles)
     if isinstance(test_size, float):
         count = int(round(n * test_size))
     else:
         count = int(test_size)
-    count = max(0, min(count, n))
-    return np.sort(rng.choice(n, size=count, replace=False))
+    held = set(rng.choice(n, size=max(0, min(count, n)), replace=False).tolist())
+    return ProfileDataset(d=d,
+                          train=[p for i, p in enumerate(profiles) if i not in held],
+                          test=[profiles[i] for i in sorted(held)])
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +185,7 @@ def load_profiles(source,
     for items in filtered:
         dense = [item_index[it] for it in items]
         profiles.append(split_profile(dense, d, rng))
-    test_idx = _select_test_indices(len(profiles), test_size, rng)
-    return ProfileDataset(d=d, profiles=profiles, test_indices=test_idx,
-                          item_index=item_index)
+    return _split_dataset(d, profiles, test_size, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +249,4 @@ def generate_synthetic(spec: SyntheticSpec) -> ProfileDataset:
                 seen.add(it)
                 items.append(it)
         profiles.append(split_profile(items, spec.d, rng))
-    test_idx = _select_test_indices(len(profiles), spec.test_size, rng)
-    return ProfileDataset(d=spec.d, profiles=profiles, test_indices=test_idx,
-                          item_index=None)
+    return _split_dataset(spec.d, profiles, spec.test_size, rng)

@@ -10,7 +10,10 @@ runs through the same encode, train, decode and rank path.
 
 Sweeps run one cell per (k, m/d, seed) plus per-seed baseline cells and
 emit TSV rows with score and time ratios against the seed-matched
-baseline.
+baseline. A sweep loads its dataset once and checks its grid against it
+before any cell runs; a bad grid raises :class:`ConfigError`. Every cell
+trains on that one dataset, and each pool worker receives it once, when
+the worker starts.
 """
 
 from __future__ import annotations
@@ -33,6 +36,11 @@ from .hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
 from .metrics import EvaluationResult, Measure
 from .trainer import Network, NetworkSpec, OptimizerSpec, TrainReport, \
     forward_batch, init_network, train
+
+
+class ConfigError(ValueError):
+    """Invalid configuration value, flag combination or sweep grid."""
+
 
 SWEEP_COLUMNS = ("measure", "variant", "k", "m_ratio", "seed", "S_i", "S_0",
                  "score_ratio", "train_time_ratio", "eval_time_ratio")
@@ -88,6 +96,8 @@ class ExperimentConfig:
             raise ValueError(f"measure must be MAP or RR, got {self.measure!r}")
         if self.top_n is not None and self.top_n < 1:
             raise ValueError(f"top_n must be >= 1, got {self.top_n}")
+        if not 0 < self.test_size < 1:
+            raise ValueError(f"test_size must lie in (0, 1), got {self.test_size}")
         if isinstance(self.hidden, list):
             self.hidden = tuple(self.hidden)
 
@@ -157,37 +167,20 @@ def config_from_text(text: str) -> ExperimentConfig:
 
 # -- pipeline ----------------------------------------------------------------
 
-_DATASET_CACHE: dict[tuple, ProfileDataset] = {}
-
-
-def _dataset_key(cfg: ExperimentConfig) -> tuple:
-    if cfg.data_path is not None:
-        return ("file", cfg.data_path, cfg.data_format, cfg.min_item_count,
-                cfg.min_profile_size, cfg.rating_threshold, cfg.test_size,
-                cfg.data_seed)
-    return ("synth", cfg.d, cfg.n, cfg.n_clusters, cfg.profile_size_min,
-            cfg.profile_size_max, cfg.noise, cfg.test_size, cfg.data_seed)
-
-
 def load_dataset(cfg: ExperimentConfig) -> ProfileDataset:
-    key = _dataset_key(cfg)
-    if key in _DATASET_CACHE:
-        return _DATASET_CACHE[key]
+    """Read or generate the configured dataset, split into train and test."""
     if cfg.data_path is not None:
-        ds = load_profiles(cfg.data_path, min_item_count=cfg.min_item_count,
-                           min_profile_size=cfg.min_profile_size,
-                           fmt=cfg.data_format,
-                           rating_threshold=cfg.rating_threshold,
-                           test_size=cfg.test_size, seed=cfg.data_seed)
-    else:
-        spec = SyntheticSpec(d=cfg.d, n=cfg.n, n_clusters=cfg.n_clusters,
-                             profile_size_min=cfg.profile_size_min,
-                             profile_size_max=cfg.profile_size_max,
-                             noise=cfg.noise, test_size=cfg.test_size,
-                             seed=cfg.data_seed)
-        ds = generate_synthetic(spec)
-    _DATASET_CACHE[key] = ds
-    return ds
+        return load_profiles(cfg.data_path, min_item_count=cfg.min_item_count,
+                             min_profile_size=cfg.min_profile_size,
+                             fmt=cfg.data_format,
+                             rating_threshold=cfg.rating_threshold,
+                             test_size=cfg.test_size, seed=cfg.data_seed)
+    spec = SyntheticSpec(d=cfg.d, n=cfg.n, n_clusters=cfg.n_clusters,
+                         profile_size_min=cfg.profile_size_min,
+                         profile_size_max=cfg.profile_size_max,
+                         noise=cfg.noise, test_size=cfg.test_size,
+                         seed=cfg.data_seed)
+    return generate_synthetic(spec)
 
 
 def build_matrices(cfg: ExperimentConfig, ds: ProfileDataset
@@ -317,7 +310,10 @@ def fit(cfg: ExperimentConfig, ds: ProfileDataset, h_in: HashMatrix,
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
-    ds = load_dataset(cfg)
+    return _run(cfg, load_dataset(cfg))
+
+
+def _run(cfg: ExperimentConfig, ds: ProfileDataset) -> ExperimentOutcome:
     h_in, h_out = build_matrices(cfg, ds)
     net, report = fit(cfg, ds, h_in, h_out)
     evaluation = evaluate_model(net, ds.test_profiles(), h_in, h_out,
@@ -349,22 +345,43 @@ def _cell_config(base: ExperimentConfig, m_ratio: float, k: int,
     return cfg
 
 
-def _run_cell(args: tuple[str, float, int, int, str]) -> dict:
-    cfg_text, m_ratio, k, seed, variant = args
-    base = config_from_text(cfg_text)
-    cfg = _cell_config(base, m_ratio, k, seed, variant)
-    row = {"measure": base.measure, "variant": variant, "k": k,
-           "m_ratio": m_ratio, "seed": seed}
+def _run_cell(cfg: ExperimentConfig, ds: ProfileDataset) -> dict:
     try:
-        outcome = run_experiment(cfg)
-        row["S_i"] = outcome.evaluation.score
-        row["train_time"] = outcome.train_time_per_epoch
-        row["eval_time"] = outcome.evaluation.wall_time
+        outcome = _run(cfg, ds)
     except FloatingPointError:
-        row["S_i"] = float("nan")
-        row["train_time"] = float("nan")
-        row["eval_time"] = float("nan")
-    return row
+        nan = float("nan")
+        return {"S_i": nan, "train_time": nan, "eval_time": nan}
+    return {"S_i": outcome.evaluation.score,
+            "train_time": outcome.train_time_per_epoch,
+            "eval_time": outcome.evaluation.wall_time}
+
+
+# The sweep's dataset inside a pool worker, set once when the worker starts.
+_worker_dataset: ProfileDataset | None = None
+
+
+def _init_worker(ds: ProfileDataset) -> None:
+    global _worker_dataset
+    _worker_dataset = ds
+
+
+def _run_worker_cell(cfg: ExperimentConfig) -> dict:
+    return _run_cell(cfg, _worker_dataset)
+
+
+def _check_grid(base: ExperimentConfig, ds: ProfileDataset,
+                m_ratios: Sequence[float], k_values: Sequence[int]) -> None:
+    if base.top_n is not None and base.top_n > ds.d:
+        raise ConfigError(f"top_n {base.top_n} exceeds the dataset's {ds.d} items")
+    if not ds.train or not ds.test:
+        raise ConfigError(f"test_size {base.test_size} leaves no training or "
+                          f"no test profiles")
+    if any(not 1 <= k <= ds.d for k in k_values):
+        raise ConfigError(f"k values must lie in [1, {ds.d}]")
+    m = int(round(max(m_ratios) * base.d))
+    if m > ds.d:
+        raise ConfigError(f"m/d ratio {max(m_ratios)} of d={base.d} gives m={m}, "
+                          f"above the dataset's {ds.d} items")
 
 
 def run_sweep(base: ExperimentConfig, m_ratios: Sequence[float],
@@ -372,22 +389,40 @@ def run_sweep(base: ExperimentConfig, m_ratios: Sequence[float],
               parallel: int = 1) -> list[dict]:
     """Grid of (k, m/d, seed) cells plus per-seed no-embedding baselines.
 
+    The dataset is loaded once. Before any cell runs, the grid is checked
+    against it: nonempty, every ratio in (0, 1], every k in [1, d], top_n
+    at most d, and both splits nonempty; a fault raises ConfigError.
+    Serial cells share the loaded dataset; with `parallel` > 1 each pool
+    worker receives it once, when it starts.
+
     Returns rows sorted by (k, m/d, seed); baseline rows carry the nominal
     point (k=1, m/d=1.0) and ratio 1 by construction. Cells whose training
     diverges are reported as NaN rows.
     """
-    cells = [(config_to_text(base), 1.0, 1, seed, "baseline") for seed in seeds]
+    m_ratios = [float(r) for r in m_ratios]
+    k_values = [int(k) for k in k_values]
+    seeds = [int(s) for s in seeds]
+    if not m_ratios or not k_values or not seeds:
+        raise ConfigError("sweep grid must be nonempty")
+    if any(not 0 < r <= 1.0 for r in m_ratios):
+        raise ConfigError("m ratios must lie in (0, 1]")
+    ds = load_dataset(base)
+    _check_grid(base, ds, m_ratios, k_values)
+
     variant = "cbe" if base.use_cbe else "be"
-    for k in sorted(k_values):
-        for ratio in sorted(m_ratios):
-            for seed in seeds:
-                cells.append((config_to_text(base), float(ratio), int(k),
-                              int(seed), variant))
+    cells = [("baseline", 1, 1.0, seed) for seed in seeds]
+    cells += [(variant, k, ratio, seed) for k in sorted(k_values)
+              for ratio in sorted(m_ratios) for seed in seeds]
+    configs = [_cell_config(base, ratio, k, seed, v) for v, k, ratio, seed in cells]
     if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            rows = list(pool.map(_run_cell, cells))
+        with ProcessPoolExecutor(max_workers=parallel, initializer=_init_worker,
+                                 initargs=(ds,)) as pool:
+            results = list(pool.map(_run_worker_cell, configs))
     else:
-        rows = [_run_cell(c) for c in cells]
+        results = [_run_cell(cfg, ds) for cfg in configs]
+    rows = [{"measure": base.measure, "variant": v, "k": k, "m_ratio": ratio,
+             "seed": seed, **result}
+            for (v, k, ratio, seed), result in zip(cells, results)]
 
     baselines = {row["seed"]: row for row in rows if row["variant"] == "baseline"}
     for row in rows:

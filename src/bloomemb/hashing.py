@@ -96,24 +96,8 @@ def identity_hash_matrix(d: int) -> HashMatrix:
 # ---------------------------------------------------------------------------
 
 
-def save_hash_matrix(matrix: HashMatrix, destination, binary: bool = False) -> None:
-    """Write `matrix` to a path or binary file object."""
-    if binary:
-        payload = matrix_to_binary(matrix)
-        if hasattr(destination, "write"):
-            destination.write(payload)
-        else:
-            Path(destination).write_bytes(payload)
-        return
-    text = matrix_to_text(matrix)
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        Path(destination).write_text(text)
-
-
 def load_hash_matrix(source) -> HashMatrix:
-    """Read a matrix written by save_hash_matrix, sniffing the format."""
+    """Read a matrix_to_text or matrix_to_binary payload, sniffing the format."""
     if hasattr(source, "read"):
         data = source.read()
         if isinstance(data, str):

@@ -31,11 +31,13 @@ def test_m_above_d_is_a_config_fault(tmp_path):
     assert cli.main(["train", *TINY, "--m", "300", "--out", out]) == 2
 
 
-def test_missing_data_file_is_a_data_fault(tmp_path):
+def test_missing_data_file_is_a_data_fault(tmp_path, capsys):
     out = str(tmp_path / "model")
     missing = str(tmp_path / "no-such-file.txt")
     assert cli.main(["train", "--data", missing, "--m", "40",
                      "--out", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: [Errno 2] No such file or directory: {missing!r}"]
 
 
 def test_build_hash_with_k_above_m_is_a_config_fault(tmp_path):
@@ -71,4 +73,37 @@ def test_sweep_top_n_outside_item_range_is_a_config_fault(tmp_path,
     monkeypatch.setattr(experiment, "fit", _must_not_run)
     assert cli.main(["sweep", *TINY, "--m-ratios", "0.2", "--k-values", "2",
                      "--top-n", top_n, "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("k_values", ["0", "300"])
+def test_sweep_k_outside_item_range_is_a_config_fault(tmp_path, monkeypatch,
+                                                      k_values):
+    out = str(tmp_path / "sweep.tsv")
+    monkeypatch.setattr(experiment, "fit", _must_not_run)
+    assert cli.main(["sweep", *TINY, "--m-ratios", "0.2", "--k-values", k_values,
+                     "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
+@pytest.fixture(scope="module")
+def baseline_model(tmp_path_factory):
+    model = str(tmp_path_factory.mktemp("cli") / "baseline.model")
+    assert cli.main(["train", *TINY, "--baseline", "--out", model]) == 0
+    return model
+
+
+@pytest.mark.parametrize("command,test_size", [
+    ("train", "1.0"), ("train", "0"), ("train", "-0.5"), ("sweep", "0"),
+    ("evaluate", "0")])
+def test_test_size_outside_unit_interval_is_a_config_fault(
+        tmp_path, monkeypatch, baseline_model, command, test_size):
+    out = str(tmp_path / "out")
+    monkeypatch.setattr(experiment, "fit", _must_not_run)
+    monkeypatch.setattr(experiment, "evaluate_model", _must_not_run)
+    extra = {"train": ["--m", "40", "--out", out],
+             "sweep": ["--m-ratios", "0.2", "--k-values", "2", "--out", out],
+             "evaluate": ["--baseline", "--model", baseline_model, "--out", out]}
+    assert cli.main([command, *TINY, "--test-size", test_size,
+                     *extra[command]]) == 2
     assert not os.path.exists(out)

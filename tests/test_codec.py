@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from bloomemb.codec import (ScoreOrder, SparseInstance, decode_likelihood_batch,
                             decode_nll_batch, encode_batch, rank_batch,
-                            read_instances, write_bit_vectors, write_instances)
+                            read_instances, write_bit_vectors)
 from bloomemb.hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
 
 SPEC_ROWS = np.array([(1, 3), (2, 4), (1, 2), (3, 4), (2, 3), (1, 4)],
@@ -229,7 +229,7 @@ class TestFileFormats:
                      SparseInstance.from_items(9, []),
                      SparseInstance.from_items(9, [2])]
         path = tmp_path / "inst.txt"
-        path.write_text(write_instances(instances))
+        path.write_text("1 5 9\n\n2\n")
         assert read_instances(path, 9) == instances
 
     def test_bit_vector_text(self):

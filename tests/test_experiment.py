@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import bloomemb
+from bloomemb import experiment
 from bloomemb.codec import ScoreOrder, decode_likelihood_batch, decode_nll_batch, \
     encode_batch, rank_batch
-from bloomemb.experiment import (ExperimentConfig, _ranks, build_matrices,
-                                 evaluate_model, fit, load_dataset, run_sweep)
+from bloomemb.experiment import (ConfigError, ExperimentConfig, _ranks,
+                                 build_matrices, evaluate_model, fit,
+                                 load_dataset, run_sweep)
 from bloomemb.metrics import average_precision, reciprocal_rank
 from bloomemb.trainer import forward_batch
 
@@ -114,6 +116,63 @@ def test_sweep_rows_do_not_depend_on_worker_count():
             {k: v for k, v in b.items() if k not in timed}
 
 
+def test_load_dataset_reads_the_file_each_time(tmp_path):
+    path = tmp_path / "profiles.txt"
+    cfg = ExperimentConfig(data_path=str(path), data_format="profiles")
+    path.write_text("1 2 3\n2 3 4\n3 4 5\n4 5 6\n")
+    assert load_dataset(cfg).n == 4
+    path.write_text("1 2 3\n2 3 4\n3 4 5\n4 5 6\n5 6 7\n6 7 8\n")
+    assert load_dataset(cfg).n == 6
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_sweep_loads_its_dataset_once(monkeypatch, parallel):
+    caller, calls, load = os.getpid(), [], experiment.load_dataset
+
+    def counted(cfg):
+        assert os.getpid() == caller, "a pool worker loaded the dataset"
+        calls.append(cfg)
+        return load(cfg)
+
+    monkeypatch.setattr(experiment, "load_dataset", counted)
+    rows = run_sweep(tiny_config(), [0.2], [2], [0, 1], parallel=parallel)
+    assert len(rows) == 4 and len(calls) == 1
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a cell ran before the grid was checked")
+
+
+@pytest.mark.parametrize("m_ratios,k_values", [
+    ([2.0], [2]), ([0.2], [0]), ([0.2], [201]), ([], [2]), ([0.2], [])],
+    ids=["ratio-2", "k-0", "k-above-d", "no-ratio", "no-k"])
+def test_sweep_grid_faults_raise_before_any_cell(monkeypatch, m_ratios, k_values):
+    monkeypatch.setattr(experiment, "fit", _must_not_run)
+    with pytest.raises(ConfigError):
+        run_sweep(tiny_config(), m_ratios, k_values, [0])
+
+
+@pytest.mark.parametrize("test_size,fault", [
+    # 10 profiles at test_size 0.01 hold out round(0.1) = 0 of them
+    (0.01, "no training or no test profiles"),
+    # m comes from the config's d (2000), the file holds only 12 items
+    (0.5, "above the dataset's 12 items")])
+def test_sweep_rejects_grids_the_data_cannot_hold(tmp_path, monkeypatch,
+                                                  test_size, fault):
+    path = tmp_path / "profiles.txt"
+    path.write_text("".join(f"{i} {i + 1} {i + 2}\n" for i in range(1, 11)))
+    monkeypatch.setattr(experiment, "fit", _must_not_run)
+    with pytest.raises(ConfigError, match=fault):
+        run_sweep(ExperimentConfig(data_path=str(path), data_format="profiles",
+                                   test_size=test_size), [0.2], [2], [0])
+
+
+@pytest.mark.parametrize("test_size", [0.0, 1.0, -0.5, 1.5])
+def test_config_rejects_test_size_outside_unit_interval(test_size):
+    with pytest.raises(ValueError, match="test_size"):
+        ExperimentConfig(test_size=test_size)
+
+
 def test_import_does_not_load_scipy():
     env = dict(os.environ,
                PYTHONPATH=str(Path(bloomemb.__file__).resolve().parents[1]))
@@ -121,3 +180,14 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_benchmark_imports_against_the_package():
+    # the benchmark is not run by this suite; importing it catches a
+    # package API change that would break it
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "bench")]))
+    proc = subprocess.run([sys.executable, "-c", "import rep"], env=env,
+                          cwd=root, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -11,7 +11,7 @@ import pytest
 
 from bloomemb import (ExperimentConfig, SparseInstance, build_hash_matrix,
                       encode_batch, evaluate_model, rebuild_hash_matrix)
-from bloomemb.experiment import build_matrices, fit, load_dataset
+from bloomemb.experiment import build_matrices, fit, load_dataset, run_sweep
 
 
 @pytest.mark.parametrize("d,m,k,seed,expected", [
@@ -82,3 +82,15 @@ def test_evaluate_model_scores(tiny_run, measure, decode_mode, top_n, expected):
     result = evaluate_model(net, test, h_in, h_out, decode_mode=decode_mode,
                             measure=measure, top_n=top_n)
     assert result.score == expected
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_sweep_scores(parallel):
+    cfg = ExperimentConfig(d=200, n=500, m_in=40, m_out=40, epochs=2)
+    rows = run_sweep(cfg, [0.2], [2], [0, 1], parallel=parallel)
+    assert [(r["variant"], r["k"], r["m_ratio"], r["seed"], r["S_i"],
+             r["score_ratio"]) for r in rows] == [
+        ("baseline", 1, 1.0, 0, 0.07161212795322007, 1.0),
+        ("baseline", 1, 1.0, 1, 0.0768333012554709, 1.0),
+        ("be", 2, 0.2, 0, 0.042372419205659095, 0.5916933404539866),
+        ("be", 2, 0.2, 1, 0.033908908341088596, 0.4413308784994335)]

@@ -216,7 +216,7 @@ class TestTrain:
                                               profile_size_max=8, noise=0.02,
                                               test_size=0.0, seed=3))
         net = small_net((50, 16, 50), seed=3)
-        report = train(net, ds.profiles, None, None,
+        report = train(net, ds.train_profiles(), None, None,
                        OptimizerSpec("adam", learning_rate=0.005),
                        epochs=5, batch_size=32, shuffle_seed=1)
         diffs = np.diff(report.epoch_losses)
