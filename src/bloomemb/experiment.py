@@ -168,19 +168,27 @@ def config_from_text(text: str) -> ExperimentConfig:
 # -- pipeline ----------------------------------------------------------------
 
 def load_dataset(cfg: ExperimentConfig) -> ProfileDataset:
-    """Read or generate the configured dataset, split into train and test."""
+    """Read or generate the configured dataset, split into train and test.
+
+    A test_size that rounds to none or to all of the profiles leaves a split
+    empty and raises ConfigError, before any work on the data starts.
+    """
     if cfg.data_path is not None:
-        return load_profiles(cfg.data_path, min_item_count=cfg.min_item_count,
-                             min_profile_size=cfg.min_profile_size,
-                             fmt=cfg.data_format,
-                             rating_threshold=cfg.rating_threshold,
-                             test_size=cfg.test_size, seed=cfg.data_seed)
-    spec = SyntheticSpec(d=cfg.d, n=cfg.n, n_clusters=cfg.n_clusters,
-                         profile_size_min=cfg.profile_size_min,
-                         profile_size_max=cfg.profile_size_max,
-                         noise=cfg.noise, test_size=cfg.test_size,
-                         seed=cfg.data_seed)
-    return generate_synthetic(spec)
+        ds = load_profiles(cfg.data_path, min_item_count=cfg.min_item_count,
+                           min_profile_size=cfg.min_profile_size,
+                           fmt=cfg.data_format,
+                           rating_threshold=cfg.rating_threshold,
+                           test_size=cfg.test_size, seed=cfg.data_seed)
+    else:
+        ds = generate_synthetic(SyntheticSpec(
+            d=cfg.d, n=cfg.n, n_clusters=cfg.n_clusters,
+            profile_size_min=cfg.profile_size_min,
+            profile_size_max=cfg.profile_size_max, noise=cfg.noise,
+            test_size=cfg.test_size, seed=cfg.data_seed))
+    if not ds.train or not ds.test:
+        raise ConfigError(f"test_size {cfg.test_size} leaves no training or "
+                          f"no test profiles")
+    return ds
 
 
 def build_matrices(cfg: ExperimentConfig, ds: ProfileDataset
@@ -325,15 +333,16 @@ def _run(cfg: ExperimentConfig, ds: ProfileDataset) -> ExperimentOutcome:
 # -- sweeps ------------------------------------------------------------------
 
 
-def _cell_config(base: ExperimentConfig, m_ratio: float, k: int,
+def _cell_config(base: ExperimentConfig, d: int, m_ratio: float, k: int,
                  seed: int, variant: str) -> ExperimentConfig:
+    """One sweep cell's config; m = max(k, round(m_ratio * d)) on d items."""
     cfg = dataclasses.replace(base)
     cfg.init_seed = base.init_seed + seed
     cfg.shuffle_seed = base.shuffle_seed + seed
     if variant == "baseline":
         cfg.baseline = True
         return cfg
-    m = max(k, int(round(m_ratio * base.d)))
+    m = max(k, int(round(m_ratio * d)))
     cfg.baseline = False
     cfg.m_in = m
     cfg.m_out = m
@@ -370,18 +379,11 @@ def _run_worker_cell(cfg: ExperimentConfig) -> dict:
 
 
 def _check_grid(base: ExperimentConfig, ds: ProfileDataset,
-                m_ratios: Sequence[float], k_values: Sequence[int]) -> None:
+                k_values: Sequence[int]) -> None:
     if base.top_n is not None and base.top_n > ds.d:
         raise ConfigError(f"top_n {base.top_n} exceeds the dataset's {ds.d} items")
-    if not ds.train or not ds.test:
-        raise ConfigError(f"test_size {base.test_size} leaves no training or "
-                          f"no test profiles")
     if any(not 1 <= k <= ds.d for k in k_values):
         raise ConfigError(f"k values must lie in [1, {ds.d}]")
-    m = int(round(max(m_ratios) * base.d))
-    if m > ds.d:
-        raise ConfigError(f"m/d ratio {max(m_ratios)} of d={base.d} gives m={m}, "
-                          f"above the dataset's {ds.d} items")
 
 
 def run_sweep(base: ExperimentConfig, m_ratios: Sequence[float],
@@ -389,9 +391,10 @@ def run_sweep(base: ExperimentConfig, m_ratios: Sequence[float],
               parallel: int = 1) -> list[dict]:
     """Grid of (k, m/d, seed) cells plus per-seed no-embedding baselines.
 
-    The dataset is loaded once. Before any cell runs, the grid is checked
-    against it: nonempty, every ratio in (0, 1], every k in [1, d], top_n
-    at most d, and both splits nonempty; a fault raises ConfigError.
+    The dataset is loaded once, and a cell's m is its ratio of the loaded
+    dataset's d. Before any cell runs, the grid is checked against it:
+    nonempty, every ratio in (0, 1], every k in [1, d] and top_n at most d;
+    a fault, or a split left empty, raises ConfigError.
     Serial cells share the loaded dataset; with `parallel` > 1 each pool
     worker receives it once, when it starts.
 
@@ -407,13 +410,14 @@ def run_sweep(base: ExperimentConfig, m_ratios: Sequence[float],
     if any(not 0 < r <= 1.0 for r in m_ratios):
         raise ConfigError("m ratios must lie in (0, 1]")
     ds = load_dataset(base)
-    _check_grid(base, ds, m_ratios, k_values)
+    _check_grid(base, ds, k_values)
 
     variant = "cbe" if base.use_cbe else "be"
     cells = [("baseline", 1, 1.0, seed) for seed in seeds]
     cells += [(variant, k, ratio, seed) for k in sorted(k_values)
               for ratio in sorted(m_ratios) for seed in seeds]
-    configs = [_cell_config(base, ratio, k, seed, v) for v, k, ratio, seed in cells]
+    configs = [_cell_config(base, ds.d, ratio, k, seed, v)
+               for v, k, ratio, seed in cells]
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel, initializer=_init_worker,
                                  initargs=(ds,)) as pool:

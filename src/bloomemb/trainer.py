@@ -8,6 +8,12 @@ Optimizers: SGD with momentum and Adam. Everything is plain numpy;
 training runs in float32 by default, gradient checking uses float64
 networks.
 
+Outside the forward and backward passes a train step allocates nothing of
+parameter size: the optimizer state owns the scratch buffers its update
+works in, and the update keeps the textbook operation order, so the
+weights match the plain expressions bit for bit. The cross-entropy loss
+reads only the target's nonzero entries.
+
 Weight init is scaled uniform, U(-sqrt(1/fan_in), +sqrt(1/fan_in)), from
 a seeded generator; with fixed init and shuffle seeds a training run is
 bit-reproducible in the same build.
@@ -153,12 +159,25 @@ def loss_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
     """Mean cross-entropy of (B, m) probabilities against (B, m) targets.
 
     Each target row is a distribution: a multi-hot target normalized to sum 1.
+    Only the target's nonzero entries contribute, so only they are read: the
+    probabilities under them are gathered, taken to float64, clamped at a
+    small epsilon and logged; a zero target entry adds 0 whatever its
+    probability.
     """
-    logp = np.log(np.maximum(probs.astype(np.float64), _LOSS_EPS))
-    return float(-(targets * logp).sum(axis=1).mean())
+    hit = targets != 0
+    logp = probs[hit].astype(np.float64)
+    np.maximum(logp, _LOSS_EPS, out=logp)
+    np.log(logp, out=logp)
+    return float(-(targets[hit] * logp).sum() / probs.shape[0])
 
 
 class _OptimizerState:
+    """Moments of each parameter plus the scratch buffers of its update.
+
+    The buffers are allocated here, once, so that a step allocates nothing
+    of parameter size: Adam needs two per parameter, SGD one.
+    """
+
     def __init__(self, net: Network, spec: OptimizerSpec):
         self.spec = spec
         self.step = 0
@@ -166,6 +185,9 @@ class _OptimizerState:
         self.momenta = [np.zeros_like(p) for p in params]
         if spec.kind == "adam":
             self.second = [np.zeros_like(p) for p in params]
+            self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        else:
+            self.scratch = [(np.empty_like(p),) for p in params]
 
 
 def _clip_gradients(grads: list[np.ndarray], max_norm: float) -> None:
@@ -182,23 +204,36 @@ def _apply_update(net: Network, grads: list[np.ndarray],
     params = net.parameters()
     if spec.clip_norm is not None:
         _clip_gradients(grads, spec.clip_norm)
+    lr = spec.learning_rate
     if spec.kind == "sgd":
-        for p, g, v in zip(params, grads, state.momenta):
+        for p, g, v, (u,) in zip(params, grads, state.momenta, state.scratch):
             v *= spec.momentum
-            v -= spec.learning_rate * g
+            np.multiply(lr, g, out=u)
+            v -= u
             p += v
     else:
+        # p -= lr * m_hat / (sqrt(v_hat) + eps) with m_hat = m / (1 - b1^t)
+        # and v_hat = v / (1 - b2^t), one operation at a time in that order.
+        # Folding the bias corrections into lr would change the rounding.
         state.step += 1
         t = state.step
         b1, b2 = spec.beta1, spec.beta2
-        for p, g, m, v in zip(params, grads, state.momenta, state.second):
+        for p, g, m, v, (u, w) in zip(params, grads, state.momenta,
+                                      state.second, state.scratch):
             m *= b1
-            m += (1 - b1) * g
+            np.multiply(1 - b1, g, out=u)
+            m += u
             v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** t)
-            v_hat = v / (1 - b2 ** t)
-            p -= spec.learning_rate * m_hat / (np.sqrt(v_hat) + spec.epsilon)
+            np.multiply(1 - b2, g, out=u)
+            u *= g
+            v += u
+            np.divide(m, 1 - b1 ** t, out=u)
+            np.divide(v, 1 - b2 ** t, out=w)
+            np.sqrt(w, out=w)
+            w += spec.epsilon
+            np.multiply(lr, u, out=u)
+            u /= w
+            p -= u
 
 
 def gradients(net: Network, x: np.ndarray, targets: np.ndarray
@@ -277,6 +312,16 @@ def train(net: Network,
         raise ValueError("encoded target with no set bits")
 
     n = x_bits.shape[0]
+
+    def batches(order: np.ndarray):
+        """(inputs, targets normalized to sum 1) in net.dtype, in `order`."""
+        for s in range(0, n, batch_size):
+            idx = order[s:s + batch_size]
+            xb = x_bits[idx].astype(net.dtype)
+            tb = t_bits[idx].astype(net.dtype)
+            tb /= t_sum[idx, None].astype(net.dtype)
+            yield xb, tb
+
     rng = np.random.default_rng(shuffle_seed)
     state = _OptimizerState(net, optimizer)
     epoch_losses: list[float] = []
@@ -284,23 +329,17 @@ def train(net: Network,
     start = time.perf_counter()
     for _ in range(epochs):
         t0 = time.perf_counter()
-        perm = rng.permutation(n)
         total = 0.0
-        for s in range(0, n, batch_size):
-            idx = perm[s:s + batch_size]
-            xb = x_bits[idx].astype(net.dtype)
-            tb = t_bits[idx].astype(net.dtype)
-            tb /= t_sum[idx, None].astype(net.dtype)
+        for xb, tb in batches(rng.permutation(n)):
             loss, state = backward_and_step(net, (xb, tb), optimizer, state)
-            total += loss * idx.size
+            total += loss * xb.shape[0]
         epoch_losses.append(total / n)
         epoch_times.append(time.perf_counter() - t0)
     if epochs == 0:
         # untouched network: report its current loss over the dataset
-        probs = forward_batch(net, x_bits.astype(net.dtype))
-        targets = t_bits.astype(np.float64) / t_sum[:, None]
-        epoch_losses = []
-        final = loss_cross_entropy(probs, targets)
+        total = sum(loss_cross_entropy(forward_batch(net, xb), tb) * xb.shape[0]
+                    for xb, tb in batches(np.arange(n)))
+        final = total / n
     else:
         final = epoch_losses[-1]
     return TrainReport(epochs=epochs, final_loss=final,

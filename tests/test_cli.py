@@ -93,17 +93,38 @@ def baseline_model(tmp_path_factory):
     return model
 
 
+def _run_without_work(command, test_size, out, model, monkeypatch) -> int:
+    """Exit code of `command` at `test_size`, failing if training or
+    evaluation starts."""
+    monkeypatch.setattr(experiment, "fit", _must_not_run)
+    monkeypatch.setattr(experiment, "evaluate_model", _must_not_run)
+    extra = {"train": ["--m", "40", "--out", out],
+             "sweep": ["--m-ratios", "0.2", "--k-values", "2", "--out", out],
+             "evaluate": ["--baseline", "--model", model, "--out", out]}
+    return cli.main([command, *TINY, "--test-size", test_size, *extra[command]])
+
+
 @pytest.mark.parametrize("command,test_size", [
     ("train", "1.0"), ("train", "0"), ("train", "-0.5"), ("sweep", "0"),
     ("evaluate", "0")])
 def test_test_size_outside_unit_interval_is_a_config_fault(
         tmp_path, monkeypatch, baseline_model, command, test_size):
     out = str(tmp_path / "out")
-    monkeypatch.setattr(experiment, "fit", _must_not_run)
-    monkeypatch.setattr(experiment, "evaluate_model", _must_not_run)
-    extra = {"train": ["--m", "40", "--out", out],
-             "sweep": ["--m-ratios", "0.2", "--k-values", "2", "--out", out],
-             "evaluate": ["--baseline", "--model", baseline_model, "--out", out]}
-    assert cli.main([command, *TINY, "--test-size", test_size,
-                     *extra[command]]) == 2
+    assert _run_without_work(command, test_size, out, baseline_model,
+                             monkeypatch) == 2
+    assert not os.path.exists(out)
+
+
+# of TINY's 500 profiles, 0.999 holds out round(499.5) = 500, 0.0009 none
+@pytest.mark.parametrize("command,test_size", [
+    ("train", "0.999"), ("evaluate", "0.0009")])
+def test_test_size_that_empties_a_split_is_a_config_fault(
+        tmp_path, monkeypatch, capsys, baseline_model, command, test_size):
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert _run_without_work(command, test_size, out, baseline_model,
+                             monkeypatch) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: test_size {test_size} leaves no training or no test "
+        f"profiles"]
     assert not os.path.exists(out)

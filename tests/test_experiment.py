@@ -118,7 +118,9 @@ def test_sweep_rows_do_not_depend_on_worker_count():
 
 def test_load_dataset_reads_the_file_each_time(tmp_path):
     path = tmp_path / "profiles.txt"
-    cfg = ExperimentConfig(data_path=str(path), data_format="profiles")
+    # at test_size 0.5 both files split into nonempty halves
+    cfg = ExperimentConfig(data_path=str(path), data_format="profiles",
+                           test_size=0.5)
     path.write_text("1 2 3\n2 3 4\n3 4 5\n4 5 6\n")
     assert load_dataset(cfg).n == 4
     path.write_text("1 2 3\n2 3 4\n3 4 5\n4 5 6\n5 6 7\n6 7 8\n")
@@ -152,19 +154,37 @@ def test_sweep_grid_faults_raise_before_any_cell(monkeypatch, m_ratios, k_values
         run_sweep(tiny_config(), m_ratios, k_values, [0])
 
 
-@pytest.mark.parametrize("test_size,fault", [
-    # 10 profiles at test_size 0.01 hold out round(0.1) = 0 of them
-    (0.01, "no training or no test profiles"),
-    # m comes from the config's d (2000), the file holds only 12 items
-    (0.5, "above the dataset's 12 items")])
-def test_sweep_rejects_grids_the_data_cannot_hold(tmp_path, monkeypatch,
-                                                  test_size, fault):
+def twelve_item_file(tmp_path) -> str:
     path = tmp_path / "profiles.txt"
     path.write_text("".join(f"{i} {i + 1} {i + 2}\n" for i in range(1, 11)))
+    return str(path)
+
+
+@pytest.mark.parametrize("test_size,fault", [
+    # 10 profiles at test_size 0.01 hold out round(0.1) = 0 of them
+    (0.01, "no training or no test profiles")])
+def test_sweep_rejects_grids_the_data_cannot_hold(tmp_path, monkeypatch,
+                                                  test_size, fault):
+    path = twelve_item_file(tmp_path)
     monkeypatch.setattr(experiment, "fit", _must_not_run)
     with pytest.raises(ConfigError, match=fault):
-        run_sweep(ExperimentConfig(data_path=str(path), data_format="profiles",
+        run_sweep(ExperimentConfig(data_path=path, data_format="profiles",
                                    test_size=test_size), [0.2], [2], [0])
+
+
+def test_sweep_m_ratio_is_of_the_loaded_datasets_d(tmp_path, monkeypatch):
+    # the config's synthetic d (2000) must not set m on a 12-item file
+    trained = []
+
+    def recording_fit(cfg, ds, h_in, h_out):
+        trained.append((cfg.baseline, h_in.m, h_out.m))
+        return fit(cfg, ds, h_in, h_out)
+
+    monkeypatch.setattr(experiment, "fit", recording_fit)
+    run_sweep(ExperimentConfig(data_path=twelve_item_file(tmp_path),
+                               data_format="profiles", test_size=0.5, epochs=1),
+              [0.5], [2], [0])
+    assert trained == [(True, 12, 12), (False, 6, 6)]
 
 
 @pytest.mark.parametrize("test_size", [0.0, 1.0, -0.5, 1.5])

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from bloomemb.codec import SparseInstance
 from bloomemb.data import SyntheticSpec, generate_synthetic
 from bloomemb.hashing import identity_hash_matrix
-from bloomemb.trainer import (NetworkSpec, OptimizerSpec, backward_and_step,
+from bloomemb.trainer import (NetworkSpec, OptimizerSpec, _apply_update,
+                              _OptimizerState, backward_and_step,
                               forward_batch, gradients, init_network,
                               load_network, loss_cross_entropy, multi_hot,
                               save_network, train)
@@ -82,8 +84,9 @@ class TestLoss:
 
     def test_matches_arithmetic_oracle(self):
         # mean over a batch of rows of the per-row cross-entropy against the
-        # multi-hot target normalized to sum 1
+        # multi-hot target normalized to sum 1; a zero target entry adds 0
         rng = np.random.default_rng(5)
+        cases = []
         for _ in range(100):
             m = int(rng.integers(2, 9))
             batch = int(rng.integers(1, 5))
@@ -92,10 +95,33 @@ class TestLoss:
             bits = np.zeros((batch, m))
             for row in bits:
                 row[rng.choice(m, size=rng.integers(1, m + 1), replace=False)] = 1
-            t = bits / bits.sum(axis=1, keepdims=True)
-            oracle = sum(-sum(t[b, i] * math.log(probs[b, i]) for i in range(m))
+            cases.append((probs, bits / bits.sum(axis=1, keepdims=True)))
+        # a zero target on a probability of exactly 0
+        cases.append((np.array([[0.0, 0.25, 0.75], [0.5, 0.5, 0.0]]),
+                      np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0]])))
+        for probs, t in cases:
+            batch, m = t.shape
+            oracle = sum(-sum(t[b, i] * math.log(probs[b, i]) for i in range(m)
+                              if t[b, i])
                          for b in range(batch)) / batch
             assert loss_cross_entropy(probs, t) == pytest.approx(oracle)
+
+    def test_allocates_less_than_the_probabilities(self):
+        # a (128, 2000) float32 batch with 6 target bits per row: only the
+        # nonzero entries are gathered, nothing of the batch's size is made
+        rng = np.random.default_rng(15)
+        raw = rng.random((128, 2000), dtype=np.float32)
+        probs = raw / raw.sum(axis=1, keepdims=True)
+        t = np.zeros_like(probs)
+        for row in t:
+            row[rng.choice(2000, size=6, replace=False)] = 1 / 6
+        tracemalloc.start()
+        try:
+            loss_cross_entropy(probs, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < probs.nbytes
 
     def test_all_zero_target_rejected(self):
         # train refuses a profile whose encoded target cannot be normalized
@@ -174,6 +200,70 @@ class TestGradients:
         with pytest.raises(ValueError):
             backward_and_step(net, (np.empty((0, 2)), np.empty((0, 2))),
                               OptimizerSpec("sgd"))
+
+
+def _textbook_update(params, grads, first, second, spec, t):
+    """Momentum SGD or Adam (Kingma & Ba, 2015) in plain expressions, the
+    reference that `_apply_update` must equal bit for bit."""
+    if spec.clip_norm is not None:
+        # a float64 scale, so float32 gradients are scaled in float64
+        total = np.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
+                            for g in grads))
+        if total > spec.clip_norm:
+            for g in grads:
+                g *= spec.clip_norm / total
+    lr, b1, b2 = spec.learning_rate, spec.beta1, spec.beta2
+    for p, g, m, v in zip(params, grads, first, second):
+        if spec.kind == "sgd":
+            m *= spec.momentum
+            m -= lr * g
+            p += m
+            continue
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + spec.epsilon)
+
+
+class TestUpdate:
+    @pytest.mark.parametrize("clip_norm", [None, 1.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_equals_textbook_oracle_bit_for_bit(self, kind, dtype, clip_norm):
+        rng = np.random.default_rng(16)
+        net = small_net((37, 19, 23), seed=4, dtype=dtype)
+        spec = OptimizerSpec(kind, learning_rate=0.01, clip_norm=clip_norm)
+        state = _OptimizerState(net, spec)
+        params = [p.copy() for p in net.parameters()]
+        first = [np.zeros_like(p) for p in params]
+        second = [np.zeros_like(p) for p in params]
+        for t in range(1, 6):
+            grads = [rng.standard_normal(p.shape).astype(dtype) for p in params]
+            _textbook_update(params, [g.copy() for g in grads], first, second,
+                             spec, t)
+            _apply_update(net, grads, state)
+            for got, want in zip(net.parameters(), params):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_steady_state_step_allocates_under_one_parameter(self, kind):
+        net = init_network(NetworkSpec(layer_sizes=(2000, 100, 2000)))
+        state = _OptimizerState(net, OptimizerSpec(kind))
+        rng = np.random.default_rng(17)
+        grads = [rng.standard_normal(p.shape, dtype=np.float32)
+                 for p in net.parameters()]
+        _apply_update(net, grads, state)  # warm-up
+        tracemalloc.start()
+        try:
+            _apply_update(net, grads, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < net.weights[0].nbytes
 
 
 def tiny_dataset(rng, n=60, d=20):
