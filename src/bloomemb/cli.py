@@ -5,6 +5,9 @@ Every run writes its outputs atomically, logs its fully resolved
 configuration to ``<out>.config`` (re-running from that file reproduces
 the outputs bit-exactly, wall-time fields aside), and exits with code 2
 on configuration faults and 1 on data faults.
+The experiment commands leave config faults to :mod:`bloomemb.experiment`:
+building an ``ExperimentConfig`` rejects those that need no data, and
+``load_dataset`` and ``build_matrices`` those that do, before any training.
 """
 
 from __future__ import annotations
@@ -180,16 +183,9 @@ def _resolve_config(args) -> experiment.ExperimentConfig:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from None
-        try:
-            cfg = experiment.config_from_text(text)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        cfg = experiment.config_from_text(text)
     else:
         cfg = experiment.ExperimentConfig()
-    if getattr(args, "data", None):
-        cfg.data_path = args.data
-    if getattr(args, "synthetic", False):
-        cfg.data_path = None
     overrides = {
         "d": "d", "n": "n", "n_clusters": "n_clusters", "noise": "noise",
         "k": "k", "epochs": "epochs", "optimizer": "optimizer",
@@ -197,42 +193,30 @@ def _resolve_config(args) -> experiment.ExperimentConfig:
         "decode": "decode_mode", "top_n": "top_n", "measure": "measure",
         "test_size": "test_size",
     }
-    for flag, field in overrides.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, field, value)
+    changes = {field: getattr(args, flag) for flag, field in overrides.items()
+               if getattr(args, flag, None) is not None}
+    if getattr(args, "data", None):
+        changes["data_path"] = args.data
+    if getattr(args, "synthetic", False):
+        changes["data_path"] = None
     if getattr(args, "m", None) is not None:
-        cfg.m_in = args.m
-        cfg.m_out = args.m
+        changes["m_in"] = changes["m_out"] = args.m
     if getattr(args, "hidden", None) is not None:
-        cfg.hidden = tuple(int(v) for v in args.hidden.split(","))
+        changes["hidden"] = tuple(int(v) for v in args.hidden.split(","))
     if getattr(args, "cbe", False):
-        cfg.use_cbe = True
+        changes["use_cbe"] = True
     if getattr(args, "baseline", False):
-        cfg.baseline = True
+        changes["baseline"] = True
     if getattr(args, "seed", None) is not None:
         for offset, field in enumerate(_SEED_FIELDS):
-            setattr(cfg, field, args.seed + offset)
-    try:
-        # re-validate after overrides
-        cfg = dataclasses.replace(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg
-
-
-def _check_top_n(cfg: experiment.ExperimentConfig, d: int) -> None:
-    if cfg.top_n is not None and cfg.top_n > d:
-        raise ConfigError(f"--top-n {cfg.top_n} exceeds the dataset's {d} items")
+            changes[field] = args.seed + offset
+    return dataclasses.replace(cfg, **changes)
 
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     ds = experiment.load_dataset(cfg)
-    try:
-        h_in, h_out = experiment.build_matrices(cfg, ds)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    h_in, h_out = experiment.build_matrices(cfg, ds)
     net, report = experiment.fit(cfg, ds, h_in, h_out)
     buf = io.BytesIO()
     trainer.save_network(net, buf)
@@ -266,7 +250,6 @@ def cmd_evaluate(args) -> int:
             raise ConfigError(
                 "no hash matrices found; pass --hash-in/--hash-out or --baseline")
     ds = experiment.load_dataset(cfg)
-    _check_top_n(cfg, ds.d)
     result = experiment.evaluate_model(net, ds.test_profiles(), h_in, h_out,
                                        decode_mode=cfg.decode_mode,
                                        measure=cfg.measure, top_n=cfg.top_n)

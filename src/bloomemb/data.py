@@ -73,13 +73,10 @@ def split_profile(items: Sequence[int], d: int,
 
 
 def _split_dataset(d: int, profiles: list[tuple[SparseInstance, SparseInstance]],
-                   test_size, rng: np.random.Generator) -> ProfileDataset:
-    """Hold out `test_size` of the profiles: a share if float, else a count."""
+                   test_size: float, rng: np.random.Generator) -> ProfileDataset:
+    """Hold out round(n * test_size) of the n profiles, chosen by `rng`."""
     n = len(profiles)
-    if isinstance(test_size, float):
-        count = int(round(n * test_size))
-    else:
-        count = int(test_size)
+    count = int(round(n * test_size))
     held = set(rng.choice(n, size=max(0, min(count, n)), replace=False).tolist())
     return ProfileDataset(d=d,
                           train=[p for i, p in enumerate(profiles) if i not in held],
@@ -131,7 +128,7 @@ def load_profiles(source,
                   min_profile_size: int = 2,
                   fmt: str = "auto",
                   rating_threshold: float | None = None,
-                  test_size=0.1,
+                  test_size: float = 0.1,
                   seed: int = 0) -> ProfileDataset:
     """Load, filter, re-index, and split raw profiles into a dataset.
 

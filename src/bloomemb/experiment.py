@@ -10,10 +10,10 @@ runs through the same encode, train, decode and rank path.
 
 Sweeps run one cell per (k, m/d, seed) plus per-seed baseline cells and
 emit TSV rows with score and time ratios against the seed-matched
-baseline. A sweep loads its dataset once and checks its grid against it
-before any cell runs; a bad grid raises :class:`ConfigError`. Every cell
-trains on that one dataset, and each pool worker receives it once, when
-the worker starts.
+baseline. A sweep loads its dataset once and builds and checks every
+cell's config before any cell runs; a bad grid raises :class:`ConfigError`.
+Every cell trains on that one dataset, and each pool worker receives it
+once, when it starts. A diverged cell's row is NaN and names the reason.
 """
 
 from __future__ import annotations
@@ -43,11 +43,17 @@ class ConfigError(ValueError):
 
 
 SWEEP_COLUMNS = ("measure", "variant", "k", "m_ratio", "seed", "S_i", "S_0",
-                 "score_ratio", "train_time_ratio", "eval_time_ratio")
+                 "score_ratio", "train_time_ratio", "eval_time_ratio", "error")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings, frozen and validated when built: a fault that
+    needs no data raises :class:`ConfigError`, so every config that exists
+    is valid. Derive variants with :func:`dataclasses.replace`.
+    :func:`load_dataset` and :func:`build_matrices` check it against the data.
+    """
+
     # data: either a profile file or a synthetic cluster dataset
     data_path: str | None = None
     data_format: str = "auto"
@@ -89,17 +95,41 @@ class ExperimentConfig:
     top_n: int | None = None
 
     def __post_init__(self):
-        if self.decode_mode not in ("likelihood", "nll"):
-            raise ValueError(f"decode_mode must be likelihood or nll, got "
-                             f"{self.decode_mode!r}")
-        if self.measure not in ("MAP", "RR"):
-            raise ValueError(f"measure must be MAP or RR, got {self.measure!r}")
-        if self.top_n is not None and self.top_n < 1:
-            raise ValueError(f"top_n must be >= 1, got {self.top_n}")
-        if not 0 < self.test_size < 1:
-            raise ValueError(f"test_size must lie in (0, 1), got {self.test_size}")
-        if isinstance(self.hidden, list):
-            self.hidden = tuple(self.hidden)
+        object.__setattr__(self, "hidden", tuple(self.hidden))
+        m = min(self.m_in, self.m_out)
+        for name, ok, rule in (
+                ("data_format", self.data_format in ("auto", "triples", "profiles"),
+                 "be auto, triples or profiles"),
+                ("decode_mode", self.decode_mode in ("likelihood", "nll"),
+                 "be likelihood or nll"),
+                ("measure", self.measure in ("MAP", "RR"), "be MAP or RR"),
+                ("top_n", self.top_n is None or self.top_n >= 1, "be >= 1"),
+                ("test_size", 0 < self.test_size < 1, "lie in (0, 1)"),
+                ("hidden", all(h >= 1 for h in self.hidden), "hold sizes >= 1"),
+                ("epochs", self.epochs >= 0, "be >= 0"),
+                ("batch_size", self.batch_size >= 1, "be >= 1"),
+                ("k", self.baseline or 1 <= self.k <= m,
+                 f"lie in [1, min(m_in, m_out)] = [1, {m}]")):
+            if not ok:
+                raise ConfigError(f"{name} must {rule}, got {getattr(self, name)!r}")
+        try:
+            self.optimizer_spec()
+            if self.data_path is None:
+                self.synthetic_spec()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+    def optimizer_spec(self) -> OptimizerSpec:
+        return OptimizerSpec(kind=self.optimizer, learning_rate=self.learning_rate,
+                             momentum=self.momentum, beta1=self.beta1,
+                             beta2=self.beta2, clip_norm=self.clip_norm)
+
+    def synthetic_spec(self) -> SyntheticSpec:
+        return SyntheticSpec(d=self.d, n=self.n, n_clusters=self.n_clusters,
+                             profile_size_min=self.profile_size_min,
+                             profile_size_max=self.profile_size_max,
+                             noise=self.noise, test_size=self.test_size,
+                             seed=self.data_seed)
 
 
 # -- config file round-trip --------------------------------------------------
@@ -156,12 +186,15 @@ def config_from_text(text: str) -> ExperimentConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
+            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
         if key not in fields:
-            raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        values[key] = _parse_value(val, hints[key])
+            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        try:
+            values[key] = _parse_value(val, hints[key])
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return ExperimentConfig(**values)
 
 
@@ -171,7 +204,8 @@ def load_dataset(cfg: ExperimentConfig) -> ProfileDataset:
     """Read or generate the configured dataset, split into train and test.
 
     A test_size that rounds to none or to all of the profiles leaves a split
-    empty and raises ConfigError, before any work on the data starts.
+    empty, and a top_n above the item count ranks past the end: both raise
+    ConfigError, before any work on the data starts.
     """
     if cfg.data_path is not None:
         ds = load_profiles(cfg.data_path, min_item_count=cfg.min_item_count,
@@ -180,20 +214,25 @@ def load_dataset(cfg: ExperimentConfig) -> ProfileDataset:
                            rating_threshold=cfg.rating_threshold,
                            test_size=cfg.test_size, seed=cfg.data_seed)
     else:
-        ds = generate_synthetic(SyntheticSpec(
-            d=cfg.d, n=cfg.n, n_clusters=cfg.n_clusters,
-            profile_size_min=cfg.profile_size_min,
-            profile_size_max=cfg.profile_size_max, noise=cfg.noise,
-            test_size=cfg.test_size, seed=cfg.data_seed))
+        ds = generate_synthetic(cfg.synthetic_spec())
     if not ds.train or not ds.test:
         raise ConfigError(f"test_size {cfg.test_size} leaves no training or "
                           f"no test profiles")
+    if cfg.top_n is not None and cfg.top_n > ds.d:
+        raise ConfigError(f"top_n {cfg.top_n} exceeds the dataset's {ds.d} items")
     return ds
+
+
+def _check_embedding_fits(cfg: ExperimentConfig, d: int) -> None:
+    """Raise ConfigError unless a Bloom embedding's m_in and m_out are <= d."""
+    if not cfg.baseline and max(cfg.m_in, cfg.m_out) > d:
+        raise ConfigError(f"m_in/m_out {cfg.m_in}/{cfg.m_out} exceed d={d}")
 
 
 def build_matrices(cfg: ExperimentConfig, ds: ProfileDataset
                    ) -> tuple[HashMatrix, HashMatrix]:
     """Input/output hash matrices for a run; the identity for the baseline."""
+    _check_embedding_fits(cfg, ds.d)
     if cfg.baseline:
         identity = identity_hash_matrix(ds.d)
         return identity, identity
@@ -308,10 +347,7 @@ def fit(cfg: ExperimentConfig, ds: ProfileDataset, h_in: HashMatrix,
     spec = NetworkSpec(layer_sizes=(h_in.m, *cfg.hidden, h_out.m),
                        init_seed=cfg.init_seed)
     net = init_network(spec)
-    optimizer = OptimizerSpec(kind=cfg.optimizer, learning_rate=cfg.learning_rate,
-                              momentum=cfg.momentum, beta1=cfg.beta1,
-                              beta2=cfg.beta2, clip_norm=cfg.clip_norm)
-    report = train(net, ds.train_profiles(), h_in, h_out, optimizer,
+    report = train(net, ds.train_profiles(), h_in, h_out, cfg.optimizer_spec(),
                    epochs=cfg.epochs, batch_size=cfg.batch_size,
                    shuffle_seed=cfg.shuffle_seed)
     return net, report
@@ -336,33 +372,25 @@ def _run(cfg: ExperimentConfig, ds: ProfileDataset) -> ExperimentOutcome:
 def _cell_config(base: ExperimentConfig, d: int, m_ratio: float, k: int,
                  seed: int, variant: str) -> ExperimentConfig:
     """One sweep cell's config; m = max(k, round(m_ratio * d)) on d items."""
-    cfg = dataclasses.replace(base)
-    cfg.init_seed = base.init_seed + seed
-    cfg.shuffle_seed = base.shuffle_seed + seed
-    if variant == "baseline":
-        cfg.baseline = True
-        return cfg
     m = max(k, int(round(m_ratio * d)))
-    cfg.baseline = False
-    cfg.m_in = m
-    cfg.m_out = m
-    cfg.k = k
-    cfg.hash_seed_in = base.hash_seed_in + 7919 * seed
-    cfg.hash_seed_out = base.hash_seed_out + 7919 * seed
-    cfg.use_cbe = base.use_cbe
-    cfg.cbe_seed = base.cbe_seed + 7919 * seed
-    return cfg
+    embedding = {} if variant == "baseline" else dict(
+        m_in=m, m_out=m, k=k, hash_seed_in=base.hash_seed_in + 7919 * seed,
+        hash_seed_out=base.hash_seed_out + 7919 * seed,
+        cbe_seed=base.cbe_seed + 7919 * seed)
+    return dataclasses.replace(base, baseline=variant == "baseline",
+                               init_seed=base.init_seed + seed,
+                               shuffle_seed=base.shuffle_seed + seed, **embedding)
 
 
 def _run_cell(cfg: ExperimentConfig, ds: ProfileDataset) -> dict:
     try:
         outcome = _run(cfg, ds)
-    except FloatingPointError:
+    except FloatingPointError as exc:
         nan = float("nan")
-        return {"S_i": nan, "train_time": nan, "eval_time": nan}
+        return {"S_i": nan, "train_time": nan, "eval_time": nan, "error": str(exc)}
     return {"S_i": outcome.evaluation.score,
             "train_time": outcome.train_time_per_epoch,
-            "eval_time": outcome.evaluation.wall_time}
+            "eval_time": outcome.evaluation.wall_time, "error": ""}
 
 
 # The sweep's dataset inside a pool worker, set once when the worker starts.
@@ -378,29 +406,21 @@ def _run_worker_cell(cfg: ExperimentConfig) -> dict:
     return _run_cell(cfg, _worker_dataset)
 
 
-def _check_grid(base: ExperimentConfig, ds: ProfileDataset,
-                k_values: Sequence[int]) -> None:
-    if base.top_n is not None and base.top_n > ds.d:
-        raise ConfigError(f"top_n {base.top_n} exceeds the dataset's {ds.d} items")
-    if any(not 1 <= k <= ds.d for k in k_values):
-        raise ConfigError(f"k values must lie in [1, {ds.d}]")
-
-
 def run_sweep(base: ExperimentConfig, m_ratios: Sequence[float],
               k_values: Sequence[int], seeds: Sequence[int],
               parallel: int = 1) -> list[dict]:
     """Grid of (k, m/d, seed) cells plus per-seed no-embedding baselines.
 
     The dataset is loaded once, and a cell's m is its ratio of the loaded
-    dataset's d. Before any cell runs, the grid is checked against it:
-    nonempty, every ratio in (0, 1], every k in [1, d] and top_n at most d;
-    a fault, or a split left empty, raises ConfigError.
+    dataset's d. Before any cell runs, the grid must be nonempty with every
+    ratio in (0, 1], and every cell's config is built and checked against
+    the dataset; a fault, or a split left empty, raises ConfigError.
     Serial cells share the loaded dataset; with `parallel` > 1 each pool
     worker receives it once, when it starts.
 
     Returns rows sorted by (k, m/d, seed); baseline rows carry the nominal
-    point (k=1, m/d=1.0) and ratio 1 by construction. Cells whose training
-    diverges are reported as NaN rows.
+    point (k=1, m/d=1.0) and ratio 1 by construction. A cell whose training
+    diverges gives a NaN row whose `error` names the reason, else empty.
     """
     m_ratios = [float(r) for r in m_ratios]
     k_values = [int(k) for k in k_values]
@@ -410,7 +430,6 @@ def run_sweep(base: ExperimentConfig, m_ratios: Sequence[float],
     if any(not 0 < r <= 1.0 for r in m_ratios):
         raise ConfigError("m ratios must lie in (0, 1]")
     ds = load_dataset(base)
-    _check_grid(base, ds, k_values)
 
     variant = "cbe" if base.use_cbe else "be"
     cells = [("baseline", 1, 1.0, seed) for seed in seeds]
@@ -418,6 +437,8 @@ def run_sweep(base: ExperimentConfig, m_ratios: Sequence[float],
               for ratio in sorted(m_ratios) for seed in seeds]
     configs = [_cell_config(base, ds.d, ratio, k, seed, v)
                for v, k, ratio, seed in cells]
+    for cfg in configs:
+        _check_embedding_fits(cfg, ds.d)
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel, initializer=_init_worker,
                                  initargs=(ds,)) as pool:
@@ -430,16 +451,13 @@ def run_sweep(base: ExperimentConfig, m_ratios: Sequence[float],
 
     baselines = {row["seed"]: row for row in rows if row["variant"] == "baseline"}
     for row in rows:
-        ref = baselines.get(row["seed"])
-        if ref is None or not ref["S_i"] or np.isnan(ref["S_i"]):
-            row["S_0"] = float("nan")
-        else:
-            row["S_0"] = ref["S_i"]
-        row["score_ratio"] = row["S_i"] / row["S_0"] if row["S_0"] else float("nan")
+        ref = baselines[row["seed"]]
+        row["S_0"] = ref["S_i"] or float("nan")  # a 0 or NaN S_0 gives NaN ratios
+        row["score_ratio"] = row["S_i"] / row["S_0"]
         row["train_time_ratio"] = (row["train_time"] / ref["train_time"]
-                                   if ref and ref["train_time"] else float("nan"))
+                                   if ref["train_time"] else float("nan"))
         row["eval_time_ratio"] = (row["eval_time"] / ref["eval_time"]
-                                  if ref and ref["eval_time"] else float("nan"))
+                                  if ref["eval_time"] else float("nan"))
     rows.sort(key=lambda r: (r["k"], r["m_ratio"], r["seed"],
                              r["variant"] != "baseline"))
     return rows
@@ -448,12 +466,7 @@ def run_sweep(base: ExperimentConfig, m_ratios: Sequence[float],
 def sweep_rows_tsv(rows: Sequence[dict]) -> str:
     lines = ["\t".join(SWEEP_COLUMNS)]
     for row in rows:
-        cells = []
-        for col in SWEEP_COLUMNS:
-            v = row.get(col)
-            if isinstance(v, float):
-                cells.append(f"{v:.6g}")
-            else:
-                cells.append(str(v))
-        lines.append("\t".join(cells))
+        cells = (row.get(col) for col in SWEEP_COLUMNS)
+        lines.append("\t".join(f"{v:.6g}" if isinstance(v, float) else str(v)
+                               for v in cells))
     return "\n".join(lines) + "\n"

@@ -291,12 +291,15 @@ def train(net: Network,
     """Train on encoded inputs/targets; hash_in/hash_out None = identity.
 
     Targets are the encoded multi-hot vectors normalized to sum 1. Batch
-    order is a seeded permutation per epoch, so runs are reproducible.
+    order is a seeded permutation per epoch, so runs are reproducible. A
+    diverging step raises FloatingPointError naming its 1-based epoch.
     """
     if not dataset:
         raise ValueError("dataset must be nonempty")
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if hash_in is None:
         hash_in = identity_hash_matrix(dataset[0][0].d)
     if hash_out is None:
@@ -327,12 +330,15 @@ def train(net: Network,
     epoch_losses: list[float] = []
     epoch_times: list[float] = []
     start = time.perf_counter()
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         t0 = time.perf_counter()
         total = 0.0
-        for xb, tb in batches(rng.permutation(n)):
-            loss, state = backward_and_step(net, (xb, tb), optimizer, state)
-            total += loss * xb.shape[0]
+        try:
+            for xb, tb in batches(rng.permutation(n)):
+                loss, state = backward_and_step(net, (xb, tb), optimizer, state)
+                total += loss * xb.shape[0]
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"epoch {epoch}: {exc}") from exc
         epoch_losses.append(total / n)
         epoch_times.append(time.perf_counter() - t0)
     if epochs == 0:

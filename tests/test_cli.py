@@ -128,3 +128,39 @@ def test_test_size_that_empties_a_split_is_a_config_fault(
         f"config error: test_size {test_size} leaves no training or no test "
         f"profiles"]
     assert not os.path.exists(out)
+
+
+# each fault is decided before any training: by building the config, or by
+# checking it against the loaded data (top_n above TINY's d = 200)
+CONFIG_FAULTS = {
+    "batch-size-0": ["train", "--batch-size", "0"],
+    "batch-size-negative": ["train", "--batch-size", "-5"],
+    "epochs-negative": ["train", "--epochs", "-1"],
+    "lr-negative": ["train", "--lr", "-1"],
+    "hidden-0": ["train", "--hidden", "0"],
+    "n-clusters-0": ["train", "--n-clusters", "0"],
+    "d-1": ["train", "--d", "1"],
+    "noise-2": ["train", "--noise", "2"],
+    "file-optimizer": ["train", "--config", "optimizer=foo"],
+    "file-beta1": ["train", "--config", "beta1=1.5"],
+    "sweep-batch-size-0": ["sweep", "--batch-size", "0", "--m-ratios", "0.2",
+                           "--k-values", "2"],
+    "top-n-above-d": ["train", "--top-n", "201"],
+}
+
+
+@pytest.mark.parametrize("argv", CONFIG_FAULTS.values(), ids=CONFIG_FAULTS)
+def test_config_fault_exits_2_before_training(tmp_path, monkeypatch, capsys,
+                                              argv):
+    command, *flags = argv
+    if flags[0] == "--config":
+        (tmp_path / "run.config").write_text(flags[1] + "\n")
+        flags = ["--config", str(tmp_path / "run.config")]
+    before = sorted(tmp_path.iterdir())
+    monkeypatch.setattr(experiment, "fit", _must_not_run)
+    capsys.readouterr()
+    assert cli.main([command, *TINY, "--m", "40", *flags,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert sorted(tmp_path.iterdir()) == before

@@ -1,6 +1,7 @@
 """Pipeline contracts: evaluation against the metric oracle, sweep parity."""
 
 import copy
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,10 +15,11 @@ from bloomemb import experiment
 from bloomemb.codec import ScoreOrder, decode_likelihood_batch, decode_nll_batch, \
     encode_batch, rank_batch
 from bloomemb.experiment import (ConfigError, ExperimentConfig, _ranks,
-                                 build_matrices, evaluate_model, fit,
-                                 load_dataset, run_sweep)
+                                 build_matrices, config_from_text,
+                                 evaluate_model, fit, load_dataset, run_sweep,
+                                 sweep_rows_tsv)
 from bloomemb.metrics import average_precision, reciprocal_rank
-from bloomemb.trainer import forward_batch
+from bloomemb.trainer import forward_batch, init_network
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -193,6 +195,62 @@ def test_config_rejects_test_size_outside_unit_interval(test_size):
         ExperimentConfig(test_size=test_size)
 
 
+CONFIG_FAULTS = {
+    "batch-size-0": {"batch_size": 0},
+    "batch-size-negative": {"batch_size": -5},
+    "epochs-negative": {"epochs": -1},
+    "lr-negative": {"learning_rate": -1.0},
+    "hidden-0": {"hidden": (0,)},
+    "n-clusters-0": {"n_clusters": 0},
+    "d-1": {"d": 1},
+    "noise-2": {"noise": 2.0},
+    "optimizer": {"optimizer": "foo"},
+    "beta1": {"beta1": 1.5},
+    "k-0": {"k": 0},
+    "k-above-m": {"k": 5, "m_in": 4},
+    "data-format": {"data_format": "csv"},
+}
+
+
+@pytest.mark.parametrize("bad", CONFIG_FAULTS.values(), ids=CONFIG_FAULTS)
+def test_config_faults_raise_when_built(bad):
+    with pytest.raises(ConfigError):
+        dataclasses.replace(ExperimentConfig(), **bad)
+
+
+def test_config_checks_k_only_for_an_embedding_and_data_only_if_synthetic():
+    ExperimentConfig(baseline=True, k=5, m_in=4)
+    ExperimentConfig(data_path="profiles.txt", d=1, n_clusters=0)
+
+
+@pytest.mark.parametrize("text,fault", [
+    ("epochs=2\nbatch_size\n", "line 2: expected key=value"),
+    ("# comment\n\nwidth=3\n", "line 3: unknown config key 'width'"),
+    ("epochs=two\n", "line 1: invalid literal"),
+    ("baseline=maybe\n", "line 1: expected a boolean")])
+def test_malformed_config_text_names_the_line(text, fault):
+    with pytest.raises(ConfigError, match=fault):
+        config_from_text(text)
+
+
+def test_diverged_sweep_cells_say_why(monkeypatch):
+    def diverging_network(spec):
+        net = init_network(spec)
+        if spec.layer_sizes[0] < 200:  # the BE cells' m = 40, not d = 200
+            net.biases[-1][:] = np.nan
+        return net
+
+    monkeypatch.setattr(experiment, "init_network", diverging_network)
+    rows = run_sweep(tiny_config(), [0.2], [2], [0, 1])
+    reason = "epoch 1: non-finite activation in forward pass"
+    assert [(r["variant"], np.isnan(r["S_i"]), r["error"]) for r in rows] == [
+        ("baseline", False, ""), ("baseline", False, ""),
+        ("be", True, reason), ("be", True, reason)]
+    lines = sweep_rows_tsv(rows).splitlines()
+    assert [line.split("\t")[-1] for line in lines] == [
+        "error", "", "", reason, reason]
+
+
 def test_import_does_not_load_scipy():
     env = dict(os.environ,
                PYTHONPATH=str(Path(bloomemb.__file__).resolve().parents[1]))
@@ -203,8 +261,8 @@ def test_import_does_not_load_scipy():
 
 
 def test_benchmark_imports_against_the_package():
-    # the benchmark is not run by this suite; importing it catches a
-    # package API change that would break it
+    # importing the benchmark in a fresh process, against the package alone,
+    # catches a package API change that would break it
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), str(root / "bench")]))

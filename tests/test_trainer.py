@@ -300,6 +300,17 @@ class TestTrain:
         for p, b in zip(net.parameters(), before):
             assert np.array_equal(p, b)
 
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_rejects_batch_size_below_one(self, batch_size):
+        dataset = tiny_dataset(np.random.default_rng(13))
+        net = small_net((20, 5, 20), seed=6)
+        before = [p.copy() for p in net.parameters()]
+        with pytest.raises(ValueError, match="batch_size"):
+            train(net, dataset, None, None, OptimizerSpec("adam"), epochs=1,
+                  batch_size=batch_size)
+        for p, b in zip(net.parameters(), before):
+            assert np.array_equal(p, b)
+
     def test_loss_decreases_on_synthetic_task(self):
         ds = generate_synthetic(SyntheticSpec(d=50, n=400, n_clusters=5,
                                               profile_size_min=4,
