@@ -10,6 +10,8 @@ bits survive any overlap with earlier pairs.
 Counting is exact: C[a][b] is the number of instances containing both a
 and b, and the diagonal holds per-item frequencies. The table is kept in
 strict-lower-triangle coordinate form (count, row, col) with row > col.
+Counting is one pass over the packed instances, one group of equal-size
+instances at a time, each group's pairs from one upper-triangle index set.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import SparseInstance
+from .codec import SparseInstance, pack_instances
 from .hashing import HashMatrix
 from .rng import MASK64, SplitMix64
 
@@ -59,28 +61,21 @@ def count_cooccurrences(instances: Sequence[SparseInstance]) -> CooccurrenceTabl
     if not instances:
         raise ValueError("need at least one instance")
     d = instances[0].d
-    for inst in instances:
-        if inst.d != d:
-            raise ValueError(f"mixed dimensionalities: {inst.d} != {d}")
-    diag = np.zeros(d, dtype=np.int64)
-    codes = []
-    for inst in instances:
-        pos = inst.positions.astype(np.int64)
-        diag[pos - 1] += 1
-        if pos.size >= 2:
-            lo, hi = np.triu_indices(pos.size, k=1)
-            # positions are sorted ascending, so pos[hi] > pos[lo]
-            codes.append(pos[hi] * (d + 1) + pos[lo])
-    if codes:
-        uniq, counts = np.unique(np.concatenate(codes), return_counts=True)
-        rows = (uniq // (d + 1)).astype(np.int32)
-        cols = (uniq % (d + 1)).astype(np.int32)
-        values = counts.astype(np.int64)
-    else:
-        rows = np.empty(0, dtype=np.int32)
-        cols = np.empty(0, dtype=np.int32)
-        values = np.empty(0, dtype=np.int64)
-    return CooccurrenceTable(d=d, diag=diag, values=values, rows=rows, cols=cols)
+    indptr, flat = pack_instances(instances, d)
+    diag = np.bincount(flat - 1, minlength=d).astype(np.int64, copy=False)
+    sizes = np.diff(indptr)
+    pos = flat.astype(np.int64)
+    codes = [np.empty(0, dtype=np.int64)]
+    for c in np.unique(sizes[sizes >= 2]):
+        # the (g, c) positions of the g instances of size c, one per row
+        block = pos[indptr[:-1][sizes == c, None] + np.arange(c)]
+        lo, hi = np.triu_indices(c, k=1)
+        # positions are sorted ascending, so block[:, hi] > block[:, lo]
+        codes.append((block[:, hi] * (d + 1) + block[:, lo]).ravel())
+    uniq, counts = np.unique(np.concatenate(codes), return_counts=True)
+    return CooccurrenceTable(d=d, diag=diag, values=counts.astype(np.int64),
+                             rows=(uniq // (d + 1)).astype(np.int32),
+                             cols=(uniq % (d + 1)).astype(np.int32))
 
 
 def average_item_frequency(table: CooccurrenceTable) -> float:

@@ -202,7 +202,10 @@ def _resolve_config(args) -> experiment.ExperimentConfig:
     if getattr(args, "m", None) is not None:
         changes["m_in"] = changes["m_out"] = args.m
     if getattr(args, "hidden", None) is not None:
-        changes["hidden"] = tuple(int(v) for v in args.hidden.split(","))
+        try:  # the rule of the config file's hidden= line
+            changes["hidden"] = experiment._parse_value(args.hidden, tuple[int, ...])
+        except ValueError as exc:
+            raise ConfigError(f"--hidden: {exc}") from None
     if getattr(args, "cbe", False):
         changes["use_cbe"] = True
     if getattr(args, "baseline", False):

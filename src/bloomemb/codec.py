@@ -58,11 +58,9 @@ class SparseInstance:
         pos = np.asarray(self.positions, dtype=np.int32)
         if pos.ndim != 1:
             raise ValueError("positions must be one-dimensional")
-        if pos.size:
-            if pos.min() < 1 or pos.max() > self.d:
-                raise ValueError(f"positions must lie in [1, {self.d}]")
-            if not ((pos[1:] > pos[:-1]).all()):
-                pos = np.unique(pos)
+        pos = np.unique(pos)
+        if pos.size and (pos[0] < 1 or pos[-1] > self.d):
+            raise ValueError(f"positions must lie in [1, {self.d}]")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
@@ -85,8 +83,13 @@ class SparseInstance:
 # ---------------------------------------------------------------------------
 
 
-def pack_instances(instances: Sequence[SparseInstance]) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten instances to (indptr, positions) CSR-style arrays."""
+def pack_instances(instances: Sequence[SparseInstance],
+                   d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten instances to (indptr, positions) CSR-style arrays; the one
+    place that checks each instance's dimensionality against d."""
+    for inst in instances:
+        if inst.d != d:
+            raise ValueError(f"mixed dimensionalities: instance d {inst.d} != {d}")
     indptr = np.zeros(len(instances) + 1, dtype=np.int64)
     np.cumsum([inst.c for inst in instances], out=indptr[1:])
     flat = np.concatenate([np.empty(0, dtype=np.int32),
@@ -96,11 +99,7 @@ def pack_instances(instances: Sequence[SparseInstance]) -> tuple[np.ndarray, np.
 
 def encode_batch(instances: Sequence[SparseInstance], matrix: HashMatrix) -> np.ndarray:
     """Embed instances into an (n, m) uint8 bit array; O(c*k) per instance."""
-    for inst in instances:
-        if inst.d != matrix.d:
-            raise ValueError(
-                f"instance dimensionality {inst.d} != matrix d {matrix.d}")
-    indptr, flat = pack_instances(instances)
+    indptr, flat = pack_instances(instances, matrix.d)
     return kernels.encode_bits(matrix.rows, indptr, flat, matrix.m)
 
 

@@ -48,8 +48,6 @@ class ProfileDataset:
         for inp, out in self.train + self.test:
             if inp.c == 0 or out.c == 0:
                 raise ValueError("profile with empty input or output side")
-            if inp.d != self.d or out.d != self.d:
-                raise ValueError("profile dimensionality does not match dataset")
 
     @property
     def n(self) -> int:

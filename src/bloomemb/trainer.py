@@ -137,17 +137,14 @@ def forward_batch(net: Network, x: np.ndarray,
     activations = [a]
     pre = []
     last = len(net.weights) - 1
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
-        if l < last:
-            a = np.maximum(z, 0)
-        else:
-            # a non-finite logit makes NaNs here; the check below reports them
-            with np.errstate(invalid="ignore", over="ignore"):
-                a = _softmax(z)
-        if keep_cache:
-            pre.append(z)
-            activations.append(a)
+    # an overflow ends in a non-finite output, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+            z = a @ w + b
+            a = np.maximum(z, 0) if l < last else _softmax(z)
+            if keep_cache:
+                pre.append(z)
+                activations.append(a)
     if not np.isfinite(a).all():
         raise FloatingPointError("non-finite activation in forward pass")
     if keep_cache:
@@ -270,8 +267,10 @@ def backward_and_step(net: Network, batch: tuple[np.ndarray, np.ndarray],
         raise ValueError("batch must be nonempty")
     if state is None:
         state = _OptimizerState(net, optimizer)
-    loss, grads = gradients(net, x, targets)
-    _apply_update(net, grads, state)
+    # an overflowing step leaves non-finite weights the next forward rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grads = gradients(net, x, targets)
+        _apply_update(net, grads, state)
     return loss, state
 
 

@@ -30,10 +30,12 @@ class TestCounting:
         assert len(table.values) == 0
         assert table.diag.tolist() == [1, 0, 2, 0, 1]
 
-    def test_against_dense_matrix_product_oracle(self):
+    # at 0.02 nearly every instance holds 0 or 1 items, at 0.6 up to 18 of 20
+    @pytest.mark.parametrize("density", [0.02, 0.15, 0.6])
+    def test_against_dense_matrix_product_oracle(self, density):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            x = (rng.random((50, 20)) < 0.15).astype(np.int64)
+            x = (rng.random((50, 20)) < density).astype(np.int64)
             instances = [SparseInstance.from_items(20, np.flatnonzero(row) + 1)
                          for row in x]
             table = count_cooccurrences(instances)

@@ -6,9 +6,10 @@ run's ``<out>.config`` reproduces its outputs byte for byte.
 
 import os
 
+import numpy as np
 import pytest
 
-from bloomemb import cli, experiment
+from bloomemb import cbe, cli, codec, experiment, hashing
 
 TINY = ["--synthetic", "--d", "200", "--n", "500", "--epochs", "2"]
 
@@ -24,6 +25,88 @@ def test_train_config_replay_is_byte_identical(tmp_path):
             assert a.read() == b.read(), suffix
     with open(first + ".config") as a, open(second + ".config") as b:
         assert a.read() == b.read()
+
+
+def write_instances(path) -> list[list[int]]:
+    """Instances over 40 items that all hold items 1 and 2, so that CBE
+    selects the pair (2, 1); the empty line is the empty instance."""
+    rng = np.random.default_rng(7)
+    sets = [[1, 2, *sorted(rng.choice(np.arange(3, 41), size=3, replace=False)
+                           .tolist())] for _ in range(30)] + [[]]
+    path.write_text("".join(" ".join(map(str, s)) + "\n" for s in sets))
+    return sets
+
+
+def test_build_hash_encode_decode_round_trip(tmp_path):
+    h, bits, scores = (str(tmp_path / name) for name in ("h.bin", "bits", "tsv"))
+    instances = tmp_path / "instances.txt"
+    sets = write_instances(instances)
+    assert cli.main(["build-hash", "--d", "40", "--m", "16", "--k", "3",
+                     "--seed", "4", "--format", "binary", "--out", h]) == 0
+    assert cli.main(["encode", "--hash", h, "--instances", str(instances),
+                     "--out", bits]) == 0
+    assert cli.main(["decode", "--hash", h, "--embeddings", bits,
+                     "--out", scores]) == 0
+    for out in (h, bits, scores):
+        assert os.path.exists(out + ".config")
+    header, *lines = open(scores).read().splitlines()
+    assert header == "instance\titem\tscore"
+    score = {(int(i), int(item)): float(s)
+             for i, item, s in (line.split("\t") for line in lines)}
+    assert len(score) == len(sets) * 40
+    # a Bloom embedding has no false negatives: every member decodes to 1
+    assert all(score[i, item] == 1.0 for i, s in enumerate(sets) for item in s)
+
+
+def test_cbe_command_matches_the_library(tmp_path):
+    h, out, stats = (str(tmp_path / name) for name in ("h.txt", "cbe.txt", "tsv"))
+    instances = tmp_path / "instances.txt"
+    write_instances(instances)
+    assert cli.main(["build-hash", "--d", "40", "--m", "16", "--k", "3",
+                     "--out", h]) == 0
+    assert cli.main(["cbe", "--hash", h, "--instances", str(instances),
+                     "--seed", "5", "--out", out, "--stats-out", stats]) == 0
+    table = cbe.count_cooccurrences(codec.read_instances(instances, 40))
+    pairs = cbe.threshold_and_order(table)
+    assert len(pairs)
+    expected = cbe.rebuild_hash_matrix(hashing.load_hash_matrix(h), pairs, 5)
+    assert np.array_equal(hashing.load_hash_matrix(out).rows, expected.rows)
+    assert open(stats).readline() == \
+        "side\tpercent_cooccurring_pairs\tmean_ratio_rho\n"
+    assert os.path.exists(out + ".config")
+
+
+def test_evaluate_scores_like_run_experiment_on_the_logged_config(tmp_path):
+    model, out = str(tmp_path / "be.model"), str(tmp_path / "eval.tsv")
+    assert cli.main(["train", *TINY, "--m", "40", "--out", model]) == 0
+    assert cli.main(["evaluate", "--config", model + ".config",
+                     "--model", model, "--out", out]) == 0
+    header, row = open(out).read().splitlines()
+    assert header == "measure\tscore\tn_evaluated\tseconds"
+    cfg = experiment.config_from_text(open(model + ".config").read())
+    score = experiment.run_experiment(cfg).evaluation.score
+    assert row.split("\t")[1] == f"{score:.10g}"
+    assert os.path.exists(out + ".config")
+
+
+def test_sweep_writes_one_row_per_cell(tmp_path):
+    out = str(tmp_path / "sweep.tsv")
+    assert cli.main(["sweep", *TINY, "--m-ratios", "0.1,0.2", "--k-values", "2",
+                     "--out", out]) == 0
+    header, *rows = open(out).read().splitlines()
+    assert header.split("\t") == list(experiment.SWEEP_COLUMNS)
+    assert [tuple(row.split("\t")[1:5]) for row in rows] == [
+        ("baseline", "1", "1", "0"), ("be", "2", "0.1", "0"),
+        ("be", "2", "0.2", "0")]
+    assert os.path.exists(out + ".config")
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("encode", ["--instances", "x"]), ("decode", ["--embeddings", "x"]),
+    ("cbe", ["--instances", "x", "--stats-out", "s"])])
+def test_missing_hash_file_is_a_data_fault(tmp_path, command, flags):
+    assert cli.main([command, "--hash", str(tmp_path / "no-such-hash"), *flags,
+                     "--out", str(tmp_path / "out")]) == 1
 
 
 def test_m_above_d_is_a_config_fault(tmp_path):
@@ -138,6 +221,8 @@ CONFIG_FAULTS = {
     "epochs-negative": ["train", "--epochs", "-1"],
     "lr-negative": ["train", "--lr", "-1"],
     "hidden-0": ["train", "--hidden", "0"],
+    "hidden-abc": ["train", "--hidden", "abc"],
+    "hidden-trailing-comma": ["train", "--hidden", "100,"],
     "n-clusters-0": ["train", "--n-clusters", "0"],
     "d-1": ["train", "--d", "1"],
     "noise-2": ["train", "--noise", "2"],

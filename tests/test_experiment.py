@@ -12,12 +12,13 @@ import pytest
 
 import bloomemb
 from bloomemb import experiment
+from bloomemb.cbe import count_cooccurrences, threshold_and_order
 from bloomemb.codec import ScoreOrder, decode_likelihood_batch, decode_nll_batch, \
     encode_batch, rank_batch
 from bloomemb.experiment import (ConfigError, ExperimentConfig, _ranks,
                                  build_matrices, config_from_text,
-                                 evaluate_model, fit, load_dataset, run_sweep,
-                                 sweep_rows_tsv)
+                                 evaluate_model, fit, load_dataset,
+                                 run_experiment, run_sweep, sweep_rows_tsv)
 from bloomemb.metrics import average_precision, reciprocal_rank
 from bloomemb.trainer import forward_batch, init_network
 
@@ -233,7 +234,14 @@ def test_malformed_config_text_names_the_line(text, fault):
         config_from_text(text)
 
 
-def test_diverged_sweep_cells_say_why(monkeypatch):
+DIVERGED = "epoch 1: non-finite activation in forward pass"
+
+
+# NaN output biases make only the BE cells diverge; at lr 1e30 every cell's
+# first Adam step overflows the next forward pass, which must raise, not warn
+@pytest.mark.parametrize("overrides,baseline_error", [
+    ({}, ""), ({"learning_rate": 1e30}, DIVERGED)], ids=["nan-bias", "lr-1e30"])
+def test_diverged_sweep_cells_say_why(monkeypatch, overrides, baseline_error):
     def diverging_network(spec):
         net = init_network(spec)
         if spec.layer_sizes[0] < 200:  # the BE cells' m = 40, not d = 200
@@ -241,14 +249,47 @@ def test_diverged_sweep_cells_say_why(monkeypatch):
         return net
 
     monkeypatch.setattr(experiment, "init_network", diverging_network)
-    rows = run_sweep(tiny_config(), [0.2], [2], [0, 1])
-    reason = "epoch 1: non-finite activation in forward pass"
+    rows = run_sweep(tiny_config(**overrides), [0.2], [2], [0, 1])
+    reason = DIVERGED
+    base = ("baseline", bool(baseline_error), baseline_error)
     assert [(r["variant"], np.isnan(r["S_i"]), r["error"]) for r in rows] == [
-        ("baseline", False, ""), ("baseline", False, ""),
-        ("be", True, reason), ("be", True, reason)]
+        base, base, ("be", True, reason), ("be", True, reason)]
     lines = sweep_rows_tsv(rows).splitlines()
     assert [line.split("\t")[-1] for line in lines] == [
-        "error", "", "", reason, reason]
+        "error", baseline_error, baseline_error, reason, reason]
+
+
+def write_skewed_triples(path) -> None:
+    """Profiles 1 2 x y 3 4 in time order, x and y drawn from items 5..30:
+    every split puts item 1 in the input and item 4 in the target, mostly
+    with 2 and 3, so both sides count some pairs far above the average."""
+    rng = np.random.default_rng(5)
+    lines = []
+    for user in range(120):
+        middle = rng.choice(np.arange(5, 31), size=2, replace=False)
+        for t, item in enumerate([1, 2, *middle, 3, 4]):
+            lines.append(f"u{user} {item} {t}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_cbe_gives_the_most_frequent_pair_a_shared_bit(tmp_path):
+    path = tmp_path / "skewed.txt"
+    write_skewed_triples(path)
+    cfg = ExperimentConfig(data_path=str(path), use_cbe=True, m_in=12,
+                           m_out=12, k=2, epochs=2)
+    ds = load_dataset(cfg)
+    rebuilt = build_matrices(cfg, ds)
+    plain = build_matrices(dataclasses.replace(cfg, use_cbe=False), ds)
+    for side in (0, 1):
+        assert not np.array_equal(rebuilt[side].rows, plain[side].rows)
+        table = count_cooccurrences([p[side] for p in ds.train_profiles()])
+        # the last pair steered is the one with the highest count
+        a, b = threshold_and_order(table)[-1]
+        assert table.values[(table.rows == a) & (table.cols == b)] == \
+            table.values.max()
+        rows = rebuilt[side].rows
+        assert set(rows[a - 1].tolist()) & set(rows[b - 1].tolist())
+    assert np.isfinite(run_experiment(cfg).evaluation.score)
 
 
 def test_import_does_not_load_scipy():
