@@ -12,7 +12,7 @@ from .cbe import (CooccurrenceStats, CooccurrenceTable, cooccurrence_stats,
 from .codec import (ScoreOrder, SparseInstance, decode_likelihood_batch,
                     decode_nll_batch, encode_batch, rank_batch)
 from .data import (DataError, ProfileDataset, SyntheticSpec, generate_synthetic,
-                   load_profiles, split_profile)
+                   load_profiles)
 from .experiment import (ExperimentConfig, ExperimentOutcome, config_from_text,
                          config_to_text, evaluate_model, fit, run_experiment,
                          run_sweep)

@@ -7,14 +7,20 @@ re-indexed densely to 1..d (lexicographic order of the external ids). A
 random share of the profiles is held out once, at build time, as the test
 list; the rest, in file or generation order, is the training list.
 
-Input file formats:
+Input files are UTF-8 text in one of two formats:
 
 * triples — one interaction per line: ``user item [timestamp [rating]]``.
-  Profiles are ordered by timestamp when present (stable; file order
-  breaks ties and substitutes for missing timestamps). With a rating
-  column, ``rating_threshold`` keeps rows with rating >= threshold.
+  Profiles come in sorted user-id order, their items in timestamp order
+  (stable; file order breaks ties and stands in for missing timestamps).
+  A NaN timestamp or rating is a fault. With a rating column,
+  ``rating_threshold`` keeps rows with rating >= threshold.
 * profiles — one profile per line: space-separated item ids in temporal
   order.
+
+Loading works on whole arrays: rows become profile and item codes (indices
+among the sorted distinct tokens), which de-duplication, both filters and
+re-indexing act on. The seeded generator draws all cuts in profile order,
+then the held-out profiles; synthetic data draws items and cut per profile.
 
 Synthetic datasets draw profiles from latent item clusters so that items
 within a cluster co-occur, which gives the prediction task learnable
@@ -25,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -60,16 +65,6 @@ class ProfileDataset:
         return self.test
 
 
-def split_profile(items: Sequence[int], d: int,
-                  rng: np.random.Generator) -> tuple[SparseInstance, SparseInstance]:
-    """Split an ordered profile at a uniform position; both sides nonempty."""
-    if len(items) < 2:
-        raise DataError(f"cannot split a profile with {len(items)} item(s)")
-    cut = int(rng.integers(1, len(items)))
-    return (SparseInstance.from_items(d, items[:cut]),
-            SparseInstance.from_items(d, items[cut:]))
-
-
 def _split_dataset(d: int, profiles: list[tuple[SparseInstance, SparseInstance]],
                    test_size: float, rng: np.random.Generator) -> ProfileDataset:
     """Hold out round(n * test_size) of the n profiles, chosen by `rng`."""
@@ -86,39 +81,50 @@ def _split_dataset(d: int, profiles: list[tuple[SparseInstance, SparseInstance]]
 # ---------------------------------------------------------------------------
 
 
-def _parse_triples(lines: list[str], rating_threshold: float | None
-                   ) -> dict[str, list[str]]:
-    rows: list[tuple[str, str, float, int]] = []
+def _sorted_codes(tokens: list[str]) -> tuple[np.ndarray, int]:
+    """Each token's index among the sorted distinct tokens, and their count."""
+    index = {tok: i for i, tok in enumerate(sorted(set(tokens)))}
+    return np.fromiter(map(index.get, tokens), np.int64, len(tokens)), len(index)
+
+
+def _parse_triples(tokens: list[list[str]], rating_threshold: float | None
+                   ) -> tuple[np.ndarray, list[str]]:
+    """User codes and items of the kept rows, by user, then timestamp."""
+    users, items, stamps = [], [], []
     saw_rating = False
-    for lineno, line in enumerate(lines, start=1):
-        parts = line.split()
+    for lineno, parts in enumerate(tokens, start=1):
         if not parts:
             continue
         if len(parts) < 2 or len(parts) > 4:
             raise DataError(f"line {lineno}: expected 'user item [timestamp [rating]]'")
-        user, item = parts[0], parts[1]
         try:
             ts = float(parts[2]) if len(parts) >= 3 else float(lineno)
             rating = float(parts[3]) if len(parts) == 4 else None
         except ValueError:
             raise DataError(f"line {lineno}: non-numeric timestamp or rating") from None
+        if ts != ts or rating != rating:
+            raise DataError(f"line {lineno}: NaN timestamp or rating")
         if rating is not None:
             saw_rating = True
             if rating_threshold is not None and rating < rating_threshold:
                 continue
-        rows.append((user, item, ts, lineno))
+        users.append(parts[0])
+        items.append(parts[1])
+        stamps.append(ts)
     if rating_threshold is not None and not saw_rating:
         raise DataError("rating_threshold given but the file has no rating column")
-    rows.sort(key=lambda r: (r[0], r[2], r[3]))  # stable temporal order per user
-    profiles: dict[str, list[str]] = {}
-    for user, item, _, _ in rows:
-        profiles.setdefault(user, []).append(item)
-    return profiles
+    user, _ = _sorted_codes(users)
+    order = np.lexsort((np.array(stamps), user))  # stable: file order breaks ties
+    return user[order], [items[i] for i in order.tolist()]
 
 
-def _parse_profile_lines(lines: list[str]) -> dict[str, list[str]]:
-    return {f"line{i}": line.split()
-            for i, line in enumerate(lines, start=1) if line.split()}
+def _read_text(source) -> str:
+    if hasattr(source, "read"):
+        return source.read()
+    try:
+        return Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{source}: not UTF-8 text (byte {exc.start})") from None
 
 
 def load_profiles(source,
@@ -135,51 +141,42 @@ def load_profiles(source,
     filtering and de-duplication). Splitting and test selection use a
     generator seeded with `seed`.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
-    lines = text.splitlines()
+    tokens = [ln.split() for ln in _read_text(source).splitlines()]
+    rows = [p for p in tokens if p]
     if fmt == "auto":
         # triples files repeat the user column; anything else reads as profiles
-        tokens = [ln.split() for ln in lines if ln.split()]
-        if tokens and all(2 <= len(p) <= 4 for p in tokens):
-            firsts = [p[0] for p in tokens]
-            fmt = "triples" if len(set(firsts)) < len(firsts) else "profiles"
-        else:
-            fmt = "profiles"
+        repeats = len({p[0] for p in rows}) < len(rows)
+        fmt = "triples" if repeats and all(2 <= len(p) <= 4 for p in rows) else "profiles"
     if fmt == "triples":
-        raw = _parse_triples(lines, rating_threshold)
+        prof, items = _parse_triples(tokens, rating_threshold)
     elif fmt == "profiles":
-        raw = _parse_profile_lines(lines)
+        prof = np.repeat(np.arange(len(rows)), [len(p) for p in rows])
+        items = [it for p in rows for it in p]
     else:
         raise DataError(f"unknown format {fmt!r}")
+    code, n_items = _sorted_codes(items)
 
-    # de-duplicate within profile, keeping first (earliest) occurrence
-    ordered: list[list[str]] = []
-    for items in raw.values():
-        seen: set[str] = set()
-        uniq = [it for it in items if not (it in seen or seen.add(it))]
-        ordered.append(uniq)
-
-    counts: dict[str, int] = {}
-    for items in ordered:
-        for it in items:
-            counts[it] = counts.get(it, 0) + 1
-    kept_items = {it for it, c in counts.items() if c >= min_item_count}
-    filtered = [[it for it in items if it in kept_items] for items in ordered]
-    filtered = [items for items in filtered
-                if len(items) >= max(min_profile_size, 2)]
-    if not filtered:
+    # first (earliest) occurrence of each item in its profile
+    first = np.zeros(code.size, dtype=bool)
+    first[np.unique(prof * n_items + code, return_index=True)[1]] = True
+    kept_item = np.bincount(code[first], minlength=n_items) >= min_item_count
+    keep = first & kept_item[code]
+    prof, code = prof[keep], code[keep]
+    sizes = np.bincount(prof)
+    long_enough = sizes >= max(min_profile_size, 2)
+    sizes = sizes[long_enough]
+    if not sizes.size:
         raise DataError("no profiles survive filtering")
 
-    item_index = {it: i + 1 for i, it in enumerate(sorted(kept_items))}
-    d = len(item_index)
+    # dense ids 1..d in the sorted order of the kept external ids
+    dense = np.cumsum(kept_item, dtype=np.int32)[code[long_enough[prof]]]
+    d = int(np.count_nonzero(kept_item))
     rng = np.random.default_rng(seed)
-    profiles = []
-    for items in filtered:
-        dense = [item_index[it] for it in items]
-        profiles.append(split_profile(dense, d, rng))
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    cuts = starts + rng.integers(1, sizes)  # one draw per profile, in order
+    profiles = [(SparseInstance(d, dense[a:c]), SparseInstance(d, dense[c:b]))
+                for a, c, b in zip(starts.tolist(), cuts.tolist(), ends.tolist())]
     return _split_dataset(d, profiles, test_size, rng)
 
 
@@ -243,5 +240,7 @@ def generate_synthetic(spec: SyntheticSpec) -> ProfileDataset:
             if it not in seen:
                 seen.add(it)
                 items.append(it)
-        profiles.append(split_profile(items, spec.d, rng))
+        cut = int(rng.integers(1, len(items)))
+        profiles.append((SparseInstance.from_items(spec.d, items[:cut]),
+                         SparseInstance.from_items(spec.d, items[cut:])))
     return _split_dataset(spec.d, profiles, spec.test_size, rng)

@@ -117,10 +117,14 @@ def test_m_above_d_is_a_config_fault(tmp_path):
 def test_missing_data_file_is_a_data_fault(tmp_path, capsys):
     out = str(tmp_path / "model")
     missing = str(tmp_path / "no-such-file.txt")
-    assert cli.main(["train", "--data", missing, "--m", "40",
-                     "--out", out]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"data error: [Errno 2] No such file or directory: {missing!r}"]
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(b"u1 \xff 1\nu1 2 2\n")
+    for path, message in [
+            (missing, f"[Errno 2] No such file or directory: {missing!r}"),
+            (str(not_utf8), f"{not_utf8}: not UTF-8 text (byte 3)")]:
+        assert cli.main(["train", "--data", path, "--m", "40",
+                         "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
 
 
 def test_build_hash_with_k_above_m_is_a_config_fault(tmp_path):

@@ -1,16 +1,20 @@
-"""Frozen outputs of the seeded hashing and evaluation paths.
+"""Frozen outputs of the seeded hashing, loading and evaluation paths.
 
-Hash rows, encodings, CBE rebuilds and evaluation scores must stay
-bit-identical for a fixed seed, so checkpoints, matrices and sweep scores
-written by one version are reproduced by the next. The expected values
+Hash rows, encodings, CBE rebuilds, a loaded file's cuts and test split,
+and evaluation scores must stay bit-identical for a fixed seed, so
+checkpoints, matrices, datasets and sweep scores written or read by one
+version are reproduced by the next. The expected values
 were captured once and must never be edited to make a change pass.
 """
+
+import io
 
 import numpy as np
 import pytest
 
 from bloomemb import (ExperimentConfig, SparseInstance, build_hash_matrix,
-                      encode_batch, evaluate_model, rebuild_hash_matrix)
+                      encode_batch, evaluate_model, load_profiles,
+                      rebuild_hash_matrix)
 from bloomemb.experiment import build_matrices, fit, load_dataset, run_sweep
 
 
@@ -56,6 +60,24 @@ def test_rebuild_hash_matrix_rows():
     assert rebuilt.rows.tolist() == [
         [10, 2, 8], [8, 5, 6], [1, 8, 7], [7, 8, 4], [5, 7, 3], [3, 10, 5],
         [4, 1, 5], [9, 5, 1], [3, 10, 2], [7, 9, 8]]
+
+
+def test_load_profiles_cuts_and_split():
+    # timestamp ties, repeated items, ratings below 3 and an item ("f") that
+    # min_item_count drops
+    text = ("ann b 3 5\nann a 1 4\nann c 1 2\nann b 4 5\nann d 1 5\n"
+            "bob a 2 5\nbob e 2 3\nbob c 1 5\nbob b 2 4\n"
+            "cat d 5 4\ncat a 5 1\ncat b 6 5\ncat e 7 5\ncat c 5 5\n"
+            "dan c 1 5\ndan b 1 4\ndan a 2 5\ndan c 0 4\n"
+            "eve f 1 5\neve e 2 5\neve d 2 5\neve a 3 2\neve b 3 3\n"
+            "fay b 9 4\nfay a 8 4\nfay d 8 4\nfay b 7 5\n")
+    ds = load_profiles(io.StringIO(text), min_item_count=2, rating_threshold=3,
+                       test_size=0.34, seed=5)
+    assert ds.d == 5
+    assert [(i.positions.tolist(), o.positions.tolist()) for i, o in ds.train] == [
+        ([1, 4], [2]), ([4], [2, 3, 5]), ([5], [2, 4]), ([1, 2], [4])]
+    assert [(i.positions.tolist(), o.positions.tolist()) for i, o in ds.test] == [
+        ([1, 3, 5], [2]), ([2, 3], [1])]
 
 
 @pytest.fixture(scope="module")
