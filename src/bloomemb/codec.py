@@ -6,13 +6,14 @@ position of every instance, the bits at its k projected embedding
 positions, giving an (n, m) bit array. Decoding maps (n, m) probabilities
 back to (n, d) per-item scores: the likelihood of item i is the product of
 the probabilities at its k projections, and the negative-log variant is
-the numerically stable form of the same ranking. Ranking turns scores
-into best-first item ids; :func:`rank_batch` serves the top-n score dumps
-and is the oracle the tests hold evaluation to, while
+the numerically stable form of the same ranking; both decoders fold the
+k gathered columns in one combine. Ranking turns scores into best-first
+item ids; :func:`rank_batch` serves the top-n score dumps and is the
+oracle the tests hold evaluation to, while
 :func:`bloomemb.experiment.evaluate_model` counts only the relevant items'
-ranks, with the same tie rule. Membership never produces false negatives; false
-positives occur when all k projections of an absent item collide with set
-bits. The no-embedding baseline is the identity matrix (m = d, k = 1),
+ranks, with the same tie rule. Membership never produces false negatives;
+false positives occur when all k projections of an absent item collide
+with set bits. The no-embedding baseline is the identity matrix (m = d, k = 1),
 whose encoding is the multi-hot vector and whose likelihood decoding
 returns the probabilities unchanged.
 
@@ -34,7 +35,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import kernels
 from .hashing import HashMatrix
 
 DEFAULT_NLL_EPSILON = 1e-12
@@ -100,7 +100,10 @@ def pack_instances(instances: Sequence[SparseInstance],
 def encode_batch(instances: Sequence[SparseInstance], matrix: HashMatrix) -> np.ndarray:
     """Embed instances into an (n, m) uint8 bit array; O(c*k) per instance."""
     indptr, flat = pack_instances(instances, matrix.d)
-    return kernels.encode_bits(matrix.rows, indptr, flat, matrix.m)
+    out = np.zeros((len(instances), matrix.m), dtype=np.uint8)
+    owner = np.repeat(np.arange(len(instances)), np.diff(indptr) * matrix.k)
+    out[owner, matrix.rows[flat - 1].ravel() - 1] = 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -108,15 +111,28 @@ def encode_batch(instances: Sequence[SparseInstance], matrix: HashMatrix) -> np.
 # ---------------------------------------------------------------------------
 
 
+def _probabilities(probs: np.ndarray, matrix: HashMatrix) -> np.ndarray:
+    """Check the width of (n, m) probabilities and take them to float64."""
+    if probs.shape[1] != matrix.m:
+        raise ValueError(f"probability width {probs.shape[1]} != matrix m {matrix.m}")
+    return np.ascontiguousarray(probs, dtype=np.float64)
+
+
+def _combine(values: np.ndarray, matrix: HashMatrix, op: np.ufunc) -> np.ndarray:
+    """(n, m) per-bit values -> (n, d) `op`-folds of each item's k columns."""
+    idx = matrix.rows - 1
+    out = values.take(idx[:, 0], axis=1)
+    for j in range(1, matrix.k):
+        op(out, values.take(idx[:, j], axis=1), out=out)
+    return out
+
+
 def decode_likelihood_batch(probs: np.ndarray, matrix: HashMatrix) -> np.ndarray:
     """(n, m) probabilities -> (n, d) likelihood scores; higher is better.
 
     Item i scores the product of the probabilities at its k projections.
     """
-    if probs.shape[1] != matrix.m:
-        raise ValueError(f"probability width {probs.shape[1]} != matrix m {matrix.m}")
-    return kernels.decode_likelihood_bulk(
-        np.ascontiguousarray(probs, dtype=np.float64), matrix.rows)
+    return _combine(_probabilities(probs, matrix), matrix, np.multiply)
 
 
 def decode_nll_batch(probs: np.ndarray, matrix: HashMatrix,
@@ -127,12 +143,10 @@ def decode_nll_batch(probs: np.ndarray, matrix: HashMatrix,
     items whose projected probabilities all exceed epsilon, ascending order
     equals the descending likelihood order.
     """
-    if probs.shape[1] != matrix.m:
-        raise ValueError(f"probability width {probs.shape[1]} != matrix m {matrix.m}")
+    probs = _probabilities(probs, matrix)
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return kernels.decode_nll_bulk(
-        np.ascontiguousarray(probs, dtype=np.float64), matrix.rows, epsilon)
+    return _combine(-np.log(np.maximum(probs, epsilon)), matrix, np.add)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ list; the rest, in file or generation order, is the training list.
 Input files are UTF-8 text in one of two formats:
 
 * triples — one interaction per line: ``user item [timestamp [rating]]``.
+  Every row carries a timestamp or none does; a mixed file is a fault.
   Profiles come in sorted user-id order, their items in timestamp order
-  (stable; file order breaks ties and stands in for missing timestamps).
+  (stable; file order breaks ties and orders a file without timestamps).
   A NaN timestamp or rating is a fault. With a rating column,
   ``rating_threshold`` keeps rows with rating >= threshold.
 * profiles — one profile per line: space-separated item ids in temporal
@@ -87,18 +88,25 @@ def _sorted_codes(tokens: list[str]) -> tuple[np.ndarray, int]:
     return np.fromiter(map(index.get, tokens), np.int64, len(tokens)), len(index)
 
 
-def _parse_triples(tokens: list[list[str]], rating_threshold: float | None
-                   ) -> tuple[np.ndarray, list[str]]:
+def _parse_triples(tokens: list[list[str]], rating_threshold: float | None,
+                   fmt: str) -> tuple[np.ndarray, list[str]]:
     """User codes and items of the kept rows, by user, then timestamp."""
     users, items, stamps = [], [], []
     saw_rating = False
+    first = None  # (line, has a timestamp) of the first row
     for lineno, parts in enumerate(tokens, start=1):
         if not parts:
             continue
         if len(parts) < 2 or len(parts) > 4:
             raise DataError(f"line {lineno}: expected 'user item [timestamp [rating]]'")
+        stamped = len(parts) >= 3
+        first = first or (lineno, stamped)
+        if stamped != first[1]:
+            raise DataError(f"line {lineno}: {'a' if stamped else 'no'} timestamp, unlike "
+                            f"line {first[0]}; as triples (data_format {fmt!r}), "
+                            "every row or none has one")
         try:
-            ts = float(parts[2]) if len(parts) >= 3 else float(lineno)
+            ts = float(parts[2]) if stamped else 0.0
             rating = float(parts[3]) if len(parts) == 4 else None
         except ValueError:
             raise DataError(f"line {lineno}: non-numeric timestamp or rating") from None
@@ -143,13 +151,15 @@ def load_profiles(source,
     """
     tokens = [ln.split() for ln in _read_text(source).splitlines()]
     rows = [p for p in tokens if p]
+    read_as = fmt
     if fmt == "auto":
         # triples files repeat the user column; anything else reads as profiles
         repeats = len({p[0] for p in rows}) < len(rows)
-        fmt = "triples" if repeats and all(2 <= len(p) <= 4 for p in rows) else "profiles"
-    if fmt == "triples":
-        prof, items = _parse_triples(tokens, rating_threshold)
-    elif fmt == "profiles":
+        read_as = ("triples" if repeats and all(2 <= len(p) <= 4 for p in rows)
+                   else "profiles")
+    if read_as == "triples":
+        prof, items = _parse_triples(tokens, rating_threshold, fmt)
+    elif read_as == "profiles":
         prof = np.repeat(np.arange(len(rows)), [len(p) for p in rows])
         items = [it for p in rows for it in p]
     else:

@@ -254,9 +254,10 @@ def _ranks(row: np.ndarray, items: np.ndarray, descending: bool) -> np.ndarray:
 
     Item p is preceded by every item that beats it (scores higher when
     `descending`, lower otherwise) and by every lower id that ties it: the
-    order of a stable sort. Both counts come from one sort of the row's
-    values and binary searches of the relevant scores in it, so the cost is
-    O(d log d) per row whatever the number of relevant items.
+    order of a stable sort. The items that beat p are a binary search of
+    its score in one sort of the row, so the cost is O(d log d) per row
+    whatever the number of relevant items; a tied item also counts the
+    equal scores at lower ids, O(d) each.
     """
     d = row.size
     values = row[items - 1]
@@ -264,16 +265,8 @@ def _ranks(row: np.ndarray, items: np.ndarray, descending: bool) -> np.ndarray:
     lo = np.searchsorted(ordered, values, "left")
     hi = np.searchsorted(ordered, values, "right")
     ranks = 1 + (d - hi if descending else lo)
-    tied = hi - lo > 1
-    if tied.any():
-        # count the equal scores at lower ids, keyed (tie group, id)
-        groups = np.unique(values[tied])
-        slot = np.minimum(np.searchsorted(groups, row), groups.size - 1)
-        ids = np.flatnonzero(groups[slot] == row)
-        keys = np.sort(slot[ids] * d + ids)
-        first = np.searchsorted(groups, values[tied]) * d
-        ranks[tied] += (np.searchsorted(keys, first + items[tied] - 1)
-                        - np.searchsorted(keys, first))
+    for i in np.flatnonzero(hi - lo > 1):
+        ranks[i] += np.count_nonzero(row[:items[i] - 1] == values[i])
     return ranks
 
 
@@ -290,9 +283,9 @@ def evaluate_model(net: Network,
     relevant items are ranked, each by counting: for decoded scores s, item
     p ranks 1 + #{j : s_j beats s_p} + #{j < p : s_j = s_p}, where beating
     means a higher likelihood or a lower NLL. Ties thus go to the lower item
-    id, as in :func:`bloomemb.codec.rank_batch`. The counts are binary
-    searches in a sort of each row's values; no item permutation is built.
-    Items ranked below `top_n` count as not retrieved.
+    id, as in :func:`bloomemb.codec.rank_batch`. The better scores are
+    counted by binary searches in a sort of each row's values; no item
+    permutation is built. Items ranked below `top_n` count as not retrieved.
     """
     if not test_profiles:
         raise ValueError("no test profiles to evaluate")
@@ -306,7 +299,7 @@ def evaluate_model(net: Network,
         hash_out = identity_hash_matrix(d)
     t0 = time.perf_counter()
     x = encode_batch([p[0] for p in test_profiles], hash_in)
-    probs = forward_batch(net, x.astype(net.dtype)).astype(np.float64)
+    probs = forward_batch(net, x.astype(net.dtype))
     if decode_mode == "likelihood":
         scores = decode_likelihood_batch(probs, hash_out)
     else:

@@ -25,8 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
-from .rng import MASK64
+from .rng import MASK64, SplitMix64, row_stream_seed
 
 _BINARY_MAGIC = b"BEH1"
 
@@ -78,10 +77,33 @@ class HashMatrix:
                 and np.array_equal(self.rows, other.rows))
 
 
+def _build_rows(d: int, m: int, k: int, seed: int) -> np.ndarray:
+    """Draw d rows of k distinct indices from {1..m} by partial Fisher-Yates.
+
+    Each row uses its own SplitMix64 stream (see bloomemb.rng); the swaps are
+    undone after every row so the shared pool stays pristine, which keeps a
+    row a pure function of (m, k, seed, row index).
+    """
+    out = np.empty((d, k), dtype=np.int32)
+    pool = list(range(1, m + 1))
+    targets = [0] * k
+    for i in range(d):
+        stream = SplitMix64(row_stream_seed(seed, i))
+        for j in range(k):
+            t = j + stream.randbelow(m - j)
+            pool[j], pool[t] = pool[t], pool[j]
+            out[i, j] = pool[j]
+            targets[j] = t
+        for j in range(k - 1, -1, -1):
+            t = targets[j]
+            pool[j], pool[t] = pool[t], pool[j]
+    return out
+
+
 def build_hash_matrix(d: int, m: int, k: int, seed: int) -> HashMatrix:
     """Construct the pre-computed matrix; pure function of (d, m, k, seed)."""
     _check_dims(d, m, k)
-    rows = kernels.build_rows(d, m, k, seed & MASK64)
+    rows = _build_rows(d, m, k, seed & MASK64)
     return HashMatrix(d=d, m=m, k=k, seed=seed, rows=rows)
 
 

@@ -18,8 +18,8 @@ Layout of the streams used by the package:
   random-access.
 * Bounded draws use bitmask rejection, which is exactly uniform.
 
-:func:`bloomemb.kernels.build_rows` draws every hash-matrix row from these
-streams; the test suite pins its output to frozen values.
+:func:`bloomemb.hashing.build_hash_matrix` draws every hash-matrix row from
+these streams; the test suite pins its output to frozen values.
 """
 
 from __future__ import annotations

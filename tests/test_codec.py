@@ -128,9 +128,11 @@ class TestDecode:
         assert scores[0, 0] == pytest.approx(0.03, abs=1e-15)
 
     def test_zero_probability_annihilates(self):
-        probs = np.array([[0.0, 0.2, 0.3, 0.4]])
-        scores = decode_likelihood_batch(probs, spec_matrix())
-        assert scores[0, 0] == 0.0  # item 1 projects to position 1
+        # item 1 projects to positions (1, 3): a zero at its first or its
+        # second projection
+        for probs in ([0.0, 0.2, 0.3, 0.4], [0.1, 0.2, 0.0, 0.4]):
+            scores = decode_likelihood_batch(np.array([probs]), spec_matrix())
+            assert scores[0, 0] == 0.0
 
     def test_k1_identity_returns_probs(self):
         rng = np.random.default_rng(8)

@@ -123,6 +123,21 @@ def test_nan_timestamp_or_rating_names_its_line(text, kwargs):
         load(text, fmt="triples", **kwargs)
 
 
+@pytest.mark.parametrize("text,fmt,message", [
+    ("u 5 1000\nu 6\nu 7 1001\n", "triples",
+     "line 2: no timestamp, unlike line 1; as triples (data_format 'triples'), "
+     "every row or none has one"),
+    ("\nu 6\nu 5 1000 4\n", "auto",
+     "line 3: a timestamp, unlike line 2; as triples (data_format 'auto'), "
+     "every row or none has one"),
+], ids=["missing", "extra"])
+def test_a_triples_file_mixing_rows_with_and_without_timestamps_is_a_fault(
+        text, fmt, message):
+    with pytest.raises(DataError) as exc:
+        load(text, fmt=fmt)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # the array pass against the per-profile loader it replaced
 # ---------------------------------------------------------------------------
@@ -133,19 +148,27 @@ def reference_load(text, min_item_count=1, min_profile_size=2, fmt="auto",
     """(d, train, test) as position lists, built one profile at a time."""
     lines = text.splitlines()
     tokens = [ln.split() for ln in lines if ln.split()]
+    setting = fmt
     if fmt == "auto":
         fmt = ("triples" if tokens and all(2 <= len(p) <= 4 for p in tokens)
                and len({p[0] for p in tokens}) < len(tokens) else "profiles")
     if fmt == "triples":
-        rows, saw_rating = [], False
+        rows, saw_rating, first = [], False, None
         for lineno, line in enumerate(lines, start=1):
             parts = line.split()
             if not parts:
                 continue
             if not 2 <= len(parts) <= 4:
                 raise DataError(f"line {lineno}: expected 'user item [timestamp [rating]]'")
+            # every row carries a timestamp or none does
+            first = first or (lineno, len(parts) > 2)
+            if (len(parts) > 2) != first[1]:
+                raise DataError(
+                    f"line {lineno}: {'a' if len(parts) > 2 else 'no'} timestamp, "
+                    f"unlike line {first[0]}; as triples (data_format {setting!r}), "
+                    "every row or none has one")
             try:
-                ts = float(parts[2]) if len(parts) >= 3 else float(lineno)
+                ts = float(parts[2]) if len(parts) >= 3 else 0.0
                 rating = float(parts[3]) if len(parts) == 4 else None
             except ValueError:
                 raise DataError(f"line {lineno}: non-numeric timestamp or rating") from None
@@ -183,15 +206,17 @@ def reference_load(text, min_item_count=1, min_profile_size=2, fmt="auto",
 
 
 def random_text(r: random.Random) -> str:
-    """Triples (2-4 columns, tied or missing timestamps, ratings) or
-    profile lines, over ids whose string order differs from their value."""
+    """Triples (2 columns, or 3-4 with tied timestamps and ratings, or a mix
+    of the two, which is a fault) or profile lines, over ids whose string
+    order differs from their value."""
     users = [f"u{i}" for i in range(r.randint(1, 8))]
     items = [str(i) for i in range(r.randint(2, 15))] + ["a", "b10", "b9"]
     lines = []
     if r.random() < 0.5:
+        widths = r.choice([[2], [3, 4], [2, 3, 3, 4, 4]])
         for _ in range(r.randint(0, 50)):
             row = [r.choice(users), r.choice(items)]
-            cols = r.choice([2, 3, 3, 4, 4])
+            cols = r.choice(widths)
             if cols >= 3:
                 row.append(str(r.randint(0, 5)))
             if cols == 4:
