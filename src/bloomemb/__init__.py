@@ -18,7 +18,7 @@ from .experiment import (ExperimentConfig, ExperimentOutcome, config_from_text,
                          run_sweep)
 from .hashing import (HashMatrix, build_hash_matrix, identity_hash_matrix,
                       load_hash_matrix)
-from .metrics import EvaluationResult, Measure, average_precision, reciprocal_rank
+from .metrics import EvaluationResult, average_precision, reciprocal_rank
 from .trainer import (Network, NetworkSpec, OptimizerSpec, TrainReport,
                       backward_and_step, forward_batch, init_network,
                       load_network, loss_cross_entropy, multi_hot, save_network,

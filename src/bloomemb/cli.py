@@ -1,13 +1,17 @@
 """Command-line interface wiring the modules into reproducible pipelines.
 
-Subcommands: build-hash, encode, decode, cbe, train, evaluate, sweep.
-Every run writes its outputs atomically, logs its fully resolved
-configuration to ``<out>.config`` (re-running from that file reproduces
-the outputs bit-exactly, wall-time fields aside), and exits with code 2
-on configuration faults and 1 on data faults.
-The experiment commands leave config faults to :mod:`bloomemb.experiment`:
-building an ``ExperimentConfig`` rejects those that need no data, and
-``load_dataset`` and ``build_matrices`` those that do, before any training.
+Subcommands: build-hash, encode, decode, cbe, train, evaluate, sweep. Each
+parses its flags, calls the library, whose rules it follows, and writes its
+outputs atomically; it exits with code 2 on configuration faults and 1 on
+data faults. Each logs its configuration to ``<out>.config``: build-hash,
+encode, decode and cbe a ``key=value`` line per flag set, except ``--out``,
+that replays as ``--key value`` with a new ``--out``; train, evaluate and
+sweep the resolved experiment config, that replays as ``--config``. A replay
+matches bit for bit, wall times aside. An experiment flag sets the
+``ExperimentConfig`` field named by its dest, parsed by the config file's
+rule. ``train`` always writes the hash matrices next to the checkpoint, as
+``<out>.hash-in`` and ``<out>.hash-out`` (the identity for the baseline),
+and ``evaluate`` reads them from next to ``--model``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import io
 import os
 import sys
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +53,17 @@ def _log_config(out_path: str, text: str) -> None:
     print(f"config logged to {out_path}.config", file=sys.stderr)
 
 
-def _flags_config_text(args, keys) -> str:
+def _flags_config_text(args) -> str:
     lines = ["# bloomemb resolved flags"]
-    for key in keys:
-        lines.append(f"{key.replace('_', '-')}={getattr(args, key)}")
+    for key, value in vars(args).items():
+        if key not in ("command", "func", "out") and value is not None:
+            lines.append(f"{key.replace('_', '-')}={value}")
     return "\n".join(lines) + "\n"
+
+
+def _write_matrix(path: str, matrix: hashing.HashMatrix, fmt: str) -> None:
+    atomic_write(path, hashing.matrix_to_binary(matrix) if fmt == "binary"
+                 else hashing.matrix_to_text(matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +76,8 @@ def cmd_build_hash(args) -> int:
         matrix = hashing.build_hash_matrix(args.d, args.m, args.k, args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if args.format == "binary":
-        payload = hashing.matrix_to_binary(matrix)
-    else:
-        payload = hashing.matrix_to_text(matrix)
-    atomic_write(args.out, payload)
-    _log_config(args.out, _flags_config_text(args, ("d", "m", "k", "seed", "format")))
+    _write_matrix(args.out, matrix, args.format)
+    _log_config(args.out, _flags_config_text(args))
     return 0
 
 
@@ -81,25 +88,24 @@ def _load_matrix(path: str) -> hashing.HashMatrix:
         raise DataError(f"cannot load hash matrix {path}: {exc}") from None
 
 
+def _read_instances(path: str, d: int) -> list[codec.SparseInstance]:
+    try:
+        return codec.read_instances(path, d)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read instances {path}: {exc}") from None
+
+
 def cmd_encode(args) -> int:
     matrix = _load_matrix(args.hash)
-    try:
-        instances = codec.read_instances(args.instances, matrix.d)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read instances {args.instances}: {exc}") from None
-    bits = codec.encode_batch(instances, matrix)
+    bits = codec.encode_batch(_read_instances(args.instances, matrix.d), matrix)
     atomic_write(args.out, codec.write_bit_vectors(bits))
-    _log_config(args.out, _flags_config_text(args, ("hash", "instances")))
+    _log_config(args.out, _flags_config_text(args))
     return 0
 
 
 def _read_probability_lines(path: str, m: int) -> np.ndarray:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(str(exc)) from None
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         vals = line.split()
@@ -129,42 +135,29 @@ def cmd_decode(args) -> int:
         if bits.shape[1] != matrix.m:
             raise DataError(f"embedding width {bits.shape[1]} != matrix m {matrix.m}")
         probs = bits.astype(np.float64)
-    if args.decode == "likelihood":
-        scores = codec.decode_likelihood_batch(probs, matrix)
-        ordering = codec.ScoreOrder.DESCENDING_LIKELIHOOD
-    else:
-        scores = codec.decode_nll_batch(probs, matrix)
-        ordering = codec.ScoreOrder.ASCENDING_NLL
-    top_n = args.top_n if args.top_n is not None else matrix.d
-    if not 1 <= top_n <= matrix.d:
-        raise ConfigError(f"--top-n must lie in [1, {matrix.d}]")
-    ranked = codec.rank_batch(scores, ordering, top_n)
+    try:  # the decode mode and top_n are checked by the codec
+        scores, ordering = codec.decode_batch(probs, matrix, args.decode)
+        ranked = codec.rank_batch(
+            scores, ordering, matrix.d if args.top_n is None else args.top_n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     atomic_write(args.out, codec.write_scores_tsv(ranked, scores))
-    _log_config(args.out, _flags_config_text(
-        args, ("hash", "probs", "embeddings", "decode", "top_n")))
+    _log_config(args.out, _flags_config_text(args))
     return 0
 
 
 def cmd_cbe(args) -> int:
     matrix = _load_matrix(args.hash)
-    try:
-        instances = codec.read_instances(args.instances, matrix.d)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read instances {args.instances}: {exc}") from None
+    instances = _read_instances(args.instances, matrix.d)
     if not instances:
         raise DataError("instance file is empty")
     table = cbe_mod.count_cooccurrences(instances)
     pairs = cbe_mod.threshold_and_order(table)
-    rebuilt = cbe_mod.rebuild_hash_matrix(matrix, pairs, args.seed)
-    if args.format == "binary":
-        payload = hashing.matrix_to_binary(rebuilt)
-    else:
-        payload = hashing.matrix_to_text(rebuilt)
-    atomic_write(args.out, payload)
+    _write_matrix(args.out, cbe_mod.rebuild_hash_matrix(matrix, pairs, args.seed),
+                  args.format)
     stats = cbe_mod.cooccurrence_stats(table, len(instances))
     atomic_write(args.stats_out, cbe_mod.stats_report_tsv(stats))
-    _log_config(args.out, _flags_config_text(
-        args, ("hash", "instances", "seed", "format")))
+    _log_config(args.out, _flags_config_text(args))
     return 0
 
 
@@ -172,13 +165,29 @@ def cmd_cbe(args) -> int:
 # experiment commands
 # ---------------------------------------------------------------------------
 
+# experiment flag -> the ExperimentConfig field it sets (its argparse dest)
+_FIELD_FLAGS = {
+    "--data": "data_path", "--d": "d", "--n": "n", "--n-clusters": "n_clusters",
+    "--noise": "noise", "--k": "k", "--epochs": "epochs",
+    "--optimizer": "optimizer", "--lr": "learning_rate", "--hidden": "hidden",
+    "--batch-size": "batch_size", "--test-size": "test_size",
+    "--decode": "decode_mode", "--top-n": "top_n", "--measure": "measure",
+}
 _SEED_FIELDS = ("data_seed", "hash_seed_in", "hash_seed_out", "cbe_seed",
                 "init_seed", "shuffle_seed")
 
 
+def _parse_flag(flag: str, text: str, annotation):
+    """`text` by the config file's rule for `annotation`; ConfigError if bad."""
+    try:
+        return experiment._parse_value(text, annotation)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def _resolve_config(args) -> experiment.ExperimentConfig:
     """Merge a config file (if given) with command-line flag overrides."""
-    if getattr(args, "config", None):
+    if args.config:
         try:
             text = Path(args.config).read_text()
         except OSError as exc:
@@ -186,33 +195,21 @@ def _resolve_config(args) -> experiment.ExperimentConfig:
         cfg = experiment.config_from_text(text)
     else:
         cfg = experiment.ExperimentConfig()
-    overrides = {
-        "d": "d", "n": "n", "n_clusters": "n_clusters", "noise": "noise",
-        "k": "k", "epochs": "epochs", "optimizer": "optimizer",
-        "lr": "learning_rate", "batch_size": "batch_size",
-        "decode": "decode_mode", "top_n": "top_n", "measure": "measure",
-        "test_size": "test_size",
-    }
-    changes = {field: getattr(args, flag) for flag, field in overrides.items()
-               if getattr(args, flag, None) is not None}
-    if getattr(args, "data", None):
-        changes["data_path"] = args.data
-    if getattr(args, "synthetic", False):
+    hints = typing.get_type_hints(experiment.ExperimentConfig)
+    changes = {field: _parse_flag(flag, getattr(args, field), hints[field])
+               for flag, field in _FIELD_FLAGS.items()
+               if getattr(args, field) is not None}
+    if args.synthetic:
         changes["data_path"] = None
-    if getattr(args, "m", None) is not None:
-        changes["m_in"] = changes["m_out"] = args.m
-    if getattr(args, "hidden", None) is not None:
-        try:  # the rule of the config file's hidden= line
-            changes["hidden"] = experiment._parse_value(args.hidden, tuple[int, ...])
-        except ValueError as exc:
-            raise ConfigError(f"--hidden: {exc}") from None
-    if getattr(args, "cbe", False):
+    if args.m is not None:
+        changes["m_in"] = changes["m_out"] = _parse_flag("--m", args.m, int)
+    if args.cbe:
         changes["use_cbe"] = True
-    if getattr(args, "baseline", False):
+    if args.baseline:
         changes["baseline"] = True
-    if getattr(args, "seed", None) is not None:
-        for offset, field in enumerate(_SEED_FIELDS):
-            changes[field] = args.seed + offset
+    if args.seed is not None:
+        seed = _parse_flag("--seed", args.seed, int)
+        changes.update({field: seed + i for i, field in enumerate(_SEED_FIELDS)})
     return dataclasses.replace(cfg, **changes)
 
 
@@ -224,9 +221,8 @@ def cmd_train(args) -> int:
     buf = io.BytesIO()
     trainer.save_network(net, buf)
     atomic_write(args.out, buf.getvalue())
-    if not cfg.baseline:
-        atomic_write(args.out + ".hash-in", hashing.matrix_to_text(h_in))
-        atomic_write(args.out + ".hash-out", hashing.matrix_to_text(h_out))
+    atomic_write(args.out + ".hash-in", hashing.matrix_to_text(h_in))
+    atomic_write(args.out + ".hash-out", hashing.matrix_to_text(h_out))
     lines = ["epoch\tloss\tseconds"]
     for i, (loss, secs) in enumerate(zip(report.epoch_losses, report.epoch_times)):
         lines.append(f"{i + 1}\t{loss:.10g}\t{secs:.6g}")
@@ -242,27 +238,18 @@ def cmd_evaluate(args) -> int:
         net = trainer.load_network(args.model)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot load model {args.model}: {exc}") from None
-    h_in = h_out = None
-    hash_in_path = args.hash_in or (args.model + ".hash-in")
-    hash_out_path = args.hash_out or (args.model + ".hash-out")
-    if not cfg.baseline:
-        if Path(hash_in_path).exists():
-            h_in = _load_matrix(hash_in_path)
-            h_out = _load_matrix(hash_out_path)
-        else:
-            raise ConfigError(
-                "no hash matrices found; pass --hash-in/--hash-out or --baseline")
+    h_in = _load_matrix(args.model + ".hash-in")
+    h_out = _load_matrix(args.model + ".hash-out")
     ds = experiment.load_dataset(cfg)
     result = experiment.evaluate_model(net, ds.test_profiles(), h_in, h_out,
                                        decode_mode=cfg.decode_mode,
                                        measure=cfg.measure, top_n=cfg.top_n)
-    line = (f"measure={result.measure.value} score={result.score:.6g} "
-            f"n={result.n_evaluated} seconds={result.wall_time:.6g}")
-    print(line)
+    print(f"measure={result.measure} score={result.score:.6g} "
+          f"n={result.n_evaluated} seconds={result.wall_time:.6g}")
     if args.out:
         atomic_write(args.out,
                      "measure\tscore\tn_evaluated\tseconds\n"
-                     f"{result.measure.value}\t{result.score:.10g}"
+                     f"{result.measure}\t{result.score:.10g}"
                      f"\t{result.n_evaluated}\t{result.wall_time:.6g}\n")
         _log_config(args.out, experiment.config_to_text(cfg))
     return 0
@@ -270,14 +257,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
-    try:
-        m_ratios = [float(v) for v in args.m_ratios.split(",")]
-        k_values = [int(v) for v in args.k_values.split(",")]
-        seeds = [int(v) for v in args.seeds.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep grid: {exc}") from None
-    rows = experiment.run_sweep(cfg, m_ratios, k_values, seeds,
-                                parallel=args.parallel)
+    rows = experiment.run_sweep(
+        cfg, _parse_flag("--m-ratios", args.m_ratios, tuple[float, ...]),
+        _parse_flag("--k-values", args.k_values, tuple[int, ...]),
+        _parse_flag("--seeds", args.seeds, tuple[int, ...]), parallel=args.parallel)
     atomic_write(args.out, experiment.sweep_rows_tsv(rows))
     _log_config(args.out, experiment.config_to_text(cfg))
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -291,29 +274,16 @@ def cmd_sweep(args) -> int:
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--data", help="profile or triple file")
+    for flag, field in _FIELD_FLAGS.items():
+        p.add_argument(flag, dest=field, help=f"sets {field} by the config file's rule")
     p.add_argument("--synthetic", action="store_true",
                    help="use the synthetic cluster dataset")
-    p.add_argument("--d", type=int, help="item dimensionality (synthetic)")
-    p.add_argument("--n", type=int, help="instance count (synthetic)")
-    p.add_argument("--n-clusters", dest="n_clusters", type=int)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--m", type=int, help="embedding dimensionality (both sides)")
-    p.add_argument("--k", type=int, help="projections per item")
-    p.add_argument("--seed", type=int, help="master seed for all stages")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
-    p.add_argument("--lr", type=float)
-    p.add_argument("--hidden", help="comma-separated hidden layer sizes")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--test-size", dest="test_size", type=float)
+    p.add_argument("--m", help="sets m_in and m_out")
+    p.add_argument("--seed", help=f"sets {', '.join(_SEED_FIELDS)}: SEED, SEED+1, ...")
     p.add_argument("--cbe", action="store_true",
                    help="rebuild hash matrices from co-occurrences")
     p.add_argument("--baseline", action="store_true",
                    help="no-embedding baseline run")
-    p.add_argument("--decode", choices=("likelihood", "nll"))
-    p.add_argument("--top-n", dest="top_n", type=int)
-    p.add_argument("--measure", choices=("MAP", "RR"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hash", required=True)
     p.add_argument("--probs", help="file with one probability vector per line")
     p.add_argument("--embeddings", help="file with one bit vector per line")
-    p.add_argument("--decode", choices=("likelihood", "nll"), default="likelihood")
+    p.add_argument("--decode", default="likelihood")
     p.add_argument("--top-n", dest="top_n", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decode)
@@ -364,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate a trained model")
     _add_experiment_flags(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--hash-in", dest="hash_in")
-    p.add_argument("--hash-out", dest="hash_out")
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 

@@ -7,9 +7,10 @@ positions, giving an (n, m) bit array. Decoding maps (n, m) probabilities
 back to (n, d) per-item scores: the likelihood of item i is the product of
 the probabilities at its k projections, and the negative-log variant is
 the numerically stable form of the same ranking; both decoders fold the
-k gathered columns in one combine. Ranking turns scores into best-first
-item ids; :func:`rank_batch` serves the top-n score dumps and is the
-oracle the tests hold evaluation to, while
+k gathered columns in one combine, and :func:`decode_batch` picks the
+decoder of a decode mode and its :class:`ScoreOrder`. Ranking turns scores
+into best-first item ids; :func:`rank_batch` serves the top-n score dumps
+and is the oracle the tests hold evaluation to, while
 :func:`bloomemb.experiment.evaluate_model` counts only the relevant items'
 ranks, with the same tie rule. Membership never produces false negatives;
 false positives occur when all k projections of an absent item collide
@@ -147,6 +148,16 @@ def decode_nll_batch(probs: np.ndarray, matrix: HashMatrix,
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     return _combine(-np.log(np.maximum(probs, epsilon)), matrix, np.add)
+
+
+def decode_batch(probs: np.ndarray, matrix: HashMatrix,
+                 mode: str) -> tuple[np.ndarray, ScoreOrder]:
+    """(n, m) probabilities -> (n, d) scores of a decode mode and their order."""
+    if mode == "likelihood":
+        return decode_likelihood_batch(probs, matrix), ScoreOrder.DESCENDING_LIKELIHOOD
+    if mode == "nll":
+        return decode_nll_batch(probs, matrix), ScoreOrder.ASCENDING_NLL
+    raise ValueError(f"decode mode must be likelihood or nll, got {mode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,11 @@ from typing import Sequence
 import numpy as np
 
 from . import cbe as cbe_mod
-from .codec import SparseInstance, decode_likelihood_batch, decode_nll_batch, \
-    encode_batch
-from .data import ProfileDataset, SyntheticSpec, generate_synthetic, load_profiles
+from .codec import ScoreOrder, SparseInstance, decode_batch, encode_batch
+from .data import DataError, ProfileDataset, SyntheticSpec, generate_synthetic, \
+    load_profiles
 from .hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
-from .metrics import EvaluationResult, Measure
+from .metrics import EvaluationResult
 from .trainer import Network, NetworkSpec, OptimizerSpec, TrainReport, \
     forward_batch, init_network, train
 
@@ -159,14 +159,13 @@ def _parse_value(text: str, annotation):
         if text.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"expected a boolean, got {text!r}")
-    if annotation is int:
-        return int(text)
-    if annotation is float:
-        return float(text)
+    if annotation in (int, float):
+        return annotation(text)
     if origin is tuple:
         if not text:
             return ()
-        return tuple(int(v) for v in text.split(","))
+        return tuple(_parse_value(v, typing.get_args(annotation)[0])
+                     for v in text.split(","))
     return text
 
 
@@ -179,7 +178,6 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 
 def config_from_text(text: str) -> ExperimentConfig:
     hints = typing.get_type_hints(ExperimentConfig)
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -189,7 +187,7 @@ def config_from_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in fields:
+        if key not in hints:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         try:
             values[key] = _parse_value(val, hints[key])
@@ -279,7 +277,9 @@ def evaluate_model(net: Network,
                    top_n: int | None = None) -> EvaluationResult:
     """Ranked-recovery evaluation over held-out profiles (MAP or RR).
 
-    hash_in/hash_out None = identity (the no-embedding baseline). Only the
+    hash_in/hash_out None = identity (the no-embedding baseline). Before any
+    encoding, an unknown decode mode or measure raises ValueError, and a
+    matrix that does not fit the network or the profiles DataError. Only the
     relevant items are ranked, each by counting: for decoded scores s, item
     p ranks 1 + #{j : s_j beats s_p} + #{j < p : s_j = s_p}, where beating
     means a higher likelihood or a lower NLL. Ties thus go to the lower item
@@ -293,32 +293,36 @@ def evaluate_model(net: Network,
     depth = top_n if top_n is not None else d
     if not 1 <= depth <= d:
         raise ValueError(f"top_n {top_n} out of range [1, {d}]")
+    if measure not in ("MAP", "RR"):
+        raise ValueError(f"measure must be MAP or RR, got {measure!r}")
     if hash_in is None:
         hash_in = identity_hash_matrix(test_profiles[0][0].d)
     if hash_out is None:
         hash_out = identity_hash_matrix(d)
+    for side, matrix, width, items in (
+            ("input", hash_in, net.n_in, test_profiles[0][0].d),
+            ("output", hash_out, net.n_out, d)):
+        if (matrix.m, matrix.d) != (width, items):
+            raise DataError(f"{side} hash matrix has d={matrix.d}, m={matrix.m}; the "
+                            f"network has {width} {side} units, the data {items} items")
+    # decoding no rows checks the mode before the forward pass
+    _, order = decode_batch(np.empty((0, hash_out.m)), hash_out, decode_mode)
+    descending = order is ScoreOrder.DESCENDING_LIKELIHOOD
     t0 = time.perf_counter()
     x = encode_batch([p[0] for p in test_profiles], hash_in)
     probs = forward_batch(net, x.astype(net.dtype))
-    if decode_mode == "likelihood":
-        scores = decode_likelihood_batch(probs, hash_out)
-    else:
-        scores = decode_nll_batch(probs, hash_out)
-    descending = decode_mode == "likelihood"
+    scores, _ = decode_batch(probs, hash_out, decode_mode)
     values = []
     for row, (_, out) in zip(scores, test_profiles):
-        if measure == "MAP":
-            ranks = np.sort(_ranks(row, out.positions, descending))
-            ranks = ranks[ranks <= depth]
-            hits = np.arange(1, ranks.size + 1, dtype=np.float64)
-            values.append(float((hits / ranks).sum() / out.c))
-        else:
-            correct = out.positions.min(keepdims=True)
-            r = int(_ranks(row, correct, descending)[0])
-            values.append(1.0 / r if r <= depth else 0.0)
+        # RR is the average precision of the lowest relevant id alone
+        items = out.positions if measure == "MAP" else out.positions[:1]
+        ranks = np.sort(_ranks(row, items, descending))
+        ranks = ranks[ranks <= depth]
+        hits = np.arange(1, ranks.size + 1, dtype=np.float64)
+        values.append(float((hits / ranks).sum() / items.size))
     wall = time.perf_counter() - t0
     return EvaluationResult(score=float(np.mean(values)),
-                            measure=Measure(measure), n_evaluated=len(values),
+                            measure=measure, n_evaluated=len(values),
                             wall_time=wall)
 
 

@@ -1,33 +1,28 @@
 """Ranking measures.
 
 Average precision (MAP) and reciprocal rank (RR) score one ranked item
-list. Runs are compared in relative terms (score ratio S_i/S_0 against a
+list; an :class:`EvaluationResult` names its measure "MAP" or "RR". Runs
+are compared in relative terms (score ratio S_i/S_0 against a
 no-embedding baseline, dimensionality ratio m/d, time ratio T_i/T_0);
 :func:`bloomemb.experiment.run_sweep` computes those ratios per cell.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Sequence
-
-
-class Measure(enum.Enum):
-    MAP = "MAP"
-    RR = "RR"
 
 
 @dataclass(frozen=True)
 class EvaluationResult:
     score: float
-    measure: Measure
+    measure: str
     n_evaluated: int
     wall_time: float
 
     def __post_init__(self):
         if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"{self.measure.value} must lie in [0, 1], got {self.score}")
+            raise ValueError(f"{self.measure} must lie in [0, 1], got {self.score}")
         if self.wall_time < 0:
             raise ValueError("wall_time must be >= 0")
 

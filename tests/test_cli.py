@@ -5,6 +5,8 @@ run's ``<out>.config`` reproduces its outputs byte for byte.
 """
 
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +60,56 @@ def test_build_hash_encode_decode_round_trip(tmp_path):
     assert all(score[i, item] == 1.0 for i, s in enumerate(sets) for item in s)
 
 
+@pytest.fixture(scope="module")
+def simple_inputs(tmp_path_factory):
+    """A binary hash matrix over 40 items, an instance file, its encoding and
+    a file of probability vectors of width m = 16."""
+    tmp = tmp_path_factory.mktemp("simple")
+    h, bits, probs = (str(tmp / name) for name in ("h.bin", "bits", "probs"))
+    instances = tmp / "instances.txt"
+    write_instances(instances)
+    assert cli.main(["build-hash", "--d", "40", "--m", "16", "--k", "3",
+                     "--format", "binary", "--out", h]) == 0
+    assert cli.main(["encode", "--hash", h, "--instances", str(instances),
+                     "--out", bits]) == 0
+    rows = np.random.default_rng(3).random((5, 16))
+    Path(probs).write_text("".join(" ".join(map(repr, r)) + "\n"
+                                   for r in rows.tolist()))
+    return {"hash": h, "instances": str(instances), "bits": bits, "probs": probs,
+            "stats": str(tmp / "stats.tsv")}
+
+
+SIMPLE_RUNS = {
+    "build-hash-binary": lambda f: ["build-hash", "--d", "40", "--m", "16", "--k",
+                                    "3", "--seed", "9", "--format", "binary"],
+    "encode": lambda f: ["encode", "--hash", f["hash"], "--instances",
+                         f["instances"]],
+    "decode-embeddings": lambda f: ["decode", "--hash", f["hash"], "--embeddings",
+                                    f["bits"], "--top-n", "7"],
+    "decode-probs": lambda f: ["decode", "--hash", f["hash"], "--probs",
+                               f["probs"], "--decode", "nll"],
+    "cbe": lambda f: ["cbe", "--hash", f["hash"], "--instances", f["instances"],
+                      "--seed", "5", "--stats-out", f["stats"]],
+}
+
+
+@pytest.mark.parametrize("run", SIMPLE_RUNS.values(), ids=SIMPLE_RUNS)
+def test_simple_command_config_replay_is_byte_identical(tmp_path, simple_inputs,
+                                                        run):
+    command, *flags = run(simple_inputs)
+    first, second = str(tmp_path / "first"), str(tmp_path / "second")
+    assert cli.main([command, *flags, "--out", first]) == 0
+    # every .config line key=value is the flag --key value
+    header, *lines = Path(first + ".config").read_text().splitlines()
+    assert header.startswith("#")
+    replay = [token for line in lines
+              for token in ("--" + line.partition("=")[0], line.partition("=")[2])]
+    assert cli.main([command, *replay, "--out", second]) == 0
+    assert Path(first).read_bytes() == Path(second).read_bytes()
+    assert Path(first + ".config").read_text() == \
+        Path(second + ".config").read_text()
+
+
 def test_cbe_command_matches_the_library(tmp_path):
     h, out, stats = (str(tmp_path / name) for name in ("h.txt", "cbe.txt", "tsv"))
     instances = tmp_path / "instances.txt"
@@ -76,9 +128,12 @@ def test_cbe_command_matches_the_library(tmp_path):
     assert os.path.exists(out + ".config")
 
 
-def test_evaluate_scores_like_run_experiment_on_the_logged_config(tmp_path):
-    model, out = str(tmp_path / "be.model"), str(tmp_path / "eval.tsv")
-    assert cli.main(["train", *TINY, "--m", "40", "--out", model]) == 0
+@pytest.mark.parametrize("variant", [[], ["--baseline"], ["--cbe"]],
+                         ids=["be", "baseline", "cbe"])
+def test_evaluate_scores_like_run_experiment_on_the_logged_config(tmp_path,
+                                                                  variant):
+    model, out = str(tmp_path / "run.model"), str(tmp_path / "eval.tsv")
+    assert cli.main(["train", *TINY, "--m", "40", *variant, "--out", model]) == 0
     assert cli.main(["evaluate", "--config", model + ".config",
                      "--model", model, "--out", out]) == 0
     header, row = open(out).read().splitlines()
@@ -139,10 +194,57 @@ def test_build_hash_with_k_above_m_is_a_config_fault(tmp_path):
                      "--out", out]) == 2
 
 
-def test_evaluate_without_hash_matrices_is_a_config_fault(tmp_path):
+def test_evaluate_without_hash_in_is_a_data_fault(tmp_path, capsys):
     model = str(tmp_path / "baseline.model")
     assert cli.main(["train", *TINY, "--baseline", "--out", model]) == 0
-    assert cli.main(["evaluate", *TINY, "--model", model]) == 2
+    os.remove(model + ".hash-in")
+    capsys.readouterr()
+    assert cli.main(["evaluate", *TINY, "--baseline", "--model", model]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"data error: cannot load hash matrix "
+                             f"{model}.hash-in: "), err
+
+
+# a model trained on TINY's 200 items, then evaluated on 300 items, or with
+# the sidecar matrices of an m = 60 run next to its m = 40 checkpoint
+MISMATCHES = {
+    "be-d-300": (["--m", "40"], ["--d", "300"], False),
+    "baseline-d-300": (["--baseline"], ["--d", "300"], False),
+    "sidecars-of-m-60": (["--m", "40"], [], True),
+}
+
+
+@pytest.mark.parametrize("train_flags,eval_flags,swap", MISMATCHES.values(),
+                         ids=MISMATCHES)
+def test_evaluate_on_a_mismatched_embedding_is_a_data_fault(
+        tmp_path, monkeypatch, capsys, train_flags, eval_flags, swap):
+    model, other = str(tmp_path / "run.model"), str(tmp_path / "other.model")
+    assert cli.main(["train", *TINY, *train_flags, "--out", model]) == 0
+    if swap:
+        assert cli.main(["train", *TINY, "--m", "60", "--out", other]) == 0
+        for suffix in (".hash-in", ".hash-out"):
+            os.replace(other + suffix, model + suffix)
+    monkeypatch.setattr(experiment, "encode_batch", _must_not_run)
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", model + ".config", *eval_flags,
+                     "--model", model]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: input hash matrix "), err
+
+
+SUBCOMMANDS = ("build-hash", "encode", "decode", "cbe", "train", "evaluate", "sweep")
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exited:
+        cli.main([command, "--help"])
+    assert exited.value.code == 0
+    if command == "train":
+        text = capsys.readouterr().out
+        for flag in cli._FIELD_FLAGS:
+            assert re.search(rf"^  {re.escape(flag)} ", text, re.M), flag
 
 
 def _must_not_run(*args, **kwargs):
@@ -241,6 +343,11 @@ CONFIG_FAULTS = {
     "sweep-batch-size-0": ["sweep", "--batch-size", "0", "--m-ratios", "0.2",
                            "--k-values", "2"],
     "top-n-above-d": ["train", "--top-n", "201"],
+    "optimizer-foo": ["train", "--optimizer", "foo"],
+    "k-abc": ["train", "--k", "abc"],
+    "decode-foo": ["train", "--decode", "foo"],
+    "measure-foo": ["train", "--measure", "foo"],
+    "seed-abc": ["train", "--seed", "abc"],
 }
 
 

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bloomemb.codec import (ScoreOrder, SparseInstance, decode_likelihood_batch,
-                            decode_nll_batch, encode_batch, rank_batch,
-                            read_instances, write_bit_vectors)
+from bloomemb.codec import (ScoreOrder, SparseInstance, decode_batch,
+                            decode_likelihood_batch, decode_nll_batch,
+                            encode_batch, rank_batch, read_instances,
+                            write_bit_vectors)
 from bloomemb.hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
 
 SPEC_ROWS = np.array([(1, 3), (2, 4), (1, 2), (3, 4), (2, 3), (1, 4)],
@@ -146,6 +147,19 @@ class TestDecode:
         assert scores[0, 0] == pytest.approx(-(math.log(0.1) + math.log(0.3)),
                                              rel=1e-12)
         assert scores[0, 0] == pytest.approx(3.5065578973199818, rel=1e-10)
+
+    @pytest.mark.parametrize("mode,decode,order", [
+        ("likelihood", decode_likelihood_batch, ScoreOrder.DESCENDING_LIKELIHOOD),
+        ("nll", decode_nll_batch, ScoreOrder.ASCENDING_NLL)])
+    def test_decode_batch_picks_the_decoder_and_order_of_a_mode(self, mode,
+                                                                decode, order):
+        scores, got = decode_batch(self.PROBS, spec_matrix(), mode)
+        assert np.array_equal(scores, decode(self.PROBS, spec_matrix()))
+        assert got is order
+
+    def test_decode_batch_rejects_an_unknown_mode(self):
+        with pytest.raises(ValueError, match="'foo'"):
+            decode_batch(self.PROBS, spec_matrix(), "foo")
 
     def test_nll_all_equal_probs_tie(self):
         scores = decode_nll_batch(np.full((1, 4), 0.25), spec_matrix())

@@ -100,6 +100,20 @@ def test_evaluate_model_rejects_top_n_outside_item_range(trained, top_n):
         evaluate_model(net, ds.test_profiles(), h_in, h_out, top_n=top_n)
 
 
+@pytest.mark.parametrize("mode", [{"decode_mode": "foo"}, {"measure": "foo"}],
+                         ids=["decode-foo", "measure-foo"])
+def test_evaluate_model_rejects_unknown_modes_before_the_forward_pass(
+        trained, monkeypatch, mode):
+    ds, h_in, h_out, net = trained
+
+    def forward(*args):
+        raise AssertionError("the forward pass ran before the modes were checked")
+
+    monkeypatch.setattr(experiment, "forward_batch", forward)
+    with pytest.raises(ValueError, match="'foo'"):
+        evaluate_model(net, ds.test_profiles(), h_in, h_out, **mode)
+
+
 @pytest.mark.parametrize("top_n", [0, -3])
 def test_config_rejects_top_n_below_one(top_n):
     with pytest.raises(ValueError, match="top_n"):

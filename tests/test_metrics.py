@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bloomemb.metrics import (EvaluationResult, Measure, average_precision,
+from bloomemb.metrics import (EvaluationResult, average_precision,
                               reciprocal_rank)
 
 
@@ -67,5 +67,5 @@ class TestReciprocalRank:
 class TestEvaluationResult:
     def test_result_validation(self):
         with pytest.raises(ValueError):
-            EvaluationResult(score=1.5, measure=Measure.MAP, n_evaluated=1,
+            EvaluationResult(score=1.5, measure="MAP", n_evaluated=1,
                              wall_time=0.0)
