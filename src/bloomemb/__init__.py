@@ -17,11 +17,11 @@ from .experiment import (ExperimentConfig, ExperimentOutcome, config_from_text,
                          config_to_text, evaluate_model, fit, run_experiment,
                          run_sweep)
 from .hashing import (HashMatrix, build_hash_matrix, identity_hash_matrix,
-                      load_hash_matrix)
+                      matrix_from_bytes)
 from .metrics import EvaluationResult, average_precision, reciprocal_rank
 from .trainer import (Network, NetworkSpec, OptimizerSpec, TrainReport,
                       backward_and_step, forward_batch, init_network,
-                      load_network, loss_cross_entropy, multi_hot, save_network,
-                      train)
+                      loss_cross_entropy, multi_hot, network_from_bytes,
+                      network_to_bytes, train)
 
 __version__ = "0.1.0"

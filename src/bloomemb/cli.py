@@ -11,14 +11,16 @@ matches bit for bit, wall times aside. An experiment flag sets the
 ``ExperimentConfig`` field named by its dest, parsed by the config file's
 rule. ``train`` always writes the hash matrices next to the checkpoint, as
 ``<out>.hash-in`` and ``<out>.hash-out`` (the identity for the baseline),
-and ``evaluate`` reads them from next to ``--model``.
+and ``evaluate`` reads them from next to ``--model``. One loader reads every
+artifact file and hands it to its module's parser; a fault in either step is
+the data fault ``cannot load <what> <path>: <reason>``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
+import functools
 import os
 import sys
 import tempfile
@@ -61,6 +63,18 @@ def _flags_config_text(args) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _load(what: str, path: str, parse, *args):
+    """`parse(contents, *args)` of the artifact file at `path`, given its bytes
+    for the formats that may be binary and its text for the others."""
+    try:
+        data = Path(path).read_bytes()
+        if parse not in (hashing.matrix_from_bytes, trainer.network_from_bytes):
+            data = data.decode()
+        return parse(data, *args)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot load {what} {path}: {exc}") from None
+
+
 def _write_matrix(path: str, matrix: hashing.HashMatrix, fmt: str) -> None:
     atomic_write(path, hashing.matrix_to_binary(matrix) if fmt == "binary"
                  else hashing.matrix_to_text(matrix))
@@ -81,57 +95,24 @@ def cmd_build_hash(args) -> int:
     return 0
 
 
-def _load_matrix(path: str) -> hashing.HashMatrix:
-    try:
-        return hashing.load_hash_matrix(path)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot load hash matrix {path}: {exc}") from None
-
-
-def _read_instances(path: str, d: int) -> list[codec.SparseInstance]:
-    try:
-        return codec.read_instances(path, d)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read instances {path}: {exc}") from None
-
-
 def cmd_encode(args) -> int:
-    matrix = _load_matrix(args.hash)
-    bits = codec.encode_batch(_read_instances(args.instances, matrix.d), matrix)
+    matrix = _load("hash matrix", args.hash, hashing.matrix_from_bytes)
+    instances = _load("instances", args.instances, codec.read_instances, matrix.d)
+    bits = codec.encode_batch(instances, matrix)
     atomic_write(args.out, codec.write_bit_vectors(bits))
     _log_config(args.out, _flags_config_text(args))
     return 0
 
 
-def _read_probability_lines(path: str, m: int) -> np.ndarray:
-    rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        vals = line.split()
-        if len(vals) != m:
-            raise DataError(f"{path}:{lineno}: expected {m} probabilities, "
-                            f"got {len(vals)}")
-        try:
-            rows.append([float(v) for v in vals])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-numeric probability") from None
-    if not rows:
-        raise DataError(f"{path}: no probability vectors")
-    return np.asarray(rows, dtype=np.float64)
-
-
 def cmd_decode(args) -> int:
-    matrix = _load_matrix(args.hash)
+    matrix = _load("hash matrix", args.hash, hashing.matrix_from_bytes)
     if (args.probs is None) == (args.embeddings is None):
         raise ConfigError("provide exactly one of --probs or --embeddings")
     if args.probs is not None:
-        probs = _read_probability_lines(args.probs, matrix.m)
+        probs = _load("probabilities", args.probs, codec.read_probabilities,
+                      matrix.m)
     else:
-        try:
-            bits = codec.read_bit_vectors(args.embeddings)
-        except (OSError, ValueError) as exc:
-            raise DataError(str(exc)) from None
+        bits = _load("embeddings", args.embeddings, codec.read_bit_vectors)
         if bits.shape[1] != matrix.m:
             raise DataError(f"embedding width {bits.shape[1]} != matrix m {matrix.m}")
         probs = bits.astype(np.float64)
@@ -147,8 +128,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_cbe(args) -> int:
-    matrix = _load_matrix(args.hash)
-    instances = _read_instances(args.instances, matrix.d)
+    matrix = _load("hash matrix", args.hash, hashing.matrix_from_bytes)
+    instances = _load("instances", args.instances, codec.read_instances, matrix.d)
     if not instances:
         raise DataError("instance file is empty")
     table = cbe_mod.count_cooccurrences(instances)
@@ -218,9 +199,7 @@ def cmd_train(args) -> int:
     ds = experiment.load_dataset(cfg)
     h_in, h_out = experiment.build_matrices(cfg, ds)
     net, report = experiment.fit(cfg, ds, h_in, h_out)
-    buf = io.BytesIO()
-    trainer.save_network(net, buf)
-    atomic_write(args.out, buf.getvalue())
+    atomic_write(args.out, trainer.network_to_bytes(net))
     atomic_write(args.out + ".hash-in", hashing.matrix_to_text(h_in))
     atomic_write(args.out + ".hash-out", hashing.matrix_to_text(h_out))
     lines = ["epoch\tloss\tseconds"]
@@ -234,12 +213,9 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
-    try:
-        net = trainer.load_network(args.model)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot load model {args.model}: {exc}") from None
-    h_in = _load_matrix(args.model + ".hash-in")
-    h_out = _load_matrix(args.model + ".hash-out")
+    net = _load("model", args.model, trainer.network_from_bytes)
+    h_in = _load("hash matrix", args.model + ".hash-in", hashing.matrix_from_bytes)
+    h_out = _load("hash matrix", args.model + ".hash-out", hashing.matrix_from_bytes)
     ds = experiment.load_dataset(cfg)
     result = experiment.evaluate_model(net, ds.test_profiles(), h_in, h_out,
                                        decode_mode=cfg.decode_mode,
@@ -288,12 +264,14 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="bloomemb",
+        prog="bloomemb", exit_on_error=False,
         description="Bloom embeddings: compress sparse binary instances, "
                     "recover ranked items, and run desk-scale experiments.")
+    # a bad flag value reaches main as an ArgumentError, not as SystemExit
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, exit_on_error=False)
 
-    p = sub.add_parser("build-hash", help="construct and save a hash matrix")
+    p = add_parser("build-hash", help="construct and save a hash matrix")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -302,13 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_hash)
 
-    p = sub.add_parser("encode", help="embed an instance file")
+    p = add_parser("encode", help="embed an instance file")
     p.add_argument("--hash", required=True)
     p.add_argument("--instances", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("decode", help="rank items from probabilities or bits")
+    p = add_parser("decode", help="rank items from probabilities or bits")
     p.add_argument("--hash", required=True)
     p.add_argument("--probs", help="file with one probability vector per line")
     p.add_argument("--embeddings", help="file with one bit vector per line")
@@ -317,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("cbe", help="rebuild a hash matrix from co-occurrences")
+    p = add_parser("cbe", help="rebuild a hash matrix from co-occurrences")
     p.add_argument("--hash", required=True)
     p.add_argument("--instances", required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -326,18 +304,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats-out", dest="stats_out", required=True)
     p.set_defaults(func=cmd_cbe)
 
-    p = sub.add_parser("train", help="train the feed-forward model")
+    p = add_parser("train", help="train the feed-forward model")
     _add_experiment_flags(p)
     p.add_argument("--out", required=True, help="model checkpoint path")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a trained model")
+    p = add_parser("evaluate", help="evaluate a trained model")
     _add_experiment_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="run a (k, m/d, seed) grid with baselines")
+    p = add_parser("sweep", help="run a (k, m/d, seed) grid with baselines")
     _add_experiment_flags(p)
     p.add_argument("--m-ratios", dest="m_ratios", required=True,
                    help="comma-separated m/d values")
@@ -353,11 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, argparse.ArgumentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DataError, OSError) as exc:

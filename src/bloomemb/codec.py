@@ -18,11 +18,14 @@ with set bits. The no-embedding baseline is the identity matrix (m = d, k = 1),
 whose encoding is the multi-hot vector and whose likelihood decoding
 returns the probabilities unchanged.
 
-File formats:
+File formats, each read from or written to text by a pure function (the
+caller opens the file), a reader raising ValueError on a malformed line:
 
 * instance file — one instance per line, space-separated 1-based item
   positions; an empty line is the empty instance;
 * embedded-vector file — one line per vector of m characters '0'/'1';
+* probability file — one line per vector of m whitespace-separated
+  probabilities; blank lines are skipped;
 * score dump — TSV with columns instance, item, score for the top-n items
   of each decoded instance.
 """
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -136,18 +138,15 @@ def decode_likelihood_batch(probs: np.ndarray, matrix: HashMatrix) -> np.ndarray
     return _combine(_probabilities(probs, matrix), matrix, np.multiply)
 
 
-def decode_nll_batch(probs: np.ndarray, matrix: HashMatrix,
-                     epsilon: float = DEFAULT_NLL_EPSILON) -> np.ndarray:
+def decode_nll_batch(probs: np.ndarray, matrix: HashMatrix) -> np.ndarray:
     """(n, m) probabilities -> (n, d) negative-log-likelihoods; lower is better.
 
-    Item i scores -sum(log(max(prob, epsilon))) over its projections. For
-    items whose projected probabilities all exceed epsilon, ascending order
-    equals the descending likelihood order.
+    Item i scores -sum(log(max(prob, DEFAULT_NLL_EPSILON))) over its
+    projections. For items whose projected probabilities all exceed the
+    epsilon, ascending order equals the descending likelihood order.
     """
     probs = _probabilities(probs, matrix)
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return _combine(-np.log(np.maximum(probs, epsilon)), matrix, np.add)
+    return _combine(-np.log(np.maximum(probs, DEFAULT_NLL_EPSILON)), matrix, np.add)
 
 
 def decode_batch(probs: np.ndarray, matrix: HashMatrix,
@@ -183,12 +182,8 @@ def rank_batch(scores: np.ndarray, ordering: ScoreOrder, top_n: int) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def read_instances(source, d: int) -> list[SparseInstance]:
+def read_instances(text: str, d: int) -> list[SparseInstance]:
     """Parse an instance file (see module docstring)."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         try:
@@ -199,12 +194,8 @@ def read_instances(source, d: int) -> list[SparseInstance]:
     return out
 
 
-def read_bit_vectors(source) -> np.ndarray:
+def read_bit_vectors(text: str) -> np.ndarray:
     """Parse an embedded-vector file into an (n, m) uint8 array."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
     lines = [ln for ln in text.splitlines() if ln]
     if not lines:
         raise ValueError("empty embedded-vector file")
@@ -215,6 +206,25 @@ def read_bit_vectors(source) -> np.ndarray:
             raise ValueError(f"line {i + 1}: expected {m} characters of 0/1")
         out[i] = np.frombuffer(ln.encode("ascii"), dtype=np.uint8) - ord("0")
     return out
+
+
+def read_probabilities(text: str, m: int) -> np.ndarray:
+    """Parse a probability file of width m into an (n, m) float64 array."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        vals = line.split()
+        if len(vals) != m:
+            raise ValueError(f"line {lineno}: expected {m} probabilities, "
+                             f"got {len(vals)}")
+        try:
+            rows.append([float(v) for v in vals])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-numeric probability") from None
+    if not rows:
+        raise ValueError("no probability vectors")
+    return np.asarray(rows, dtype=np.float64)
 
 
 def write_bit_vectors(bits: np.ndarray) -> str:

@@ -409,11 +409,11 @@ def run_sweep(base: ExperimentConfig, m_ratios: Sequence[float],
     """Grid of (k, m/d, seed) cells plus per-seed no-embedding baselines.
 
     The dataset is loaded once, and a cell's m is its ratio of the loaded
-    dataset's d. Before any cell runs, the grid must be nonempty with every
-    ratio in (0, 1], and every cell's config is built and checked against
-    the dataset; a fault, or a split left empty, raises ConfigError.
-    Serial cells share the loaded dataset; with `parallel` > 1 each pool
-    worker receives it once, when it starts.
+    dataset's d. Before any cell runs, `parallel` must be >= 1, the grid
+    nonempty with every ratio in (0, 1], and every cell's config is built
+    and checked against the dataset; a fault, or a split left empty, raises
+    ConfigError. Serial cells share the loaded dataset; with `parallel` > 1
+    each pool worker receives it once, when it starts.
 
     Returns rows sorted by (k, m/d, seed); baseline rows carry the nominal
     point (k=1, m/d=1.0) and ratio 1 by construction. A cell whose training
@@ -426,6 +426,8 @@ def run_sweep(base: ExperimentConfig, m_ratios: Sequence[float],
         raise ConfigError("sweep grid must be nonempty")
     if any(not 0 < r <= 1.0 for r in m_ratios):
         raise ConfigError("m ratios must lie in (0, 1]")
+    if parallel < 1:
+        raise ConfigError(f"parallel must be >= 1, got {parallel}")
     ds = load_dataset(base)
 
     variant = "cbe" if base.use_cbe else "be"

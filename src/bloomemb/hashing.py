@@ -7,7 +7,9 @@ randomness comes from the SplitMix64 streams in :mod:`bloomemb.rng`, so
 matrices are bit-reproducible across platforms for a fixed seed.
 
 File formats (both carry the full (d, m, k, seed) header and 1-based
-indices; ``load_hash_matrix`` sniffs the magic bytes):
+indices). They are pure functions of the payload: ``matrix_to_text`` and
+``matrix_to_binary`` write it, and ``matrix_from_bytes`` reads either,
+sniffing the magic bytes; opening files is the caller's job.
 
 * text: one header line ``d m k seed`` followed by d lines of k
   space-separated integers;
@@ -21,7 +23,6 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -118,14 +119,8 @@ def identity_hash_matrix(d: int) -> HashMatrix:
 # ---------------------------------------------------------------------------
 
 
-def load_hash_matrix(source) -> HashMatrix:
+def matrix_from_bytes(data: bytes) -> HashMatrix:
     """Read a matrix_to_text or matrix_to_binary payload, sniffing the format."""
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, str):
-            data = data.encode("ascii")
-    else:
-        data = Path(source).read_bytes()
     if data[:4] == _BINARY_MAGIC:
         return _from_binary(data)
     return _from_text(data.decode("ascii"))

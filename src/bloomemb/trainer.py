@@ -18,10 +18,12 @@ Weight init is scaled uniform, U(-sqrt(1/fan_in), +sqrt(1/fan_in)), from
 a seeded generator; with fixed init and shuffle seeds a training run is
 bit-reproducible in the same build.
 
-Checkpoint format: 4-byte magic ``BENC``, little-endian uint32 layer
-count, that many little-endian uint32 layer sizes, then per layer the
-weight matrix (row-major, fan_in x fan_out) followed by the bias vector,
-all little-endian float32.
+Checkpoint format, written by ``network_to_bytes`` and read by
+``network_from_bytes`` (pure functions of the bytes; the caller opens the
+file): 4-byte magic ``BENC``, little-endian uint32 layer count, that many
+little-endian uint32 layer sizes, then per layer the weight matrix
+(row-major, fan_in x fan_out) followed by the bias vector, all
+little-endian float32.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -357,38 +358,29 @@ def train(net: Network,
 # ---------------------------------------------------------------------------
 
 
-def save_network(net: Network, destination) -> None:
+def network_to_bytes(net: Network) -> bytes:
     sizes = net.spec.layer_sizes
     parts = [_CHECKPOINT_MAGIC, struct.pack("<I", len(sizes))]
     parts.append(struct.pack(f"<{len(sizes)}I", *sizes))
     for w, b in zip(net.weights, net.biases):
         parts.append(w.astype("<f4").tobytes(order="C"))
         parts.append(b.astype("<f4").tobytes(order="C"))
-    payload = b"".join(parts)
-    if hasattr(destination, "write"):
-        destination.write(payload)
-    else:
-        Path(destination).write_bytes(payload)
+    return b"".join(parts)
 
 
-def load_network(source, dtype=np.float32) -> Network:
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        data = Path(source).read_bytes()
+def network_from_bytes(data: bytes, dtype=np.float32) -> Network:
     if data[:4] != _CHECKPOINT_MAGIC:
         raise ValueError("not a network checkpoint (bad magic)")
-    (count,) = struct.unpack("<I", data[4:8])
+    (count,) = np.frombuffer(data, dtype="<u4", count=1, offset=4).tolist()
     offset = 8 + 4 * count
-    sizes = struct.unpack(f"<{count}I", data[8:offset])
+    sizes = np.frombuffer(data, dtype="<u4", count=count, offset=8).tolist()
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w_bytes = 4 * fan_in * fan_out
         w = np.frombuffer(data, dtype="<f4", count=fan_in * fan_out,
                           offset=offset).reshape(fan_in, fan_out)
-        offset += w_bytes
+        offset += w.nbytes
         b = np.frombuffer(data, dtype="<f4", count=fan_out, offset=offset)
-        offset += 4 * fan_out
+        offset += b.nbytes
         weights.append(w.astype(dtype))
         biases.append(b.astype(dtype))
     if offset != len(data):

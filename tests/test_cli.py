@@ -6,6 +6,8 @@ run's ``<out>.config`` reproduces its outputs byte for byte.
 
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -118,11 +120,13 @@ def test_cbe_command_matches_the_library(tmp_path):
                      "--out", h]) == 0
     assert cli.main(["cbe", "--hash", h, "--instances", str(instances),
                      "--seed", "5", "--out", out, "--stats-out", stats]) == 0
-    table = cbe.count_cooccurrences(codec.read_instances(instances, 40))
+    table = cbe.count_cooccurrences(codec.read_instances(instances.read_text(), 40))
     pairs = cbe.threshold_and_order(table)
     assert len(pairs)
-    expected = cbe.rebuild_hash_matrix(hashing.load_hash_matrix(h), pairs, 5)
-    assert np.array_equal(hashing.load_hash_matrix(out).rows, expected.rows)
+    matrix = hashing.matrix_from_bytes(Path(h).read_bytes())
+    expected = cbe.rebuild_hash_matrix(matrix, pairs, 5)
+    assert np.array_equal(hashing.matrix_from_bytes(Path(out).read_bytes()).rows,
+                          expected.rows)
     assert open(stats).readline() == \
         "side\tpercent_cooccurring_pairs\tmean_ratio_rho\n"
     assert os.path.exists(out + ".config")
@@ -156,12 +160,46 @@ def test_sweep_writes_one_row_per_cell(tmp_path):
     assert os.path.exists(out + ".config")
 
 
-@pytest.mark.parametrize("command,flags", [
-    ("encode", ["--instances", "x"]), ("decode", ["--embeddings", "x"]),
-    ("cbe", ["--instances", "x", "--stats-out", "s"])])
-def test_missing_hash_file_is_a_data_fault(tmp_path, command, flags):
-    assert cli.main([command, "--hash", str(tmp_path / "no-such-hash"), *flags,
+# id: (what the fault names, the bad file's bytes or None for a missing file,
+# the run reading it, given simple_inputs and the bad file's path)
+UNREADABLE = {
+    "missing-hash-encode": ("hash matrix", None, lambda f, bad: [
+        "encode", "--hash", bad, "--instances", f["instances"]]),
+    "missing-hash-decode": ("hash matrix", None, lambda f, bad: [
+        "decode", "--hash", bad, "--embeddings", f["bits"]]),
+    "missing-hash-cbe": ("hash matrix", None, lambda f, bad: [
+        "cbe", "--hash", bad, "--instances", f["instances"],
+        "--stats-out", f["stats"]]),
+    "hash-malformed-header": ("hash matrix", b"2 2 2\n1 2\n2 1\n", lambda f, bad: [
+        "encode", "--hash", bad, "--instances", f["instances"]]),
+    "instance-not-integer": ("instances", b"1 2\n1 x\n", lambda f, bad: [
+        "encode", "--hash", f["hash"], "--instances", bad]),
+    "embedding-bad-character": ("embeddings", b"01x" + b"0" * 13 + b"\n",
+                                lambda f, bad: ["decode", "--hash", f["hash"],
+                                                "--embeddings", bad]),
+    "probability-short-line": ("probabilities", b"0.5 0.5\n", lambda f, bad: [
+        "decode", "--hash", f["hash"], "--probs", bad]),
+    "model-bad-magic": ("model", b"XXXX" + b"\0" * 16, lambda f, bad: [
+        "evaluate", *TINY, "--baseline", "--model", bad]),
+    "model-truncated-header": ("model", b"BENC\2\0\0\0\1\0", lambda f, bad: [
+        "evaluate", *TINY, "--baseline", "--model", bad]),
+}
+
+
+@pytest.mark.parametrize("what,payload,run", UNREADABLE.values(), ids=UNREADABLE)
+def test_unreadable_artifact_is_one_data_fault_line(tmp_path, capsys,
+                                                    simple_inputs, what,
+                                                    payload, run):
+    bad = tmp_path / "bad"
+    if payload is not None:
+        bad.write_bytes(payload)
+    capsys.readouterr()
+    assert cli.main([*run(simple_inputs, str(bad)),
                      "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"data error: cannot load {what} {bad}: "), err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_m_above_d_is_a_config_fault(tmp_path):
@@ -245,6 +283,43 @@ def test_help_exits_0(capsys, command):
         text = capsys.readouterr().out
         for flag in cli._FIELD_FLAGS:
             assert re.search(rf"^  {re.escape(flag)} ", text, re.M), flag
+
+
+BAD_FLAG_VALUES = {
+    "build-hash-d-abc": ["build-hash", "--d", "abc", "--m", "4", "--k", "2"],
+    "build-hash-format-foo": ["build-hash", "--d", "8", "--m", "4", "--k", "2",
+                              "--format", "foo"],
+    "decode-top-n-x": ["decode", "--hash", "h", "--embeddings", "e",
+                       "--top-n", "x"],
+    "cbe-seed-x": ["cbe", "--hash", "h", "--instances", "i", "--seed", "x",
+                   "--stats-out", "s"],
+    "sweep-parallel-x": ["sweep", *TINY, "--m-ratios", "0.2", "--k-values", "2",
+                         "--parallel", "x"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_FLAG_VALUES.values(), ids=BAD_FLAG_VALUES)
+def test_bad_flag_value_is_one_config_error_line(tmp_path, capsys, argv):
+    out = str(tmp_path / "out")
+    assert cli.main([*argv, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: argument --"), err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["build-hash", "--d", "abc", "--m", "4", "--k", "2"], 2),
+    (["encode", "--hash", "no-such-hash", "--instances", "i"], 1),
+    (["train", "--help"], 0)], ids=["config-fault", "data-fault", "help"])
+def test_entry_point_exit_codes(tmp_path, argv, code):
+    """`python -m bloomemb.cli` exits with the code main returns."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "bloomemb.cli", *argv, "--out", "out"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
 
 
 def _must_not_run(*args, **kwargs):

@@ -162,13 +162,15 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("a cell ran before the grid was checked")
 
 
-@pytest.mark.parametrize("m_ratios,k_values", [
-    ([2.0], [2]), ([0.2], [0]), ([0.2], [201]), ([], [2]), ([0.2], [])],
-    ids=["ratio-2", "k-0", "k-above-d", "no-ratio", "no-k"])
-def test_sweep_grid_faults_raise_before_any_cell(monkeypatch, m_ratios, k_values):
+@pytest.mark.parametrize("m_ratios,k_values,parallel", [
+    ([2.0], [2], 1), ([0.2], [0], 1), ([0.2], [201], 1), ([], [2], 1),
+    ([0.2], [], 1), ([0.2], [2], 0)],
+    ids=["ratio-2", "k-0", "k-above-d", "no-ratio", "no-k", "parallel-0"])
+def test_sweep_grid_faults_raise_before_any_cell(monkeypatch, m_ratios, k_values,
+                                                 parallel):
     monkeypatch.setattr(experiment, "fit", _must_not_run)
     with pytest.raises(ConfigError):
-        run_sweep(tiny_config(), m_ratios, k_values, [0])
+        run_sweep(tiny_config(), m_ratios, k_values, [0], parallel=parallel)
 
 
 def twelve_item_file(tmp_path) -> str:

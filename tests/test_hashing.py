@@ -1,13 +1,11 @@
 """Projection family construction, lookup, and serialization contracts."""
 
-import io
-
 import numpy as np
 import pytest
 from scipy import stats
 
 from bloomemb.hashing import (HashMatrix, build_hash_matrix,
-                              identity_hash_matrix, load_hash_matrix,
+                              identity_hash_matrix, matrix_from_bytes,
                               matrix_to_binary, matrix_to_text)
 
 
@@ -57,39 +55,39 @@ class TestBuild:
 class TestSerialization:
     def test_text_round_trip(self):
         matrix = build_hash_matrix(d=6, m=4, k=2, seed=17)
-        assert load_hash_matrix(io.StringIO(matrix_to_text(matrix))) == matrix
+        assert matrix_from_bytes(matrix_to_text(matrix).encode()) == matrix
 
     def test_binary_round_trip(self):
         matrix = build_hash_matrix(d=6, m=4, k=2, seed=17)
-        assert load_hash_matrix(io.BytesIO(matrix_to_binary(matrix))) == matrix
+        assert matrix_from_bytes(matrix_to_binary(matrix)) == matrix
 
     def test_round_trip_via_files(self, tmp_path):
         matrix = build_hash_matrix(d=37, m=9, k=4, seed=2**63 + 5)
         (tmp_path / "m.txt").write_text(matrix_to_text(matrix))
         (tmp_path / "m.bin").write_bytes(matrix_to_binary(matrix))
         for name in ("m.txt", "m.bin"):
-            assert load_hash_matrix(tmp_path / name) == matrix
+            assert matrix_from_bytes((tmp_path / name).read_bytes()) == matrix
 
     def test_truncated_binary_rejected(self):
         payload = matrix_to_binary(build_hash_matrix(6, 4, 2, 0))
         with pytest.raises(ValueError, match="truncated"):
-            load_hash_matrix(io.BytesIO(payload[:-3]))
+            matrix_from_bytes(payload[:-3])
 
     def test_truncated_text_rejected(self):
         text = matrix_to_text(build_hash_matrix(6, 4, 2, 0))
         lines = text.splitlines()
         with pytest.raises(ValueError):
-            load_hash_matrix(io.StringIO("\n".join(lines[:-1])))
+            matrix_from_bytes("\n".join(lines[:-1]).encode())
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError):
-            load_hash_matrix(io.StringIO("2 2 2 0\n1 2\n0 1\n"))
+            matrix_from_bytes(b"2 2 2 0\n1 2\n0 1\n")
         with pytest.raises(ValueError):
-            load_hash_matrix(io.StringIO("2 2 2 0\n1 2\n3 1\n"))
+            matrix_from_bytes(b"2 2 2 0\n1 2\n3 1\n")
 
     def test_malformed_header_rejected(self):
         with pytest.raises(ValueError):
-            load_hash_matrix(io.StringIO("2 2 2\n1 2\n2 1\n"))
+            matrix_from_bytes(b"2 2 2\n1 2\n2 1\n")
 
     def test_binary_layout_is_frozen(self):
         matrix = HashMatrix(d=3, m=3, k=2, seed=1,
@@ -110,7 +108,7 @@ class TestInvariants:
         first = build_hash_matrix(d, m, k, seed)
         path = tmp_path / "h.bin"
         path.write_bytes(matrix_to_binary(first))
-        reloaded = load_hash_matrix(path)
+        reloaded = matrix_from_bytes(path.read_bytes())
         # an independent rebuild from the same arguments matches the file
         assert reloaded == build_hash_matrix(d, m, k, seed)
 

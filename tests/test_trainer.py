@@ -1,6 +1,5 @@
 """Forward/backward correctness, optimizer behavior, and reproducibility."""
 
-import io
 import math
 import tracemalloc
 
@@ -13,8 +12,8 @@ from bloomemb.hashing import identity_hash_matrix
 from bloomemb.trainer import (NetworkSpec, OptimizerSpec, _apply_update,
                               _OptimizerState, backward_and_step,
                               forward_batch, gradients, init_network,
-                              load_network, loss_cross_entropy, multi_hot,
-                              save_network, train)
+                              loss_cross_entropy, multi_hot,
+                              network_from_bytes, network_to_bytes, train)
 
 
 def small_net(sizes, seed=0, dtype=np.float64):
@@ -347,9 +346,7 @@ class TestTrain:
 class TestCheckpoints:
     def test_round_trip(self):
         net = small_net((7, 5, 3), seed=42, dtype=np.float32)
-        buf = io.BytesIO()
-        save_network(net, buf)
-        loaded = load_network(io.BytesIO(buf.getvalue()))
+        loaded = network_from_bytes(network_to_bytes(net))
         assert loaded.spec.layer_sizes == (7, 5, 3)
         for a, b in zip(net.parameters(), loaded.parameters()):
             assert np.array_equal(a, b)
@@ -357,14 +354,14 @@ class TestCheckpoints:
     def test_round_trip_preserves_forward(self, tmp_path):
         net = small_net((6, 4, 2), seed=8, dtype=np.float32)
         path = tmp_path / "model.bin"
-        save_network(net, path)
-        loaded = load_network(path)
+        path.write_bytes(network_to_bytes(net))
+        loaded = network_from_bytes(path.read_bytes())
         x = np.linspace(0, 1, 6)[None, :]
         assert np.array_equal(forward_batch(net, x), forward_batch(loaded, x))
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
-            load_network(io.BytesIO(b"XXXX" + b"\0" * 16))
+            network_from_bytes(b"XXXX" + b"\0" * 16)
 
 
 class TestMultiHot:
