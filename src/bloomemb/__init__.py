@@ -13,12 +13,11 @@ from .codec import (ScoreOrder, SparseInstance, decode_likelihood_batch,
                     decode_nll_batch, encode_batch, rank_batch)
 from .data import (DataError, ProfileDataset, SyntheticSpec, generate_synthetic,
                    load_profiles)
-from .experiment import (ExperimentConfig, ExperimentOutcome, config_from_text,
-                         config_to_text, evaluate_model, fit, run_experiment,
-                         run_sweep)
+from .experiment import (ExperimentConfig, ExperimentOutcome, config_to_text,
+                         evaluate_model, fit, run_experiment, run_sweep)
 from .hashing import (HashMatrix, build_hash_matrix, identity_hash_matrix,
                       matrix_from_bytes)
-from .metrics import EvaluationResult, average_precision, reciprocal_rank
+from .metrics import EvaluationResult, average_precision
 from .trainer import (Network, NetworkSpec, OptimizerSpec, TrainReport,
                       backward_and_step, forward_batch, init_network,
                       loss_cross_entropy, multi_hot, network_from_bytes,

@@ -3,13 +3,15 @@
 Subcommands: build-hash, encode, decode, cbe, train, evaluate, sweep. Each
 parses its flags, calls the library, whose rules it follows, and writes its
 outputs atomically; it exits with code 2 on configuration faults and 1 on
-data faults. Each logs its configuration to ``<out>.config``: build-hash,
-encode, decode and cbe a ``key=value`` line per flag set, except ``--out``,
-that replays as ``--key value`` with a new ``--out``; train, evaluate and
-sweep the resolved experiment config, that replays as ``--config``. A replay
-matches bit for bit, wall times aside. An experiment flag sets the
-``ExperimentConfig`` field named by its dest, parsed by the config file's
-rule. ``train`` always writes the hash matrices next to the checkpoint, as
+data faults. Flags and ``.config`` files share one grammar: a file's line
+``key=value`` is the flag ``--key=value``, an underscore read as a dash.
+``--config FILE`` puts the file's flags ahead of the command line's, which
+override them. train, evaluate and sweep have a flag per ``ExperimentConfig``
+field, named after it, plus ``--m`` and ``--seed``, which set several.
+Each command logs its run to ``<out>.config``: the resolved experiment
+config, if any, then its other flags but ``--out``, so that
+``--config <out>.config --out <new>`` replays it bit for bit, wall times
+aside. ``train`` always writes the hash matrices next to the checkpoint, as
 ``<out>.hash-in`` and ``<out>.hash-out`` (the identity for the baseline),
 and ``evaluate`` reads them from next to ``--model``. One loader reads every
 artifact file and hands it to its module's parser; a fault in either step is
@@ -19,8 +21,6 @@ the data fault ``cannot load <what> <path>: <reason>``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import functools
 import os
 import sys
 import tempfile
@@ -50,17 +50,22 @@ def atomic_write(path, payload) -> None:
         raise
 
 
-def _log_config(out_path: str, text: str) -> None:
-    atomic_write(str(out_path) + ".config", text)
-    print(f"config logged to {out_path}.config", file=sys.stderr)
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _flags_config_text(args) -> str:
-    lines = ["# bloomemb resolved flags"]
-    for key, value in vars(args).items():
-        if key not in ("command", "func", "out") and value is not None:
-            lines.append(f"{key.replace('_', '-')}={value}")
-    return "\n".join(lines) + "\n"
+def _log_config(args, cfg: experiment.ExperimentConfig | None = None) -> None:
+    """Write ``<out>.config``: the resolved experiment config, if any, then a
+    ``key=value`` line per other flag set, --out and --config aside."""
+    if cfg is None:
+        text, resolved = "# bloomemb resolved flags\n", ()
+    else:
+        text, resolved = experiment.config_to_text(cfg), (*_FIELDS, "m", "seed")
+    text += "".join(f"{key.replace('_', '-')}={value}\n"
+                    for key, value in vars(args).items() if value is not None
+                    and key not in (*resolved, "command", "func", "out", "config"))
+    atomic_write(args.out + ".config", text)
+    print(f"config logged to {args.out}.config", file=sys.stderr)
 
 
 def _load(what: str, path: str, parse, *args):
@@ -91,7 +96,7 @@ def cmd_build_hash(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     _write_matrix(args.out, matrix, args.format)
-    _log_config(args.out, _flags_config_text(args))
+    _log_config(args)
     return 0
 
 
@@ -100,7 +105,7 @@ def cmd_encode(args) -> int:
     instances = _load("instances", args.instances, codec.read_instances, matrix.d)
     bits = codec.encode_batch(instances, matrix)
     atomic_write(args.out, codec.write_bit_vectors(bits))
-    _log_config(args.out, _flags_config_text(args))
+    _log_config(args)
     return 0
 
 
@@ -123,7 +128,7 @@ def cmd_decode(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     atomic_write(args.out, codec.write_scores_tsv(ranked, scores))
-    _log_config(args.out, _flags_config_text(args))
+    _log_config(args)
     return 0
 
 
@@ -138,7 +143,7 @@ def cmd_cbe(args) -> int:
                   args.format)
     stats = cbe_mod.cooccurrence_stats(table, len(instances))
     atomic_write(args.stats_out, cbe_mod.stats_report_tsv(stats))
-    _log_config(args.out, _flags_config_text(args))
+    _log_config(args)
     return 0
 
 
@@ -146,14 +151,10 @@ def cmd_cbe(args) -> int:
 # experiment commands
 # ---------------------------------------------------------------------------
 
-# experiment flag -> the ExperimentConfig field it sets (its argparse dest)
-_FIELD_FLAGS = {
-    "--data": "data_path", "--d": "d", "--n": "n", "--n-clusters": "n_clusters",
-    "--noise": "noise", "--k": "k", "--epochs": "epochs",
-    "--optimizer": "optimizer", "--lr": "learning_rate", "--hidden": "hidden",
-    "--batch-size": "batch_size", "--test-size": "test_size",
-    "--decode": "decode_mode", "--top-n": "top_n", "--measure": "measure",
-}
+# every ExperimentConfig field has the flag of its name; a few keep a short alias
+_FIELDS = typing.get_type_hints(experiment.ExperimentConfig)
+_ALIASES = {"data_path": "--data", "learning_rate": "--lr",
+            "decode_mode": "--decode", "use_cbe": "--cbe"}
 _SEED_FIELDS = ("data_seed", "hash_seed_in", "hash_seed_out", "cbe_seed",
                 "init_seed", "shuffle_seed")
 
@@ -167,31 +168,15 @@ def _parse_flag(flag: str, text: str, annotation):
 
 
 def _resolve_config(args) -> experiment.ExperimentConfig:
-    """Merge a config file (if given) with command-line flag overrides."""
-    if args.config:
-        try:
-            text = Path(args.config).read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from None
-        cfg = experiment.config_from_text(text)
-    else:
-        cfg = experiment.ExperimentConfig()
-    hints = typing.get_type_hints(experiment.ExperimentConfig)
-    changes = {field: _parse_flag(flag, getattr(args, field), hints[field])
-               for flag, field in _FIELD_FLAGS.items()
-               if getattr(args, field) is not None}
-    if args.synthetic:
-        changes["data_path"] = None
+    """The config the field flags set, then --m and --seed over them."""
+    changes = {field: _parse_flag(_flag(field), getattr(args, field), hint)
+               for field, hint in _FIELDS.items() if getattr(args, field) is not None}
     if args.m is not None:
         changes["m_in"] = changes["m_out"] = _parse_flag("--m", args.m, int)
-    if args.cbe:
-        changes["use_cbe"] = True
-    if args.baseline:
-        changes["baseline"] = True
     if args.seed is not None:
         seed = _parse_flag("--seed", args.seed, int)
         changes.update({field: seed + i for i, field in enumerate(_SEED_FIELDS)})
-    return dataclasses.replace(cfg, **changes)
+    return experiment.ExperimentConfig(**changes)
 
 
 def cmd_train(args) -> int:
@@ -206,7 +191,7 @@ def cmd_train(args) -> int:
     for i, (loss, secs) in enumerate(zip(report.epoch_losses, report.epoch_times)):
         lines.append(f"{i + 1}\t{loss:.10g}\t{secs:.6g}")
     atomic_write(args.out + ".report.tsv", "\n".join(lines) + "\n")
-    _log_config(args.out, experiment.config_to_text(cfg))
+    _log_config(args, cfg)
     print(f"trained {cfg.epochs} epochs, final loss {report.final_loss:.6g}")
     return 0
 
@@ -227,7 +212,7 @@ def cmd_evaluate(args) -> int:
                      "measure\tscore\tn_evaluated\tseconds\n"
                      f"{result.measure}\t{result.score:.10g}"
                      f"\t{result.n_evaluated}\t{result.wall_time:.6g}\n")
-        _log_config(args.out, experiment.config_to_text(cfg))
+        _log_config(args, cfg)
     return 0
 
 
@@ -238,7 +223,7 @@ def cmd_sweep(args) -> int:
         _parse_flag("--k-values", args.k_values, tuple[int, ...]),
         _parse_flag("--seeds", args.seeds, tuple[int, ...]), parallel=args.parallel)
     atomic_write(args.out, experiment.sweep_rows_tsv(rows))
-    _log_config(args.out, experiment.config_to_text(cfg))
+    _log_config(args, cfg)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -249,17 +234,15 @@ def cmd_sweep(args) -> int:
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file")
-    for flag, field in _FIELD_FLAGS.items():
-        p.add_argument(flag, dest=field, help=f"sets {field} by the config file's rule")
-    p.add_argument("--synthetic", action="store_true",
-                   help="use the synthetic cluster dataset")
+    group = p.add_argument_group(
+        "experiment fields", "each flag sets the ExperimentConfig field of its "
+        "name, read as in a .config file")
+    for field, hint in _FIELDS.items():
+        flags = (_flag(field), _ALIASES[field]) if field in _ALIASES else (_flag(field),)
+        group.add_argument(*flags, **({"nargs": "?", "const": "true"}
+                                      if hint is bool else {}))
     p.add_argument("--m", help="sets m_in and m_out")
     p.add_argument("--seed", help=f"sets {', '.join(_SEED_FIELDS)}: SEED, SEED+1, ...")
-    p.add_argument("--cbe", action="store_true",
-                   help="rebuild hash matrices from co-occurrences")
-    p.add_argument("--baseline", action="store_true",
-                   help="no-embedding baseline run")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,72 +250,96 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bloomemb", exit_on_error=False,
         description="Bloom embeddings: compress sparse binary instances, "
                     "recover ranked items, and run desk-scale experiments.")
-    # a bad flag value reaches main as an ArgumentError, not as SystemExit
     sub = parser.add_subparsers(dest="command", required=True)
-    add_parser = functools.partial(sub.add_parser, exit_on_error=False)
 
-    p = add_parser("build-hash", help="construct and save a hash matrix")
+    def add_parser(name: str, func, summary: str) -> argparse.ArgumentParser:
+        # a bad flag value reaches main as an ArgumentError, not as SystemExit
+        p = sub.add_parser(name, help=summary, exit_on_error=False, allow_abbrev=False)
+        p.add_argument("--config", help="replay a .config file: each key=value "
+                       "line is the flag --key=value, before the command line's")
+        p.set_defaults(func=func)
+        return p
+
+    p = add_parser("build-hash", cmd_build_hash, "construct and save a hash matrix")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "binary"), default="text")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_hash)
 
-    p = add_parser("encode", help="embed an instance file")
+    p = add_parser("encode", cmd_encode, "embed an instance file")
     p.add_argument("--hash", required=True)
     p.add_argument("--instances", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_encode)
 
-    p = add_parser("decode", help="rank items from probabilities or bits")
+    p = add_parser("decode", cmd_decode, "rank items from probabilities or bits")
     p.add_argument("--hash", required=True)
     p.add_argument("--probs", help="file with one probability vector per line")
     p.add_argument("--embeddings", help="file with one bit vector per line")
     p.add_argument("--decode", default="likelihood")
-    p.add_argument("--top-n", dest="top_n", type=int)
+    p.add_argument("--top-n", type=int)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_decode)
 
-    p = add_parser("cbe", help="rebuild a hash matrix from co-occurrences")
+    p = add_parser("cbe", cmd_cbe, "rebuild a hash matrix from co-occurrences")
     p.add_argument("--hash", required=True)
     p.add_argument("--instances", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "binary"), default="text")
     p.add_argument("--out", required=True)
-    p.add_argument("--stats-out", dest="stats_out", required=True)
-    p.set_defaults(func=cmd_cbe)
+    p.add_argument("--stats-out", required=True)
 
-    p = add_parser("train", help="train the feed-forward model")
+    p = add_parser("train", cmd_train, "train the feed-forward model")
     _add_experiment_flags(p)
     p.add_argument("--out", required=True, help="model checkpoint path")
-    p.set_defaults(func=cmd_train)
 
-    p = add_parser("evaluate", help="evaluate a trained model")
+    p = add_parser("evaluate", cmd_evaluate, "evaluate a trained model")
     _add_experiment_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = add_parser("sweep", help="run a (k, m/d, seed) grid with baselines")
+    p = add_parser("sweep", cmd_sweep, "run a (k, m/d, seed) grid with baselines")
     _add_experiment_flags(p)
-    p.add_argument("--m-ratios", dest="m_ratios", required=True,
-                   help="comma-separated m/d values")
-    p.add_argument("--k-values", dest="k_values", required=True,
-                   help="comma-separated k values")
+    p.add_argument("--m-ratios", required=True, help="comma-separated m/d values")
+    p.add_argument("--k-values", required=True, help="comma-separated k values")
     p.add_argument("--seeds", default="0",
                    help="comma-separated seeds, one cell per seed")
     p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
+def _with_config(argv: list[str] | None) -> list[str] | None:
+    """`argv` with ``--config FILE`` replaced by the flag ``--key=value`` for
+    each ``key=value`` line of FILE (``#`` starts a comment), put right after
+    the subcommand, so that the command line's own flags override them."""
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
+                                  exit_on_error=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
+    if known.config is None:
+        return argv
+    try:
+        text = Path(known.config).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {known.config}: {exc}") from None
+    flags = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            if "=" not in line:
+                raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
+            key, _, value = line.partition("=")
+            flags.append(f"{_flag(key.strip())}={value.strip()}")
+    return [*rest[:1], *flags, *rest[1:]]
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(_with_config(argv))
+        if extra:
+            raise ConfigError(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except (ConfigError, argparse.ArgumentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

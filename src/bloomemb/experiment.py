@@ -1,7 +1,6 @@
 """Reproducible experiment pipelines: single runs and sweep grids.
 
-An experiment is described by a flat config (round-trippable through a
-``key=value`` file, ``#`` comments allowed). A run loads or generates the
+An experiment is described by a flat config. A run loads or generates the
 dataset, builds input/output hash matrices (optionally rebuilt from
 co-occurrence statistics), trains the feed-forward model on encoded
 instances, and evaluates ranked recovery on the held-out test profiles.
@@ -108,6 +107,9 @@ class ExperimentConfig:
                 ("hidden", all(h >= 1 for h in self.hidden), "hold sizes >= 1"),
                 ("epochs", self.epochs >= 0, "be >= 0"),
                 ("batch_size", self.batch_size >= 1, "be >= 1"),
+                ("data_seed", self.data_seed >= 0, "be >= 0"),
+                ("init_seed", self.init_seed >= 0, "be >= 0"),
+                ("shuffle_seed", self.shuffle_seed >= 0, "be >= 0"),
                 ("k", self.baseline or 1 <= self.k <= m,
                  f"lie in [1, min(m_in, m_out)] = [1, {m}]")):
             if not ok:
@@ -132,7 +134,7 @@ class ExperimentConfig:
                              seed=self.data_seed)
 
 
-# -- config file round-trip --------------------------------------------------
+# -- config file text --------------------------------------------------------
 
 
 def _format_value(value) -> str:
@@ -174,26 +176,6 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     for f in dataclasses.fields(cfg):
         lines.append(f"{f.name}={_format_value(getattr(cfg, f.name))}")
     return "\n".join(lines) + "\n"
-
-
-def config_from_text(text: str) -> ExperimentConfig:
-    hints = typing.get_type_hints(ExperimentConfig)
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in hints:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        try:
-            values[key] = _parse_value(val, hints[key])
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
-    return ExperimentConfig(**values)
 
 
 # -- pipeline ----------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Ranking measures.
 
-Average precision (MAP) and reciprocal rank (RR) score one ranked item
-list; an :class:`EvaluationResult` names its measure "MAP" or "RR". Runs
+Average precision (MAP) scores one ranked item list; the reciprocal rank
+(RR) of one item is the average precision of that item alone. An
+:class:`EvaluationResult` names its measure "MAP" or "RR". Runs
 are compared in relative terms (score ratio S_i/S_0 against a
 no-embedding baseline, dimensionality ratio m/d, time ratio T_i/T_0);
 :func:`bloomemb.experiment.run_sweep` computes those ratios per cell.
@@ -42,11 +43,3 @@ def average_precision(ranked: Sequence[int], relevant: set[int]) -> float:
             hits += 1
             total += hits / position
     return total / len(relevant)
-
-
-def reciprocal_rank(ranked: Sequence[int], correct: int) -> float:
-    """1/rank of `correct`, or 0 when it is absent from the list."""
-    for position, item in enumerate(ranked, start=1):
-        if item == correct:
-            return 1.0 / position
-    return 0.0

@@ -75,6 +75,8 @@ class OptimizerSpec:
             b = getattr(self, name)
             if not 0.0 < b < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {b}")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be None or > 0, got {self.clip_norm}")
 
 
 @dataclass

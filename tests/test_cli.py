@@ -4,6 +4,7 @@ Exit code 2 marks a configuration fault, 1 a data fault, and replaying a
 run's ``<out>.config`` reproduces its outputs byte for byte.
 """
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -15,20 +16,7 @@ import pytest
 
 from bloomemb import cbe, cli, codec, experiment, hashing
 
-TINY = ["--synthetic", "--d", "200", "--n", "500", "--epochs", "2"]
-
-
-def test_train_config_replay_is_byte_identical(tmp_path):
-    first = str(tmp_path / "first.model")
-    second = str(tmp_path / "second.model")
-    assert cli.main(["train", *TINY, "--m", "40", "--out", first]) == 0
-    assert cli.main(["train", "--config", first + ".config",
-                     "--out", second]) == 0
-    for suffix in ("", ".hash-in", ".hash-out"):
-        with open(first + suffix, "rb") as a, open(second + suffix, "rb") as b:
-            assert a.read() == b.read(), suffix
-    with open(first + ".config") as a, open(second + ".config") as b:
-        assert a.read() == b.read()
+TINY = ["--data", "none", "--d", "200", "--n", "500", "--epochs", "2"]
 
 
 def write_instances(path) -> list[list[int]]:
@@ -64,8 +52,9 @@ def test_build_hash_encode_decode_round_trip(tmp_path):
 
 @pytest.fixture(scope="module")
 def simple_inputs(tmp_path_factory):
-    """A binary hash matrix over 40 items, an instance file, its encoding and
-    a file of probability vectors of width m = 16."""
+    """A binary hash matrix over 40 items, an instance file, its encoding, a
+    file of probability vectors of width m = 16, and a model trained on
+    TINY at m = 40."""
     tmp = tmp_path_factory.mktemp("simple")
     h, bits, probs = (str(tmp / name) for name in ("h.bin", "bits", "probs"))
     instances = tmp / "instances.txt"
@@ -77,8 +66,10 @@ def simple_inputs(tmp_path_factory):
     rows = np.random.default_rng(3).random((5, 16))
     Path(probs).write_text("".join(" ".join(map(repr, r)) + "\n"
                                    for r in rows.tolist()))
+    model = str(tmp / "tiny.model")
+    assert cli.main(["train", *TINY, "--m", "40", "--out", model]) == 0
     return {"hash": h, "instances": str(instances), "bits": bits, "probs": probs,
-            "stats": str(tmp / "stats.tsv")}
+            "stats": str(tmp / "stats.tsv"), "model": model}
 
 
 SIMPLE_RUNS = {
@@ -92,22 +83,39 @@ SIMPLE_RUNS = {
                                f["probs"], "--decode", "nll"],
     "cbe": lambda f: ["cbe", "--hash", f["hash"], "--instances", f["instances"],
                       "--seed", "5", "--stats-out", f["stats"]],
+    "train": lambda f: ["train", *TINY, "--m", "40"],
+    "evaluate": lambda f: ["evaluate", *TINY, "--m", "40", "--model", f["model"]],
+    "sweep": lambda f: ["sweep", *TINY, "--m-ratios", "0.1,0.2", "--k-values",
+                        "2"],
 }
+WALL_TIME_COLUMNS = ("seconds", "train_time_ratio", "eval_time_ratio")
+
+
+def without_wall_times(path) -> list[list[str]]:
+    header, *rows = (line.split("\t") for line in Path(path).read_text().splitlines())
+    keep = [i for i, name in enumerate(header) if name not in WALL_TIME_COLUMNS]
+    return [[row[i] for i in keep] for row in (header, *rows)]
 
 
 @pytest.mark.parametrize("run", SIMPLE_RUNS.values(), ids=SIMPLE_RUNS)
 def test_simple_command_config_replay_is_byte_identical(tmp_path, simple_inputs,
                                                         run):
+    """Every subcommand replays its own .config: evaluate and sweep to the
+    same TSV wall times aside, the others to the same bytes."""
     command, *flags = run(simple_inputs)
     first, second = str(tmp_path / "first"), str(tmp_path / "second")
     assert cli.main([command, *flags, "--out", first]) == 0
-    # every .config line key=value is the flag --key value
-    header, *lines = Path(first + ".config").read_text().splitlines()
-    assert header.startswith("#")
-    replay = [token for line in lines
-              for token in ("--" + line.partition("=")[0], line.partition("=")[2])]
-    assert cli.main([command, *replay, "--out", second]) == 0
-    assert Path(first).read_bytes() == Path(second).read_bytes()
+    assert Path(first + ".config").read_text().startswith("#")
+    assert cli.main([command, "--config", first + ".config",
+                     "--out", second]) == 0
+    if command in ("evaluate", "sweep"):
+        assert without_wall_times(first) == without_wall_times(second)
+    else:
+        assert Path(first).read_bytes() == Path(second).read_bytes()
+    if command == "train":
+        for suffix in (".hash-in", ".hash-out"):
+            assert Path(first + suffix).read_bytes() == \
+                Path(second + suffix).read_bytes(), suffix
     assert Path(first + ".config").read_text() == \
         Path(second + ".config").read_text()
 
@@ -142,7 +150,9 @@ def test_evaluate_scores_like_run_experiment_on_the_logged_config(tmp_path,
                      "--model", model, "--out", out]) == 0
     header, row = open(out).read().splitlines()
     assert header == "measure\tscore\tn_evaluated\tseconds"
-    cfg = experiment.config_from_text(open(model + ".config").read())
+    args = cli.build_parser().parse_args(
+        cli._with_config(["train", "--config", model + ".config", "--out", model]))
+    cfg = cli._resolve_config(args)
     score = experiment.run_experiment(cfg).evaluation.score
     assert row.split("\t")[1] == f"{score:.10g}"
     assert os.path.exists(out + ".config")
@@ -279,10 +289,12 @@ def test_help_exits_0(capsys, command):
     with pytest.raises(SystemExit) as exited:
         cli.main([command, "--help"])
     assert exited.value.code == 0
-    if command == "train":
-        text = capsys.readouterr().out
-        for flag in cli._FIELD_FLAGS:
-            assert re.search(rf"^  {re.escape(flag)} ", text, re.M), flag
+    text = capsys.readouterr().out
+    assert re.search(r"^  --config CONFIG ", text, re.M)
+    if command in ("train", "evaluate", "sweep"):
+        for field in dataclasses.fields(experiment.ExperimentConfig):
+            flag = "--" + field.name.replace("_", "-")
+            assert re.search(rf"^  {re.escape(flag)}\b", text, re.M), flag
 
 
 BAD_FLAG_VALUES = {
@@ -423,13 +435,32 @@ CONFIG_FAULTS = {
     "decode-foo": ["train", "--decode", "foo"],
     "measure-foo": ["train", "--measure", "foo"],
     "seed-abc": ["train", "--seed", "abc"],
+    "seed-negative": ["train", "--seed", "-1"],
+    "init-seed-negative": ["train", "--init-seed", "-2"],
+    "clip-norm-negative": ["train", "--clip-norm", "-1"],
+    "unknown-flag": ["train", "--bogus", "1"],
+    "file-no-equals": ["train", "--config", "epochs=2\nbatch_size"],
+    "file-unknown-key": ["train", "--config", "# comment\n\nwidth=3"],
+    "file-bad-int": ["train", "--config", "batch_size=two"],
+    "file-bad-bool": ["train", "--config", "baseline=maybe"],
+}
+# the start of the fault line, where a test pins it
+FAULT_TEXTS = {
+    "seed-negative": "data_seed must be >= 0, got -1",
+    "init-seed-negative": "init_seed must be >= 0, got -2",
+    "clip-norm-negative": "clip_norm must be None or > 0, got -1.0",
+    "unknown-flag": "unrecognized arguments: --bogus 1",
+    "file-no-equals": "line 2: expected key=value, got 'batch_size'",
+    "file-unknown-key": "unrecognized arguments: --width=3",
+    "file-bad-int": "--batch-size: invalid literal",
+    "file-bad-bool": "--baseline: expected a boolean",
 }
 
 
-@pytest.mark.parametrize("argv", CONFIG_FAULTS.values(), ids=CONFIG_FAULTS)
+@pytest.mark.parametrize("fault", CONFIG_FAULTS)
 def test_config_fault_exits_2_before_training(tmp_path, monkeypatch, capsys,
-                                              argv):
-    command, *flags = argv
+                                              fault):
+    command, *flags = CONFIG_FAULTS[fault]
     if flags[0] == "--config":
         (tmp_path / "run.config").write_text(flags[1] + "\n")
         flags = ["--config", str(tmp_path / "run.config")]
@@ -439,5 +470,6 @@ def test_config_fault_exits_2_before_training(tmp_path, monkeypatch, capsys,
     assert cli.main([command, *TINY, "--m", "40", *flags,
                      "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert len(err) == 1, err
+    assert err[0].startswith("config error: " + FAULT_TEXTS.get(fault, "")), err
     assert sorted(tmp_path.iterdir()) == before

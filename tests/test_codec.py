@@ -100,7 +100,10 @@ class TestEncode:
         # O(c*k): the same instance should cost about the same under a
         # 1000x larger item space (generous 5x margin for timer noise)
         small = build_hash_matrix(d=1000, m=256, k=4, seed=0)
-        big = build_hash_matrix(d=1_000_000, m=256, k=4, seed=0)
+        # rows depend on (m, k, seed, row) alone, so tiling the d=1000 rows
+        # gives items 1..32 the rows a d=1e6 build would, without its cost
+        big = HashMatrix(d=1_000_000, m=256, k=4, seed=0,
+                         rows=np.tile(small.rows, (1000, 1)))
         inst_small = [SparseInstance.from_items(1000, range(1, 33))]
         inst_big = [SparseInstance.from_items(1_000_000, range(1, 33))]
         encode_batch(inst_small, small), encode_batch(inst_big, big)  # warm up

@@ -16,10 +16,10 @@ from bloomemb.cbe import count_cooccurrences, threshold_and_order
 from bloomemb.codec import ScoreOrder, decode_likelihood_batch, decode_nll_batch, \
     encode_batch, rank_batch
 from bloomemb.experiment import (ConfigError, ExperimentConfig, _ranks,
-                                 build_matrices, config_from_text,
-                                 evaluate_model, fit, load_dataset,
-                                 run_experiment, run_sweep, sweep_rows_tsv)
-from bloomemb.metrics import average_precision, reciprocal_rank
+                                 build_matrices, evaluate_model, fit,
+                                 load_dataset, run_experiment, run_sweep,
+                                 sweep_rows_tsv)
+from bloomemb.metrics import average_precision
 from bloomemb.trainer import forward_batch, init_network
 
 
@@ -30,7 +30,7 @@ def tiny_config(**overrides) -> ExperimentConfig:
 
 ORACLES = {
     "MAP": lambda ranked, out: average_precision(ranked, set(out.positions.tolist())),
-    "RR": lambda ranked, out: reciprocal_rank(ranked, int(out.positions.min())),
+    "RR": lambda ranked, out: average_precision(ranked, {int(out.positions.min())}),
 }
 
 
@@ -162,15 +162,17 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("a cell ran before the grid was checked")
 
 
-@pytest.mark.parametrize("m_ratios,k_values,parallel", [
-    ([2.0], [2], 1), ([0.2], [0], 1), ([0.2], [201], 1), ([], [2], 1),
-    ([0.2], [], 1), ([0.2], [2], 0)],
-    ids=["ratio-2", "k-0", "k-above-d", "no-ratio", "no-k", "parallel-0"])
+@pytest.mark.parametrize("m_ratios,k_values,seeds,parallel", [
+    ([2.0], [2], [0], 1), ([0.2], [0], [0], 1), ([0.2], [201], [0], 1),
+    ([], [2], [0], 1), ([0.2], [], [0], 1), ([0.2], [2], [0], 0),
+    ([0.2], [2], [0, -1], 1)],
+    ids=["ratio-2", "k-0", "k-above-d", "no-ratio", "no-k", "parallel-0",
+         "seed-negative"])
 def test_sweep_grid_faults_raise_before_any_cell(monkeypatch, m_ratios, k_values,
-                                                 parallel):
+                                                 seeds, parallel):
     monkeypatch.setattr(experiment, "fit", _must_not_run)
     with pytest.raises(ConfigError):
-        run_sweep(tiny_config(), m_ratios, k_values, [0], parallel=parallel)
+        run_sweep(tiny_config(), m_ratios, k_values, seeds, parallel=parallel)
 
 
 def twelve_item_file(tmp_path) -> str:
@@ -226,6 +228,13 @@ CONFIG_FAULTS = {
     "k-0": {"k": 0},
     "k-above-m": {"k": 5, "m_in": 4},
     "data-format": {"data_format": "csv"},
+    # numpy's generators take no negative seed
+    "data-seed-negative": {"data_seed": -1},
+    "init-seed-negative": {"init_seed": -2},
+    "shuffle-seed-negative": {"shuffle_seed": -3},
+    # a clip norm <= 0 scales each step against the gradient, or to nothing
+    "clip-norm-negative": {"clip_norm": -1.0},
+    "clip-norm-0": {"clip_norm": 0.0},
 }
 
 
@@ -238,16 +247,6 @@ def test_config_faults_raise_when_built(bad):
 def test_config_checks_k_only_for_an_embedding_and_data_only_if_synthetic():
     ExperimentConfig(baseline=True, k=5, m_in=4)
     ExperimentConfig(data_path="profiles.txt", d=1, n_clusters=0)
-
-
-@pytest.mark.parametrize("text,fault", [
-    ("epochs=2\nbatch_size\n", "line 2: expected key=value"),
-    ("# comment\n\nwidth=3\n", "line 3: unknown config key 'width'"),
-    ("epochs=two\n", "line 1: invalid literal"),
-    ("baseline=maybe\n", "line 1: expected a boolean")])
-def test_malformed_config_text_names_the_line(text, fault):
-    with pytest.raises(ConfigError, match=fault):
-        config_from_text(text)
 
 
 DIVERGED = "epoch 1: non-finite activation in forward pass"

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from bloomemb.metrics import (EvaluationResult, average_precision,
-                              reciprocal_rank)
+from bloomemb.metrics import EvaluationResult, average_precision
 
 
 def brute_force_ap(ranked, relevant):
@@ -45,23 +44,23 @@ class TestAveragePrecision:
         swapped = average_precision([4, 1, 3, 5, 2], {4, 3})
         assert base == swapped
 
+    # one relevant item scores its reciprocal rank (RR)
+    def test_single_item_rank_four(self):
+        assert average_precision([7, 3, 9, 5], {5}) == 0.25
+
+    def test_single_item_rank_one(self):
+        assert average_precision([5, 3], {5}) == 1.0
+
+    def test_single_item_absent_is_zero(self):
+        assert average_precision([1, 2, 3], {9}) == 0.0
+
+    def test_single_item_depends_only_on_rank(self):
+        assert average_precision([10, 20, 30], {20}) == \
+            average_precision([3, 2, 1], {2})
+
     def test_empty_relevant_rejected(self):
         with pytest.raises(ValueError):
             average_precision([1, 2], set())
-
-
-class TestReciprocalRank:
-    def test_rank_four(self):
-        assert reciprocal_rank([7, 3, 9, 5], 5) == 0.25
-
-    def test_rank_one(self):
-        assert reciprocal_rank([5, 3], 5) == 1.0
-
-    def test_absent_is_zero(self):
-        assert reciprocal_rank([1, 2, 3], 9) == 0.0
-
-    def test_depends_only_on_rank(self):
-        assert reciprocal_rank([10, 20, 30], 20) == reciprocal_rank([3, 2, 1], 2)
 
 
 class TestEvaluationResult:
