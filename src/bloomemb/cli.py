@@ -2,20 +2,21 @@
 
 Subcommands: build-hash, encode, decode, cbe, train, evaluate, sweep. Each
 parses its flags, calls the library, whose rules it follows, and writes its
-outputs atomically; it exits with code 2 on configuration faults and 1 on
-data faults. Flags and ``.config`` files share one grammar: a file's line
-``key=value`` is the flag ``--key=value``, an underscore read as a dash.
-``--config FILE`` puts the file's flags ahead of the command line's, which
-override them. train, evaluate and sweep have a flag per ``ExperimentConfig``
-field, named after it, plus ``--m`` and ``--seed``, which set several.
-Each command logs its run to ``<out>.config``: the resolved experiment
-config, if any, then its other flags but ``--out``, so that
-``--config <out>.config --out <new>`` replays it bit for bit, wall times
-aside. ``train`` always writes the hash matrices next to the checkpoint, as
-``<out>.hash-in`` and ``<out>.hash-out`` (the identity for the baseline),
-and ``evaluate`` reads them from next to ``--model``. One loader reads every
-artifact file and hands it to its module's parser; a fault in either step is
-the data fault ``cannot load <what> <path>: <reason>``.
+outputs atomically; it exits with code 2 on configuration faults, and 1 on
+data faults and non-finite numbers (``numeric error: <reason>``). Flags and
+``.config`` files share one grammar: a file's line ``key=value`` is the flag
+``--key=value``, an underscore read as a dash. ``--config FILE`` puts the
+file's flags ahead of the command line's, which override them. train, evaluate
+and sweep have a flag per ``ExperimentConfig`` field, named after it, plus
+``--m`` and ``--seed``, which set several. Each command logs its run to
+``<out>.config``: the resolved experiment config, if any, then its other flags
+but ``--out``, so that ``--config <out>.config --out <new>`` replays it bit
+for bit, wall times aside. Every file a command writes is named after
+``--out``: ``cbe`` writes its report to ``<out>.stats.tsv``, and ``train`` the
+hash matrices to ``<out>.hash-in`` and ``<out>.hash-out`` (the identity for
+the baseline), which ``evaluate`` reads next to ``--model``. One loader reads
+every artifact file and hands it to its module's parser; a fault in either
+step is the data fault ``cannot load <what> <path>: <reason>``.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def cmd_cbe(args) -> int:
     _write_matrix(args.out, cbe_mod.rebuild_hash_matrix(matrix, pairs, args.seed),
                   args.format)
     stats = cbe_mod.cooccurrence_stats(table, len(instances))
-    atomic_write(args.stats_out, cbe_mod.stats_report_tsv(stats))
+    atomic_write(args.out + ".stats.tsv", cbe_mod.stats_report_tsv(stats))
     _log_config(args)
     return 0
 
@@ -287,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "binary"), default="text")
     p.add_argument("--out", required=True)
-    p.add_argument("--stats-out", required=True)
 
     p = add_parser("train", cmd_train, "train the feed-forward model")
     _add_experiment_flags(p)
@@ -346,6 +346,9 @@ def main(argv=None) -> int:
         return 2
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -11,8 +11,8 @@ Sweeps run one cell per (k, m/d, seed) plus per-seed baseline cells and
 emit TSV rows with score and time ratios against the seed-matched
 baseline. A sweep loads its dataset once and builds and checks every
 cell's config before any cell runs; a bad grid raises :class:`ConfigError`.
-Every cell trains on that one dataset, and each pool worker receives it
-once, when it starts. A diverged cell's row is NaN and names the reason.
+Every cell trains on that one dataset, one after another in the calling
+thread. A diverged cell's row is NaN and names the reason.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import dataclasses
 import time
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -104,6 +103,8 @@ class ExperimentConfig:
                 ("measure", self.measure in ("MAP", "RR"), "be MAP or RR"),
                 ("top_n", self.top_n is None or self.top_n >= 1, "be >= 1"),
                 ("test_size", 0 < self.test_size < 1, "lie in (0, 1)"),
+                ("rating_threshold", self.rating_threshold is None
+                 or not np.isnan(self.rating_threshold), "not be NaN"),
                 ("hidden", all(h >= 1 for h in self.hidden), "hold sizes >= 1"),
                 ("epochs", self.epochs >= 0, "be >= 0"),
                 ("batch_size", self.batch_size >= 1, "be >= 1"),
@@ -372,19 +373,6 @@ def _run_cell(cfg: ExperimentConfig, ds: ProfileDataset) -> dict:
             "eval_time": outcome.evaluation.wall_time, "error": ""}
 
 
-# The sweep's dataset inside a pool worker, set once when the worker starts.
-_worker_dataset: ProfileDataset | None = None
-
-
-def _init_worker(ds: ProfileDataset) -> None:
-    global _worker_dataset
-    _worker_dataset = ds
-
-
-def _run_worker_cell(cfg: ExperimentConfig) -> dict:
-    return _run_cell(cfg, _worker_dataset)
-
-
 def run_sweep(base: ExperimentConfig, m_ratios: Sequence[float],
               k_values: Sequence[int], seeds: Sequence[int],
               parallel: int = 1) -> list[dict]:
@@ -394,8 +382,8 @@ def run_sweep(base: ExperimentConfig, m_ratios: Sequence[float],
     dataset's d. Before any cell runs, `parallel` must be >= 1, the grid
     nonempty with every ratio in (0, 1], and every cell's config is built
     and checked against the dataset; a fault, or a split left empty, raises
-    ConfigError. Serial cells share the loaded dataset; with `parallel` > 1
-    each pool worker receives it once, when it starts.
+    ConfigError. Every cell runs in the calling thread on the one loaded
+    dataset, whatever `parallel` is, so a SIGINT stops the sweep at once.
 
     Returns rows sorted by (k, m/d, seed); baseline rows carry the nominal
     point (k=1, m/d=1.0) and ratio 1 by construction. A cell whose training
@@ -420,15 +408,9 @@ def run_sweep(base: ExperimentConfig, m_ratios: Sequence[float],
                for v, k, ratio, seed in cells]
     for cfg in configs:
         _check_embedding_fits(cfg, ds.d)
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel, initializer=_init_worker,
-                                 initargs=(ds,)) as pool:
-            results = list(pool.map(_run_worker_cell, configs))
-    else:
-        results = [_run_cell(cfg, ds) for cfg in configs]
     rows = [{"measure": base.measure, "variant": v, "k": k, "m_ratio": ratio,
-             "seed": seed, **result}
-            for (v, k, ratio, seed), result in zip(cells, results)]
+             "seed": seed, **_run_cell(cfg, ds)}
+            for (v, k, ratio, seed), cfg in zip(cells, configs)]
 
     baselines = {row["seed"]: row for row in rows if row["variant"] == "baseline"}
     for row in rows:

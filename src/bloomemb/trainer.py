@@ -71,6 +71,8 @@ class OptimizerSpec:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if not self.learning_rate >= 0:
             raise ValueError("learning rate must be >= 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         for name in ("beta1", "beta2"):
             b = getattr(self, name)
             if not 0.0 < b < 1.0:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bloomemb import cbe, cli, codec, experiment, hashing
+from bloomemb import cbe, cli, codec, experiment, hashing, trainer
 
 TINY = ["--data", "none", "--d", "200", "--n", "500", "--epochs", "2"]
 
@@ -69,7 +69,7 @@ def simple_inputs(tmp_path_factory):
     model = str(tmp / "tiny.model")
     assert cli.main(["train", *TINY, "--m", "40", "--out", model]) == 0
     return {"hash": h, "instances": str(instances), "bits": bits, "probs": probs,
-            "stats": str(tmp / "stats.tsv"), "model": model}
+            "model": model}
 
 
 SIMPLE_RUNS = {
@@ -82,7 +82,7 @@ SIMPLE_RUNS = {
     "decode-probs": lambda f: ["decode", "--hash", f["hash"], "--probs",
                                f["probs"], "--decode", "nll"],
     "cbe": lambda f: ["cbe", "--hash", f["hash"], "--instances", f["instances"],
-                      "--seed", "5", "--stats-out", f["stats"]],
+                      "--seed", "5"],
     "train": lambda f: ["train", *TINY, "--m", "40"],
     "evaluate": lambda f: ["evaluate", *TINY, "--m", "40", "--model", f["model"]],
     "sweep": lambda f: ["sweep", *TINY, "--m-ratios", "0.1,0.2", "--k-values",
@@ -112,22 +112,22 @@ def test_simple_command_config_replay_is_byte_identical(tmp_path, simple_inputs,
         assert without_wall_times(first) == without_wall_times(second)
     else:
         assert Path(first).read_bytes() == Path(second).read_bytes()
-    if command == "train":
-        for suffix in (".hash-in", ".hash-out"):
-            assert Path(first + suffix).read_bytes() == \
-                Path(second + suffix).read_bytes(), suffix
+    for suffix in {"train": (".hash-in", ".hash-out"),
+                   "cbe": (".stats.tsv",)}.get(command, ()):
+        assert Path(first + suffix).read_bytes() == \
+            Path(second + suffix).read_bytes(), suffix
     assert Path(first + ".config").read_text() == \
         Path(second + ".config").read_text()
 
 
 def test_cbe_command_matches_the_library(tmp_path):
-    h, out, stats = (str(tmp_path / name) for name in ("h.txt", "cbe.txt", "tsv"))
+    h, out = (str(tmp_path / name) for name in ("h.txt", "cbe.txt"))
     instances = tmp_path / "instances.txt"
     write_instances(instances)
     assert cli.main(["build-hash", "--d", "40", "--m", "16", "--k", "3",
                      "--out", h]) == 0
     assert cli.main(["cbe", "--hash", h, "--instances", str(instances),
-                     "--seed", "5", "--out", out, "--stats-out", stats]) == 0
+                     "--seed", "5", "--out", out]) == 0
     table = cbe.count_cooccurrences(codec.read_instances(instances.read_text(), 40))
     pairs = cbe.threshold_and_order(table)
     assert len(pairs)
@@ -135,7 +135,7 @@ def test_cbe_command_matches_the_library(tmp_path):
     expected = cbe.rebuild_hash_matrix(matrix, pairs, 5)
     assert np.array_equal(hashing.matrix_from_bytes(Path(out).read_bytes()).rows,
                           expected.rows)
-    assert open(stats).readline() == \
+    assert open(out + ".stats.tsv").readline() == \
         "side\tpercent_cooccurring_pairs\tmean_ratio_rho\n"
     assert os.path.exists(out + ".config")
 
@@ -178,8 +178,7 @@ UNREADABLE = {
     "missing-hash-decode": ("hash matrix", None, lambda f, bad: [
         "decode", "--hash", bad, "--embeddings", f["bits"]]),
     "missing-hash-cbe": ("hash matrix", None, lambda f, bad: [
-        "cbe", "--hash", bad, "--instances", f["instances"],
-        "--stats-out", f["stats"]]),
+        "cbe", "--hash", bad, "--instances", f["instances"]]),
     "hash-malformed-header": ("hash matrix", b"2 2 2\n1 2\n2 1\n", lambda f, bad: [
         "encode", "--hash", bad, "--instances", f["instances"]]),
     "instance-not-integer": ("instances", b"1 2\n1 x\n", lambda f, bad: [
@@ -303,8 +302,7 @@ BAD_FLAG_VALUES = {
                               "--format", "foo"],
     "decode-top-n-x": ["decode", "--hash", "h", "--embeddings", "e",
                        "--top-n", "x"],
-    "cbe-seed-x": ["cbe", "--hash", "h", "--instances", "i", "--seed", "x",
-                   "--stats-out", "s"],
+    "cbe-seed-x": ["cbe", "--hash", "h", "--instances", "i", "--seed", "x"],
     "sweep-parallel-x": ["sweep", *TINY, "--m-ratios", "0.2", "--k-values", "2",
                          "--parallel", "x"],
 }
@@ -438,6 +436,9 @@ CONFIG_FAULTS = {
     "seed-negative": ["train", "--seed", "-1"],
     "init-seed-negative": ["train", "--init-seed", "-2"],
     "clip-norm-negative": ["train", "--clip-norm", "-1"],
+    "momentum-nan": ["train", "--optimizer", "sgd", "--momentum", "nan"],
+    "momentum-1.5": ["train", "--momentum", "1.5"],
+    "rating-threshold-nan": ["train", "--rating-threshold", "nan"],
     "unknown-flag": ["train", "--bogus", "1"],
     "file-no-equals": ["train", "--config", "epochs=2\nbatch_size"],
     "file-unknown-key": ["train", "--config", "# comment\n\nwidth=3"],
@@ -449,6 +450,8 @@ FAULT_TEXTS = {
     "seed-negative": "data_seed must be >= 0, got -1",
     "init-seed-negative": "init_seed must be >= 0, got -2",
     "clip-norm-negative": "clip_norm must be None or > 0, got -1.0",
+    "momentum-nan": "momentum must lie in [0, 1), got nan",
+    "rating-threshold-nan": "rating_threshold must not be NaN, got nan",
     "unknown-flag": "unrecognized arguments: --bogus 1",
     "file-no-equals": "line 2: expected key=value, got 'batch_size'",
     "file-unknown-key": "unrecognized arguments: --width=3",
@@ -473,3 +476,35 @@ def test_config_fault_exits_2_before_training(tmp_path, monkeypatch, capsys,
     assert len(err) == 1, err
     assert err[0].startswith("config error: " + FAULT_TEXTS.get(fault, "")), err
     assert sorted(tmp_path.iterdir()) == before
+
+
+def _nan_checkpoint(model: str) -> str:
+    """`model` with NaN output biases, saved next to it with its sidecars."""
+    net = trainer.network_from_bytes(Path(model).read_bytes())
+    net.biases[-1][:] = np.nan
+    bad = model + ".nan"
+    Path(bad).write_bytes(trainer.network_to_bytes(net))
+    for suffix in (".hash-in", ".hash-out"):
+        Path(bad + suffix).write_bytes(Path(model + suffix).read_bytes())
+    return bad
+
+
+# training that overflows, and a checkpoint whose forward pass is NaN
+DIVERGED_RUNS = {
+    "train-lr-1e30": ("epoch 1: ", lambda model: [
+        "train", *TINY, "--m", "40", "--epochs", "1", "--lr", "1e30"]),
+    "evaluate-nan-checkpoint": ("", lambda model: [
+        "evaluate", *TINY, "--baseline", "--model", _nan_checkpoint(model)]),
+}
+
+
+@pytest.mark.parametrize("where,run", DIVERGED_RUNS.values(), ids=DIVERGED_RUNS)
+def test_diverged_run_is_one_numeric_fault_line(tmp_path, capsys, baseline_model,
+                                                where, run):
+    out = str(tmp_path / "out")
+    argv = run(baseline_model)
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"numeric error: {where}non-finite activation in forward pass"]
+    assert not list(tmp_path.glob("out*"))

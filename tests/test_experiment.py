@@ -235,6 +235,12 @@ CONFIG_FAULTS = {
     # a clip norm <= 0 scales each step against the gradient, or to nothing
     "clip-norm-negative": {"clip_norm": -1.0},
     "clip-norm-0": {"clip_norm": 0.0},
+    # momentum 1 or more never decays the velocity; NaN poisons it
+    "momentum-nan": {"optimizer": "sgd", "momentum": float("nan")},
+    "momentum-1.5": {"momentum": 1.5},
+    "momentum-negative": {"momentum": -1.0},
+    # no rating compares >= NaN, yet NaN kept every row like None
+    "rating-threshold-nan": {"rating_threshold": float("nan")},
 }
 
 
