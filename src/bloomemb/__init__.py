@@ -13,8 +13,8 @@ from .codec import (ScoreOrder, SparseInstance, decode_likelihood_batch,
                     decode_nll_batch, encode_batch, rank_batch)
 from .data import (DataError, ProfileDataset, SyntheticSpec, generate_synthetic,
                    load_profiles)
-from .experiment import (ExperimentConfig, ExperimentOutcome, config_to_text,
-                         evaluate_model, fit, run_experiment, run_sweep)
+from .experiment import (ExperimentConfig, ExperimentOutcome, evaluate_model,
+                         fit, run_experiment, run_sweep)
 from .hashing import (HashMatrix, build_hash_matrix, identity_hash_matrix,
                       matrix_from_bytes)
 from .metrics import EvaluationResult, average_precision

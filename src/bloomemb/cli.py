@@ -3,28 +3,33 @@
 Subcommands: build-hash, encode, decode, cbe, train, evaluate, sweep. Each
 parses its flags, calls the library, whose rules it follows, and writes its
 outputs atomically; it exits with code 2 on configuration faults, and 1 on
-data faults and non-finite numbers (``numeric error: <reason>``). Flags and
-``.config`` files share one grammar: a file's line ``key=value`` is the flag
-``--key=value``, an underscore read as a dash. ``--config FILE`` puts the
-file's flags ahead of the command line's, which override them. train, evaluate
-and sweep have a flag per ``ExperimentConfig`` field, named after it, plus
-``--m`` and ``--seed``, which set several. Each command logs its run to
-``<out>.config``: the resolved experiment config, if any, then its other flags
-but ``--out``, so that ``--config <out>.config --out <new>`` replays it bit
-for bit, wall times aside. Every file a command writes is named after
-``--out``: ``cbe`` writes its report to ``<out>.stats.tsv``, and ``train`` the
-hash matrices to ``<out>.hash-in`` and ``<out>.hash-out`` (the identity for
-the baseline), which ``evaluate`` reads next to ``--model``. One loader reads
-every artifact file and hands it to its module's parser; a fault in either
-step is the data fault ``cannot load <what> <path>: <reason>``.
+data faults and non-finite numbers (``numeric error: <reason>``). This module
+alone owns the ``.config`` grammar, which flags share: a file's line
+``key=value`` is the flag ``--key=value``, an underscore read as a dash, and
+a value reads by its type (``none``, ``true``, commas between tuple items);
+a bad one is the config fault ``argument --flag: <reason>``. ``--config FILE``
+puts the file's flags ahead of the command line's, which override them.
+train, evaluate and sweep have a flag per ``ExperimentConfig`` field, named
+after it, plus ``--m`` and ``--seed``, which set several. Each command logs
+its run to ``<out>.config``: the resolved config's fields, if any, then its
+other flags but ``--out``, keys written with underscores (dashes read too),
+so that ``--config <out>.config --out <new>`` replays it bit for bit, wall
+times aside. Every file a command writes is named after ``--out``: ``cbe``
+writes its report to ``<out>.stats.tsv``, and ``train`` the hash matrices to
+``<out>.hash-in`` and ``<out>.hash-out`` (the identity for the baseline),
+which ``evaluate`` reads next to ``--model``. One loader reads every artifact
+file and hands it to its module's parser; a fault in either step is the data
+fault ``cannot load <what> <path>: <reason>``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
+import types
 import typing
 from pathlib import Path
 
@@ -55,17 +60,44 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+def _parse_value(annotation, text: str):
+    """`text` read as a value of `annotation`, the argparse type of a flag;
+    ArgumentTypeError if it is not one."""
+    text = text.strip()
+    origin = typing.get_origin(annotation)
+    if origin in (typing.Union, types.UnionType):  # every one is `X | None`
+        inner, _ = typing.get_args(annotation)
+        return None if text.lower() == "none" else _parse_value(inner, text)
+    if annotation is bool:
+        if text.lower() not in ("true", "1", "yes", "false", "0", "no"):
+            raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
+        return text.lower() in ("true", "1", "yes")
+    if origin is tuple:
+        return tuple(_parse_value(typing.get_args(annotation)[0], v)
+                     for v in text.split(",")) if text else ()
+    try:
+        return annotation(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _format_value(value) -> str:
+    """`value` as `_parse_value` reads it back."""
+    if value is None or isinstance(value, bool):
+        return str(value).lower()
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
 def _log_config(args, cfg: experiment.ExperimentConfig | None = None) -> None:
-    """Write ``<out>.config``: the resolved experiment config, if any, then a
-    ``key=value`` line per other flag set, --out and --config aside."""
-    if cfg is None:
-        text, resolved = "# bloomemb resolved flags\n", ()
-    else:
-        text, resolved = experiment.config_to_text(cfg), (*_FIELDS, "m", "seed")
-    text += "".join(f"{key.replace('_', '-')}={value}\n"
-                    for key, value in vars(args).items() if value is not None
-                    and key not in (*resolved, "command", "func", "out", "config"))
-    atomic_write(args.out + ".config", text)
+    """Write ``<out>.config``: the resolved experiment config's fields, if
+    any, then every other flag set, --out and --config aside."""
+    values = {} if cfg is None else {field: getattr(cfg, field) for field in _FIELDS}
+    resolved = () if cfg is None else (*_FIELDS, "m", "seed")
+    values.update((key, value) for key, value in vars(args).items()
+                  if value is not None
+                  and key not in (*resolved, "command", "func", "out", "config"))
+    atomic_write(args.out + ".config", "# bloomemb config\n" + "".join(
+        f"{key}={_format_value(value)}\n" for key, value in values.items()))
     print(f"config logged to {args.out}.config", file=sys.stderr)
 
 
@@ -139,10 +171,13 @@ def cmd_cbe(args) -> int:
     if not instances:
         raise DataError("instance file is empty")
     table = cbe_mod.count_cooccurrences(instances)
+    try:
+        stats = cbe_mod.cooccurrence_stats(table, len(instances))
+    except ValueError as exc:
+        raise DataError(f"co-occurrence {exc}") from None
     pairs = cbe_mod.threshold_and_order(table)
     _write_matrix(args.out, cbe_mod.rebuild_hash_matrix(matrix, pairs, args.seed),
                   args.format)
-    stats = cbe_mod.cooccurrence_stats(table, len(instances))
     atomic_write(args.out + ".stats.tsv", cbe_mod.stats_report_tsv(stats))
     _log_config(args)
     return 0
@@ -160,23 +195,14 @@ _SEED_FIELDS = ("data_seed", "hash_seed_in", "hash_seed_out", "cbe_seed",
                 "init_seed", "shuffle_seed")
 
 
-def _parse_flag(flag: str, text: str, annotation):
-    """`text` by the config file's rule for `annotation`; ConfigError if bad."""
-    try:
-        return experiment._parse_value(text, annotation)
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
-
-
 def _resolve_config(args) -> experiment.ExperimentConfig:
     """The config the field flags set, then --m and --seed over them."""
-    changes = {field: _parse_flag(_flag(field), getattr(args, field), hint)
-               for field, hint in _FIELDS.items() if getattr(args, field) is not None}
+    changes = {field: getattr(args, field) for field in _FIELDS
+               if getattr(args, field) is not None}
     if args.m is not None:
-        changes["m_in"] = changes["m_out"] = _parse_flag("--m", args.m, int)
+        changes["m_in"] = changes["m_out"] = args.m
     if args.seed is not None:
-        seed = _parse_flag("--seed", args.seed, int)
-        changes.update({field: seed + i for i, field in enumerate(_SEED_FIELDS)})
+        changes.update({field: args.seed + i for i, field in enumerate(_SEED_FIELDS)})
     return experiment.ExperimentConfig(**changes)
 
 
@@ -219,10 +245,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
-    rows = experiment.run_sweep(
-        cfg, _parse_flag("--m-ratios", args.m_ratios, tuple[float, ...]),
-        _parse_flag("--k-values", args.k_values, tuple[int, ...]),
-        _parse_flag("--seeds", args.seeds, tuple[int, ...]), parallel=args.parallel)
+    rows = experiment.run_sweep(cfg, args.m_ratios, args.k_values, args.seeds,
+                                parallel=args.parallel)
     atomic_write(args.out, experiment.sweep_rows_tsv(rows))
     _log_config(args, cfg)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -240,10 +264,11 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
         "name, read as in a .config file")
     for field, hint in _FIELDS.items():
         flags = (_flag(field), _ALIASES[field]) if field in _ALIASES else (_flag(field),)
-        group.add_argument(*flags, **({"nargs": "?", "const": "true"}
-                                      if hint is bool else {}))
-    p.add_argument("--m", help="sets m_in and m_out")
-    p.add_argument("--seed", help=f"sets {', '.join(_SEED_FIELDS)}: SEED, SEED+1, ...")
+        group.add_argument(*flags, type=functools.partial(_parse_value, hint),
+                           **({"nargs": "?", "const": True} if hint is bool else {}))
+    p.add_argument("--m", type=int, help="sets m_in and m_out")
+    p.add_argument("--seed", type=int,
+                   help=f"sets {', '.join(_SEED_FIELDS)}: SEED, SEED+1, ...")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,10 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("sweep", cmd_sweep, "run a (k, m/d, seed) grid with baselines")
     _add_experiment_flags(p)
-    p.add_argument("--m-ratios", required=True, help="comma-separated m/d values")
-    p.add_argument("--k-values", required=True, help="comma-separated k values")
-    p.add_argument("--seeds", default="0",
-                   help="comma-separated seeds, one cell per seed")
+    p.add_argument("--m-ratios", required=True, help="comma-separated m/d values",
+                   type=functools.partial(_parse_value, tuple[float, ...]))
+    p.add_argument("--k-values", required=True, help="comma-separated k values",
+                   type=functools.partial(_parse_value, tuple[int, ...]))
+    p.add_argument("--seeds", default=(0,), help="comma-separated seeds, one cell "
+                   "per seed", type=functools.partial(_parse_value, tuple[int, ...]))
     p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--out", required=True)
 

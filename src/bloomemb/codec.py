@@ -25,7 +25,7 @@ caller opens the file), a reader raising ValueError on a malformed line:
   positions; an empty line is the empty instance;
 * embedded-vector file — one line per vector of m characters '0'/'1';
 * probability file — one line per vector of m whitespace-separated
-  probabilities; blank lines are skipped;
+  probabilities in [0, 1]; blank lines are skipped;
 * score dump — TSV with columns instance, item, score for the top-n items
   of each decoded instance.
 """
@@ -188,9 +188,9 @@ def read_instances(text: str, d: int) -> list[SparseInstance]:
     for lineno, line in enumerate(text.splitlines(), start=1):
         try:
             items = [int(tok) for tok in line.split()]
+            out.append(SparseInstance.from_items(d, items))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        out.append(SparseInstance.from_items(d, items))
     return out
 
 
@@ -219,9 +219,13 @@ def read_probabilities(text: str, m: int) -> np.ndarray:
             raise ValueError(f"line {lineno}: expected {m} probabilities, "
                              f"got {len(vals)}")
         try:
-            rows.append([float(v) for v in vals])
+            row = [float(v) for v in vals]
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric probability") from None
+        bad = [v for v in row if not 0.0 <= v <= 1.0]  # NaN fails both
+        if bad:
+            raise ValueError(f"line {lineno}: probability {bad[0]} outside [0, 1]")
+        rows.append(row)
     if not rows:
         raise ValueError("no probability vectors")
     return np.asarray(rows, dtype=np.float64)

@@ -1,11 +1,12 @@
 """Reproducible experiment pipelines: single runs and sweep grids.
 
-An experiment is described by a flat config. A run loads or generates the
-dataset, builds input/output hash matrices (optionally rebuilt from
-co-occurrence statistics), trains the feed-forward model on encoded
-instances, and evaluates ranked recovery on the held-out test profiles.
-The no-embedding baseline is the identity embedding (m = d, k = 1) and
-runs through the same encode, train, decode and rank path.
+An experiment is described by a flat, frozen :class:`ExperimentConfig`,
+which :mod:`bloomemb.cli` reads from flags and ``.config`` text. A run loads
+or generates the dataset, builds input/output hash matrices (optionally
+rebuilt from co-occurrence statistics), trains the feed-forward model on
+encoded instances, and evaluates ranked recovery on the held-out test
+profiles. The no-embedding baseline is the identity embedding (m = d,
+k = 1) and runs through the same encode, train, decode and rank path.
 
 Sweeps run one cell per (k, m/d, seed) plus per-seed baseline cells and
 emit TSV rows with score and time ratios against the seed-matched
@@ -19,8 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import types
-import typing
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -133,50 +132,6 @@ class ExperimentConfig:
                              profile_size_max=self.profile_size_max,
                              noise=self.noise, test_size=self.test_size,
                              seed=self.data_seed)
-
-
-# -- config file text --------------------------------------------------------
-
-
-def _format_value(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return str(value)
-
-
-def _parse_value(text: str, annotation):
-    text = text.strip()
-    origin = typing.get_origin(annotation)
-    if origin in (typing.Union, types.UnionType):  # Optional[...]
-        if text.lower() == "none":
-            return None
-        inner = [a for a in typing.get_args(annotation) if a is not type(None)]
-        return _parse_value(text, inner[0])
-    if annotation is bool:
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {text!r}")
-    if annotation in (int, float):
-        return annotation(text)
-    if origin is tuple:
-        if not text:
-            return ()
-        return tuple(_parse_value(v, typing.get_args(annotation)[0])
-                     for v in text.split(","))
-    return text
-
-
-def config_to_text(cfg: ExperimentConfig) -> str:
-    lines = ["# bloomemb experiment config"]
-    for f in dataclasses.fields(cfg):
-        lines.append(f"{f.name}={_format_value(getattr(cfg, f.name))}")
-    return "\n".join(lines) + "\n"
 
 
 # -- pipeline ----------------------------------------------------------------

@@ -266,12 +266,15 @@ def backward_and_step(net: Network, batch: tuple[np.ndarray, np.ndarray],
                       optimizer: OptimizerSpec,
                       state: _OptimizerState | None = None
                       ) -> tuple[float, _OptimizerState]:
-    """One gradient step on (inputs, normalized targets); returns batch loss."""
+    """One gradient step on (inputs, normalized targets); returns batch loss.
+    A `state` from an earlier step must carry the same `optimizer`."""
     x, targets = batch
     if x.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     if state is None:
         state = _OptimizerState(net, optimizer)
+    elif state.spec != optimizer:
+        raise ValueError(f"optimizer {optimizer} differs from the state's {state.spec}")
     # an overflowing step leaves non-finite weights the next forward rejects
     with np.errstate(over="ignore", invalid="ignore"):
         loss, grads = gradients(net, x, targets)

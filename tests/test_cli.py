@@ -108,6 +108,12 @@ def test_simple_command_config_replay_is_byte_identical(tmp_path, simple_inputs,
     assert Path(first + ".config").read_text().startswith("#")
     assert cli.main([command, "--config", first + ".config",
                      "--out", second]) == 0
+    assert_same_outputs(command, first, second)
+
+
+def assert_same_outputs(command: str, first: str, second: str) -> None:
+    """The runs to `first` and `second` wrote the same files, TSV wall times
+    aside, and logged the same .config."""
     if command in ("evaluate", "sweep"):
         assert without_wall_times(first) == without_wall_times(second)
     else:
@@ -118,6 +124,70 @@ def test_simple_command_config_replay_is_byte_identical(tmp_path, simple_inputs,
             Path(second + suffix).read_bytes(), suffix
     assert Path(first + ".config").read_text() == \
         Path(second + ".config").read_text()
+
+
+# .config files as the previous release wrote them: two other headers, and
+# the flags that are not ExperimentConfig fields spelled with dashes
+OLD_CONFIGS = {
+    "decode-embeddings": "# bloomemb resolved flags\nhash={hash}\n"
+                         "embeddings={bits}\ndecode=likelihood\ntop-n=7\n",
+    "sweep": """\
+# bloomemb experiment config
+data_path=none
+data_format=auto
+min_item_count=1
+min_profile_size=2
+rating_threshold=none
+d=200
+n=500
+n_clusters=50
+profile_size_min=4
+profile_size_max=12
+noise=0.05
+data_seed=0
+test_size=0.1
+baseline=false
+m_in=400
+m_out=400
+k=4
+hash_seed_in=1
+hash_seed_out=2
+use_cbe=false
+cbe_seed=3
+hidden=100
+init_seed=0
+optimizer=adam
+learning_rate=0.001
+momentum=0.9
+beta1=0.9
+beta2=0.999
+clip_norm=none
+epochs=2
+batch_size=128
+shuffle_seed=0
+decode_mode=likelihood
+measure=MAP
+top_n=none
+m-ratios=0.1,0.2
+k-values=2
+seeds=0
+parallel=1
+""",
+}
+
+
+@pytest.mark.parametrize("run", OLD_CONFIGS)
+def test_config_of_the_previous_format_replays(tmp_path, simple_inputs, run):
+    """An old .config replays to the outputs and the .config of the
+    SIMPLE_RUNS run it logged."""
+    command, *flags = SIMPLE_RUNS[run](simple_inputs)
+    first, second = str(tmp_path / "first"), str(tmp_path / "second")
+    old = tmp_path / "old.config"
+    old.write_text(OLD_CONFIGS[run].format(**simple_inputs))
+    assert cli.main([command, *flags, "--out", first]) == 0
+    assert cli.main([command, "--config", str(old), "--out", second]) == 0
+    assert Path(second + ".config").read_text().startswith("# bloomemb config\n")
+    assert_same_outputs(command, first, second)
 
 
 def test_cbe_command_matches_the_library(tmp_path):
@@ -188,6 +258,12 @@ UNREADABLE = {
                                                 "--embeddings", bad]),
     "probability-short-line": ("probabilities", b"0.5 0.5\n", lambda f, bad: [
         "decode", "--hash", f["hash"], "--probs", bad]),
+    "probability-nan": ("probabilities", b"nan" + b" 0.5" * 15 + b"\n",
+                        lambda f, bad: ["decode", "--hash", f["hash"],
+                                        "--probs", bad]),
+    "probability-above-one": ("probabilities", b"0.5 " * 15 + b"1.5\n",
+                              lambda f, bad: ["decode", "--hash", f["hash"],
+                                              "--probs", bad]),
     "model-bad-magic": ("model", b"XXXX" + b"\0" * 16, lambda f, bad: [
         "evaluate", *TINY, "--baseline", "--model", bad]),
     "model-truncated-header": ("model", b"BENC\2\0\0\0\1\0", lambda f, bad: [
@@ -209,6 +285,22 @@ def test_unreadable_artifact_is_one_data_fault_line(tmp_path, capsys,
     assert len(err) == 1, err
     assert err[0].startswith(f"data error: cannot load {what} {bad}: "), err
     assert not os.path.exists(tmp_path / "out")
+
+
+def test_cbe_on_one_item_is_one_data_fault_line(tmp_path, capsys):
+    """Co-occurrence statistics need two items; the fault comes before any
+    file is written."""
+    h, out = str(tmp_path / "h.txt"), str(tmp_path / "out")
+    instances = tmp_path / "instances.txt"
+    instances.write_text("1\n1\n")
+    assert cli.main(["build-hash", "--d", "1", "--m", "1", "--k", "1",
+                     "--out", h]) == 0
+    capsys.readouterr()
+    assert cli.main(["cbe", "--hash", h, "--instances", str(instances),
+                     "--out", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: co-occurrence statistics need at least 2 items"]
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_m_above_d_is_a_config_fault(tmp_path):
@@ -305,6 +397,8 @@ BAD_FLAG_VALUES = {
     "cbe-seed-x": ["cbe", "--hash", "h", "--instances", "i", "--seed", "x"],
     "sweep-parallel-x": ["sweep", *TINY, "--m-ratios", "0.2", "--k-values", "2",
                          "--parallel", "x"],
+    "sweep-m-ratios-x": ["sweep", *TINY, "--m-ratios", "0.1,x", "--k-values", "2"],
+    "train-lr-x": ["train", *TINY, "--lr", "x"],
 }
 
 
@@ -455,8 +549,8 @@ FAULT_TEXTS = {
     "unknown-flag": "unrecognized arguments: --bogus 1",
     "file-no-equals": "line 2: expected key=value, got 'batch_size'",
     "file-unknown-key": "unrecognized arguments: --width=3",
-    "file-bad-int": "--batch-size: invalid literal",
-    "file-bad-bool": "--baseline: expected a boolean",
+    "file-bad-int": "argument --batch-size: invalid literal",
+    "file-bad-bool": "argument --baseline: expected a boolean",
 }
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from bloomemb.codec import (ScoreOrder, SparseInstance, decode_batch,
                             decode_likelihood_batch, decode_nll_batch,
                             encode_batch, rank_batch, read_instances,
-                            write_bit_vectors)
+                            read_probabilities, write_bit_vectors)
 from bloomemb.hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
 
 SPEC_ROWS = np.array([(1, 3), (2, 4), (1, 2), (3, 4), (2, 3), (1, 4)],
@@ -252,3 +252,12 @@ class TestFileFormats:
     def test_instance_parse_error_carries_line(self):
         with pytest.raises(ValueError, match="line 2"):
             read_instances("1 2\n1 x\n", 5)
+        with pytest.raises(ValueError, match=r"line 3: positions must lie in \[1, 5\]"):
+            read_instances("1 2\n\n6\n", 5)
+
+    @pytest.mark.parametrize("bad", ["nan", "-2", "1.5"])
+    def test_probability_outside_unit_interval_carries_line(self, bad):
+        assert read_probabilities("0 1\n0.5 0.25\n", 2).tolist() == [[0, 1],
+                                                                      [0.5, 0.25]]
+        with pytest.raises(ValueError, match=f"line 2: probability {float(bad)} outside"):
+            read_probabilities(f"0 1\n0.5 {bad}\n", 2)

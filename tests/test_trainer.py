@@ -200,6 +200,20 @@ class TestGradients:
             backward_and_step(net, (np.empty((0, 2)), np.empty((0, 2))),
                               OptimizerSpec("sgd"))
 
+    @pytest.mark.parametrize("first,given", [
+        (OptimizerSpec("adam"), OptimizerSpec("adam", learning_rate=0.0)),
+        (OptimizerSpec("sgd"), OptimizerSpec("adam"))], ids=["adam-lr-0", "sgd-adam"])
+    def test_step_with_another_optimizer_than_its_state_is_rejected(self, first,
+                                                                   given):
+        net = small_net((4, 3), seed=3)
+        x, t = self._random_batch(np.random.default_rng(8), 5, 4, 3)
+        _, state = backward_and_step(net, (x, t), first)
+        before = [p.copy() for p in net.parameters()]
+        with pytest.raises(ValueError, match="differs from the state's"):
+            backward_and_step(net, (x, t), given, state)
+        for p, b in zip(net.parameters(), before):
+            assert np.array_equal(p, b)
+
 
 def _textbook_update(params, grads, first, second, spec, t):
     """Momentum SGD or Adam (Kingma & Ba, 2015) in plain expressions, the
