@@ -339,8 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _with_config(argv: list[str] | None) -> list[str] | None:
     """`argv` with ``--config FILE`` replaced by the flag ``--key=value`` for
-    each ``key=value`` line of FILE (``#`` starts a comment), put right after
-    the subcommand, so that the command line's own flags override them."""
+    each ``key=value`` line of FILE, put right after the subcommand, so that
+    the command line's own flags override them. A line whose first non-blank
+    character is ``#`` is a comment; a ``#`` anywhere else is part of the
+    value, as in a path."""
     pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
                                   exit_on_error=False)
     pre.add_argument("--config")
@@ -353,8 +355,8 @@ def _with_config(argv: list[str] | None) -> list[str] | None:
         raise ConfigError(f"cannot read config {known.config}: {exc}") from None
     flags = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
+        line = raw.strip()
+        if line and not line.startswith("#"):
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
             key, _, value = line.partition("=")

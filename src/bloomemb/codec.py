@@ -12,7 +12,9 @@ decoder of a decode mode and its :class:`ScoreOrder`. Ranking turns scores
 into best-first item ids; :func:`rank_batch` serves the top-n score dumps
 and is the oracle the tests hold evaluation to, while
 :func:`bloomemb.experiment.evaluate_model` counts only the relevant items'
-ranks, with the same tie rule. Membership never produces false negatives;
+ranks, with the same tie rule, calling these batch functions on
+``EVAL_SLICE``-profile slices so that its peak is one slice's (rows, d)
+arrays, not the test split's. Membership never produces false negatives;
 false positives occur when all k projections of an absent item collide
 with set bits. The no-embedding baseline is the identity matrix (m = d, k = 1),
 whose encoding is the multi-hot vector and whose likelihood decoding
@@ -196,14 +198,15 @@ def read_instances(text: str, d: int) -> list[SparseInstance]:
 
 def read_bit_vectors(text: str) -> np.ndarray:
     """Parse an embedded-vector file into an (n, m) uint8 array."""
-    lines = [ln for ln in text.splitlines() if ln]
+    lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1)
+             if ln]
     if not lines:
         raise ValueError("empty embedded-vector file")
-    m = len(lines[0])
+    m = len(lines[0][1])
     out = np.empty((len(lines), m), dtype=np.uint8)
-    for i, ln in enumerate(lines):
+    for i, (lineno, ln) in enumerate(lines):
         if len(ln) != m or set(ln) - {"0", "1"}:
-            raise ValueError(f"line {i + 1}: expected {m} characters of 0/1")
+            raise ValueError(f"line {lineno}: expected {m} characters of 0/1")
         out[i] = np.frombuffer(ln.encode("ascii"), dtype=np.uint8) - ord("0")
     return out
 

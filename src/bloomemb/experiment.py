@@ -5,8 +5,10 @@ which :mod:`bloomemb.cli` reads from flags and ``.config`` text. A run loads
 or generates the dataset, builds input/output hash matrices (optionally
 rebuilt from co-occurrence statistics), trains the feed-forward model on
 encoded instances, and evaluates ranked recovery on the held-out test
-profiles. The no-embedding baseline is the identity embedding (m = d,
-k = 1) and runs through the same encode, train, decode and rank path.
+profiles, :data:`EVAL_SLICE` profiles at a time, so evaluation's peak memory
+is one slice's (rows, d) score arrays, not the test split's. The
+no-embedding baseline is the identity embedding (m = d, k = 1) and runs
+through the same encode, train, decode and rank path.
 
 Sweeps run one cell per (k, m/d, seed) plus per-seed baseline cells and
 emit TSV rows with score and time ratios against the seed-matched
@@ -38,6 +40,9 @@ from .trainer import Network, NetworkSpec, OptimizerSpec, TrainReport, \
 class ConfigError(ValueError):
     """Invalid configuration value, flag combination or sweep grid."""
 
+
+# test profiles that evaluate_model encodes, decodes and ranks at a time
+EVAL_SLICE = 256
 
 SWEEP_COLUMNS = ("measure", "variant", "k", "m_ratio", "seed", "S_i", "S_0",
                  "score_ratio", "train_time_ratio", "eval_time_ratio", "error")
@@ -224,6 +229,10 @@ def evaluate_model(net: Network,
     id, as in :func:`bloomemb.codec.rank_batch`. The better scores are
     counted by binary searches in a sort of each row's values; no item
     permutation is built. Items ranked below `top_n` count as not retrieved.
+
+    Profiles are encoded, run forward, decoded and ranked :data:`EVAL_SLICE`
+    at a time, so the largest arrays are one slice's (rows, d) scores, not
+    the whole split's; the last slice holds what is left, unpadded.
     """
     if not test_profiles:
         raise ValueError("no test profiles to evaluate")
@@ -247,17 +256,19 @@ def evaluate_model(net: Network,
     _, order = decode_batch(np.empty((0, hash_out.m)), hash_out, decode_mode)
     descending = order is ScoreOrder.DESCENDING_LIKELIHOOD
     t0 = time.perf_counter()
-    x = encode_batch([p[0] for p in test_profiles], hash_in)
-    probs = forward_batch(net, x.astype(net.dtype))
-    scores, _ = decode_batch(probs, hash_out, decode_mode)
     values = []
-    for row, (_, out) in zip(scores, test_profiles):
-        # RR is the average precision of the lowest relevant id alone
-        items = out.positions if measure == "MAP" else out.positions[:1]
-        ranks = np.sort(_ranks(row, items, descending))
-        ranks = ranks[ranks <= depth]
-        hits = np.arange(1, ranks.size + 1, dtype=np.float64)
-        values.append(float((hits / ranks).sum() / items.size))
+    for start in range(0, len(test_profiles), EVAL_SLICE):
+        part = test_profiles[start:start + EVAL_SLICE]
+        x = encode_batch([p[0] for p in part], hash_in)
+        probs = forward_batch(net, x.astype(net.dtype))
+        scores, _ = decode_batch(probs, hash_out, decode_mode)
+        for row, (_, out) in zip(scores, part):
+            # RR is the average precision of the lowest relevant id alone
+            items = out.positions if measure == "MAP" else out.positions[:1]
+            ranks = np.sort(_ranks(row, items, descending))
+            ranks = ranks[ranks <= depth]
+            hits = np.arange(1, ranks.size + 1, dtype=np.float64)
+            values.append(float((hits / ranks).sum() / items.size))
     wall = time.perf_counter() - t0
     return EvaluationResult(score=float(np.mean(values)),
                             measure=measure, n_evaluated=len(values),

@@ -126,6 +126,21 @@ def assert_same_outputs(command: str, first: str, second: str) -> None:
         Path(second + ".config").read_text()
 
 
+def test_config_replay_keeps_a_hash_sign_inside_a_value(tmp_path, simple_inputs,
+                                                      monkeypatch):
+    """Only a line that starts with ``#`` is a comment: a path holding one
+    replays whole."""
+    monkeypatch.chdir(tmp_path)
+    Path("a#b").mkdir()
+    assert cli.main(["build-hash", "--d", "40", "--m", "16", "--k", "3",
+                     "--out", "a#b/h.txt"]) == 0
+    assert cli.main(["encode", "--hash", "a#b/h.txt", "--instances",
+                     simple_inputs["instances"], "--out", "first"]) == 0
+    assert "hash=a#b/h.txt\n" in Path("first.config").read_text()
+    assert cli.main(["encode", "--config", "first.config", "--out", "second"]) == 0
+    assert_same_outputs("encode", "first", "second")
+
+
 # .config files as the previous release wrote them: two other headers, and
 # the flags that are not ExperimentConfig fields spelled with dashes
 OLD_CONFIGS = {

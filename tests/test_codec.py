@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from bloomemb.codec import (ScoreOrder, SparseInstance, decode_batch,
                             decode_likelihood_batch, decode_nll_batch,
-                            encode_batch, rank_batch, read_instances,
-                            read_probabilities, write_bit_vectors)
+                            encode_batch, rank_batch, read_bit_vectors,
+                            read_instances, read_probabilities,
+                            write_bit_vectors)
 from bloomemb.hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
 
 SPEC_ROWS = np.array([(1, 3), (2, 4), (1, 2), (3, 4), (2, 3), (1, 4)],
@@ -254,6 +255,13 @@ class TestFileFormats:
             read_instances("1 2\n1 x\n", 5)
         with pytest.raises(ValueError, match=r"line 3: positions must lie in \[1, 5\]"):
             read_instances("1 2\n\n6\n", 5)
+
+    def test_bit_vector_parse_error_carries_line(self):
+        # blank lines are skipped but still counted
+        assert read_bit_vectors("0101\n\n0111\n").tolist() == [[0, 1, 0, 1],
+                                                               [0, 1, 1, 1]]
+        with pytest.raises(ValueError, match="line 3: expected 4 characters"):
+            read_bit_vectors("0101\n\n01x1\n")
 
     @pytest.mark.parametrize("bad", ["nan", "-2", "1.5"])
     def test_probability_outside_unit_interval_carries_line(self, bad):

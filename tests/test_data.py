@@ -8,7 +8,6 @@ So a profile's order shows only through which items land on which side;
 
 import io
 import random
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -259,16 +258,11 @@ def test_load_profiles_matches_the_per_profile_reference(case):
                 == outcome(reference_load, text, **kwargs)), kwargs
 
 
-def test_load_peak_memory_stays_a_small_multiple_of_the_text():
+def test_load_peak_memory_stays_a_small_multiple_of_the_text(traced_peak):
     # 20k rows over 40-char user and item ids; a fixed-width numpy str array
     # of ids, sized by the longest one, would push the peak over the bound
     r = random.Random(0)
     text = "".join(f"{r.randrange(2000):040d} {r.randrange(5000):040d} {t}\n"
                    for t in range(20_000))
-    tracemalloc.start()
-    try:
-        load_profiles(io.StringIO(text))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(load_profiles, io.StringIO(text))
     assert peak < 13 * len(text), peak / len(text)

@@ -13,14 +13,15 @@ import pytest
 import bloomemb
 from bloomemb import experiment
 from bloomemb.cbe import count_cooccurrences, threshold_and_order
-from bloomemb.codec import ScoreOrder, decode_likelihood_batch, decode_nll_batch, \
-    encode_batch, rank_batch
+from bloomemb.codec import ScoreOrder, SparseInstance, decode_likelihood_batch, \
+    decode_nll_batch, encode_batch, rank_batch
 from bloomemb.experiment import (ConfigError, ExperimentConfig, _ranks,
                                  build_matrices, evaluate_model, fit,
                                  load_dataset, run_experiment, run_sweep,
                                  sweep_rows_tsv)
+from bloomemb.hashing import build_hash_matrix
 from bloomemb.metrics import average_precision
-from bloomemb.trainer import forward_batch, init_network
+from bloomemb.trainer import NetworkSpec, forward_batch, init_network
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -75,6 +76,46 @@ def test_evaluate_model_map_equals_metric_oracle(trained, measure, decode_mode,
                       for row, (_, out) in zip(ranked, test)])
     assert result.score == pytest.approx(oracle, abs=1e-12)
     assert result.n_evaluated == len(test)
+
+
+@pytest.mark.parametrize("eval_slice", [1, 7])
+def test_scores_do_not_depend_on_slice_boundaries(trained, monkeypatch, eval_slice):
+    # OpenBLAS sgemm can change a row's output in the last bits with the
+    # call's row count: on a 40-100-40 net, 1-, 7- and 33-row calls differed
+    # from one 666-row call by up to 7.5e-9 (OpenBLAS 0.3.31, 2 cores). The
+    # ranks did not move: these scores and test_frozen's pins held == at
+    # slices of 1, 7, 33 and 256, so the comparison is exact
+    ds, h_in, h_out, net = trained
+    test = ds.test_profiles()
+    cases = [dict(decode_mode=mode, measure=measure, top_n=top_n)
+             for mode in ("likelihood", "nll") for measure in ("MAP", "RR")
+             for top_n in (None, 10)]
+    whole = [evaluate_model(net, test, h_in, h_out, **case) for case in cases]
+    assert len(test) < experiment.EVAL_SLICE
+    monkeypatch.setattr(experiment, "EVAL_SLICE", eval_slice)
+    for case, want in zip(cases, whole):
+        got = evaluate_model(net, test, h_in, h_out, **case)
+        assert got.score == want.score, case
+        assert got.n_evaluated == len(test)
+
+
+@pytest.mark.parametrize("decode_mode", ["likelihood", "nll"])
+def test_evaluation_peak_is_a_few_slices_not_the_split(monkeypatch, traced_peak,
+                                                       decode_mode):
+    # 8 slices and a 5-profile tail over d = 2000: one call on the whole
+    # split peaked at 19-20 slices' worth, the sliced call at 3.4-3.6
+    d, m, eval_slice = 2000, 400, 64
+    monkeypatch.setattr(experiment, "EVAL_SLICE", eval_slice)
+    rng = np.random.default_rng(0)
+    test = [tuple(SparseInstance.from_items(d, rng.choice(d, size=6) + 1)
+                  for _ in range(2)) for _ in range(8 * eval_slice + 5)]
+    h_in = build_hash_matrix(d, m, 4, 1)
+    h_out = build_hash_matrix(d, m, 4, 2)
+    net = init_network(NetworkSpec(layer_sizes=(m, 100, m)))
+    peak = traced_peak(evaluate_model, net, test, h_in, h_out,
+                       decode_mode=decode_mode)
+    one_slice = eval_slice * d * 8
+    assert peak < 5 * one_slice, peak / one_slice
 
 
 @pytest.mark.parametrize("descending", [True, False])

@@ -1,7 +1,6 @@
 """Forward/backward correctness, optimizer behavior, and reproducibility."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,7 +104,7 @@ class TestLoss:
                          for b in range(batch)) / batch
             assert loss_cross_entropy(probs, t) == pytest.approx(oracle)
 
-    def test_allocates_less_than_the_probabilities(self):
+    def test_allocates_less_than_the_probabilities(self, traced_peak):
         # a (128, 2000) float32 batch with 6 target bits per row: only the
         # nonzero entries are gathered, nothing of the batch's size is made
         rng = np.random.default_rng(15)
@@ -114,13 +113,7 @@ class TestLoss:
         t = np.zeros_like(probs)
         for row in t:
             row[rng.choice(2000, size=6, replace=False)] = 1 / 6
-        tracemalloc.start()
-        try:
-            loss_cross_entropy(probs, t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < probs.nbytes
+        assert traced_peak(loss_cross_entropy, probs, t) < probs.nbytes
 
     def test_all_zero_target_rejected(self):
         # train refuses a profile whose encoded target cannot be normalized
@@ -263,20 +256,15 @@ class TestUpdate:
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("kind", ["adam", "sgd"])
-    def test_steady_state_step_allocates_under_one_parameter(self, kind):
+    def test_steady_state_step_allocates_under_one_parameter(self, kind,
+                                                              traced_peak):
         net = init_network(NetworkSpec(layer_sizes=(2000, 100, 2000)))
         state = _OptimizerState(net, OptimizerSpec(kind))
         rng = np.random.default_rng(17)
         grads = [rng.standard_normal(p.shape, dtype=np.float32)
                  for p in net.parameters()]
         _apply_update(net, grads, state)  # warm-up
-        tracemalloc.start()
-        try:
-            _apply_update(net, grads, state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < net.weights[0].nbytes
+        assert traced_peak(_apply_update, net, grads, state) < net.weights[0].nbytes
 
 
 def tiny_dataset(rng, n=60, d=20):
