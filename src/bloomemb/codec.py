@@ -3,7 +3,13 @@
 An instance is the set of active positions of a d-dimensional binary
 vector. Every function works on a batch: encoding sets, for every active
 position of every instance, the bits at its k projected embedding
-positions, giving an (n, m) bit array. Decoding maps (n, m) probabilities
+positions, giving an (n, m) bit array. Batches are packed once into CSR
+arrays by :func:`pack_instances`, and the one scatter kernel,
+:func:`encode_rows`, encodes any rows of a packed batch into a caller's
+array of any dtype. :func:`encode_batch` packs and encodes a whole batch
+into uint8; :func:`bloomemb.trainer.train` packs its split once and
+encodes each training batch straight into its float buffers, so the
+encoded split is never held. Decoding maps (n, m) probabilities
 back to (n, d) per-item scores: the likelihood of item i is the product of
 the probabilities at its k projections, and the negative-log variant is
 the numerically stable form of the same ranking; both decoders fold the
@@ -102,13 +108,28 @@ def pack_instances(instances: Sequence[SparseInstance],
     return indptr, flat
 
 
+def encode_rows(indptr: np.ndarray, flat: np.ndarray, rows: np.ndarray,
+                matrix: HashMatrix, out: np.ndarray) -> np.ndarray:
+    """Encode the packed instances `rows` (see :func:`pack_instances`) into
+    `out`, an (len(rows), m) array of any dtype: zeroed, then 1 at every bit
+    an active position projects to; O(c*k) per instance past the zeroing."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    # index of each selected position in `flat`: its instance's start plus
+    # its offset among that instance's positions
+    offsets = np.cumsum(counts) - counts
+    picks = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
+    owner = np.repeat(np.arange(len(rows)), counts * matrix.k)
+    out.fill(0)
+    out[owner, matrix.rows[flat[picks] - 1].ravel() - 1] = 1
+    return out
+
+
 def encode_batch(instances: Sequence[SparseInstance], matrix: HashMatrix) -> np.ndarray:
     """Embed instances into an (n, m) uint8 bit array; O(c*k) per instance."""
     indptr, flat = pack_instances(instances, matrix.d)
-    out = np.zeros((len(instances), matrix.m), dtype=np.uint8)
-    owner = np.repeat(np.arange(len(instances)), np.diff(indptr) * matrix.k)
-    out[owner, matrix.rows[flat - 1].ravel() - 1] = 1
-    return out
+    out = np.empty((len(instances), matrix.m), dtype=np.uint8)
+    return encode_rows(indptr, flat, np.arange(len(instances)), matrix, out)
 
 
 # ---------------------------------------------------------------------------

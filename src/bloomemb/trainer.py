@@ -8,11 +8,16 @@ Optimizers: SGD with momentum and Adam. Everything is plain numpy;
 training runs in float32 by default, gradient checking uses float64
 networks.
 
-Outside the forward and backward passes a train step allocates nothing of
-parameter size: the optimizer state owns the scratch buffers its update
-works in, and the update keeps the textbook operation order, so the
-weights match the plain expressions bit for bit. The cross-entropy loss
-reads only the target's nonzero entries.
+A warm train step allocates nothing of batch or parameter size. The
+optimizer state owns every array the step writes: each layer's
+pre-activation and activation, the softmax output (computed in place), the
+backward pass's dz and da, the gradients and the update's scratch. They are
+sized for the largest batch, and a shorter batch uses their leading rows.
+Every operation keeps the plain expression and its order, so losses and
+weights match the plain expressions bit for bit. ``train`` packs each side
+of the split once and encodes each batch straight into two buffers it
+owns, so it never holds the encoded split. The cross-entropy loss reads
+only the target's nonzero entries.
 
 Weight init is scaled uniform, U(-sqrt(1/fan_in), +sqrt(1/fan_in)), from
 a seeded generator; with fixed init and shuffle seeds a training run is
@@ -35,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import SparseInstance, encode_batch
+from .codec import SparseInstance, encode_batch, encode_rows, pack_instances
 from .hashing import HashMatrix, identity_hash_matrix
 
 _CHECKPOINT_MAGIC = b"BENC"
@@ -127,33 +132,61 @@ def init_network(spec: NetworkSpec, dtype=np.float32) -> Network:
     return Network(spec, weights, biases, dtype=dtype)
 
 
+class _StepBuffers:
+    """Every array of batch size that a step writes, for up to `rows` rows.
+
+    A batch of b rows uses the leading b rows of each. ``out[l]`` is layer
+    l's pre-activation, and for the output layer its softmax, computed in
+    place; ``act[l]`` is hidden layer l's ReLU. ``dz`` is the output layer's
+    loss gradient, ``da[l]`` hidden layer l's, first with respect to its
+    activation and then, times ``slope[l]``, to its pre-activation.
+    ``mask`` holds the output's finiteness, then the target's nonzero
+    entries. ``grads`` are the gradients in parameter order.
+    """
+
+    def __init__(self, net: Network, rows: int):
+        dtype = net.dtype
+        sizes = net.spec.layer_sizes
+        self.rows = rows
+        self.out = [np.empty((rows, s), dtype) for s in sizes[1:]]
+        self.act = [np.empty((rows, s), dtype) for s in sizes[1:-1]]
+        self.dz = np.empty((rows, sizes[-1]), dtype)
+        self.da = [np.empty((rows, s), dtype) for s in sizes[1:-1]]
+        self.slope = [np.empty((rows, s), dtype) for s in sizes[1:-1]]
+        self.mask = np.empty((rows, sizes[-1]), dtype=bool)
+        self.grads = [np.empty_like(p) for p in net.parameters()]
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax of z, in place: subtract the row max, exp, divide."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def forward_batch(net: Network, x: np.ndarray,
-                  keep_cache: bool = False):
-    """(B, n_in) inputs -> (B, n_out) softmax probabilities (+ cache)."""
+                  buffers: _StepBuffers | None = None) -> np.ndarray:
+    """(B, n_in) inputs -> (B, n_out) softmax probabilities.
+
+    Every layer writes into `buffers`, a fresh set when None; the result is
+    a view of them.
+    """
     if x.ndim != 2 or x.shape[1] != net.n_in:
         raise ValueError(f"input shape {x.shape} does not match n_in={net.n_in}")
+    b = x.shape[0]
+    if buffers is None:
+        buffers = _StepBuffers(net, b)
     a = np.ascontiguousarray(x, dtype=net.dtype)
-    activations = [a]
-    pre = []
     last = len(net.weights) - 1
     # an overflow ends in a non-finite output, which the check below reports
     with np.errstate(over="ignore", invalid="ignore"):
-        for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-            z = a @ w + b
-            a = np.maximum(z, 0) if l < last else _softmax(z)
-            if keep_cache:
-                pre.append(z)
-                activations.append(a)
-    if not np.isfinite(a).all():
+        for l, (w, bias) in enumerate(zip(net.weights, net.biases)):
+            z = np.matmul(a, w, out=buffers.out[l][:b])
+            z += bias
+            a = np.maximum(z, 0, out=buffers.act[l][:b]) if l < last else _softmax(z)
+    if not np.isfinite(a, out=buffers.mask[:b]).all():
         raise FloatingPointError("non-finite activation in forward pass")
-    if keep_cache:
-        return a, (activations, pre)
     return a
 
 
@@ -166,7 +199,12 @@ def loss_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
     small epsilon and logged; a zero target entry adds 0 whatever its
     probability.
     """
-    hit = targets != 0
+    return _cross_entropy(probs, targets, targets != 0)
+
+
+def _cross_entropy(probs: np.ndarray, targets: np.ndarray,
+                   hit: np.ndarray) -> float:
+    """:func:`loss_cross_entropy` given the mask `hit` of ``targets != 0``."""
     logp = probs[hit].astype(np.float64)
     np.maximum(logp, _LOSS_EPS, out=logp)
     np.log(logp, out=logp)
@@ -174,10 +212,14 @@ def loss_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
 
 
 class _OptimizerState:
-    """Moments of each parameter plus the scratch buffers of its update.
+    """Moments of each parameter, the scratch buffers of its update and the
+    buffers of the step's passes.
 
-    The buffers are allocated here, once, so that a step allocates nothing
-    of parameter size: Adam needs two per parameter, SGD one.
+    The update's buffers are allocated here, once: Adam needs two per
+    parameter, SGD one, and clipping one float64 array the size of the
+    largest parameter. The passes' buffers are allocated on the first batch
+    with more rows than any before. So a warm step allocates nothing of
+    batch or parameter size.
     """
 
     def __init__(self, net: Network, spec: OptimizerSpec):
@@ -190,10 +232,28 @@ class _OptimizerState:
             self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         else:
             self.scratch = [(np.empty_like(p),) for p in params]
+        self.squares = (None if spec.clip_norm is None
+                        else np.empty(max(p.size for p in params), np.float64))
+        self._buffers: _StepBuffers | None = None
+
+    def buffers(self, net: Network, rows: int) -> _StepBuffers:
+        """The passes' buffers, reallocated when `rows` exceeds theirs."""
+        if self._buffers is None or self._buffers.rows < rows:
+            self._buffers = _StepBuffers(net, rows)
+        return self._buffers
 
 
-def _clip_gradients(grads: list[np.ndarray], max_norm: float) -> None:
-    total = np.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads))
+def _clip_gradients(grads: list[np.ndarray], max_norm: float,
+                    squares: np.ndarray) -> None:
+    """Scale `grads` in place to a joint L2 norm of at most `max_norm`.
+
+    Each gradient is squared in float64 into the leading entries of
+    `squares`; a contiguous array sums in the same pairwise order whatever
+    its shape, so the norm equals that of the float64 copies.
+    """
+    total = np.sqrt(sum(float(np.square(g.ravel(), out=squares[:g.size],
+                                        dtype=np.float64).sum())
+                        for g in grads))
     if total > max_norm and total > 0:
         scale = max_norm / total
         for g in grads:
@@ -205,7 +265,7 @@ def _apply_update(net: Network, grads: list[np.ndarray],
     spec = state.spec
     params = net.parameters()
     if spec.clip_norm is not None:
-        _clip_gradients(grads, spec.clip_norm)
+        _clip_gradients(grads, spec.clip_norm, state.squares)
     lr = spec.learning_rate
     if spec.kind == "sgd":
         for p, g, v, (u,) in zip(params, grads, state.momenta, state.scratch):
@@ -238,27 +298,38 @@ def _apply_update(net: Network, grads: list[np.ndarray],
             p -= u
 
 
-def gradients(net: Network, x: np.ndarray, targets: np.ndarray
+def gradients(net: Network, x: np.ndarray, targets: np.ndarray,
+              buffers: _StepBuffers | None = None
               ) -> tuple[float, list[np.ndarray]]:
-    """Batch loss and analytic gradients in parameter order (W0, b0, W1, ...)."""
-    probs, (activations, pre) = forward_batch(net, x, keep_cache=True)
+    """Batch loss and analytic gradients in parameter order (W0, b0, W1, ...).
+
+    Both passes write into `buffers`, a fresh set when None; the gradients
+    returned are its ``grads``.
+    """
+    b = x.shape[0]
+    if buffers is None:
+        buffers = _StepBuffers(net, b)
+    x = np.ascontiguousarray(x, dtype=net.dtype)
+    probs = forward_batch(net, x, buffers)
     t = np.ascontiguousarray(targets, dtype=net.dtype)
-    loss = loss_cross_entropy(probs, t)
+    loss = _cross_entropy(probs, t, np.not_equal(t, 0, out=buffers.mask[:b]))
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite training loss")
-    batch = x.shape[0]
-    dz = (probs - t) / batch
-    grads: list[np.ndarray] = []
+    dz = np.subtract(probs, t, out=buffers.dz[:b])
+    dz /= b
+    grads = buffers.grads
     for l in range(len(net.weights) - 1, -1, -1):
-        grads.append(dz.sum(axis=0))                 # bias
-        grads.append(activations[l].T @ dz)          # weight
+        np.sum(dz, axis=0, out=grads[2 * l + 1])                     # bias
+        a = x if l == 0 else buffers.act[l - 1][:b]
+        np.matmul(a.T, dz, out=grads[2 * l])                         # weight
         if l > 0:
-            da = dz @ net.weights[l].T
-            z = pre[l - 1]
-            slope = (z > 0).astype(net.dtype)
-            slope[z == 0] = 0.5  # symmetric derivative at the ReLU kink
-            dz = da * slope
-    grads.reverse()
+            da = np.matmul(dz, net.weights[l].T, out=buffers.da[l - 1][:b])
+            # (1 + sign z) / 2: 1 above the ReLU kink, 0 below, and the
+            # symmetric 0.5 at it
+            slope = np.sign(buffers.out[l - 1][:b], out=buffers.slope[l - 1][:b])
+            slope += 1
+            slope *= 0.5
+            dz = np.multiply(da, slope, out=da)
     return loss, grads
 
 
@@ -277,7 +348,7 @@ def backward_and_step(net: Network, batch: tuple[np.ndarray, np.ndarray],
         raise ValueError(f"optimizer {optimizer} differs from the state's {state.spec}")
     # an overflowing step leaves non-finite weights the next forward rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, grads = gradients(net, x, targets)
+        loss, grads = gradients(net, x, targets, state.buffers(net, x.shape[0]))
         _apply_update(net, grads, state)
     return loss, state
 
@@ -311,25 +382,31 @@ def train(net: Network,
         hash_in = identity_hash_matrix(dataset[0][0].d)
     if hash_out is None:
         hash_out = identity_hash_matrix(dataset[0][1].d)
-    x_bits = encode_batch([pair[0] for pair in dataset], hash_in)
-    t_bits = encode_batch([pair[1] for pair in dataset], hash_out)
-    if x_bits.shape[1] != net.n_in:
-        raise ValueError(f"encoded input width {x_bits.shape[1]} != n_in {net.n_in}")
-    if t_bits.shape[1] != net.n_out:
-        raise ValueError(f"encoded target width {t_bits.shape[1]} != n_out {net.n_out}")
-    t_sum = t_bits.sum(axis=1)
-    if (t_sum == 0).any():
-        raise ValueError("encoded target with no set bits")
+    x_ptr, x_flat = pack_instances([pair[0] for pair in dataset], hash_in.d)
+    t_ptr, t_flat = pack_instances([pair[1] for pair in dataset], hash_out.d)
+    if hash_in.m != net.n_in:
+        raise ValueError(f"encoded input width {hash_in.m} != n_in {net.n_in}")
+    if hash_out.m != net.n_out:
+        raise ValueError(f"encoded target width {hash_out.m} != n_out {net.n_out}")
+    # an instance with c >= 1 items sets at least one bit
+    empty = np.flatnonzero(np.diff(t_ptr) == 0)
+    if empty.size:
+        raise ValueError(f"target instance {empty[0]} has no items, so its "
+                         f"encoding has no set bits")
 
-    n = x_bits.shape[0]
+    n = len(dataset)
+    rows = min(batch_size, n)
+    x_buf = np.empty((rows, net.n_in), net.dtype)
+    t_buf = np.empty((rows, net.n_out), net.dtype)
 
     def batches(order: np.ndarray):
-        """(inputs, targets normalized to sum 1) in net.dtype, in `order`."""
+        """(inputs, targets normalized to sum 1) in net.dtype, in `order`,
+        each encoded into the leading rows of the same two buffers."""
         for s in range(0, n, batch_size):
             idx = order[s:s + batch_size]
-            xb = x_bits[idx].astype(net.dtype)
-            tb = t_bits[idx].astype(net.dtype)
-            tb /= t_sum[idx, None].astype(net.dtype)
+            xb = encode_rows(x_ptr, x_flat, idx, hash_in, x_buf[:idx.size])
+            tb = encode_rows(t_ptr, t_flat, idx, hash_out, t_buf[:idx.size])
+            tb /= tb.sum(axis=1, keepdims=True)
             yield xb, tb
 
     rng = np.random.default_rng(shuffle_seed)
@@ -350,8 +427,9 @@ def train(net: Network,
         epoch_times.append(time.perf_counter() - t0)
     if epochs == 0:
         # untouched network: report its current loss over the dataset
-        total = sum(loss_cross_entropy(forward_batch(net, xb), tb) * xb.shape[0]
-                    for xb, tb in batches(np.arange(n)))
+        buffers = state.buffers(net, rows)
+        total = sum(loss_cross_entropy(forward_batch(net, xb, buffers), tb)
+                    * xb.shape[0] for xb, tb in batches(np.arange(n)))
         final = total / n
     else:
         final = epoch_losses[-1]

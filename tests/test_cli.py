@@ -41,7 +41,7 @@ def test_build_hash_encode_decode_round_trip(tmp_path):
                      "--out", scores]) == 0
     for out in (h, bits, scores):
         assert os.path.exists(out + ".config")
-    header, *lines = open(scores).read().splitlines()
+    header, *lines = Path(scores).read_text().splitlines()
     assert header == "instance\titem\tscore"
     score = {(int(i), int(item)): float(s)
              for i, item, s in (line.split("\t") for line in lines)}
@@ -220,8 +220,8 @@ def test_cbe_command_matches_the_library(tmp_path):
     expected = cbe.rebuild_hash_matrix(matrix, pairs, 5)
     assert np.array_equal(hashing.matrix_from_bytes(Path(out).read_bytes()).rows,
                           expected.rows)
-    assert open(out + ".stats.tsv").readline() == \
-        "side\tpercent_cooccurring_pairs\tmean_ratio_rho\n"
+    assert Path(out + ".stats.tsv").read_text().startswith(
+        "side\tpercent_cooccurring_pairs\tmean_ratio_rho\n")
     assert os.path.exists(out + ".config")
 
 
@@ -233,7 +233,7 @@ def test_evaluate_scores_like_run_experiment_on_the_logged_config(tmp_path,
     assert cli.main(["train", *TINY, "--m", "40", *variant, "--out", model]) == 0
     assert cli.main(["evaluate", "--config", model + ".config",
                      "--model", model, "--out", out]) == 0
-    header, row = open(out).read().splitlines()
+    header, row = Path(out).read_text().splitlines()
     assert header == "measure\tscore\tn_evaluated\tseconds"
     args = cli.build_parser().parse_args(
         cli._with_config(["train", "--config", model + ".config", "--out", model]))
@@ -247,7 +247,7 @@ def test_sweep_writes_one_row_per_cell(tmp_path):
     out = str(tmp_path / "sweep.tsv")
     assert cli.main(["sweep", *TINY, "--m-ratios", "0.1,0.2", "--k-values", "2",
                      "--out", out]) == 0
-    header, *rows = open(out).read().splitlines()
+    header, *rows = Path(out).read_text().splitlines()
     assert header.split("\t") == list(experiment.SWEEP_COLUMNS)
     assert [tuple(row.split("\t")[1:5]) for row in rows] == [
         ("baseline", "1", "1", "0"), ("be", "2", "0.1", "0"),

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from bloomemb.codec import (ScoreOrder, SparseInstance, decode_batch,
                             decode_likelihood_batch, decode_nll_batch,
-                            encode_batch, rank_batch, read_bit_vectors,
+                            encode_batch, encode_rows, pack_instances,
+                            rank_batch, read_bit_vectors,
                             read_instances, read_probabilities,
                             write_bit_vectors)
 from bloomemb.hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
@@ -96,6 +97,21 @@ class TestEncode:
         bits = encode_batch(instances, matrix)
         for i, inst in enumerate(instances):
             assert np.array_equal(bits[i], encode_batch([inst], matrix)[0])
+
+    def test_rows_overwrite_the_leading_rows_of_a_used_buffer(self):
+        # train's use: a shuffled subset of the packed split, encoded into
+        # the leading rows of a float buffer that holds an earlier batch
+        rng = np.random.default_rng(12)
+        matrix = build_hash_matrix(d=60, m=17, k=3, seed=2)
+        instances = [SparseInstance.from_items(
+            60, rng.choice(60, size=rng.integers(0, 7), replace=False) + 1)
+            for _ in range(40)]
+        indptr, flat = pack_instances(instances, 60)
+        buf = np.full((25, 17), 7.0, dtype=np.float32)
+        rows = rng.permutation(40)[:20]
+        got = encode_rows(indptr, flat, rows, matrix, buf[:20])
+        assert np.array_equal(got, encode_batch([instances[i] for i in rows], matrix))
+        assert (buf[20:] == 7).all()
 
     def test_runtime_independent_of_d(self):
         # O(c*k): the same instance should cost about the same under a

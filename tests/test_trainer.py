@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from bloomemb.codec import SparseInstance
+from bloomemb.codec import SparseInstance, encode_batch
 from bloomemb.data import SyntheticSpec, generate_synthetic
-from bloomemb.hashing import identity_hash_matrix
+from bloomemb.hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
 from bloomemb.trainer import (NetworkSpec, OptimizerSpec, _apply_update,
                               _OptimizerState, backward_and_step,
                               forward_batch, gradients, init_network,
@@ -255,16 +255,35 @@ class TestUpdate:
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    @pytest.mark.parametrize("kind,clip_norm", [
+        ("adam", None), ("sgd", None), ("adam", 1.0), ("sgd", 1.0)],
+        ids=["adam", "sgd", "adam-clip-1.0", "sgd-clip-1.0"])
     def test_steady_state_step_allocates_under_one_parameter(self, kind,
+                                                              clip_norm,
                                                               traced_peak):
         net = init_network(NetworkSpec(layer_sizes=(2000, 100, 2000)))
-        state = _OptimizerState(net, OptimizerSpec(kind))
+        state = _OptimizerState(net, OptimizerSpec(kind, clip_norm=clip_norm))
         rng = np.random.default_rng(17)
         grads = [rng.standard_normal(p.shape, dtype=np.float32)
                  for p in net.parameters()]
         _apply_update(net, grads, state)  # warm-up
         assert traced_peak(_apply_update, net, grads, state) < net.weights[0].nbytes
+
+
+class TestStep:
+    def test_warm_step_allocates_under_one_batch_array(self, traced_peak):
+        # a 2000-100-2000 net at batch 128 with 6 input and 6 target bits
+        # per row: every array of the step's size is one its state owns
+        rng = np.random.default_rng(18)
+        net = init_network(NetworkSpec(layer_sizes=(2000, 100, 2000)))
+        x = np.zeros((128, 2000), dtype=np.float32)
+        t = np.zeros_like(x)
+        for xr, tr in zip(x, t):
+            xr[rng.choice(2000, size=6, replace=False)] = 1
+            tr[rng.choice(2000, size=6, replace=False)] = 1 / 6
+        spec = OptimizerSpec("adam")
+        _, state = backward_and_step(net, (x, t), spec)  # warm-up
+        assert traced_peak(backward_and_step, net, (x, t), spec, state) < x.nbytes
 
 
 def tiny_dataset(rng, n=60, d=20):
@@ -336,6 +355,15 @@ class TestTrain:
             losses.append(report.epoch_losses)
         assert losses[0] == losses[1]
 
+    def test_peak_is_below_the_encoded_split(self, traced_peak):
+        # the split encoded in one piece is an (n, m) uint8 array per side;
+        # train holds the packed split and one batch's buffers
+        dataset = tiny_dataset(np.random.default_rng(20), n=4000, d=500)
+        net = small_net((500, 16, 500), seed=1, dtype=np.float32)
+        peak = traced_peak(train, net, dataset, None, None, OptimizerSpec("adam"),
+                           epochs=1, batch_size=32)
+        assert peak < 4000 * 500
+
     def test_wall_times_recorded(self):
         rng = np.random.default_rng(13)
         dataset = tiny_dataset(rng)
@@ -343,6 +371,94 @@ class TestTrain:
         report = train(net, dataset, None, None, OptimizerSpec("adam"), epochs=2)
         assert len(report.epoch_times) == 2
         assert all(t >= 0 for t in report.epoch_times)
+
+
+def _plain_train(net, dataset, h_in, h_out, spec, epochs, batch_size,
+                 shuffle_seed):
+    """`train` in plain expressions, the reference it must equal bit for
+    bit: the split encoded up front, a fresh array per operation and the
+    update of `_textbook_update`. Updates `net` and returns the epoch losses."""
+    x_bits = encode_batch([pair[0] for pair in dataset], h_in)
+    t_bits = encode_batch([pair[1] for pair in dataset], h_out)
+    t_sum = t_bits.sum(axis=1)
+    n, dtype, last = len(dataset), net.dtype, len(net.weights) - 1
+    params = net.parameters()
+    first = [np.zeros_like(p) for p in params]
+    second = [np.zeros_like(p) for p in params]
+    rng = np.random.default_rng(shuffle_seed)
+    losses, step = [], 0
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for s in range(0, n, batch_size):
+            idx = order[s:s + batch_size]
+            x = x_bits[idx].astype(dtype)
+            t = t_bits[idx].astype(dtype)
+            t /= t_sum[idx, None].astype(dtype)
+            acts, pre = [x], []
+            for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+                z = acts[-1] @ w + b
+                pre.append(z)
+                if l < last:
+                    acts.append(np.maximum(z, 0))
+                else:
+                    e = np.exp(z - z.max(axis=1, keepdims=True))
+                    acts.append(e / e.sum(axis=1, keepdims=True))
+            probs, hit = acts[-1], t != 0
+            logp = np.log(np.maximum(probs[hit].astype(np.float64), 1e-12))
+            total += float(-(t[hit] * logp).sum() / len(idx)) * len(idx)
+            dz = (probs - t) / len(idx)
+            grads = []
+            for l in range(last, -1, -1):
+                grads[:0] = [acts[l].T @ dz, dz.sum(axis=0)]
+                if l > 0:
+                    slope = (pre[l - 1] > 0).astype(dtype)
+                    slope[pre[l - 1] == 0] = 0.5
+                    dz = (dz @ net.weights[l].T) * slope
+            step += 1
+            _textbook_update(params, grads, first, second, spec, step)
+        losses.append(total / n)
+    return losses
+
+
+def _collision_matrix() -> HashMatrix:
+    """k = 3 over d = 20, m = 12, where items 1 and 2 share bit 1."""
+    rows = build_hash_matrix(20, 12, 3, 5).rows.copy()
+    rows[0], rows[1] = (1, 2, 3), (1, 4, 5)
+    return HashMatrix(d=20, m=12, k=3, seed=5, rows=rows)
+
+
+class TestTrainOracle:
+    @pytest.mark.parametrize("matrix,batch_size", [
+        (identity_hash_matrix(20), 16),    # a short last batch of 12
+        (identity_hash_matrix(20), 100),   # one batch of all 60
+        (_collision_matrix(), 16)], ids=["identity-16", "identity-100", "k3-16"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_equals_plain_expressions_bit_for_bit(self, kind, dtype, matrix,
+                                                 batch_size):
+        dataset = tiny_dataset(np.random.default_rng(19))
+        # items 1 and 2 in one target: 6 projections set 5 bits under k = 3;
+        # an empty input first in the first batch, while the biases are 0,
+        # puts hidden pre-activations at the ReLU kink
+        dataset[0] = (dataset[0][0], SparseInstance.from_items(20, [1, 2]))
+        first = np.random.default_rng(5).permutation(len(dataset))[0]
+        dataset[first] = (SparseInstance.from_items(20, []), dataset[first][1])
+        spec = OptimizerSpec(kind, learning_rate=0.01)
+        sizes = (matrix.m, 8, 6, matrix.m)
+        net, ref = small_net(sizes, seed=3, dtype=dtype), small_net(sizes, seed=3,
+                                                                    dtype=dtype)
+        report = train(net, dataset, matrix, matrix, spec, epochs=2,
+                       batch_size=batch_size, shuffle_seed=5)
+        want = _plain_train(ref, dataset, matrix, matrix, spec, 2, batch_size, 5)
+        assert report.epoch_losses == want
+        for got, exp in zip(net.parameters(), ref.parameters()):
+            assert got.dtype == exp.dtype
+            assert np.array_equal(got, exp)
+
+    def test_collision_matrix_sets_five_bits_for_items_1_and_2(self):
+        target = SparseInstance.from_items(20, [1, 2])
+        assert encode_batch([target], _collision_matrix()).sum() == 5
 
 
 class TestCheckpoints:
