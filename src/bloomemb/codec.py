@@ -212,7 +212,7 @@ def read_instances(text: str, d: int) -> list[SparseInstance]:
         try:
             items = [int(tok) for tok in line.split()]
             out.append(SparseInstance.from_items(d, items))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return out
 

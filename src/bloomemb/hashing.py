@@ -20,7 +20,6 @@ sniffing the magic bytes; opening files is the caller's job.
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass
 
@@ -56,12 +55,14 @@ class HashMatrix:
 
     def __post_init__(self):
         _check_dims(self.d, self.m, self.k)
-        rows = np.ascontiguousarray(self.rows, dtype=np.int32)
+        rows = np.asarray(self.rows)
         if rows.shape != (self.d, self.k):
             raise ValueError(
                 f"rows shape {rows.shape} does not match header ({self.d}, {self.k})")
+        # checked before the cast to int32, which would wrap a larger index
         if rows.size and (rows.min() < 1 or rows.max() > self.m):
             raise ValueError(f"projection indices must lie in [1, {self.m}]")
+        rows = np.ascontiguousarray(rows, dtype=np.int32)
         if self.k > 1:
             srt = np.sort(rows, axis=1)
             if (srt[:, 1:] == srt[:, :-1]).any():
@@ -81,23 +82,20 @@ class HashMatrix:
 def _build_rows(d: int, m: int, k: int, seed: int) -> np.ndarray:
     """Draw d rows of k distinct indices from {1..m} by partial Fisher-Yates.
 
-    Each row uses its own SplitMix64 stream (see bloomemb.rng); the swaps are
-    undone after every row so the shared pool stays pristine, which keeps a
-    row a pure function of (m, k, seed, row index).
+    Each row uses its own SplitMix64 stream (see bloomemb.rng) and shuffles
+    the pool 1..m afresh, so a row is a pure function of (m, k, seed, row
+    index). The pool is virtual: slot s holds ``moved.get(s, s + 1)``, and
+    a swap of slots j <= t records only slot t, as slot j is never read
+    again.
     """
     out = np.empty((d, k), dtype=np.int32)
-    pool = list(range(1, m + 1))
-    targets = [0] * k
     for i in range(d):
         stream = SplitMix64(row_stream_seed(seed, i))
+        moved: dict[int, int] = {}
         for j in range(k):
             t = j + stream.randbelow(m - j)
-            pool[j], pool[t] = pool[t], pool[j]
-            out[i, j] = pool[j]
-            targets[j] = t
-        for j in range(k - 1, -1, -1):
-            t = targets[j]
-            pool[j], pool[t] = pool[t], pool[j]
+            out[i, j] = moved.get(t, t + 1)
+            moved[t] = moved.get(j, j + 1)
     return out
 
 
@@ -127,12 +125,8 @@ def matrix_from_bytes(data: bytes) -> HashMatrix:
 
 
 def matrix_to_text(matrix: HashMatrix) -> str:
-    buf = io.StringIO()
-    buf.write(f"{matrix.d} {matrix.m} {matrix.k} {matrix.seed}\n")
-    for row in matrix.rows:
-        buf.write(" ".join(str(int(v)) for v in row))
-        buf.write("\n")
-    return buf.getvalue()
+    return f"{matrix.d} {matrix.m} {matrix.k} {matrix.seed}\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in matrix.rows.tolist())
 
 
 def _from_text(text: str) -> HashMatrix:
@@ -143,15 +137,19 @@ def _from_text(text: str) -> HashMatrix:
     if len(header) != 4:
         raise ValueError(f"malformed header {lines[0]!r}, expected 'd m k seed'")
     d, m, k, seed = (int(v) for v in header)
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2)
+            if ln.strip()]
     if len(body) != d:
         raise ValueError(f"header declares {d} rows, file has {len(body)}")
     rows = np.empty((d, k), dtype=np.int32)
-    for i, ln in enumerate(body):
+    for i, (lineno, ln) in enumerate(body):
         parts = ln.split()
         if len(parts) != k:
-            raise ValueError(f"row {i + 1} has {len(parts)} indices, expected {k}")
-        rows[i] = [int(v) for v in parts]
+            raise ValueError(f"line {lineno}: {len(parts)} indices, expected {k}")
+        try:
+            rows[i] = [int(v) for v in parts]
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return HashMatrix(d=d, m=m, k=k, seed=seed, rows=rows)
 
 
@@ -172,4 +170,4 @@ def _from_binary(data: bytes) -> HashMatrix:
         raise ValueError(
             f"truncated hash-matrix file: expected {expected} bytes, got {len(data)}")
     rows = np.frombuffer(data, dtype="<u4", offset=24).reshape(d, k)
-    return HashMatrix(d=d, m=m, k=k, seed=seed, rows=rows.astype(np.int32))
+    return HashMatrix(d=d, m=m, k=k, seed=seed, rows=rows)

@@ -11,13 +11,16 @@ networks.
 A warm train step allocates nothing of batch or parameter size. The
 optimizer state owns every array the step writes: each layer's
 pre-activation and activation, the softmax output (computed in place), the
-backward pass's dz and da, the gradients and the update's scratch. They are
-sized for the largest batch, and a shorter batch uses their leading rows.
-Every operation keeps the plain expression and its order, so losses and
-weights match the plain expressions bit for bit. ``train`` packs each side
-of the split once and encodes each batch straight into two buffers it
-owns, so it never holds the encoded split. The cross-entropy loss reads
-only the target's nonzero entries.
+gradients and Adam's scratch. The batch-sized ones are sized for the
+largest batch, and a shorter batch uses their leading rows. The backward
+pass and the update write into arrays whose values are spent: the loss
+gradient into the softmax, a hidden layer's gradient into its activation
+and its ReLU slope into its pre-activation, Adam's denominator into the
+gradient. Every operation keeps the plain expression and its order, so
+losses and weights match the plain expressions bit for bit. ``train``
+packs each side of the split once and encodes each batch straight into two
+buffers it owns, so it never holds the encoded split. The cross-entropy
+loss reads only the target's nonzero entries.
 
 Weight init is scaled uniform, U(-sqrt(1/fan_in), +sqrt(1/fan_in)), from
 a seeded generator; with fixed init and shuffle seeds a training run is
@@ -114,11 +117,7 @@ class Network:
         return self.spec.layer_sizes[-1]
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
 
 def init_network(spec: NetworkSpec, dtype=np.float32) -> Network:
@@ -137,11 +136,13 @@ class _StepBuffers:
 
     A batch of b rows uses the leading b rows of each. ``out[l]`` is layer
     l's pre-activation, and for the output layer its softmax, computed in
-    place; ``act[l]`` is hidden layer l's ReLU. ``dz`` is the output layer's
-    loss gradient, ``da[l]`` hidden layer l's, first with respect to its
-    activation and then, times ``slope[l]``, to its pre-activation.
-    ``mask`` holds the output's finiteness, then the target's nonzero
-    entries. ``grads`` are the gradients in parameter order.
+    place; ``act[l]`` is hidden layer l's ReLU. ``mask`` holds the output's
+    finiteness, then the target's nonzero entries. ``grads`` are the
+    gradients in parameter order. The backward pass writes into spent
+    arrays: the loss gradient into the softmax once the loss is taken, and
+    hidden layer l's gradient into ``act[l]`` once the next layer's weight
+    gradient is taken, then times its ReLU slope, which overwrites
+    ``out[l]``.
     """
 
     def __init__(self, net: Network, rows: int):
@@ -150,9 +151,6 @@ class _StepBuffers:
         self.rows = rows
         self.out = [np.empty((rows, s), dtype) for s in sizes[1:]]
         self.act = [np.empty((rows, s), dtype) for s in sizes[1:-1]]
-        self.dz = np.empty((rows, sizes[-1]), dtype)
-        self.da = [np.empty((rows, s), dtype) for s in sizes[1:-1]]
-        self.slope = [np.empty((rows, s), dtype) for s in sizes[1:-1]]
         self.mask = np.empty((rows, sizes[-1]), dtype=bool)
         self.grads = [np.empty_like(p) for p in net.parameters()]
 
@@ -169,8 +167,8 @@ def forward_batch(net: Network, x: np.ndarray,
                   buffers: _StepBuffers | None = None) -> np.ndarray:
     """(B, n_in) inputs -> (B, n_out) softmax probabilities.
 
-    Every layer writes into `buffers`, a fresh set when None; the result is
-    a view of them.
+    Every layer writes into `buffers`, a fresh set when None. The result is
+    a view of them, valid only until the buffers are next used.
     """
     if x.ndim != 2 or x.shape[1] != net.n_in:
         raise ValueError(f"input shape {x.shape} does not match n_in={net.n_in}")
@@ -212,14 +210,16 @@ def _cross_entropy(probs: np.ndarray, targets: np.ndarray,
 
 
 class _OptimizerState:
-    """Moments of each parameter, the scratch buffers of its update and the
-    buffers of the step's passes.
+    """Moments of each parameter, the scratch of its update and the buffers
+    of the step's passes.
 
-    The update's buffers are allocated here, once: Adam needs two per
-    parameter, SGD one, and clipping one float64 array the size of the
-    largest parameter. The passes' buffers are allocated on the first batch
-    with more rows than any before. So a warm step allocates nothing of
-    batch or parameter size.
+    The update's arrays are allocated here, once: Adam's one scratch array
+    per parameter, and clipping's one float64 array the size of the largest
+    parameter. SGD scales the gradient in place; Adam writes its step term
+    into the scratch and its denominator into the gradient, which is spent
+    once both moments are updated. The passes' buffers are allocated on the
+    first batch with more rows than any before. So a warm step allocates
+    nothing of batch or parameter size.
     """
 
     def __init__(self, net: Network, spec: OptimizerSpec):
@@ -229,9 +229,7 @@ class _OptimizerState:
         self.momenta = [np.zeros_like(p) for p in params]
         if spec.kind == "adam":
             self.second = [np.zeros_like(p) for p in params]
-            self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
-        else:
-            self.scratch = [(np.empty_like(p),) for p in params]
+            self.scratch = [np.empty_like(p) for p in params]
         self.squares = (None if spec.clip_norm is None
                         else np.empty(max(p.size for p in params), np.float64))
         self._buffers: _StepBuffers | None = None
@@ -262,16 +260,18 @@ def _clip_gradients(grads: list[np.ndarray], max_norm: float,
 
 def _apply_update(net: Network, grads: list[np.ndarray],
                   state: _OptimizerState) -> None:
+    """One optimizer step on `net`'s parameters; overwrites `grads`, as
+    clipping does."""
     spec = state.spec
     params = net.parameters()
     if spec.clip_norm is not None:
         _clip_gradients(grads, spec.clip_norm, state.squares)
     lr = spec.learning_rate
     if spec.kind == "sgd":
-        for p, g, v, (u,) in zip(params, grads, state.momenta, state.scratch):
+        for p, g, v in zip(params, grads, state.momenta):
             v *= spec.momentum
-            np.multiply(lr, g, out=u)
-            v -= u
+            np.multiply(lr, g, out=g)
+            v -= g
             p += v
     else:
         # p -= lr * m_hat / (sqrt(v_hat) + eps) with m_hat = m / (1 - b1^t)
@@ -280,8 +280,8 @@ def _apply_update(net: Network, grads: list[np.ndarray],
         state.step += 1
         t = state.step
         b1, b2 = spec.beta1, spec.beta2
-        for p, g, m, v, (u, w) in zip(params, grads, state.momenta,
-                                      state.second, state.scratch):
+        for p, g, m, v, u in zip(params, grads, state.momenta,
+                                 state.second, state.scratch):
             m *= b1
             np.multiply(1 - b1, g, out=u)
             m += u
@@ -290,11 +290,11 @@ def _apply_update(net: Network, grads: list[np.ndarray],
             u *= g
             v += u
             np.divide(m, 1 - b1 ** t, out=u)
-            np.divide(v, 1 - b2 ** t, out=w)
-            np.sqrt(w, out=w)
-            w += spec.epsilon
+            np.divide(v, 1 - b2 ** t, out=g)
+            np.sqrt(g, out=g)
+            g += spec.epsilon
             np.multiply(lr, u, out=u)
-            u /= w
+            u /= g
             p -= u
 
 
@@ -315,7 +315,7 @@ def gradients(net: Network, x: np.ndarray, targets: np.ndarray,
     loss = _cross_entropy(probs, t, np.not_equal(t, 0, out=buffers.mask[:b]))
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite training loss")
-    dz = np.subtract(probs, t, out=buffers.dz[:b])
+    dz = np.subtract(probs, t, out=probs)
     dz /= b
     grads = buffers.grads
     for l in range(len(net.weights) - 1, -1, -1):
@@ -323,10 +323,11 @@ def gradients(net: Network, x: np.ndarray, targets: np.ndarray,
         a = x if l == 0 else buffers.act[l - 1][:b]
         np.matmul(a.T, dz, out=grads[2 * l])                         # weight
         if l > 0:
-            da = np.matmul(dz, net.weights[l].T, out=buffers.da[l - 1][:b])
+            da = np.matmul(dz, net.weights[l].T, out=a)
             # (1 + sign z) / 2: 1 above the ReLU kink, 0 below, and the
             # symmetric 0.5 at it
-            slope = np.sign(buffers.out[l - 1][:b], out=buffers.slope[l - 1][:b])
+            z = buffers.out[l - 1][:b]
+            slope = np.sign(z, out=z)
             slope += 1
             slope *= 0.5
             dz = np.multiply(da, slope, out=da)
@@ -445,12 +446,9 @@ def train(net: Network,
 
 def network_to_bytes(net: Network) -> bytes:
     sizes = net.spec.layer_sizes
-    parts = [_CHECKPOINT_MAGIC, struct.pack("<I", len(sizes))]
-    parts.append(struct.pack(f"<{len(sizes)}I", *sizes))
-    for w, b in zip(net.weights, net.biases):
-        parts.append(w.astype("<f4").tobytes(order="C"))
-        parts.append(b.astype("<f4").tobytes(order="C"))
-    return b"".join(parts)
+    return b"".join([_CHECKPOINT_MAGIC,
+                     struct.pack(f"<I{len(sizes)}I", len(sizes), *sizes),
+                     *(p.astype("<f4").tobytes() for p in net.parameters())])
 
 
 def network_from_bytes(data: bytes, dtype=np.float32) -> Network:

@@ -266,7 +266,12 @@ UNREADABLE = {
         "cbe", "--hash", bad, "--instances", f["instances"]]),
     "hash-malformed-header": ("hash matrix", b"2 2 2\n1 2\n2 1\n", lambda f, bad: [
         "encode", "--hash", bad, "--instances", f["instances"]]),
+    "hash-index-beyond-int32": ("hash matrix", b"2 2 1 0\n1\n99999999999\n",
+                                lambda f, bad: ["encode", "--hash", bad,
+                                                "--instances", f["instances"]]),
     "instance-not-integer": ("instances", b"1 2\n1 x\n", lambda f, bad: [
+        "encode", "--hash", f["hash"], "--instances", bad]),
+    "instance-beyond-int32": ("instances", b"1 99999999999\n", lambda f, bad: [
         "encode", "--hash", f["hash"], "--instances", bad]),
     "embedding-bad-character": ("embeddings", b"01x" + b"0" * 13 + b"\n",
                                 lambda f, bad: ["decode", "--hash", f["hash"],

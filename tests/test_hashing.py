@@ -2,11 +2,40 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from bloomemb.hashing import (HashMatrix, build_hash_matrix,
+from bloomemb.hashing import (HashMatrix, _build_rows, build_hash_matrix,
                               identity_hash_matrix, matrix_from_bytes,
                               matrix_to_binary, matrix_to_text)
+from bloomemb.rng import MASK64, SplitMix64, row_stream_seed
+
+
+def pool_rows(d, m, k, seed):
+    """Partial Fisher-Yates on a shared list pool 1..m whose swaps are
+    undone after every row: the oracle of the dict-of-moved-slots draw."""
+    out = np.empty((d, k), dtype=np.int32)
+    pool = list(range(1, m + 1))
+    targets = [0] * k
+    for i in range(d):
+        stream = SplitMix64(row_stream_seed(seed, i))
+        for j in range(k):
+            t = j + stream.randbelow(m - j)
+            pool[j], pool[t] = pool[t], pool[j]
+            out[i, j] = pool[j]
+            targets[j] = t
+        for j in range(k - 1, -1, -1):
+            t = targets[j]
+            pool[j], pool[t] = pool[t], pool[j]
+    return out
+
+
+@st.composite
+def dims_and_seed(draw):
+    m = draw(st.integers(1, 60))
+    return (draw(st.integers(m, 80)), m, draw(st.integers(1, m)),
+            draw(st.integers(0, MASK64)))
 
 
 class TestBuild:
@@ -46,6 +75,11 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_hash_matrix(d=d, m=m, k=k, seed=0)
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(dims_and_seed())
+    def test_rows_match_the_shared_pool_oracle(self, case):
+        assert np.array_equal(_build_rows(*case), pool_rows(*case))
+
     def test_identity_matrix(self):
         matrix = identity_hash_matrix(5)
         assert matrix.rows.ravel().tolist() == [1, 2, 3, 4, 5]
@@ -84,6 +118,10 @@ class TestSerialization:
             matrix_from_bytes(b"2 2 2 0\n1 2\n0 1\n")
         with pytest.raises(ValueError):
             matrix_from_bytes(b"2 2 2 0\n1 2\n3 1\n")
+        with pytest.raises(ValueError):
+            # 2**32 + 1 would read as 1 once cast to int32
+            HashMatrix(d=4, m=3, k=1, seed=0,
+                       rows=np.array([[2**32 + 1], [2], [3], [1]]))
 
     def test_malformed_header_rejected(self):
         with pytest.raises(ValueError):

@@ -270,20 +270,36 @@ class TestUpdate:
         assert traced_peak(_apply_update, net, grads, state) < net.weights[0].nbytes
 
 
+def step_inputs():
+    """A 2000-100-2000 net and a batch of 128 rows with 6 input and 6 target
+    bits per row."""
+    rng = np.random.default_rng(18)
+    net = init_network(NetworkSpec(layer_sizes=(2000, 100, 2000)))
+    x = np.zeros((128, 2000), dtype=np.float32)
+    t = np.zeros_like(x)
+    for xr, tr in zip(x, t):
+        xr[rng.choice(2000, size=6, replace=False)] = 1
+        tr[rng.choice(2000, size=6, replace=False)] = 1 / 6
+    return net, x, t
+
+
 class TestStep:
     def test_warm_step_allocates_under_one_batch_array(self, traced_peak):
-        # a 2000-100-2000 net at batch 128 with 6 input and 6 target bits
-        # per row: every array of the step's size is one its state owns
-        rng = np.random.default_rng(18)
-        net = init_network(NetworkSpec(layer_sizes=(2000, 100, 2000)))
-        x = np.zeros((128, 2000), dtype=np.float32)
-        t = np.zeros_like(x)
-        for xr, tr in zip(x, t):
-            xr[rng.choice(2000, size=6, replace=False)] = 1
-            tr[rng.choice(2000, size=6, replace=False)] = 1 / 6
+        # every array of the step's size is one its state owns
+        net, x, t = step_inputs()
         spec = OptimizerSpec("adam")
         _, state = backward_and_step(net, (x, t), spec)  # warm-up
         assert traced_peak(backward_and_step, net, (x, t), spec, state) < x.nbytes
+
+    @pytest.mark.parametrize("kind,bound", [("adam", 5.5), ("sgd", 3.5)])
+    def test_cold_step_peak_in_parameter_bytes(self, kind, bound, traced_peak):
+        # the first step allocates its state: the moments, the gradients,
+        # Adam's one scratch array per parameter and the passes' buffers,
+        # whose backward pass reuses the forward pass's spent arrays
+        net, x, t = step_inputs()
+        params = sum(p.nbytes for p in net.parameters())
+        peak = traced_peak(backward_and_step, net, (x, t), OptimizerSpec(kind))
+        assert peak < bound * params
 
 
 def tiny_dataset(rng, n=60, d=20):
