@@ -10,13 +10,12 @@ and sweep harness.
 from .cbe import (CooccurrenceStats, CooccurrenceTable, cooccurrence_stats,
                   count_cooccurrences, rebuild_hash_matrix, threshold_and_order)
 from .codec import (ScoreOrder, SparseInstance, decode_likelihood_batch,
-                    decode_nll_batch, encode_batch, rank_batch)
+                    decode_nll_batch, encode_batch, matrix_from_bytes, rank_batch)
 from .data import (DataError, ProfileDataset, SyntheticSpec, generate_synthetic,
                    load_profiles)
 from .experiment import (ExperimentConfig, ExperimentOutcome, evaluate_model,
                          fit, run_experiment, run_sweep)
-from .hashing import (HashMatrix, build_hash_matrix, identity_hash_matrix,
-                      matrix_from_bytes)
+from .hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
 from .metrics import EvaluationResult, average_precision
 from .trainer import (Network, NetworkSpec, OptimizerSpec, TrainReport,
                       backward_and_step, forward_batch, init_network,

@@ -108,9 +108,11 @@ def rebuild_hash_matrix(matrix: HashMatrix, pairs: np.ndarray,
     rows = matrix.rows.copy()
     m, k = matrix.m, matrix.k
     stream = SplitMix64(seed & MASK64)
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = np.asarray(pairs)
+    if pairs.size and pairs.dtype.kind not in "iu":
+        raise ValueError(f"pair members must be integers, got {pairs.dtype}")
     mask = np.ones(m + 1, dtype=bool)  # mask[idx] — is bit idx admissible
-    for a, b in pairs:
+    for a, b in pairs.reshape(-1, 2):
         if not (1 <= a <= matrix.d and 1 <= b <= matrix.d):
             raise ValueError(f"pair member out of range [1, {matrix.d}]: ({a}, {b})")
         if a == b:

@@ -18,8 +18,8 @@ times aside. Every file a command writes is named after ``--out``: ``cbe``
 writes its report to ``<out>.stats.tsv``, and ``train`` the hash matrices to
 ``<out>.hash-in`` and ``<out>.hash-out`` (the identity for the baseline),
 which ``evaluate`` reads next to ``--model``. One loader reads every artifact
-file and hands it to its module's parser; a fault in either step is the data
-fault ``cannot load <what> <path>: <reason>``.
+file and hands its bytes to the format's parser; a fault in either step is
+the data fault ``cannot load <what> <path>: <reason>``.
 """
 
 from __future__ import annotations
@@ -102,20 +102,16 @@ def _log_config(args, cfg: experiment.ExperimentConfig | None = None) -> None:
 
 
 def _load(what: str, path: str, parse, *args):
-    """`parse(contents, *args)` of the artifact file at `path`, given its bytes
-    for the formats that may be binary and its text for the others."""
+    """`parse(data, *args)` of the bytes of the artifact file at `path`."""
     try:
-        data = Path(path).read_bytes()
-        if parse not in (hashing.matrix_from_bytes, trainer.network_from_bytes):
-            data = data.decode()
-        return parse(data, *args)
+        return parse(Path(path).read_bytes(), *args)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot load {what} {path}: {exc}") from None
 
 
 def _write_matrix(path: str, matrix: hashing.HashMatrix, fmt: str) -> None:
-    atomic_write(path, hashing.matrix_to_binary(matrix) if fmt == "binary"
-                 else hashing.matrix_to_text(matrix))
+    atomic_write(path, codec.matrix_to_binary(matrix) if fmt == "binary"
+                 else codec.matrix_to_text(matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +130,7 @@ def cmd_build_hash(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    matrix = _load("hash matrix", args.hash, hashing.matrix_from_bytes)
+    matrix = _load("hash matrix", args.hash, codec.matrix_from_bytes)
     instances = _load("instances", args.instances, codec.read_instances, matrix.d)
     bits = codec.encode_batch(instances, matrix)
     atomic_write(args.out, codec.write_bit_vectors(bits))
@@ -143,17 +139,15 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    matrix = _load("hash matrix", args.hash, hashing.matrix_from_bytes)
+    matrix = _load("hash matrix", args.hash, codec.matrix_from_bytes)
     if (args.probs is None) == (args.embeddings is None):
         raise ConfigError("provide exactly one of --probs or --embeddings")
     if args.probs is not None:
         probs = _load("probabilities", args.probs, codec.read_probabilities,
                       matrix.m)
     else:
-        bits = _load("embeddings", args.embeddings, codec.read_bit_vectors)
-        if bits.shape[1] != matrix.m:
-            raise DataError(f"embedding width {bits.shape[1]} != matrix m {matrix.m}")
-        probs = bits.astype(np.float64)
+        probs = _load("embeddings", args.embeddings, codec.read_bit_vectors,
+                      matrix.m).astype(np.float64)
     try:  # the decode mode and top_n are checked by the codec
         scores, ordering = codec.decode_batch(probs, matrix, args.decode)
         ranked = codec.rank_batch(
@@ -166,7 +160,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_cbe(args) -> int:
-    matrix = _load("hash matrix", args.hash, hashing.matrix_from_bytes)
+    matrix = _load("hash matrix", args.hash, codec.matrix_from_bytes)
     instances = _load("instances", args.instances, codec.read_instances, matrix.d)
     if not instances:
         raise DataError("instance file is empty")
@@ -212,8 +206,8 @@ def cmd_train(args) -> int:
     h_in, h_out = experiment.build_matrices(cfg, ds)
     net, report = experiment.fit(cfg, ds, h_in, h_out)
     atomic_write(args.out, trainer.network_to_bytes(net))
-    atomic_write(args.out + ".hash-in", hashing.matrix_to_text(h_in))
-    atomic_write(args.out + ".hash-out", hashing.matrix_to_text(h_out))
+    atomic_write(args.out + ".hash-in", codec.matrix_to_text(h_in))
+    atomic_write(args.out + ".hash-out", codec.matrix_to_text(h_out))
     lines = ["epoch\tloss\tseconds"]
     for i, (loss, secs) in enumerate(zip(report.epoch_losses, report.epoch_times)):
         lines.append(f"{i + 1}\t{loss:.10g}\t{secs:.6g}")
@@ -226,8 +220,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
     net = _load("model", args.model, trainer.network_from_bytes)
-    h_in = _load("hash matrix", args.model + ".hash-in", hashing.matrix_from_bytes)
-    h_out = _load("hash matrix", args.model + ".hash-out", hashing.matrix_from_bytes)
+    h_in = _load("hash matrix", args.model + ".hash-in", codec.matrix_from_bytes)
+    h_out = _load("hash matrix", args.model + ".hash-out", codec.matrix_from_bytes)
     ds = experiment.load_dataset(cfg)
     result = experiment.evaluate_model(net, ds.test_profiles(), h_in, h_out,
                                        decode_mode=cfg.decode_mode,

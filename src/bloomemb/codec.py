@@ -1,4 +1,5 @@
-"""Encoding of sparse binary instances and ranked recovery of item scores.
+"""Encoding of sparse binary instances, ranked recovery of item scores, and
+the file formats of every Bloom artifact.
 
 An instance is the set of active positions of a d-dimensional binary
 vector. Every function works on a batch: encoding sets, for every active
@@ -6,41 +7,44 @@ position of every instance, the bits at its k projected embedding
 positions, giving an (n, m) bit array. Batches are packed once into CSR
 arrays by :func:`pack_instances`, and the one scatter kernel,
 :func:`encode_rows`, encodes any rows of a packed batch into a caller's
-array of any dtype. :func:`encode_batch` packs and encodes a whole batch
-into uint8; :func:`bloomemb.trainer.train` packs its split once and
-encodes each training batch straight into its float buffers, so the
-encoded split is never held. Decoding maps (n, m) probabilities
-back to (n, d) per-item scores: the likelihood of item i is the product of
-the probabilities at its k projections, and the negative-log variant is
-the numerically stable form of the same ranking; both decoders fold the
-k gathered columns in one combine, and :func:`decode_batch` picks the
-decoder of a decode mode and its :class:`ScoreOrder`. Ranking turns scores
-into best-first item ids; :func:`rank_batch` serves the top-n score dumps
-and is the oracle the tests hold evaluation to, while
-:func:`bloomemb.experiment.evaluate_model` counts only the relevant items'
-ranks, with the same tie rule, calling these batch functions on
-``EVAL_SLICE``-profile slices so that its peak is one slice's (rows, d)
-arrays, not the test split's. Membership never produces false negatives;
-false positives occur when all k projections of an absent item collide
-with set bits. The no-embedding baseline is the identity matrix (m = d, k = 1),
+array of any dtype; :func:`encode_batch` packs and encodes a whole batch
+into uint8. Decoding maps (n, m) probabilities back to (n, d) per-item
+scores: the likelihood of item i is the product of the probabilities at
+its k projections, and the negative-log variant is the numerically stable
+form of the same ranking; both decoders fold the k gathered columns in one
+combine, and :func:`decode_batch` picks the decoder of a decode mode and
+its :class:`ScoreOrder`. Ranking turns scores into best-first item ids,
+ties to the lower id. Membership never produces false negatives; false
+positives occur when all k projections of an absent item collide with set
+bits. The no-embedding baseline is the identity matrix (m = d, k = 1),
 whose encoding is the multi-hot vector and whose likelihood decoding
 returns the probabilities unchanged.
 
-File formats, each read from or written to text by a pure function (the
-caller opens the file), a reader raising ValueError on a malformed line:
+File formats, each written by a pure function and read by one that takes
+the file's bytes or its text (the caller opens the file):
 
+* hash matrix, text — a header line ``d m k seed``, then d lines of k
+  space-separated indices in [1, m];
+* hash matrix, binary — magic ``BEH1``, little-endian uint32 d, m, k and
+  uint64 seed, then d*k little-endian uint32 indices, row-major;
+  :func:`matrix_from_bytes` reads either, sniffing the magic;
 * instance file — one instance per line, space-separated 1-based item
   positions; an empty line is the empty instance;
 * embedded-vector file — one line per vector of m characters '0'/'1';
 * probability file — one line per vector of m whitespace-separated
-  probabilities in [0, 1]; blank lines are skipped;
+  probabilities in [0, 1];
 * score dump — TSV with columns instance, item, score for the top-n items
   of each decoded instance.
+
+One fault rule holds for every text reader: a malformed line is a
+ValueError that starts ``line N:``, counting every line from 1; the vector
+and matrix readers skip empty lines.
 """
 
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -49,6 +53,7 @@ import numpy as np
 from .hashing import HashMatrix
 
 DEFAULT_NLL_EPSILON = 1e-12
+_BINARY_MAGIC = b"BEH1"
 
 
 class ScoreOrder(enum.Enum):
@@ -66,18 +71,22 @@ class SparseInstance:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"dimensionality d must be >= 1, got {self.d}")
-        pos = np.asarray(self.positions, dtype=np.int32)
+        pos = np.asarray(self.positions)
         if pos.ndim != 1:
             raise ValueError("positions must be one-dimensional")
+        # checked before the cast to int32, which truncates floats, wraps large ints
+        if pos.size and pos.dtype.kind not in "iu":
+            raise ValueError(f"positions must be integers, got {pos.dtype}")
         pos = np.unique(pos)
         if pos.size and (pos[0] < 1 or pos[-1] > self.d):
             raise ValueError(f"positions must lie in [1, {self.d}]")
+        pos = pos.astype(np.int32, copy=False)
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
     @classmethod
     def from_items(cls, d: int, items: Iterable[int]) -> "SparseInstance":
-        return cls(d=d, positions=np.fromiter(items, dtype=np.int32))
+        return cls(d=d, positions=list(items))
 
     @property
     def c(self) -> int:
@@ -205,51 +214,57 @@ def rank_batch(scores: np.ndarray, ordering: ScoreOrder, top_n: int) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def read_instances(text: str, d: int) -> list[SparseInstance]:
-    """Parse an instance file (see module docstring)."""
+def _numbered(data: bytes | str) -> list[tuple[int, str]]:
+    """The lines of an artifact's bytes or text, each with its 1-based number."""
+    text = data.decode() if isinstance(data, bytes) else data
+    return list(enumerate(text.splitlines(), start=1))
+
+
+def _parse_lines(lines: Iterable[tuple[int, str]], parse) -> list:
+    """`parse(line)` of each (number, line) pair, None results dropped; a
+    ValueError or OverflowError of the parse is ``ValueError("line N: ...")``."""
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in lines:
         try:
-            items = [int(tok) for tok in line.split()]
-            out.append(SparseInstance.from_items(d, items))
+            value = parse(line)
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if value is not None:
+            out.append(value)
     return out
 
 
-def read_bit_vectors(text: str) -> np.ndarray:
-    """Parse an embedded-vector file into an (n, m) uint8 array."""
-    lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1)
-             if ln]
-    if not lines:
+def read_instances(data: bytes | str, d: int) -> list[SparseInstance]:
+    """Parse an instance file (see module docstring)."""
+    return _parse_lines(_numbered(data), lambda line: SparseInstance(
+        d, [int(tok) for tok in line.split()]))
+
+
+def read_bit_vectors(data: bytes | str, m: int) -> np.ndarray:
+    """Parse an embedded-vector file of width m into an (n, m) uint8 array."""
+    def parse(line: str) -> str | None:
+        if line and (len(line) != m or set(line) - {"0", "1"}):
+            raise ValueError(f"expected {m} characters of 0/1")
+        return line or None
+
+    rows = _parse_lines(_numbered(data), parse)
+    if not rows:
         raise ValueError("empty embedded-vector file")
-    m = len(lines[0][1])
-    out = np.empty((len(lines), m), dtype=np.uint8)
-    for i, (lineno, ln) in enumerate(lines):
-        if len(ln) != m or set(ln) - {"0", "1"}:
-            raise ValueError(f"line {lineno}: expected {m} characters of 0/1")
-        out[i] = np.frombuffer(ln.encode("ascii"), dtype=np.uint8) - ord("0")
-    return out
+    return (np.frombuffer("".join(rows).encode(), np.uint8) - ord("0")).reshape(-1, m)
 
 
-def read_probabilities(text: str, m: int) -> np.ndarray:
+def read_probabilities(data: bytes | str, m: int) -> np.ndarray:
     """Parse a probability file of width m into an (n, m) float64 array."""
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        vals = line.split()
-        if len(vals) != m:
-            raise ValueError(f"line {lineno}: expected {m} probabilities, "
-                             f"got {len(vals)}")
-        try:
-            row = [float(v) for v in vals]
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric probability") from None
+    def parse(line: str) -> list[float] | None:
+        row = [float(v) for v in line.split()]
+        if row and len(row) != m:
+            raise ValueError(f"expected {m} probabilities, got {len(row)}")
         bad = [v for v in row if not 0.0 <= v <= 1.0]  # NaN fails both
         if bad:
-            raise ValueError(f"line {lineno}: probability {bad[0]} outside [0, 1]")
-        rows.append(row)
+            raise ValueError(f"probability {bad[0]} outside [0, 1]")
+        return row or None
+
+    rows = _parse_lines(_numbered(data), parse)
     if not rows:
         raise ValueError("no probability vectors")
     return np.asarray(rows, dtype=np.float64)
@@ -267,3 +282,60 @@ def write_scores_tsv(ranked: np.ndarray, scores: np.ndarray) -> str:
         for item in row:
             lines.append(f"{i}\t{int(item)}\t{scores[i, item - 1]:.12g}")
     return "\n".join(lines) + "\n"
+
+
+def matrix_from_bytes(data: bytes | str) -> HashMatrix:
+    """Read a matrix_to_text or matrix_to_binary payload, sniffing the format."""
+    if data[:4] == _BINARY_MAGIC:
+        return _from_binary(data)
+    return _from_text(data)
+
+
+def matrix_to_text(matrix: HashMatrix) -> str:
+    return f"{matrix.d} {matrix.m} {matrix.k} {matrix.seed}\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in matrix.rows.tolist())
+
+
+def _matrix_header(line: str) -> list[int]:
+    fields = line.split()
+    if len(fields) != 4:
+        raise ValueError(f"malformed header {line!r}, expected 'd m k seed'")
+    return [int(v) for v in fields]
+
+
+def _from_text(data: bytes | str) -> HashMatrix:
+    """Line 1 is the header; the array holds only rows checked against it."""
+    lines = _numbered(data)
+    if not lines:
+        raise ValueError("empty hash-matrix file")
+    [(d, m, k, seed)] = _parse_lines(lines[:1], _matrix_header)
+
+    def parse(line: str) -> list[int] | None:
+        row = [int(v) for v in line.split()]
+        if row and len(row) != k:
+            raise ValueError(f"{len(row)} indices, expected {k}")
+        if row and (min(row) < 1 or max(row) > m):
+            raise ValueError(f"projection indices must lie in [1, {m}]")
+        return row or None
+
+    rows = _parse_lines(lines[1:], parse)
+    if len(rows) != d:
+        raise ValueError(f"header declares {d} rows, file has {len(rows)}")
+    return HashMatrix(d=d, m=m, k=k, seed=seed, rows=np.array(rows))
+
+
+def matrix_to_binary(matrix: HashMatrix) -> bytes:
+    header = struct.pack("<IIIQ", matrix.d, matrix.m, matrix.k, matrix.seed)
+    return _BINARY_MAGIC + header + matrix.rows.astype("<u4").tobytes()
+
+
+def _from_binary(data: bytes) -> HashMatrix:
+    if len(data) < 24:
+        raise ValueError("truncated hash-matrix file: incomplete header")
+    d, m, k, seed = struct.unpack("<IIIQ", data[4:24])
+    expected = 24 + 4 * d * k
+    if len(data) != expected:
+        raise ValueError(
+            f"truncated hash-matrix file: expected {expected} bytes, got {len(data)}")
+    rows = np.frombuffer(data, dtype="<u4", offset=24).reshape(d, k)
+    return HashMatrix(d=d, m=m, k=k, seed=seed, rows=rows)

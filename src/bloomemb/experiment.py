@@ -221,14 +221,15 @@ def evaluate_model(net: Network,
     """Ranked-recovery evaluation over held-out profiles (MAP or RR).
 
     hash_in/hash_out None = identity (the no-embedding baseline). Before any
-    encoding, an unknown decode mode or measure raises ValueError, and a
-    matrix that does not fit the network or the profiles DataError. Only the
-    relevant items are ranked, each by counting: for decoded scores s, item
-    p ranks 1 + #{j : s_j beats s_p} + #{j < p : s_j = s_p}, where beating
-    means a higher likelihood or a lower NLL. Ties thus go to the lower item
-    id, as in :func:`bloomemb.codec.rank_batch`. The better scores are
-    counted by binary searches in a sort of each row's values; no item
-    permutation is built. Items ranked below `top_n` count as not retrieved.
+    encoding, an unknown decode mode or measure and a profile without target
+    items raise ValueError, and a matrix that does not fit the network or the
+    profiles DataError. Only the relevant items are ranked, each by
+    counting: for decoded scores s, item p ranks 1 + #{j : s_j beats s_p} +
+    #{j < p : s_j = s_p}, where beating means a higher likelihood or a lower
+    NLL. Ties thus go to the lower item id, as in
+    :func:`bloomemb.codec.rank_batch`. The better scores are counted by
+    binary searches in a sort of each row's values; no item permutation is
+    built. Items ranked below `top_n` count as not retrieved.
 
     Profiles are encoded, run forward, decoded and ranked :data:`EVAL_SLICE`
     at a time, so the largest arrays are one slice's (rows, d) scores, not
@@ -242,6 +243,9 @@ def evaluate_model(net: Network,
         raise ValueError(f"top_n {top_n} out of range [1, {d}]")
     if measure not in ("MAP", "RR"):
         raise ValueError(f"measure must be MAP or RR, got {measure!r}")
+    empty = next((i for i, (_, out) in enumerate(test_profiles) if not out.c), None)
+    if empty is not None:
+        raise ValueError(f"test profile {empty} has no target items")
     if hash_in is None:
         hash_in = identity_hash_matrix(test_profiles[0][0].d)
     if hash_out is None:

@@ -457,6 +457,9 @@ def network_from_bytes(data: bytes, dtype=np.float32) -> Network:
     (count,) = np.frombuffer(data, dtype="<u4", count=1, offset=4).tolist()
     offset = 8 + 4 * count
     sizes = np.frombuffer(data, dtype="<u4", count=count, offset=8).tolist()
+    params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+    if offset + 4 * params != len(data):
+        raise ValueError("checkpoint size does not match layer sizes")
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         w = np.frombuffer(data, dtype="<f4", count=fan_in * fan_out,
@@ -466,7 +469,5 @@ def network_from_bytes(data: bytes, dtype=np.float32) -> Network:
         offset += b.nbytes
         weights.append(w.astype(dtype))
         biases.append(b.astype(dtype))
-    if offset != len(data):
-        raise ValueError("checkpoint size does not match layer sizes")
     spec = NetworkSpec(layer_sizes=tuple(int(s) for s in sizes))
     return Network(spec, weights, biases, dtype=dtype)

@@ -140,6 +140,9 @@ class TestRebuild:
             rebuild_hash_matrix(matrix, [(6, 1)], seed=0)
         with pytest.raises(ValueError):
             rebuild_hash_matrix(matrix, [(2, 2)], seed=0)
+        with pytest.raises(ValueError, match="integers"):
+            # cast to int64, (1.7, 2.2) would apply the pair (1, 2)
+            rebuild_hash_matrix(matrix, np.array([[1.7, 2.2]]), seed=0)
 
 
 class TestStats:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bloomemb import cbe, cli, codec, experiment, hashing, trainer
+from bloomemb import cbe, cli, codec, experiment, trainer
 
 TINY = ["--data", "none", "--d", "200", "--n", "500", "--epochs", "2"]
 
@@ -216,9 +216,9 @@ def test_cbe_command_matches_the_library(tmp_path):
     table = cbe.count_cooccurrences(codec.read_instances(instances.read_text(), 40))
     pairs = cbe.threshold_and_order(table)
     assert len(pairs)
-    matrix = hashing.matrix_from_bytes(Path(h).read_bytes())
+    matrix = codec.matrix_from_bytes(Path(h).read_bytes())
     expected = cbe.rebuild_hash_matrix(matrix, pairs, 5)
-    assert np.array_equal(hashing.matrix_from_bytes(Path(out).read_bytes()).rows,
+    assert np.array_equal(codec.matrix_from_bytes(Path(out).read_bytes()).rows,
                           expected.rows)
     assert Path(out + ".stats.tsv").read_text().startswith(
         "side\tpercent_cooccurring_pairs\tmean_ratio_rho\n")
@@ -269,6 +269,13 @@ UNREADABLE = {
     "hash-index-beyond-int32": ("hash matrix", b"2 2 1 0\n1\n99999999999\n",
                                 lambda f, bad: ["encode", "--hash", bad,
                                                 "--instances", f["instances"]]),
+    "hash-huge-k": ("hash matrix", b"5 3 100000000000000 0\n" + b"1\n" * 5,
+                    lambda f, bad: ["encode", "--hash", bad,
+                                    "--instances", f["instances"]]),
+    "hash-header-not-integer": ("hash matrix", b"2 2 x 0\n1\n2\n", lambda f, bad: [
+        "encode", "--hash", bad, "--instances", f["instances"]]),
+    "hash-index-above-m": ("hash matrix", b"2 2 1 0\n1\n5\n", lambda f, bad: [
+        "encode", "--hash", bad, "--instances", f["instances"]]),
     "instance-not-integer": ("instances", b"1 2\n1 x\n", lambda f, bad: [
         "encode", "--hash", f["hash"], "--instances", bad]),
     "instance-beyond-int32": ("instances", b"1 99999999999\n", lambda f, bad: [
@@ -276,6 +283,8 @@ UNREADABLE = {
     "embedding-bad-character": ("embeddings", b"01x" + b"0" * 13 + b"\n",
                                 lambda f, bad: ["decode", "--hash", f["hash"],
                                                 "--embeddings", bad]),
+    "embedding-wrong-width": ("embeddings", b"010\n", lambda f, bad: [
+        "decode", "--hash", f["hash"], "--embeddings", bad]),
     "probability-short-line": ("probabilities", b"0.5 0.5\n", lambda f, bad: [
         "decode", "--hash", f["hash"], "--probs", bad]),
     "probability-nan": ("probabilities", b"nan" + b" 0.5" * 15 + b"\n",
@@ -288,6 +297,19 @@ UNREADABLE = {
         "evaluate", *TINY, "--baseline", "--model", bad]),
     "model-truncated-header": ("model", b"BENC\2\0\0\0\1\0", lambda f, bad: [
         "evaluate", *TINY, "--baseline", "--model", bad]),
+    # two layers of 2**32 - 1 units, and no weights
+    "model-oversized-layers": ("model", b"BENC\2\0\0\0" + b"\xff" * 8,
+                               lambda f, bad: ["evaluate", *TINY, "--baseline",
+                                               "--model", bad]),
+}
+
+# the reason each of these faults gives after "cannot load <what> <path>: "
+UNREADABLE_REASONS = {
+    "hash-huge-k": "line 2: 1 indices, expected 100000000000000",
+    "hash-header-not-integer": "line 1: invalid literal for int() with base 10: 'x'",
+    "hash-index-above-m": "line 3: projection indices must lie in [1, 2]",
+    "embedding-wrong-width": "line 1: expected 16 characters of 0/1",
+    "model-oversized-layers": "checkpoint size does not match layer sizes",
 }
 
 
@@ -305,6 +327,19 @@ def test_unreadable_artifact_is_one_data_fault_line(tmp_path, capsys,
     assert len(err) == 1, err
     assert err[0].startswith(f"data error: cannot load {what} {bad}: "), err
     assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("case", UNREADABLE_REASONS)
+def test_unreadable_artifact_fault_names_its_reason(tmp_path, capsys, simple_inputs,
+                                                    case):
+    what, payload, run = UNREADABLE[case]
+    bad = tmp_path / "bad"
+    bad.write_bytes(payload)
+    capsys.readouterr()
+    assert cli.main([*run(simple_inputs, str(bad)),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: cannot load {what} {bad}: {UNREADABLE_REASONS[case]}"]
 
 
 def test_cbe_on_one_item_is_one_data_fault_line(tmp_path, capsys):

@@ -6,20 +6,22 @@ against a full sort with explicit tie keys.
 """
 
 import math
+import struct
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bloomemb.codec import (ScoreOrder, SparseInstance, decode_batch,
                             decode_likelihood_batch, decode_nll_batch,
-                            encode_batch, encode_rows, pack_instances,
-                            rank_batch, read_bit_vectors,
+                            encode_batch, encode_rows, matrix_from_bytes,
+                            pack_instances, rank_batch, read_bit_vectors,
                             read_instances, read_probabilities,
                             write_bit_vectors)
 from bloomemb.hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
+from bloomemb.trainer import network_from_bytes
 
 SPEC_ROWS = np.array([(1, 3), (2, 4), (1, 2), (3, 4), (2, 3), (1, 4)],
                      dtype=np.int32)
@@ -41,6 +43,26 @@ def naive_encode(positions, matrix) -> np.ndarray:
 def encode_items(d, items, matrix) -> np.ndarray:
     """Bits of one instance, through encode_batch on a batch of one."""
     return encode_batch([SparseInstance.from_items(d, items)], matrix)[0]
+
+
+class TestInstance:
+    @pytest.mark.parametrize("build", [
+        lambda: SparseInstance(d=4, positions=np.array([2**32 + 1, 3])),
+        lambda: SparseInstance(d=4, positions=[1.7, 3]),
+        lambda: SparseInstance.from_items(5, [1.5, 2]),
+        lambda: SparseInstance(d=4, positions=[0, 3]),
+        lambda: SparseInstance(d=4, positions=[[1, 2]]),
+    ], ids=["beyond-int32", "float", "float-items", "zero", "two-dimensional"])
+    def test_rejected_before_the_cast(self, build):
+        # cast to int32 first, the first three read [1 3], [1 3] and [1 2]
+        with pytest.raises(ValueError):
+            build()
+
+    @pytest.mark.parametrize("empty", [[], np.array([]), np.empty(0, np.uint64)],
+                             ids=["list", "float64", "uint64"])
+    def test_empty_input_of_any_dtype_is_the_empty_instance(self, empty):
+        instance = SparseInstance(d=4, positions=empty)
+        assert instance.c == 0 and instance.positions.dtype == np.int32
 
 
 class TestEncode:
@@ -274,10 +296,18 @@ class TestFileFormats:
 
     def test_bit_vector_parse_error_carries_line(self):
         # blank lines are skipped but still counted
-        assert read_bit_vectors("0101\n\n0111\n").tolist() == [[0, 1, 0, 1],
-                                                               [0, 1, 1, 1]]
+        assert read_bit_vectors("0101\n\n0111\n", 4).tolist() == [[0, 1, 0, 1],
+                                                                  [0, 1, 1, 1]]
         with pytest.raises(ValueError, match="line 3: expected 4 characters"):
-            read_bit_vectors("0101\n\n01x1\n")
+            read_bit_vectors("0101\n\n01x1\n", 4)
+
+    def test_matrix_text_fault_carries_line(self):
+        # the header is line 1; a row is checked against it under its own line
+        with pytest.raises(ValueError, match="^line 1: "):
+            matrix_from_bytes(b"2 2 x 0\n1\n2\n")
+        with pytest.raises(ValueError, match=r"^line 3: projection indices must "
+                                             r"lie in \[1, 2\]"):
+            matrix_from_bytes(b"2 2 1 0\n1\n5\n")
 
     @pytest.mark.parametrize("bad", ["nan", "-2", "1.5"])
     def test_probability_outside_unit_interval_carries_line(self, bad):
@@ -285,3 +315,38 @@ class TestFileFormats:
                                                                       [0.5, 0.25]]
         with pytest.raises(ValueError, match=f"line 2: probability {float(bad)} outside"):
             read_probabilities(f"0 1\n0.5 {bad}\n", 2)
+
+
+# every artifact reader, each at a width that some drawn lines match
+ARTIFACT_READERS = [lambda data: read_instances(data, 50),
+                    lambda data: read_bit_vectors(data, 8),
+                    lambda data: read_probabilities(data, 3),
+                    matrix_from_bytes, network_from_bytes]
+TOKENS = st.sampled_from(["0", "1", "7", "-1", "99999999999", "1e999", "nan", "x", ""])
+PAYLOADS = st.one_of(
+    st.binary(max_size=64),
+    # lines of tokens under an optional `d m k seed` header
+    st.builds(lambda head, lines: "\n".join(head + lines).encode(),
+              st.lists(st.lists(TOKENS, min_size=4, max_size=4).map(" ".join),
+                       max_size=1),
+              st.lists(st.lists(TOKENS, max_size=5).map(" ".join), max_size=8)),
+    # a magic, a count and uint32 sizes, as the binary headers hold them
+    st.builds(lambda magic, count, sizes, tail: magic + struct.pack(
+                  f"<I{len(sizes)}I", count, *sizes) + tail,
+              st.sampled_from([b"BEH1", b"BENC"]), st.integers(0, 6),
+              st.lists(st.integers(0, 2**32 - 1), max_size=6), st.binary(max_size=16)))
+
+
+@given(PAYLOADS)
+@example(b"5 3 100000000000000 0\n" + b"1\n" * 5)  # (d, k) int32 would take 1.78 PiB
+@example(b"2 2 x 0\n1\n2\n")
+@example(b"2 2 1 0\n1\n5\n")
+@example(b"010\n")
+@example(b"BENC" + struct.pack("<3I", 2, 2**32 - 1, 2**32 - 1))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_every_artifact_reader_returns_or_raises_value_error(data):
+    for read in ARTIFACT_READERS:
+        try:
+            read(data)
+        except ValueError:
+            pass

@@ -155,6 +155,22 @@ def test_evaluate_model_rejects_unknown_modes_before_the_forward_pass(
         evaluate_model(net, ds.test_profiles(), h_in, h_out, **mode)
 
 
+@pytest.mark.parametrize("measure", ["MAP", "RR"])
+def test_evaluate_model_rejects_a_profile_without_targets_before_the_forward_pass(
+        trained, monkeypatch, measure):
+    # its average precision would divide by zero relevant items
+    ds, h_in, h_out, net = trained
+    test = ds.test_profiles()
+    test = [*test[:3], (test[3][0], SparseInstance(ds.d, [])), *test[4:]]
+
+    def forward(*args):
+        raise AssertionError("the forward pass ran before the targets were checked")
+
+    monkeypatch.setattr(experiment, "forward_batch", forward)
+    with pytest.raises(ValueError, match="test profile 3 has no target items"):
+        evaluate_model(net, test, h_in, h_out, measure=measure)
+
+
 @pytest.mark.parametrize("top_n", [0, -3])
 def test_config_rejects_top_n_below_one(top_n):
     with pytest.raises(ValueError, match="top_n"):

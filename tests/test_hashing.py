@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from bloomemb.codec import matrix_from_bytes, matrix_to_binary, matrix_to_text
 from bloomemb.hashing import (HashMatrix, _build_rows, build_hash_matrix,
-                              identity_hash_matrix, matrix_from_bytes,
-                              matrix_to_binary, matrix_to_text)
+                              identity_hash_matrix)
 from bloomemb.rng import MASK64, SplitMix64, row_stream_seed
 
 
@@ -122,6 +122,9 @@ class TestSerialization:
             # 2**32 + 1 would read as 1 once cast to int32
             HashMatrix(d=4, m=3, k=1, seed=0,
                        rows=np.array([[2**32 + 1], [2], [3], [1]]))
+        with pytest.raises(ValueError, match="integers"):
+            # cast to int32, these rows would read [[1], [2], [3]]
+            HashMatrix(d=3, m=3, k=1, seed=0, rows=[[1.5], [2.9], [3.0]])
 
     def test_malformed_header_rejected(self):
         with pytest.raises(ValueError):
