@@ -101,38 +101,37 @@ def rebuild_hash_matrix(matrix: HashMatrix, pairs: np.ndarray,
 
     For every pair a bit r is drawn uniformly from {1..m} minus the union
     of both rows, then one slot of each row (uniform over {1..k}) is set to
-    r. Draw order per pair is fixed (r, then slot of a, then slot of b) so
-    the result is deterministic given (matrix, pairs, seed). Pairs whose
-    rows jointly cover all m bits are skipped with a warning.
+    r. The draw picks v in [0, m - |union|) and walks the sorted union to
+    the (v + 1)-th bit outside it. Draw order per pair is fixed (r, then
+    slot of a, then slot of b) so the result is deterministic given
+    (matrix, pairs, seed). Pairs whose rows jointly cover all m bits are
+    skipped with a warning.
     """
-    rows = matrix.rows.copy()
     m, k = matrix.m, matrix.k
     stream = SplitMix64(seed & MASK64)
     pairs = np.asarray(pairs)
     if pairs.size and pairs.dtype.kind not in "iu":
         raise ValueError(f"pair members must be integers, got {pairs.dtype}")
-    mask = np.ones(m + 1, dtype=bool)  # mask[idx] — is bit idx admissible
-    for a, b in pairs.reshape(-1, 2):
+    rows = matrix.rows.tolist()
+    for a, b in pairs.reshape(-1, 2).tolist():
         if not (1 <= a <= matrix.d and 1 <= b <= matrix.d):
             raise ValueError(f"pair member out of range [1, {matrix.d}]: ({a}, {b})")
         if a == b:
             raise ValueError(f"pair must join two distinct items, got ({a}, {b})")
-        row_a = rows[a - 1]
-        row_b = rows[b - 1]
-        mask[row_a] = False
-        mask[row_b] = False
-        candidates = np.flatnonzero(mask[1:]) + 1
-        mask[row_a] = True
-        mask[row_b] = True
-        if candidates.size == 0:
+        taken = sorted({*rows[a - 1], *rows[b - 1]})
+        if len(taken) == m:
             logger.warning("pair (%d, %d) skipped: rows cover all %d bits", a, b, m)
             continue
-        r = int(candidates[stream.randbelow(candidates.size)])
-        j_a = stream.randbelow(k)
-        j_b = stream.randbelow(k)
-        rows[a - 1, j_a] = r
-        rows[b - 1, j_b] = r
-    return HashMatrix(d=matrix.d, m=m, k=k, seed=matrix.seed, rows=rows)
+        # the (v + 1)-th free bit: each taken bit at or below it moves it up
+        r = stream.randbelow(m - len(taken)) + 1
+        for bit in taken:
+            if bit > r:
+                break
+            r += 1
+        rows[a - 1][stream.randbelow(k)] = r
+        rows[b - 1][stream.randbelow(k)] = r
+    return HashMatrix(d=matrix.d, m=m, k=k, seed=matrix.seed,
+                      rows=np.array(rows, dtype=np.int32))
 
 
 def cooccurrence_stats(table: CooccurrenceTable, n: int) -> CooccurrenceStats:

@@ -5,7 +5,9 @@ An instance is the set of active positions of a d-dimensional binary
 vector. Every function works on a batch: encoding sets, for every active
 position of every instance, the bits at its k projected embedding
 positions, giving an (n, m) bit array. Batches are packed once into CSR
-arrays by :func:`pack_instances`, and the one scatter kernel,
+arrays by :func:`pack_instances`; its inverse, :func:`unpack_instances`,
+builds a batch of instances from CSR arrays with one check, one sort and
+one shared array, which is how datasets are built. The one scatter kernel,
 :func:`encode_rows`, encodes any rows of a packed batch into a caller's
 array of any dtype; :func:`encode_batch` packs and encodes a whole batch
 into uint8. Decoding maps (n, m) probabilities back to (n, d) per-item
@@ -36,9 +38,10 @@ the file's bytes or its text (the caller opens the file):
 * score dump — TSV with columns instance, item, score for the top-n items
   of each decoded instance.
 
-One fault rule holds for every text reader: a malformed line is a
-ValueError that starts ``line N:``, counting every line from 1; the vector
-and matrix readers skip empty lines.
+One fault rule holds for every text reader: a malformed line, or one that
+holds bytes that are not UTF-8, is a ValueError that starts ``line N:``,
+counting every line from 1 (a matrix header's dimensions are line 1's);
+the vector and matrix readers skip empty lines.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hashing import HashMatrix
+from .hashing import HashMatrix, _check_dims
 
 DEFAULT_NLL_EPSILON = 1e-12
 _BINARY_MAGIC = b"BEH1"
@@ -61,7 +64,23 @@ class ScoreOrder(enum.Enum):
     ASCENDING_NLL = "ascending-nll"
 
 
-@dataclass(frozen=True)
+def _checked_positions(d: int, positions) -> np.ndarray:
+    """`positions` as an array, once d, its shape, its dtype and its range
+    pass; checked before the cast to int32, which truncates floats and
+    wraps large ints."""
+    if d < 1:
+        raise ValueError(f"dimensionality d must be >= 1, got {d}")
+    pos = np.asarray(positions)
+    if pos.ndim != 1:
+        raise ValueError("positions must be one-dimensional")
+    if pos.size and pos.dtype.kind not in "iu":
+        raise ValueError(f"positions must be integers, got {pos.dtype}")
+    if pos.size and (pos.min() < 1 or pos.max() > d):
+        raise ValueError(f"positions must lie in [1, {d}]")
+    return pos
+
+
+@dataclass(frozen=True, slots=True)
 class SparseInstance:
     """Active positions p (sorted, distinct, 1-based) of a binary vector."""
 
@@ -69,17 +88,7 @@ class SparseInstance:
     positions: np.ndarray
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimensionality d must be >= 1, got {self.d}")
-        pos = np.asarray(self.positions)
-        if pos.ndim != 1:
-            raise ValueError("positions must be one-dimensional")
-        # checked before the cast to int32, which truncates floats, wraps large ints
-        if pos.size and pos.dtype.kind not in "iu":
-            raise ValueError(f"positions must be integers, got {pos.dtype}")
-        pos = np.unique(pos)
-        if pos.size and (pos[0] < 1 or pos[-1] > self.d):
-            raise ValueError(f"positions must lie in [1, {self.d}]")
+        pos = np.unique(_checked_positions(self.d, self.positions))
         pos = pos.astype(np.int32, copy=False)
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -115,6 +124,46 @@ def pack_instances(instances: Sequence[SparseInstance],
     flat = np.concatenate([np.empty(0, dtype=np.int32),
                            *(inst.positions for inst in instances)])
     return indptr, flat
+
+
+def _sorted_segments(d: int, indptr: np.ndarray,
+                     flat: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Checked CSR arrays with each segment sorted and de-duplicated, as one
+    read-only int32 array and the segment bounds in it; a function of its
+    own so that the sort's temporaries are freed before instances exist."""
+    flat = _checked_positions(d, flat)
+    indptr = np.asarray(indptr, dtype=np.int64)
+    segment = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    order = np.lexsort((flat, segment))
+    flat, segment = flat[order], segment[order]
+    first = np.ones(flat.size, dtype=bool)
+    first[1:] = (flat[1:] != flat[:-1]) | (segment[1:] != segment[:-1])
+    shared = flat[first].astype(np.int32, copy=False)
+    shared.setflags(write=False)
+    bounds = np.zeros(indptr.size, dtype=np.int64)
+    np.cumsum(np.bincount(segment[first], minlength=indptr.size - 1), out=bounds[1:])
+    return shared, bounds.tolist()
+
+
+def unpack_instances(d: int, indptr: np.ndarray,
+                     flat: np.ndarray) -> list[SparseInstance]:
+    """The instances of CSR arrays, the inverse of :func:`pack_instances`.
+
+    Segment i is ``flat[indptr[i]:indptr[i + 1]]``, in any order and with
+    repeats. The batch is checked once, with the messages of
+    :class:`SparseInstance`, then sorted by (segment, position) and
+    de-duplicated within each segment; every instance's positions are a
+    read-only int32 view of one shared array.
+    """
+    shared, bounds = _sorted_segments(d, indptr, flat)
+    instances = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        # checked above, so built without SparseInstance's own numpy calls
+        inst = object.__new__(SparseInstance)
+        object.__setattr__(inst, "d", d)
+        object.__setattr__(inst, "positions", shared[a:b])
+        instances.append(inst)
+    return instances
 
 
 def encode_rows(indptr: np.ndarray, flat: np.ndarray, rows: np.ndarray,
@@ -215,8 +264,14 @@ def rank_batch(scores: np.ndarray, ordering: ScoreOrder, top_n: int) -> np.ndarr
 
 
 def _numbered(data: bytes | str) -> list[tuple[int, str]]:
-    """The lines of an artifact's bytes or text, each with its 1-based number."""
-    text = data.decode() if isinstance(data, bytes) else data
+    """The lines of an artifact's bytes or text, each with its 1-based number;
+    bytes that are not UTF-8 are a fault of the line that holds them."""
+    try:
+        text = data.decode() if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        # the line of the bad byte, counted on the valid prefix as below
+        lineno = len((data[:exc.start].decode() + "x").splitlines())
+        raise ValueError(f"line {lineno}: not UTF-8 text (byte {exc.start})") from None
     return list(enumerate(text.splitlines(), start=1))
 
 
@@ -300,7 +355,9 @@ def _matrix_header(line: str) -> list[int]:
     fields = line.split()
     if len(fields) != 4:
         raise ValueError(f"malformed header {line!r}, expected 'd m k seed'")
-    return [int(v) for v in fields]
+    d, m, k, seed = (int(v) for v in fields)
+    _check_dims(d, m, k)
+    return [d, m, k, seed]
 
 
 def _from_text(data: bytes | str) -> HashMatrix:

@@ -21,7 +21,10 @@ Input files are UTF-8 text in one of two formats:
 Loading works on whole arrays: rows become profile and item codes (indices
 among the sorted distinct tokens), which de-duplication, both filters and
 re-indexing act on. The seeded generator draws all cuts in profile order,
-then the held-out profiles; synthetic data draws items and cut per profile.
+then the held-out profiles; synthetic data draws items and cut per profile
+into one preallocated array. Either way the profiles lie end to end in one
+array, and the input and target sides of all of them are built in one
+batch by :func:`bloomemb.codec.unpack_instances`, as views of one array.
 
 Synthetic datasets draw profiles from latent item clusters so that items
 within a cluster co-occur, which gives the prediction task learnable
@@ -35,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import SparseInstance
+from .codec import SparseInstance, unpack_instances
 
 
 class DataError(Exception):
@@ -64,6 +67,17 @@ class ProfileDataset:
 
     def test_profiles(self) -> list[tuple[SparseInstance, SparseInstance]]:
         return self.test
+
+
+def _pairs(d: int, cuts: np.ndarray, ends: np.ndarray,
+           items: np.ndarray) -> list[tuple[SparseInstance, SparseInstance]]:
+    """(input, target) pairs of profiles laid end to end in `items`: profile
+    i ends at ends[i] and its target starts at cuts[i]."""
+    bounds = np.zeros(2 * len(ends) + 1, dtype=np.int64)
+    bounds[1::2] = cuts
+    bounds[2::2] = ends
+    sides = unpack_instances(d, bounds, items)
+    return list(zip(sides[::2], sides[1::2]))
 
 
 def _split_dataset(d: int, profiles: list[tuple[SparseInstance, SparseInstance]],
@@ -185,9 +199,7 @@ def load_profiles(source,
     ends = np.cumsum(sizes)
     starts = ends - sizes
     cuts = starts + rng.integers(1, sizes)  # one draw per profile, in order
-    profiles = [(SparseInstance(d, dense[a:c]), SparseInstance(d, dense[c:b]))
-                for a, c, b in zip(starts.tolist(), cuts.tolist(), ends.tolist())]
-    return _split_dataset(d, profiles, test_size, rng)
+    return _split_dataset(d, _pairs(d, cuts, ends, dense), test_size, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -228,29 +240,27 @@ def _cluster_bounds(spec: SyntheticSpec, g: int) -> tuple[int, int]:
 def generate_synthetic(spec: SyntheticSpec) -> ProfileDataset:
     """Draw profiles from latent clusters; deterministic given spec.seed."""
     rng = np.random.default_rng(spec.seed)
-    profiles = []
-    for _ in range(spec.n):
+    flat = np.empty(spec.n * spec.profile_size_max, dtype=np.int32)
+    cuts = np.empty(spec.n, dtype=np.int64)
+    ends = np.empty(spec.n, dtype=np.int64)
+    end = 0
+    for i in range(spec.n):
         g = int(rng.integers(spec.n_clusters))
         lo, hi = _cluster_bounds(spec, g)
         size = int(rng.integers(spec.profile_size_min, spec.profile_size_max + 1))
-        items: list[int] = []
-        seen: set[int] = set()
+        items: dict[int, None] = {}  # distinct items in first-draw order
         attempts = 0
         while len(items) < size and attempts < 50 * size:
             attempts += 1
             if rng.random() < spec.noise:
-                it = int(rng.integers(1, spec.d + 1))
+                items[int(rng.integers(1, spec.d + 1))] = None
             else:
-                it = int(rng.integers(lo, hi + 1))
-            if it not in seen:
-                seen.add(it)
-                items.append(it)
+                items[int(rng.integers(lo, hi + 1))] = None
         while len(items) < 2:  # degenerate pools: top up deterministically
-            it = int(rng.integers(1, spec.d + 1))
-            if it not in seen:
-                seen.add(it)
-                items.append(it)
-        cut = int(rng.integers(1, len(items)))
-        profiles.append((SparseInstance.from_items(spec.d, items[:cut]),
-                         SparseInstance.from_items(spec.d, items[cut:])))
-    return _split_dataset(spec.d, profiles, spec.test_size, rng)
+            items[int(rng.integers(1, spec.d + 1))] = None
+        cuts[i] = end + int(rng.integers(1, len(items)))
+        flat[end:end + len(items)] = list(items)
+        end += len(items)
+        ends[i] = end
+    return _split_dataset(spec.d, _pairs(spec.d, cuts, ends, flat[:end]),
+                          spec.test_size, rng)

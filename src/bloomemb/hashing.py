@@ -4,8 +4,10 @@ A hash matrix is a pre-computed d x k table whose rows are drawn uniformly
 at random without replacement from {1..m}, so the k projections of an item
 are pairwise distinct. Rows are stored in RAM and looked up in O(1). All
 randomness comes from the SplitMix64 streams in :mod:`bloomemb.rng`, so
-matrices are bit-reproducible across platforms for a fixed seed. The
-matrix file formats live in :mod:`bloomemb.codec`.
+matrices are bit-reproducible across platforms for a fixed seed. Every row
+has its own stream, and the rows of all d items are drawn at once: the
+streams advance together in uint64 arrays. The matrix file formats live in
+:mod:`bloomemb.codec`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import MASK64, SplitMix64, row_stream_seed
+from .rng import GOLDEN_GAMMA, MASK64, mix64
 
 
 def _check_dims(d: int, m: int, k: int) -> None:
@@ -68,23 +70,42 @@ class HashMatrix:
                 and np.array_equal(self.rows, other.rows))
 
 
+def _pool_values(slots: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Each row's pool value at slot `at`: the value of the latest move
+    recorded in that row's columns of `slots` and `values`, else at + 1."""
+    out = at + 1
+    for col in range(slots.shape[1]):  # later moves overwrite earlier ones
+        np.copyto(out, values[:, col], where=slots[:, col] == at)
+    return out
+
+
 def _build_rows(d: int, m: int, k: int, seed: int) -> np.ndarray:
     """Draw d rows of k distinct indices from {1..m} by partial Fisher-Yates.
 
     Each row uses its own SplitMix64 stream (see bloomemb.rng) and shuffles
     the pool 1..m afresh, so a row is a pure function of (m, k, seed, row
-    index). The pool is virtual: slot s holds ``moved.get(s, s + 1)``, and
-    a swap of slots j <= t records only slot t, as slot j is never read
-    again.
+    index). The streams of all rows advance together as uint64 arrays, one
+    pass per projection j, and a pass redraws only the rows whose bounded
+    draw was rejected. The pool is virtual: step j swaps slots j <= t and
+    records only slot t and its new value, as slot j is never read again.
     """
+    state = mix64(np.arange(1, d + 1, dtype=np.uint64) * GOLDEN_GAMMA + seed)
+    draw = np.empty(d, dtype=np.uint64)
+    slots = np.empty((d, k), dtype=np.int64)
+    values = np.empty((d, k), dtype=np.int64)
     out = np.empty((d, k), dtype=np.int32)
-    for i in range(d):
-        stream = SplitMix64(row_stream_seed(seed, i))
-        moved: dict[int, int] = {}
-        for j in range(k):
-            t = j + stream.randbelow(m - j)
-            out[i, j] = moved.get(t, t + 1)
-            moved[t] = moved.get(j, j + 1)
+    for j in range(k):
+        n = m - j
+        mask = (1 << (n - 1).bit_length()) - 1
+        pending = np.arange(d)
+        while pending.size:
+            state[pending] += GOLDEN_GAMMA
+            draw[pending] = mix64(state[pending]) & mask
+            pending = pending[draw[pending] >= n]
+        t = draw.astype(np.int64) + j
+        out[:, j] = _pool_values(slots[:, :j], values[:, :j], t)
+        values[:, j] = _pool_values(slots[:, :j], values[:, :j], np.full(d, j))
+        slots[:, j] = t
     return out
 
 

@@ -9,17 +9,18 @@ is deliberately not used anywhere on this path.
 Layout of the streams used by the package:
 
 * ``mix64(z)`` is the SplitMix64 finalizer; it is a bijection on 64-bit
-  words.
+  words and mixes a Python int or, elementwise, a uint64 array.
 * A *stream* seeded with ``s`` emits ``mix64(s + GOLDEN_GAMMA)``,
   ``mix64(s + 2*GOLDEN_GAMMA)``, ...
 * Row ``i`` (0-based) of a hash matrix with seed ``s`` uses an independent
   stream seeded with ``mix64(s + (i + 1) * GOLDEN_GAMMA)``, which makes
   every row a pure function of ``(m, k, seed, i)`` and therefore
-  random-access.
+  random-access. :func:`bloomemb.hashing.build_hash_matrix` advances the
+  streams of all d rows at once, as uint64 arrays; the test suite pins its
+  output to frozen values.
+* :class:`SplitMix64` is one stream over Python integers. Only the CBE
+  rebuild draws from it, one pair after another.
 * Bounded draws use bitmask rejection, which is exactly uniform.
-
-:func:`bloomemb.hashing.build_hash_matrix` draws every hash-matrix row from
-these streams; the test suite pins its output to frozen values.
 """
 
 from __future__ import annotations
@@ -30,17 +31,16 @@ MIX_MULT_1 = 0xBF58476D1CE4E5B9
 MIX_MULT_2 = 0x94D049BB133111EB
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer: mix a 64-bit word into a well-distributed one."""
-    z &= MASK64
+def mix64(z):
+    """SplitMix64 finalizer: mix a 64-bit word into a well-distributed one.
+
+    `z` is a Python int or a uint64 array, mixed elementwise; array
+    products wrap modulo 2^64, which the masks make explicit for ints.
+    """
+    z = z & MASK64
     z = ((z ^ (z >> 30)) * MIX_MULT_1) & MASK64
     z = ((z ^ (z >> 27)) * MIX_MULT_2) & MASK64
     return z ^ (z >> 31)
-
-
-def row_stream_seed(seed: int, row: int) -> int:
-    """Seed of the independent SplitMix64 stream that generates matrix row `row`."""
-    return mix64((seed + (row + 1) * GOLDEN_GAMMA) & MASK64)
 
 
 class SplitMix64:

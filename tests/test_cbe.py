@@ -11,6 +11,7 @@ from bloomemb.cbe import (CooccurrenceTable, average_item_frequency,
                           threshold_and_order)
 from bloomemb.codec import SparseInstance
 from bloomemb.hashing import HashMatrix, build_hash_matrix
+from bloomemb.rng import SplitMix64
 
 
 def insts(d, *sets):
@@ -84,7 +85,51 @@ class TestThreshold:
             assert pairs.tolist() == [[r, c] for _, r, c in triples]
 
 
+def candidates_rebuild(matrix, pairs, seed):
+    """(rows, skipped pairs) of the rebuild that draws the fresh bit from an
+    explicit array of the bits outside both rows; the comparison oracle."""
+    rows = matrix.rows.copy()
+    stream = SplitMix64(seed)
+    mask = np.ones(matrix.m + 1, dtype=bool)  # mask[idx] — is bit idx admissible
+    skipped = 0
+    for a, b in pairs:
+        mask[rows[a - 1]] = False
+        mask[rows[b - 1]] = False
+        candidates = np.flatnonzero(mask[1:]) + 1
+        mask[rows[a - 1]] = True
+        mask[rows[b - 1]] = True
+        if candidates.size == 0:
+            skipped += 1
+            continue
+        r = int(candidates[stream.randbelow(candidates.size)])
+        rows[a - 1, stream.randbelow(matrix.k)] = r
+        rows[b - 1, stream.randbelow(matrix.k)] = r
+    return rows, skipped
+
+
 class TestRebuild:
+    def test_matches_the_candidate_array_oracle(self, caplog):
+        # k near m makes many pairs' rows cover all m bits, which are skipped
+        rng = np.random.default_rng(21)
+        skipped_total = applied_total = 0
+        for case in range(300):
+            m = int(rng.integers(1, 10))
+            matrix = build_hash_matrix(d=int(rng.integers(max(m, 2), 25)), m=m,
+                                       k=int(rng.integers(max(1, m // 2), m + 1)),
+                                       seed=case)
+            a, b = rng.integers(1, matrix.d + 1, size=(2, int(rng.integers(0, 30))))
+            pairs = [(x, y) for x, y in zip(a.tolist(), b.tolist()) if x != y]
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="bloomemb.cbe"):
+                rebuilt = rebuild_hash_matrix(matrix, pairs, seed=case)
+            rows, skipped = candidates_rebuild(matrix, pairs, seed=case)
+            assert np.array_equal(rebuilt.rows, rows)
+            assert sum("skipped" in rec.message for rec in caplog.records) == skipped
+            skipped_total += skipped
+            applied_total += len(pairs) - skipped
+        assert skipped_total > 100 and applied_total > 100
+
+
     def test_empty_pair_list_is_identity(self):
         matrix = build_hash_matrix(d=10, m=6, k=2, seed=3)
         rebuilt = rebuild_hash_matrix(matrix, np.empty((0, 2), dtype=np.int32), 9)

@@ -285,6 +285,8 @@ UNREADABLE = {
                                                 "--embeddings", bad]),
     "embedding-wrong-width": ("embeddings", b"010\n", lambda f, bad: [
         "decode", "--hash", f["hash"], "--embeddings", bad]),
+    "embedding-not-utf8": ("embeddings", b"0101\n01\xff1\n", lambda f, bad: [
+        "decode", "--hash", f["hash"], "--embeddings", bad]),
     "probability-short-line": ("probabilities", b"0.5 0.5\n", lambda f, bad: [
         "decode", "--hash", f["hash"], "--probs", bad]),
     "probability-nan": ("probabilities", b"nan" + b" 0.5" * 15 + b"\n",
@@ -305,10 +307,11 @@ UNREADABLE = {
 
 # the reason each of these faults gives after "cannot load <what> <path>: "
 UNREADABLE_REASONS = {
-    "hash-huge-k": "line 2: 1 indices, expected 100000000000000",
+    "hash-huge-k": "line 1: cannot draw 100000000000000 distinct indices from {1..3}",
     "hash-header-not-integer": "line 1: invalid literal for int() with base 10: 'x'",
     "hash-index-above-m": "line 3: projection indices must lie in [1, 2]",
     "embedding-wrong-width": "line 1: expected 16 characters of 0/1",
+    "embedding-not-utf8": "line 2: not UTF-8 text (byte 7)",
     "model-oversized-layers": "checkpoint size does not match layer sizes",
 }
 

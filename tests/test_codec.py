@@ -19,7 +19,7 @@ from bloomemb.codec import (ScoreOrder, SparseInstance, decode_batch,
                             encode_batch, encode_rows, matrix_from_bytes,
                             pack_instances, rank_batch, read_bit_vectors,
                             read_instances, read_probabilities,
-                            write_bit_vectors)
+                            unpack_instances, write_bit_vectors)
 from bloomemb.hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
 from bloomemb.trainer import network_from_bytes
 
@@ -63,6 +63,47 @@ class TestInstance:
     def test_empty_input_of_any_dtype_is_the_empty_instance(self, empty):
         instance = SparseInstance(d=4, positions=empty)
         assert instance.c == 0 and instance.positions.dtype == np.int32
+
+
+@st.composite
+def segment_batches(draw):
+    """(d, segments, dtype): unsorted segments that may repeat a position or
+    be empty, sometimes with one position moved out of [1, d]."""
+    d = draw(st.integers(1, 12))
+    segments = draw(st.lists(st.lists(st.integers(1, d), max_size=6), max_size=8))
+    dtype = draw(st.sampled_from([np.int32, np.int64, np.uint64, np.float64]))
+    flat = [p for seg in segments for p in seg]
+    if flat and draw(st.booleans()):
+        flat[draw(st.integers(0, len(flat) - 1))] = draw(st.sampled_from([0, d + 1]))
+    return d, segments, np.array(flat, dtype=dtype)
+
+
+def outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestUnpack:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(segment_batches())
+    def test_unpack_builds_what_one_instance_per_segment_builds(self, case):
+        d, segments, flat = case
+        indptr = np.zeros(len(segments) + 1, dtype=np.int64)
+        np.cumsum([len(seg) for seg in segments], out=indptr[1:])
+        got = outcome(lambda: unpack_instances(d, indptr, flat))
+        assert got == outcome(lambda: [SparseInstance(d, flat[a:b]) for a, b
+                                       in zip(indptr[:-1], indptr[1:])])
+        if isinstance(got, list):
+            assert all(inst.positions.dtype == np.int32
+                       and not inst.positions.flags.writeable for inst in got)
+            assert unpack_instances(d, *pack_instances(got, d)) == got
+
+    def test_instances_view_one_shared_array(self):
+        batch = unpack_instances(9, np.array([0, 3, 3, 5]), np.array([7, 2, 7, 9, 1]))
+        assert [inst.positions.tolist() for inst in batch] == [[2, 7], [], [1, 9]]
+        assert all(inst.positions.base is batch[0].positions.base for inst in batch)
 
 
 class TestEncode:
@@ -305,9 +346,22 @@ class TestFileFormats:
         # the header is line 1; a row is checked against it under its own line
         with pytest.raises(ValueError, match="^line 1: "):
             matrix_from_bytes(b"2 2 x 0\n1\n2\n")
+        # a header's dimensions are checked before any row
+        with pytest.raises(ValueError, match="^line 1: embedding dimensionality m must "
+                                             "be >= 1, got 0$"):
+            matrix_from_bytes(b"2 0 1 0\n1\n1\n")
+        with pytest.raises(ValueError, match="^line 1: "):
+            matrix_from_bytes(b"2 3 9 0\n1\n1\n")
         with pytest.raises(ValueError, match=r"^line 3: projection indices must "
                                              r"lie in \[1, 2\]"):
             matrix_from_bytes(b"2 2 1 0\n1\n5\n")
+
+    def test_bytes_that_are_not_utf8_name_their_line(self):
+        with pytest.raises(ValueError, match=r"^line 2: not UTF-8 text \(byte 7\)$"):
+            read_bit_vectors(b"0101\n01\xff1\n", 4)
+        # lines end where str.splitlines ends them, form feed included
+        with pytest.raises(ValueError, match=r"^line 3: not UTF-8 text \(byte 7\)$"):
+            read_instances(b"1 2\x0c3\r\n\xff\n", 5)
 
     @pytest.mark.parametrize("bad", ["nan", "-2", "1.5"])
     def test_probability_outside_unit_interval_carries_line(self, bad):

@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bloomemb.data import DataError, load_profiles
+from bloomemb.data import DataError, SyntheticSpec, generate_synthetic, load_profiles
 
 
 def load(text, **kwargs):
@@ -82,6 +82,19 @@ def test_profile_shrunk_by_the_item_filter_is_dropped():
     ds = load("5 6\n5 6\n7 5\n", fmt="profiles", min_item_count=2)
     assert ds.n == 2 and ds.d == 2
     assert profile_sets(ds) == [({1}, {2}), ({1}, {2})]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: load_profiles(io.StringIO("u1 4 2\nu1 2 3\nu2 3 1\nu2 1 2\nu2 4 3\n"),
+                          test_size=0.5),
+    lambda: generate_synthetic(SyntheticSpec(d=30, n=40, n_clusters=3)),
+], ids=["load_profiles", "generate_synthetic"])
+def test_every_instance_views_one_shared_array(build):
+    ds = build()
+    sides = [side for pair in ds.train + ds.test for side in pair]
+    assert ds.test and len(sides) == 2 * ds.n
+    base = sides[0].positions.base
+    assert base is not None and all(side.positions.base is base for side in sides)
 
 
 def test_no_surviving_profile_is_a_data_error():

@@ -2,19 +2,25 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from bloomemb.codec import matrix_from_bytes, matrix_to_binary, matrix_to_text
 from bloomemb.hashing import (HashMatrix, _build_rows, build_hash_matrix,
                               identity_hash_matrix)
-from bloomemb.rng import MASK64, SplitMix64, row_stream_seed
+from bloomemb.rng import GOLDEN_GAMMA, MASK64, SplitMix64, mix64
+
+
+def row_stream_seed(seed, row):
+    """Seed of the independent SplitMix64 stream that generates matrix row `row`."""
+    return mix64((seed + (row + 1) * GOLDEN_GAMMA) & MASK64)
 
 
 def pool_rows(d, m, k, seed):
     """Partial Fisher-Yates on a shared list pool 1..m whose swaps are
-    undone after every row: the oracle of the dict-of-moved-slots draw."""
+    undone after every row, one row and one sequential stream at a time:
+    the oracle of the all-rows-at-once draw over recorded moves."""
     out = np.empty((d, k), dtype=np.int32)
     pool = list(range(1, m + 1))
     targets = [0] * k
@@ -29,6 +35,12 @@ def pool_rows(d, m, k, seed):
             t = targets[j]
             pool[j], pool[t] = pool[t], pool[j]
     return out
+
+
+def test_row_stream_seeds_are_distinct():
+    seeds = {row_stream_seed(42, i) for i in range(10_000)}
+    assert len(seeds) == 10_000
+    assert all(0 <= s <= MASK64 for s in seeds)
 
 
 @st.composite
@@ -77,6 +89,9 @@ class TestBuild:
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(dims_and_seed())
+    @example((1, 1, 1, 0))
+    @example((80, 60, 60, 2**64 - 1))  # k = m, seed at the top of the range
+    @example((5, 1, 1, 2**63))
     def test_rows_match_the_shared_pool_oracle(self, case):
         assert np.array_equal(_build_rows(*case), pool_rows(*case))
 

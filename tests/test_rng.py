@@ -4,7 +4,7 @@ import collections
 
 import pytest
 
-from bloomemb.rng import GOLDEN_GAMMA, MASK64, SplitMix64, mix64, row_stream_seed
+from bloomemb.rng import GOLDEN_GAMMA, SplitMix64, mix64
 
 
 def test_stream_matches_reference_vectors():
@@ -56,8 +56,3 @@ def test_randbelow_exact_uniformity_small_n():
     for v in counts.values():
         assert abs(v - 10_000) < 600  # ~4.5 sigma of Binomial(5e4, 1/5)
 
-
-def test_row_stream_seeds_are_distinct():
-    seeds = {row_stream_seed(42, i) for i in range(10_000)}
-    assert len(seeds) == 10_000
-    assert all(0 <= s <= MASK64 for s in seeds)
