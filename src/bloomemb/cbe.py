@@ -61,14 +61,21 @@ def count_cooccurrences(instances: Sequence[SparseInstance]) -> CooccurrenceTabl
     if not instances:
         raise ValueError("need at least one instance")
     d = instances[0].d
-    indptr, flat = pack_instances(instances, d)
-    diag = np.bincount(flat - 1, minlength=d).astype(np.int64, copy=False)
-    sizes = np.diff(indptr)
-    pos = flat.astype(np.int64)
+    return count_rows(d, *pack_instances(instances, d), np.arange(len(instances)))
+
+
+def count_rows(d: int, indptr: np.ndarray, flat: np.ndarray,
+               rows: np.ndarray) -> CooccurrenceTable:
+    """Exact pairwise co-occurrence counts over the packed instances `rows`
+    (see :func:`bloomemb.codec.encode_rows`), each sorted ascending."""
+    starts = indptr[rows]
+    sizes = indptr[rows + 1] - starts
+    diag = np.zeros(d, dtype=np.int64)
     codes = [np.empty(0, dtype=np.int64)]
-    for c in np.unique(sizes[sizes >= 2]):
+    for c in np.unique(sizes):
         # the (g, c) positions of the g instances of size c, one per row
-        block = pos[indptr[:-1][sizes == c, None] + np.arange(c)]
+        block = flat[starts[sizes == c, None] + np.arange(c)].astype(np.int64)
+        diag += np.bincount(block.ravel() - 1, minlength=d)
         lo, hi = np.triu_indices(c, k=1)
         # positions are sorted ascending, so block[:, hi] > block[:, lo]
         codes.append((block[:, hi] * (d + 1) + block[:, lo]).ravel())

@@ -4,12 +4,11 @@ the file formats of every Bloom artifact.
 An instance is the set of active positions of a d-dimensional binary
 vector. Every function works on a batch: encoding sets, for every active
 position of every instance, the bits at its k projected embedding
-positions, giving an (n, m) bit array. Batches are packed once into CSR
-arrays by :func:`pack_instances`; its inverse, :func:`unpack_instances`,
-builds a batch of instances from CSR arrays with one check, one sort and
-one shared array, which is how datasets are built. The one scatter kernel,
-:func:`encode_rows`, encodes any rows of a packed batch into a caller's
-array of any dtype; :func:`encode_batch` packs and encodes a whole batch
+positions, giving an (n, m) bit array. Instances are packed into CSR arrays
+by :func:`pack_instances`; a dataset's splits are packed from the start, as
+:class:`PackedPairs`. The one scatter kernel, :func:`encode_rows`, encodes
+any rows of a packed batch into a caller's array of any dtype;
+:func:`encode_batch` packs and encodes a whole batch
 into uint8. Decoding maps (n, m) probabilities back to (n, d) per-item
 scores: the likelihood of item i is the product of the probabilities at
 its k projections, and the negative-log variant is the numerically stable
@@ -48,8 +47,8 @@ from __future__ import annotations
 
 import enum
 import struct
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -65,11 +64,10 @@ class ScoreOrder(enum.Enum):
 
 
 def _checked_positions(d: int, positions) -> np.ndarray:
-    """`positions` as an array, once d, its shape, its dtype and its range
-    pass; checked before the cast to int32, which truncates floats and
-    wraps large ints."""
-    if d < 1:
-        raise ValueError(f"dimensionality d must be >= 1, got {d}")
+    """`positions` as an array, once d (at most 2**31 - 1), its shape, its
+    dtype and its range pass; checked before the cast to int32, which
+    truncates floats and wraps large ints."""
+    _check_dims(d)
     pos = np.asarray(positions)
     if pos.ndim != 1:
         raise ValueError("positions must be one-dimensional")
@@ -126,44 +124,38 @@ def pack_instances(instances: Sequence[SparseInstance],
     return indptr, flat
 
 
-def _sorted_segments(d: int, indptr: np.ndarray,
-                     flat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Checked CSR arrays with each segment sorted and de-duplicated, as one
-    read-only int32 array and the segment bounds in it; a function of its
-    own so that the sort's temporaries are freed before instances exist."""
-    flat = _checked_positions(d, flat)
-    indptr = np.asarray(indptr, dtype=np.int64)
-    segment = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-    order = np.lexsort((flat, segment))
-    flat, segment = flat[order], segment[order]
-    first = np.ones(flat.size, dtype=bool)
-    first[1:] = (flat[1:] != flat[:-1]) | (segment[1:] != segment[:-1])
-    shared = flat[first].astype(np.int32, copy=False)
-    shared.setflags(write=False)
-    bounds = np.zeros(indptr.size, dtype=np.int64)
-    np.cumsum(np.bincount(segment[first], minlength=indptr.size - 1), out=bounds[1:])
-    return shared, bounds.tolist()
+class PackedPairs(Sequence):
+    """A view of (input, target) pairs laid end to end in `sides`: pair r's
+    input is segment 2r, ``sides[bounds[2r]:bounds[2r + 1]]``, and its target
+    segment 2r + 1. The view holds the pairs `rows`, in order; indexing builds
+    a pair of instances, slicing gives a view of the same arrays."""
 
+    def __init__(self, d: int, sides: np.ndarray, bounds: np.ndarray, rows: np.ndarray):
+        self.d, self.sides, self.bounds, self.rows = d, sides, bounds, rows
 
-def unpack_instances(d: int, indptr: np.ndarray,
-                     flat: np.ndarray) -> list[SparseInstance]:
-    """The instances of CSR arrays, the inverse of :func:`pack_instances`.
+    @classmethod
+    def of(cls, pairs: Sequence[tuple[SparseInstance, SparseInstance]]) -> "PackedPairs":
+        """`pairs` itself if packed, else packed once by :func:`pack_instances`."""
+        if isinstance(pairs, PackedPairs):
+            return pairs
+        d = pairs[0][0].d
+        bounds, sides = pack_instances([side for pair in pairs for side in pair], d)
+        return cls(d, sides, bounds, np.arange(len(pairs)))
 
-    Segment i is ``flat[indptr[i]:indptr[i + 1]]``, in any order and with
-    repeats. The batch is checked once, with the messages of
-    :class:`SparseInstance`, then sorted by (segment, position) and
-    de-duplicated within each segment; every instance's positions are a
-    read-only int32 view of one shared array.
-    """
-    shared, bounds = _sorted_segments(d, indptr, flat)
-    instances = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        # checked above, so built without SparseInstance's own numpy calls
-        inst = object.__new__(SparseInstance)
-        object.__setattr__(inst, "d", d)
-        object.__setattr__(inst, "positions", shared[a:b])
-        instances.append(inst)
-    return instances
+    def __len__(self) -> int:
+        return self.rows.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PackedPairs(self.d, self.sides, self.bounds, self.rows[i])
+        s = 2 * int(self.rows[i])
+        a, b, c = self.bounds[s:s + 3].tolist()
+        return (SparseInstance(self.d, self.sides[a:b]),
+                SparseInstance(self.d, self.sides[b:c]))
+
+    def segments(self, side: int) -> np.ndarray:
+        """The segment of each pair's input (side 0) or target (side 1)."""
+        return 2 * self.rows + side
 
 
 def encode_rows(indptr: np.ndarray, flat: np.ndarray, rows: np.ndarray,

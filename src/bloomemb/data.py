@@ -23,8 +23,8 @@ among the sorted distinct tokens), which de-duplication, both filters and
 re-indexing act on. The seeded generator draws all cuts in profile order,
 then the held-out profiles; synthetic data draws items and cut per profile
 into one preallocated array. Either way the profiles lie end to end in one
-array, and the input and target sides of all of them are built in one
-batch by :func:`bloomemb.codec.unpack_instances`, as views of one array.
+array, which stays the dataset once each side is sorted: both splits are
+:class:`bloomemb.codec.PackedPairs` views of it.
 
 Synthetic datasets draw profiles from latent item clusters so that items
 within a cluster co-occur, which gives the prediction task learnable
@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import SparseInstance, unpack_instances
+from .codec import PackedPairs
 
 
 class DataError(Exception):
@@ -47,48 +47,44 @@ class DataError(Exception):
 
 @dataclass
 class ProfileDataset:
-    """Split profiles: the training list and the held-out test list."""
+    """Split profiles: the training and held-out test lists, as PackedPairs
+    views of one read-only int32 array of the 2n sides, each sorted and nonempty."""
 
     d: int
-    train: list[tuple[SparseInstance, SparseInstance]]
-    test: list[tuple[SparseInstance, SparseInstance]]
+    train: PackedPairs
+    test: PackedPairs
 
     def __post_init__(self):
-        for inp, out in self.train + self.test:
-            if inp.c == 0 or out.c == 0:
-                raise ValueError("profile with empty input or output side")
+        if (np.diff(self.train.bounds) == 0).any():
+            raise ValueError("profile with empty input or output side")
 
     @property
     def n(self) -> int:
         return len(self.train) + len(self.test)
 
-    def train_profiles(self) -> list[tuple[SparseInstance, SparseInstance]]:
+    def train_profiles(self) -> PackedPairs:
         return self.train
 
-    def test_profiles(self) -> list[tuple[SparseInstance, SparseInstance]]:
+    def test_profiles(self) -> PackedPairs:
         return self.test
 
 
-def _pairs(d: int, cuts: np.ndarray, ends: np.ndarray,
-           items: np.ndarray) -> list[tuple[SparseInstance, SparseInstance]]:
-    """(input, target) pairs of profiles laid end to end in `items`: profile
-    i ends at ends[i] and its target starts at cuts[i]."""
-    bounds = np.zeros(2 * len(ends) + 1, dtype=np.int64)
+def _split_dataset(d: int, cuts: np.ndarray, ends: np.ndarray, items: np.ndarray,
+                   test_size: float, rng: np.random.Generator) -> ProfileDataset:
+    """Profile i of `items` ends at ends[i], its target starts at cuts[i]; each
+    side is sorted, and `rng` holds out round(n * test_size) profiles."""
+    n = len(ends)
+    bounds = np.zeros(2 * n + 1, dtype=np.int64)
     bounds[1::2] = cuts
     bounds[2::2] = ends
-    sides = unpack_instances(d, bounds, items)
-    return list(zip(sides[::2], sides[1::2]))
-
-
-def _split_dataset(d: int, profiles: list[tuple[SparseInstance, SparseInstance]],
-                   test_size: float, rng: np.random.Generator) -> ProfileDataset:
-    """Hold out round(n * test_size) of the n profiles, chosen by `rng`."""
-    n = len(profiles)
-    count = int(round(n * test_size))
-    held = set(rng.choice(n, size=max(0, min(count, n)), replace=False).tolist())
-    return ProfileDataset(d=d,
-                          train=[p for i, p in enumerate(profiles) if i not in held],
-                          test=[profiles[i] for i in sorted(held)])
+    segment = np.repeat(np.arange(2 * n), np.diff(bounds))
+    sides = items[np.lexsort((items, segment))]
+    sides.setflags(write=False)
+    held = np.zeros(n, dtype=bool)
+    held[rng.choice(n, size=max(0, min(int(round(n * test_size)), n)),
+                    replace=False)] = True
+    return ProfileDataset(d, *(PackedPairs(d, sides, bounds, np.flatnonzero(rows))
+                               for rows in (~held, held)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +195,7 @@ def load_profiles(source,
     ends = np.cumsum(sizes)
     starts = ends - sizes
     cuts = starts + rng.integers(1, sizes)  # one draw per profile, in order
-    return _split_dataset(d, _pairs(d, cuts, ends, dense), test_size, rng)
+    return _split_dataset(d, cuts, ends, dense, test_size, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -262,5 +258,4 @@ def generate_synthetic(spec: SyntheticSpec) -> ProfileDataset:
         flat[end:end + len(items)] = list(items)
         end += len(items)
         ends[i] = end
-    return _split_dataset(spec.d, _pairs(spec.d, cuts, ends, flat[:end]),
-                          spec.test_size, rng)
+    return _split_dataset(spec.d, cuts, ends, flat[:end], spec.test_size, rng)

@@ -28,13 +28,12 @@ from typing import Sequence
 import numpy as np
 
 from . import cbe as cbe_mod
-from .codec import ScoreOrder, SparseInstance, decode_batch, encode_batch
-from .data import DataError, ProfileDataset, SyntheticSpec, generate_synthetic, \
-    load_profiles
+from .codec import PackedPairs, ScoreOrder, SparseInstance, decode_batch, encode_rows
+from .data import ProfileDataset, SyntheticSpec, generate_synthetic, load_profiles
 from .hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
 from .metrics import EvaluationResult
 from .trainer import Network, NetworkSpec, OptimizerSpec, TrainReport, \
-    forward_batch, init_network, train
+    fitted_matrices, forward_batch, init_network, train
 
 
 class ConfigError(ValueError):
@@ -172,7 +171,8 @@ def _check_embedding_fits(cfg: ExperimentConfig, d: int) -> None:
 
 def build_matrices(cfg: ExperimentConfig, ds: ProfileDataset
                    ) -> tuple[HashMatrix, HashMatrix]:
-    """Input/output hash matrices for a run; the identity for the baseline."""
+    """Input/output hash matrices for a run; the identity for the baseline.
+    CBE counts each side's co-occurrences straight from the packed split."""
     _check_embedding_fits(cfg, ds.d)
     if cfg.baseline:
         identity = identity_hash_matrix(ds.d)
@@ -180,13 +180,14 @@ def build_matrices(cfg: ExperimentConfig, ds: ProfileDataset
     h_in = build_hash_matrix(ds.d, cfg.m_in, cfg.k, cfg.hash_seed_in)
     h_out = build_hash_matrix(ds.d, cfg.m_out, cfg.k, cfg.hash_seed_out)
     if cfg.use_cbe:
-        train_profiles = ds.train_profiles()
-        table_in = cbe_mod.count_cooccurrences([p[0] for p in train_profiles])
-        pairs_in = cbe_mod.threshold_and_order(table_in)
-        h_in = cbe_mod.rebuild_hash_matrix(h_in, pairs_in, cfg.cbe_seed)
-        table_out = cbe_mod.count_cooccurrences([p[1] for p in train_profiles])
-        pairs_out = cbe_mod.threshold_and_order(table_out)
-        h_out = cbe_mod.rebuild_hash_matrix(h_out, pairs_out, cfg.cbe_seed + 1)
+        train, steered = ds.train, []
+        for side, matrix in enumerate((h_in, h_out)):
+            table = cbe_mod.count_rows(ds.d, train.bounds, train.sides,
+                                       train.segments(side))
+            pairs = cbe_mod.threshold_and_order(table)
+            steered.append(
+                cbe_mod.rebuild_hash_matrix(matrix, pairs, cfg.cbe_seed + side))
+        h_in, h_out = steered
     return h_in, h_out
 
 
@@ -220,6 +221,8 @@ def evaluate_model(net: Network,
                    top_n: int | None = None) -> EvaluationResult:
     """Ranked-recovery evaluation over held-out profiles (MAP or RR).
 
+    `test_profiles` is a :class:`PackedPairs` split, or a list of pairs
+    packed once here; inputs and relevant items are read packed.
     hash_in/hash_out None = identity (the no-embedding baseline). Before any
     encoding, an unknown decode mode or measure and a profile without target
     items raise ValueError, and a matrix that does not fit the network or the
@@ -237,38 +240,32 @@ def evaluate_model(net: Network,
     """
     if not test_profiles:
         raise ValueError("no test profiles to evaluate")
-    d = test_profiles[0][1].d
+    data = PackedPairs.of(test_profiles)
+    d, sides, bounds = data.d, data.sides, data.bounds
     depth = top_n if top_n is not None else d
     if not 1 <= depth <= d:
         raise ValueError(f"top_n {top_n} out of range [1, {d}]")
     if measure not in ("MAP", "RR"):
         raise ValueError(f"measure must be MAP or RR, got {measure!r}")
-    empty = next((i for i, (_, out) in enumerate(test_profiles) if not out.c), None)
-    if empty is not None:
-        raise ValueError(f"test profile {empty} has no target items")
-    if hash_in is None:
-        hash_in = identity_hash_matrix(test_profiles[0][0].d)
-    if hash_out is None:
-        hash_out = identity_hash_matrix(d)
-    for side, matrix, width, items in (
-            ("input", hash_in, net.n_in, test_profiles[0][0].d),
-            ("output", hash_out, net.n_out, d)):
-        if (matrix.m, matrix.d) != (width, items):
-            raise DataError(f"{side} hash matrix has d={matrix.d}, m={matrix.m}; the "
-                            f"network has {width} {side} units, the data {items} items")
+    empty = np.flatnonzero(np.diff(bounds)[data.segments(1)] == 0)
+    if empty.size:
+        raise ValueError(f"test profile {empty[0]} has no target items")
+    hash_in, hash_out = fitted_matrices(net, d, hash_in, hash_out)
     # decoding no rows checks the mode before the forward pass
     _, order = decode_batch(np.empty((0, hash_out.m)), hash_out, decode_mode)
     descending = order is ScoreOrder.DESCENDING_LIKELIHOOD
     t0 = time.perf_counter()
     values = []
-    for start in range(0, len(test_profiles), EVAL_SLICE):
-        part = test_profiles[start:start + EVAL_SLICE]
-        x = encode_batch([p[0] for p in part], hash_in)
-        probs = forward_batch(net, x.astype(net.dtype))
+    for start in range(0, len(data), EVAL_SLICE):
+        part = data[start:start + EVAL_SLICE]
+        x = encode_rows(bounds, sides, part.segments(0), hash_in,
+                        np.empty((len(part), hash_in.m), net.dtype))
+        probs = forward_batch(net, x)
         scores, _ = decode_batch(probs, hash_out, decode_mode)
-        for row, (_, out) in zip(scores, part):
+        for row, seg in zip(scores, part.segments(1).tolist()):
+            positions = sides[bounds[seg]:bounds[seg + 1]]
             # RR is the average precision of the lowest relevant id alone
-            items = out.positions if measure == "MAP" else out.positions[:1]
+            items = positions if measure == "MAP" else positions[:1]
             ranks = np.sort(_ranks(row, items, descending))
             ranks = ranks[ranks <= depth]
             hits = np.arange(1, ranks.size + 1, dtype=np.float64)

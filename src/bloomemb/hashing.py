@@ -19,9 +19,9 @@ import numpy as np
 from .rng import GOLDEN_GAMMA, MASK64, mix64
 
 
-def _check_dims(d: int, m: int, k: int) -> None:
-    if d < 1:
-        raise ValueError(f"item count d must be >= 1, got {d}")
+def _check_dims(d: int, m: int = 1, k: int = 1) -> None:
+    if not 1 <= d <= 2**31 - 1:  # item and bit ids are stored as int32
+        raise ValueError(f"item count d must lie in [1, 2**31 - 1], got {d}")
     if m < 1:
         raise ValueError(f"embedding dimensionality m must be >= 1, got {m}")
     if k < 1:

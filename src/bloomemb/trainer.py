@@ -18,9 +18,9 @@ gradient into the softmax, a hidden layer's gradient into its activation
 and its ReLU slope into its pre-activation, Adam's denominator into the
 gradient. Every operation keeps the plain expression and its order, so
 losses and weights match the plain expressions bit for bit. ``train``
-packs each side of the split once and encodes each batch straight into two
-buffers it owns, so it never holds the encoded split. The cross-entropy
-loss reads only the target's nonzero entries.
+encodes each batch straight from the packed split into two buffers it
+owns, so it never holds the encoded split. The cross-entropy loss reads
+only the target's nonzero entries.
 
 Weight init is scaled uniform, U(-sqrt(1/fan_in), +sqrt(1/fan_in)), from
 a seeded generator; with fixed init and shuffle seeds a training run is
@@ -43,7 +43,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import SparseInstance, encode_batch, encode_rows, pack_instances
+from .codec import PackedPairs, SparseInstance, encode_batch, encode_rows
+from .data import DataError
 from .hashing import HashMatrix, identity_hash_matrix
 
 _CHECKPOINT_MAGIC = b"BENC"
@@ -359,6 +360,17 @@ def multi_hot(instances: Sequence[SparseInstance], dim: int) -> np.ndarray:
     return encode_batch(instances, identity_hash_matrix(dim))
 
 
+def fitted_matrices(net: Network, d: int, *matrices) -> list[HashMatrix]:
+    """The input and output matrices, None being the identity, once each maps
+    the data's d items to the network's width; else DataError."""
+    matrices = [identity_hash_matrix(d) if h is None else h for h in matrices]
+    for side, matrix, width in zip(("input", "output"), matrices, (net.n_in, net.n_out)):
+        if (matrix.m, matrix.d) != (width, d):
+            raise DataError(f"{side} hash matrix has d={matrix.d}, m={matrix.m}; the "
+                            f"network has {width} {side} units, the data {d} items")
+    return matrices
+
+
 def train(net: Network,
           dataset: Sequence[tuple[SparseInstance, SparseInstance]],
           hash_in: HashMatrix | None,
@@ -369,9 +381,11 @@ def train(net: Network,
           shuffle_seed: int = 0) -> TrainReport:
     """Train on encoded inputs/targets; hash_in/hash_out None = identity.
 
-    Targets are the encoded multi-hot vectors normalized to sum 1. Batch
-    order is a seeded permutation per epoch, so runs are reproducible. A
-    diverging step raises FloatingPointError naming its 1-based epoch.
+    `dataset` is a :class:`PackedPairs` split, or a list of pairs packed
+    once here. Targets are the encoded multi-hot vectors normalized to sum
+    1. Batch order is a seeded permutation per epoch, so runs are
+    reproducible. A matrix that does not fit raises DataError, and a
+    diverging step FloatingPointError naming its 1-based epoch.
     """
     if not dataset:
         raise ValueError("dataset must be nonempty")
@@ -379,23 +393,17 @@ def train(net: Network,
         raise ValueError("epochs must be >= 0")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if hash_in is None:
-        hash_in = identity_hash_matrix(dataset[0][0].d)
-    if hash_out is None:
-        hash_out = identity_hash_matrix(dataset[0][1].d)
-    x_ptr, x_flat = pack_instances([pair[0] for pair in dataset], hash_in.d)
-    t_ptr, t_flat = pack_instances([pair[1] for pair in dataset], hash_out.d)
-    if hash_in.m != net.n_in:
-        raise ValueError(f"encoded input width {hash_in.m} != n_in {net.n_in}")
-    if hash_out.m != net.n_out:
-        raise ValueError(f"encoded target width {hash_out.m} != n_out {net.n_out}")
+    data = PackedPairs.of(dataset)
+    hash_in, hash_out = fitted_matrices(net, data.d, hash_in, hash_out)
+    sides, bounds = data.sides, data.bounds
+    inputs, targets = data.segments(0), data.segments(1)
     # an instance with c >= 1 items sets at least one bit
-    empty = np.flatnonzero(np.diff(t_ptr) == 0)
+    empty = np.flatnonzero(np.diff(bounds)[targets] == 0)
     if empty.size:
         raise ValueError(f"target instance {empty[0]} has no items, so its "
                          f"encoding has no set bits")
 
-    n = len(dataset)
+    n = len(data)
     rows = min(batch_size, n)
     x_buf = np.empty((rows, net.n_in), net.dtype)
     t_buf = np.empty((rows, net.n_out), net.dtype)
@@ -405,8 +413,8 @@ def train(net: Network,
         each encoded into the leading rows of the same two buffers."""
         for s in range(0, n, batch_size):
             idx = order[s:s + batch_size]
-            xb = encode_rows(x_ptr, x_flat, idx, hash_in, x_buf[:idx.size])
-            tb = encode_rows(t_ptr, t_flat, idx, hash_out, t_buf[:idx.size])
+            xb = encode_rows(bounds, sides, inputs[idx], hash_in, x_buf[:idx.size])
+            tb = encode_rows(bounds, sides, targets[idx], hash_out, t_buf[:idx.size])
             tb /= tb.sum(axis=1, keepdims=True)
             yield xb, tb
 

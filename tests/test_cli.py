@@ -422,7 +422,7 @@ def test_evaluate_on_a_mismatched_embedding_is_a_data_fault(
         assert cli.main(["train", *TINY, "--m", "60", "--out", other]) == 0
         for suffix in (".hash-in", ".hash-out"):
             os.replace(other + suffix, model + suffix)
-    monkeypatch.setattr(experiment, "encode_batch", _must_not_run)
+    monkeypatch.setattr(experiment, "encode_rows", _must_not_run)
     capsys.readouterr()
     assert cli.main(["evaluate", "--config", model + ".config", *eval_flags,
                      "--model", model]) == 1

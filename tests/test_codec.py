@@ -14,12 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bloomemb.codec import (ScoreOrder, SparseInstance, decode_batch,
-                            decode_likelihood_batch, decode_nll_batch,
-                            encode_batch, encode_rows, matrix_from_bytes,
-                            pack_instances, rank_batch, read_bit_vectors,
-                            read_instances, read_probabilities,
-                            unpack_instances, write_bit_vectors)
+from bloomemb.codec import (PackedPairs, ScoreOrder, SparseInstance,
+                            decode_batch, decode_likelihood_batch,
+                            decode_nll_batch, encode_batch, encode_rows,
+                            matrix_from_bytes, pack_instances, rank_batch,
+                            read_bit_vectors, read_instances,
+                            read_probabilities, write_bit_vectors)
 from bloomemb.hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
 from bloomemb.trainer import network_from_bytes
 
@@ -58,6 +58,13 @@ class TestInstance:
         with pytest.raises(ValueError):
             build()
 
+    @pytest.mark.parametrize("d,positions", [(2**40, [2**33 + 5]), (2**31 + 10, [])],
+                             ids=["wraps-to-5", "empty"])
+    def test_rejects_dimensionality_beyond_int32(self, d, positions):
+        # cast to int32, 2**33 + 5 reads 5
+        with pytest.raises(ValueError, match=r"d must lie in \[1, 2\*\*31 - 1\]"):
+            SparseInstance(d=d, positions=positions)
+
     @pytest.mark.parametrize("empty", [[], np.array([]), np.empty(0, np.uint64)],
                              ids=["list", "float64", "uint64"])
     def test_empty_input_of_any_dtype_is_the_empty_instance(self, empty):
@@ -85,25 +92,43 @@ def outcome(build):
         return f"ValueError: {exc}"
 
 
-class TestUnpack:
+class TestPackedPairs:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(segment_batches())
-    def test_unpack_builds_what_one_instance_per_segment_builds(self, case):
+    def test_pack_and_view_give_back_the_instances(self, case):
         d, segments, flat = case
         indptr = np.zeros(len(segments) + 1, dtype=np.int64)
         np.cumsum([len(seg) for seg in segments], out=indptr[1:])
-        got = outcome(lambda: unpack_instances(d, indptr, flat))
-        assert got == outcome(lambda: [SparseInstance(d, flat[a:b]) for a, b
-                                       in zip(indptr[:-1], indptr[1:])])
-        if isinstance(got, list):
-            assert all(inst.positions.dtype == np.int32
-                       and not inst.positions.flags.writeable for inst in got)
-            assert unpack_instances(d, *pack_instances(got, d)) == got
+        instances = outcome(lambda: [SparseInstance(d, flat[a:b]) for a, b
+                                     in zip(indptr[:-1], indptr[1:])])
+        # an out-of-range position or a non-integer one is rejected
+        bad = flat.size and (flat.dtype.kind == "f" or flat.min() < 1 or flat.max() > d)
+        assert isinstance(instances, str) == bool(bad), instances
+        if bad:
+            return
+        pairs = list(zip(instances[::2], instances[1::2]))
+        if not pairs:
+            return
+        view = PackedPairs.of(pairs)
+        assert PackedPairs.of(view) is view
+        assert view.sides.dtype == np.int32 and len(view) == len(pairs)
+        assert list(view) == pairs and list(view[1::2]) == pairs[1::2]
+        assert all(side.positions.dtype == np.int32 and not side.positions.flags.writeable
+                   for pair in view for side in pair)
+        sizes = [side.c for pair in pairs for side in pair]
+        assert view.bounds.tolist() == np.cumsum([0, *sizes]).tolist()
 
-    def test_instances_view_one_shared_array(self):
-        batch = unpack_instances(9, np.array([0, 3, 3, 5]), np.array([7, 2, 7, 9, 1]))
-        assert [inst.positions.tolist() for inst in batch] == [[2, 7], [], [1, 9]]
-        assert all(inst.positions.base is batch[0].positions.base for inst in batch)
+    def test_view_reads_its_rows_in_order(self):
+        # pairs ([2, 7], [5]), ([1, 9], [4]) and ([], [3]), viewed as 2, 0
+        sides = np.array([2, 7, 5, 1, 9, 4, 3], dtype=np.int32)
+        bounds = np.array([0, 2, 3, 5, 6, 6, 7])
+        view = PackedPairs(9, sides, bounds, np.array([2, 0]))
+        got = [[side.positions.tolist() for side in pair] for pair in view]
+        assert len(view) == 2 and got == [[[], [3]], [[2, 7], [5]]]
+        assert view[-1] == view[1:][0] == (SparseInstance(9, [2, 7]), SparseInstance(9, [5]))
+        assert view.segments(0).tolist() == [4, 0] and view.segments(1).tolist() == [5, 1]
+        with pytest.raises(IndexError):
+            view[2]
 
 
 class TestEncode:

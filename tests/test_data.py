@@ -6,6 +6,8 @@ So a profile's order shows only through which items land on which side;
 :func:`assert_order` checks that against the expected item order.
 """
 
+import gc
+import hashlib
 import io
 import random
 from collections import Counter
@@ -13,7 +15,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from bloomemb.codec import SparseInstance
 from bloomemb.data import DataError, SyntheticSpec, generate_synthetic, load_profiles
+from bloomemb.experiment import (ExperimentConfig, build_matrices, evaluate_model, fit,
+                                 load_dataset)
 
 
 def load(text, **kwargs):
@@ -89,12 +94,76 @@ def test_profile_shrunk_by_the_item_filter_is_dropped():
                           test_size=0.5),
     lambda: generate_synthetic(SyntheticSpec(d=30, n=40, n_clusters=3)),
 ], ids=["load_profiles", "generate_synthetic"])
-def test_every_instance_views_one_shared_array(build):
+def test_both_splits_share_one_packed_array(build):
     ds = build()
-    sides = [side for pair in ds.train + ds.test for side in pair]
-    assert ds.test and len(sides) == 2 * ds.n
-    base = sides[0].positions.base
-    assert base is not None and all(side.positions.base is base for side in sides)
+    train, test = ds.train, ds.test
+    assert len(test) and len(train) + len(test) == ds.n
+    sides, bounds = train.sides, train.bounds
+    assert test.sides is sides and test.bounds is bounds
+    assert sides.dtype == np.int32 and not sides.flags.writeable
+    assert bounds.size == 2 * ds.n + 1 and bounds[-1] == sides.size
+    assert sorted([*train.rows.tolist(), *test.rows.tolist()]) == list(range(ds.n))
+    # indexing a split builds what SparseInstance builds from each segment
+    segment = [sides[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    for view in (train, test):
+        assert list(view) == [(SparseInstance(ds.d, segment[2 * r]),
+                               SparseInstance(ds.d, segment[2 * r + 1]))
+                              for r in view.rows]
+
+
+def test_a_run_holds_no_instance_objects():
+    # the splits stay packed from set-up to evaluation; built as instance
+    # objects, this dataset alone would hold 80 of them
+    def instances():
+        return [o for o in gc.get_objects() if isinstance(o, SparseInstance)]
+
+    held = instances()  # other tests' instances, kept alive so no id is reused
+    cfg = ExperimentConfig(d=30, n=40, n_clusters=3, m_in=12, m_out=12, k=2,
+                           use_cbe=True, epochs=1)
+    ds = load_dataset(cfg)
+    h_in, h_out = build_matrices(cfg, ds)
+    net, _ = fit(cfg, ds, h_in, h_out)
+    result = evaluate_model(net, ds.test, h_in, h_out)
+    assert result.n_evaluated == len(ds.test) == 4
+    assert [o for o in instances() if all(o is not h for h in held)] == []
+
+
+def split_digest(pairs) -> str:
+    """sha256 of every pair's positions in split order, each side prefixed
+    by its length."""
+    h = hashlib.sha256()
+    for inp, out in pairs:
+        for side in (inp.positions, out.positions):
+            h.update(np.concatenate([[side.size], side]).astype("<i4").tobytes())
+    return h.hexdigest()
+
+
+def seeded_triples() -> str:
+    """4000 timestamped triples: 500 users, Zipf-skewed items, tied stamps."""
+    rng = np.random.default_rng(21)
+    users = rng.integers(0, 500, 4000)
+    items = rng.zipf(1.3, 4000) % 700
+    stamps = rng.integers(0, 50, 4000)
+    return "".join(f"u{u} i{i} {t}\n" for u, i, t in zip(users, items, stamps))
+
+
+@pytest.mark.parametrize("build,expected", [
+    (lambda: load_dataset(ExperimentConfig()),
+     (2000, 18000, 2000,
+      "00f2405829a7636b32262fb8e37888d2b9b4b8f1178ab41c142e01d4a0fa70b2",
+      "68a51fbc86f2edcf8194ca85de61fdb64fcbc15a43af91bfaf43a77cc50304ba")),
+    (lambda: load_profiles(io.StringIO(seeded_triples()), min_item_count=2,
+                           test_size=0.2, seed=9),
+     (310, 396, 99,
+      "aa3fb06bb0a074847462196bd21b66fa0e1296da9e9de23a6303467baded876c",
+      "5e52d53c55c4e69d8275d24248cf6bc27d72caf847b523d13a2edf4232fbf097")),
+], ids=["default-synthetic", "seeded-triples"])
+def test_full_size_splits_stay_identical(build, expected):
+    # captured from the per-instance build; must never be edited to make a
+    # change pass
+    ds = build()
+    assert (ds.d, len(ds.train), len(ds.test), split_digest(ds.train),
+            split_digest(ds.test)) == expected
 
 
 def test_no_surviving_profile_is_a_data_error():

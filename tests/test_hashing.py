@@ -95,6 +95,11 @@ class TestBuild:
     def test_rows_match_the_shared_pool_oracle(self, case):
         assert np.array_equal(_build_rows(*case), pool_rows(*case))
 
+    def test_rejects_item_count_beyond_int32(self):
+        # checked with no rows at all: a build at this d would allocate GiBs
+        with pytest.raises(ValueError, match=r"d must lie in \[1, 2\*\*31 - 1\]"):
+            HashMatrix(d=2**31 + 10, m=4, k=2, seed=0, rows=np.ones((0, 2), np.int32))
+
     def test_identity_matrix(self):
         matrix = identity_hash_matrix(5)
         assert matrix.rows.ravel().tolist() == [1, 2, 3, 4, 5]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bloomemb.codec import SparseInstance, encode_batch
-from bloomemb.data import SyntheticSpec, generate_synthetic
+from bloomemb.data import DataError, SyntheticSpec, generate_synthetic
 from bloomemb.hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
 from bloomemb.trainer import (NetworkSpec, OptimizerSpec, _apply_update,
                               _OptimizerState, backward_and_step,
@@ -379,6 +379,17 @@ class TestTrain:
         peak = traced_peak(train, net, dataset, None, None, OptimizerSpec("adam"),
                            epochs=1, batch_size=32)
         assert peak < 4000 * 500
+
+    @pytest.mark.parametrize("side,h_in,h_out", [
+        ("input", identity_hash_matrix(30), None),
+        ("output", None, build_hash_matrix(20, 10, 2, 0))], ids=["input-d", "output-m"])
+    def test_a_matrix_that_does_not_fit_is_a_data_fault(self, side, h_in, h_out):
+        # the data's 20 items against a d = 30 matrix; a 10-bit output
+        # against a 20-unit network
+        net = small_net((20, 4, 20), seed=1)
+        with pytest.raises(DataError, match=f"^{side} hash matrix has"):
+            train(net, tiny_dataset(np.random.default_rng(13)), h_in, h_out,
+                  OptimizerSpec("adam"), epochs=1)
 
     def test_wall_times_recorded(self):
         rng = np.random.default_rng(13)
