@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import SparseInstance, pack_instances
+from .codec import PackedInstances, SparseInstance
 from .hashing import HashMatrix
 from .rng import MASK64, SplitMix64
 
@@ -57,24 +57,16 @@ class CooccurrenceStats:
 
 
 def count_cooccurrences(instances: Sequence[SparseInstance]) -> CooccurrenceTable:
-    """Exact pairwise co-occurrence counts over a list of instances."""
+    """Exact pairwise co-occurrence counts over a list or a packed view."""
     if not instances:
         raise ValueError("need at least one instance")
-    d = instances[0].d
-    return count_rows(d, *pack_instances(instances, d), np.arange(len(instances)))
-
-
-def count_rows(d: int, indptr: np.ndarray, flat: np.ndarray,
-               rows: np.ndarray) -> CooccurrenceTable:
-    """Exact pairwise co-occurrence counts over the packed instances `rows`
-    (see :func:`bloomemb.codec.encode_rows`), each sorted ascending."""
-    starts = indptr[rows]
-    sizes = indptr[rows + 1] - starts
+    packed = PackedInstances.of(instances)
+    d, starts, sizes = packed.d, packed.starts, packed.sizes
     diag = np.zeros(d, dtype=np.int64)
     codes = [np.empty(0, dtype=np.int64)]
     for c in np.unique(sizes):
         # the (g, c) positions of the g instances of size c, one per row
-        block = flat[starts[sizes == c, None] + np.arange(c)].astype(np.int64)
+        block = packed.flat[starts[sizes == c, None] + np.arange(c)].astype(np.int64)
         diag += np.bincount(block.ravel() - 1, minlength=d)
         lo, hi = np.triu_indices(c, k=1)
         # positions are sorted ascending, so block[:, hi] > block[:, lo]
@@ -117,8 +109,9 @@ def rebuild_hash_matrix(matrix: HashMatrix, pairs: np.ndarray,
     m, k = matrix.m, matrix.k
     stream = SplitMix64(seed & MASK64)
     pairs = np.asarray(pairs)
-    if pairs.size and pairs.dtype.kind not in "iu":
-        raise ValueError(f"pair members must be integers, got {pairs.dtype}")
+    if pairs.size and (pairs.shape[1:] != (2,) or pairs.dtype.kind not in "iu"):
+        raise ValueError(f"pairs must be an (n, 2) array of integers, got "
+                         f"{pairs.dtype} of shape {pairs.shape}")
     rows = matrix.rows.tolist()
     for a, b in pairs.reshape(-1, 2).tolist():
         if not (1 <= a <= matrix.d and 1 <= b <= matrix.d):

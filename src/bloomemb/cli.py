@@ -265,16 +265,21 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
                    help=f"sets {', '.join(_SEED_FIELDS)}: SEED, SEED+1, ...")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose every fault, a missing argument too, is a ConfigError."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bloomemb", exit_on_error=False,
-        description="Bloom embeddings: compress sparse binary instances, "
-                    "recover ranked items, and run desk-scale experiments.")
+    parser = _Parser(prog="bloomemb", description=(
+        "Bloom embeddings: compress sparse binary instances, recover ranked "
+        "items, and run desk-scale experiments."))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name: str, func, summary: str) -> argparse.ArgumentParser:
-        # a bad flag value reaches main as an ArgumentError, not as SystemExit
-        p = sub.add_parser(name, help=summary, exit_on_error=False, allow_abbrev=False)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="replay a .config file: each key=value "
                        "line is the flag --key=value, before the command line's")
         p.set_defaults(func=func)
@@ -337,18 +342,17 @@ def _with_config(argv: list[str] | None) -> list[str] | None:
     the command line's own flags override them. A line whose first non-blank
     character is ``#`` is a comment; a ``#`` anywhere else is part of the
     value, as in a path."""
-    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
-                                  exit_on_error=False)
+    pre = _Parser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, rest = pre.parse_known_args(argv)
     if known.config is None:
         return argv
-    try:
-        text = Path(known.config).read_text()
-    except OSError as exc:
+    try:  # read as every artifact is, so a non-UTF-8 byte names its line
+        lines = codec._numbered(Path(known.config).read_bytes())
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {known.config}: {exc}") from None
     flags = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in lines:
         line = raw.strip()
         if line and not line.startswith("#"):
             if "=" not in line:
@@ -360,11 +364,9 @@ def _with_config(argv: list[str] | None) -> list[str] | None:
 
 def main(argv=None) -> int:
     try:
-        args, extra = build_parser().parse_known_args(_with_config(argv))
-        if extra:
-            raise ConfigError(f"unrecognized arguments: {' '.join(extra)}")
+        args = build_parser().parse_args(_with_config(argv))
         return args.func(args)
-    except (ConfigError, argparse.ArgumentError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DataError, OSError) as exc:

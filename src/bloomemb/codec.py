@@ -4,12 +4,12 @@ the file formats of every Bloom artifact.
 An instance is the set of active positions of a d-dimensional binary
 vector. Every function works on a batch: encoding sets, for every active
 position of every instance, the bits at its k projected embedding
-positions, giving an (n, m) bit array. Instances are packed into CSR arrays
-by :func:`pack_instances`; a dataset's splits are packed from the start, as
-:class:`PackedPairs`. The one scatter kernel, :func:`encode_rows`, encodes
-any rows of a packed batch into a caller's array of any dtype;
-:func:`encode_batch` packs and encodes a whole batch
-into uint8. Decoding maps (n, m) probabilities back to (n, d) per-item
+positions, giving an (n, m) bit array. A batch is a :class:`PackedInstances`
+view of positions laid end to end in one read-only int32 array, and a split
+a :class:`PackedPairs` of an input and a target view. The one scatter
+kernel, :func:`encode_rows`, encodes a view into a caller's array of any
+dtype; :func:`encode_batch` packs a list and encodes it into
+uint8. Decoding maps (n, m) probabilities back to (n, d) per-item
 scores: the likelihood of item i is the product of the probabilities at
 its k projections, and the negative-log variant is the numerically stable
 form of the same ranking; both decoders fold the k gathered columns in one
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,76 +110,90 @@ class SparseInstance:
 # ---------------------------------------------------------------------------
 
 
-def pack_instances(instances: Sequence[SparseInstance],
-                   d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten instances to (indptr, positions) CSR-style arrays; the one
-    place that checks each instance's dimensionality against d."""
-    for inst in instances:
-        if inst.d != d:
-            raise ValueError(f"mixed dimensionalities: instance d {inst.d} != {d}")
-    indptr = np.zeros(len(instances) + 1, dtype=np.int64)
-    np.cumsum([inst.c for inst in instances], out=indptr[1:])
-    flat = np.concatenate([np.empty(0, dtype=np.int32),
-                           *(inst.positions for inst in instances)])
-    return indptr, flat
+class PackedInstances(Sequence):
+    """Instances whose positions lie in `flat`: instance i is
+    ``flat[starts[i]:starts[i] + sizes[i]]``. An int index builds a
+    SparseInstance; a slice or an index array gives a view of `flat`."""
+
+    def __init__(self, d: int, flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
+        self.d, self.flat, self.starts, self.sizes = d, flat, starts, sizes
+
+    @classmethod
+    def of(cls, instances: Sequence[SparseInstance],
+           d: int | None = None) -> "PackedInstances":
+        """`instances` itself if a view of `d` (default: its own), else packed
+        into a read-only `flat`: the one check of each instance's d."""
+        if isinstance(instances, cls) and d in (None, instances.d):
+            return instances
+        d = instances[0].d if d is None else d
+        for inst in instances:
+            if inst.d != d:
+                raise ValueError(f"mixed dimensionalities: instance d {inst.d} != {d}")
+        sizes = np.array([inst.c for inst in instances], dtype=np.int64)
+        flat = np.concatenate([np.empty(0, dtype=np.int32),
+                               *(inst.positions for inst in instances)])
+        flat.setflags(write=False)
+        return cls(d, flat, np.cumsum(sizes) - sizes, sizes)
+
+    def __len__(self) -> int:
+        return self.sizes.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice) or np.ndim(i):
+            return PackedInstances(self.d, self.flat, self.starts[i], self.sizes[i])
+        start, size = int(self.starts[i]), int(self.sizes[i])
+        return SparseInstance(self.d, self.flat[start:start + size])
+
+    def positions(self) -> Iterator[np.ndarray]:
+        """Each instance's positions, in order, as a view of `flat`."""
+        for start, size in zip(self.starts.tolist(), self.sizes.tolist()):
+            yield self.flat[start:start + size]
 
 
 class PackedPairs(Sequence):
-    """A view of (input, target) pairs laid end to end in `sides`: pair r's
-    input is segment 2r, ``sides[bounds[2r]:bounds[2r + 1]]``, and its target
-    segment 2r + 1. The view holds the pairs `rows`, in order; indexing builds
-    a pair of instances, slicing gives a view of the same arrays."""
+    """(input, target) pairs as two PackedInstances of equal length: an int
+    index builds a pair of instances, a slice or an index array a view."""
 
-    def __init__(self, d: int, sides: np.ndarray, bounds: np.ndarray, rows: np.ndarray):
-        self.d, self.sides, self.bounds, self.rows = d, sides, bounds, rows
+    def __init__(self, inputs: PackedInstances, targets: PackedInstances):
+        self.d, self.inputs, self.targets = inputs.d, inputs, targets
 
     @classmethod
     def of(cls, pairs: Sequence[tuple[SparseInstance, SparseInstance]]) -> "PackedPairs":
-        """`pairs` itself if packed, else packed once by :func:`pack_instances`."""
+        """`pairs` itself if packed, else each side packed against the first d."""
         if isinstance(pairs, PackedPairs):
             return pairs
-        d = pairs[0][0].d
-        bounds, sides = pack_instances([side for pair in pairs for side in pair], d)
-        return cls(d, sides, bounds, np.arange(len(pairs)))
+        inputs, targets = zip(*pairs)
+        return cls(PackedInstances.of(inputs), PackedInstances.of(targets, inputs[0].d))
 
     def __len__(self) -> int:
-        return self.rows.size
+        return len(self.inputs)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return PackedPairs(self.d, self.sides, self.bounds, self.rows[i])
-        s = 2 * int(self.rows[i])
-        a, b, c = self.bounds[s:s + 3].tolist()
-        return (SparseInstance(self.d, self.sides[a:b]),
-                SparseInstance(self.d, self.sides[b:c]))
-
-    def segments(self, side: int) -> np.ndarray:
-        """The segment of each pair's input (side 0) or target (side 1)."""
-        return 2 * self.rows + side
+        if isinstance(i, slice) or np.ndim(i):
+            return PackedPairs(self.inputs[i], self.targets[i])
+        return self.inputs[i], self.targets[i]
 
 
-def encode_rows(indptr: np.ndarray, flat: np.ndarray, rows: np.ndarray,
-                matrix: HashMatrix, out: np.ndarray) -> np.ndarray:
-    """Encode the packed instances `rows` (see :func:`pack_instances`) into
-    `out`, an (len(rows), m) array of any dtype: zeroed, then 1 at every bit
-    an active position projects to; O(c*k) per instance past the zeroing."""
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    # index of each selected position in `flat`: its instance's start plus
-    # its offset among that instance's positions
-    offsets = np.cumsum(counts) - counts
-    picks = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
-    owner = np.repeat(np.arange(len(rows)), counts * matrix.k)
+def encode_rows(instances: PackedInstances, matrix: HashMatrix,
+                out: np.ndarray) -> np.ndarray:
+    """Encode the view `instances` into `out`, an (len(instances), m) array
+    of any dtype: zeroed, then 1 at every bit an active position projects
+    to; O(c*k) per instance past the zeroing."""
+    starts, sizes = instances.starts, instances.sizes
+    # index of each position in `flat`: its instance's start plus its offset
+    # among that instance's positions
+    offsets = np.cumsum(sizes) - sizes
+    picks = np.arange(sizes.sum()) + np.repeat(starts - offsets, sizes)
+    owner = np.repeat(np.arange(sizes.size), sizes * matrix.k)
     out.fill(0)
-    out[owner, matrix.rows[flat[picks] - 1].ravel() - 1] = 1
+    out[owner, matrix.rows[instances.flat[picks] - 1].ravel() - 1] = 1
     return out
 
 
 def encode_batch(instances: Sequence[SparseInstance], matrix: HashMatrix) -> np.ndarray:
     """Embed instances into an (n, m) uint8 bit array; O(c*k) per instance."""
-    indptr, flat = pack_instances(instances, matrix.d)
-    out = np.empty((len(instances), matrix.m), dtype=np.uint8)
-    return encode_rows(indptr, flat, np.arange(len(instances)), matrix, out)
+    packed = PackedInstances.of(instances, matrix.d)
+    return encode_rows(packed, matrix, np.empty((len(packed), matrix.m), dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ among the sorted distinct tokens), which de-duplication, both filters and
 re-indexing act on. The seeded generator draws all cuts in profile order,
 then the held-out profiles; synthetic data draws items and cut per profile
 into one preallocated array. Either way the profiles lie end to end in one
-array, which stays the dataset once each side is sorted: both splits are
-:class:`bloomemb.codec.PackedPairs` views of it.
+array, which stays the dataset once each side is sorted: each split is a
+:class:`bloomemb.codec.PackedPairs`, a view of its inputs and one of its targets.
 
 Synthetic datasets draw profiles from latent item clusters so that items
 within a cluster co-occur, which gives the prediction task learnable
@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import PackedPairs
+from .codec import PackedInstances, PackedPairs
 
 
 class DataError(Exception):
@@ -48,15 +48,16 @@ class DataError(Exception):
 @dataclass
 class ProfileDataset:
     """Split profiles: the training and held-out test lists, as PackedPairs
-    views of one read-only int32 array of the 2n sides, each sorted and nonempty."""
+    whose views share one read-only int32 array of 2n sorted, nonempty sides."""
 
     d: int
     train: PackedPairs
     test: PackedPairs
 
     def __post_init__(self):
-        if (np.diff(self.train.bounds) == 0).any():
-            raise ValueError("profile with empty input or output side")
+        for split in (self.train, self.test):
+            if not (split.inputs.sizes.all() and split.targets.sizes.all()):
+                raise ValueError("profile with empty input or output side")
 
     @property
     def n(self) -> int:
@@ -74,16 +75,18 @@ def _split_dataset(d: int, cuts: np.ndarray, ends: np.ndarray, items: np.ndarray
     """Profile i of `items` ends at ends[i], its target starts at cuts[i]; each
     side is sorted, and `rng` holds out round(n * test_size) profiles."""
     n = len(ends)
+    # side 2i is profile i's input, side 2i + 1 its target
     bounds = np.zeros(2 * n + 1, dtype=np.int64)
     bounds[1::2] = cuts
     bounds[2::2] = ends
-    segment = np.repeat(np.arange(2 * n), np.diff(bounds))
-    sides = items[np.lexsort((items, segment))]
-    sides.setflags(write=False)
+    sizes = np.diff(bounds)
+    flat = items[np.lexsort((items, np.repeat(np.arange(2 * n), sizes)))]
+    flat.setflags(write=False)
+    sides = PackedInstances(d, flat, bounds[:-1], sizes)
     held = np.zeros(n, dtype=bool)
     held[rng.choice(n, size=max(0, min(int(round(n * test_size)), n)),
                     replace=False)] = True
-    return ProfileDataset(d, *(PackedPairs(d, sides, bounds, np.flatnonzero(rows))
+    return ProfileDataset(d, *(PackedPairs(sides[0::2][rows], sides[1::2][rows])
                                for rows in (~held, held)))
 
 

@@ -28,12 +28,12 @@ from typing import Sequence
 import numpy as np
 
 from . import cbe as cbe_mod
-from .codec import PackedPairs, ScoreOrder, SparseInstance, decode_batch, encode_rows
+from .codec import ScoreOrder, SparseInstance, decode_batch, encode_rows
 from .data import ProfileDataset, SyntheticSpec, generate_synthetic, load_profiles
 from .hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
 from .metrics import EvaluationResult
 from .trainer import Network, NetworkSpec, OptimizerSpec, TrainReport, \
-    fitted_matrices, forward_batch, init_network, train
+    forward_batch, init_network, packed_split, train
 
 
 class ConfigError(ValueError):
@@ -180,13 +180,11 @@ def build_matrices(cfg: ExperimentConfig, ds: ProfileDataset
     h_in = build_hash_matrix(ds.d, cfg.m_in, cfg.k, cfg.hash_seed_in)
     h_out = build_hash_matrix(ds.d, cfg.m_out, cfg.k, cfg.hash_seed_out)
     if cfg.use_cbe:
-        train, steered = ds.train, []
-        for side, matrix in enumerate((h_in, h_out)):
-            table = cbe_mod.count_rows(ds.d, train.bounds, train.sides,
-                                       train.segments(side))
-            pairs = cbe_mod.threshold_and_order(table)
-            steered.append(
-                cbe_mod.rebuild_hash_matrix(matrix, pairs, cfg.cbe_seed + side))
+        steered = []
+        for i, (matrix, side) in enumerate(((h_in, ds.train.inputs),
+                                            (h_out, ds.train.targets))):
+            pairs = cbe_mod.threshold_and_order(cbe_mod.count_cooccurrences(side))
+            steered.append(cbe_mod.rebuild_hash_matrix(matrix, pairs, cfg.cbe_seed + i))
         h_in, h_out = steered
     return h_in, h_out
 
@@ -221,16 +219,14 @@ def evaluate_model(net: Network,
                    top_n: int | None = None) -> EvaluationResult:
     """Ranked-recovery evaluation over held-out profiles (MAP or RR).
 
-    `test_profiles` is a :class:`PackedPairs` split, or a list of pairs
-    packed once here; inputs and relevant items are read packed.
-    hash_in/hash_out None = identity (the no-embedding baseline). Before any
-    encoding, an unknown decode mode or measure and a profile without target
-    items raise ValueError, and a matrix that does not fit the network or the
-    profiles DataError. Only the relevant items are ranked, each by
-    counting: for decoded scores s, item p ranks 1 + #{j : s_j beats s_p} +
-    #{j < p : s_j = s_p}, where beating means a higher likelihood or a lower
-    NLL. Ties thus go to the lower item id, as in
-    :func:`bloomemb.codec.rank_batch`. The better scores are counted by
+    `test_profiles` is a :class:`PackedPairs` split or a list of pairs, both
+    taken by :func:`bloomemb.trainer.packed_split` with the matrices (None =
+    identity, the no-embedding baseline). Before any encoding, an unknown
+    decode mode or measure raises ValueError. Only the relevant items are
+    ranked, each by counting: for decoded scores s, item p ranks
+    1 + #{j : s_j beats s_p} + #{j < p : s_j = s_p}, where beating means a
+    higher likelihood or a lower NLL. Ties thus go to the lower item id, as
+    in :func:`bloomemb.codec.rank_batch`. The better scores are counted by
     binary searches in a sort of each row's values; no item permutation is
     built. Items ranked below `top_n` count as not retrieved.
 
@@ -238,19 +234,12 @@ def evaluate_model(net: Network,
     at a time, so the largest arrays are one slice's (rows, d) scores, not
     the whole split's; the last slice holds what is left, unpadded.
     """
-    if not test_profiles:
-        raise ValueError("no test profiles to evaluate")
-    data = PackedPairs.of(test_profiles)
-    d, sides, bounds = data.d, data.sides, data.bounds
-    depth = top_n if top_n is not None else d
-    if not 1 <= depth <= d:
-        raise ValueError(f"top_n {top_n} out of range [1, {d}]")
+    data, hash_in, hash_out = packed_split(net, test_profiles, hash_in, hash_out)
+    depth = top_n if top_n is not None else data.d
+    if not 1 <= depth <= data.d:
+        raise ValueError(f"top_n {top_n} out of range [1, {data.d}]")
     if measure not in ("MAP", "RR"):
         raise ValueError(f"measure must be MAP or RR, got {measure!r}")
-    empty = np.flatnonzero(np.diff(bounds)[data.segments(1)] == 0)
-    if empty.size:
-        raise ValueError(f"test profile {empty[0]} has no target items")
-    hash_in, hash_out = fitted_matrices(net, d, hash_in, hash_out)
     # decoding no rows checks the mode before the forward pass
     _, order = decode_batch(np.empty((0, hash_out.m)), hash_out, decode_mode)
     descending = order is ScoreOrder.DESCENDING_LIKELIHOOD
@@ -258,12 +247,10 @@ def evaluate_model(net: Network,
     values = []
     for start in range(0, len(data), EVAL_SLICE):
         part = data[start:start + EVAL_SLICE]
-        x = encode_rows(bounds, sides, part.segments(0), hash_in,
-                        np.empty((len(part), hash_in.m), net.dtype))
+        x = encode_rows(part.inputs, hash_in, np.empty((len(part), hash_in.m), net.dtype))
         probs = forward_batch(net, x)
         scores, _ = decode_batch(probs, hash_out, decode_mode)
-        for row, seg in zip(scores, part.segments(1).tolist()):
-            positions = sides[bounds[seg]:bounds[seg + 1]]
+        for row, positions in zip(scores, part.targets.positions()):
             # RR is the average precision of the lowest relevant id alone
             items = positions if measure == "MAP" else positions[:1]
             ranks = np.sort(_ranks(row, items, descending))

@@ -18,8 +18,8 @@ gradient into the softmax, a hidden layer's gradient into its activation
 and its ReLU slope into its pre-activation, Adam's denominator into the
 gradient. Every operation keeps the plain expression and its order, so
 losses and weights match the plain expressions bit for bit. ``train``
-encodes each batch straight from the packed split into two buffers it
-owns, so it never holds the encoded split. The cross-entropy loss reads
+encodes each batch, a view of the packed split, straight into two buffers
+it owns, so it never holds the encoded split. The cross-entropy loss reads
 only the target's nonzero entries.
 
 Weight init is scaled uniform, U(-sqrt(1/fan_in), +sqrt(1/fan_in)), from
@@ -360,15 +360,26 @@ def multi_hot(instances: Sequence[SparseInstance], dim: int) -> np.ndarray:
     return encode_batch(instances, identity_hash_matrix(dim))
 
 
-def fitted_matrices(net: Network, d: int, *matrices) -> list[HashMatrix]:
-    """The input and output matrices, None being the identity, once each maps
-    the data's d items to the network's width; else DataError."""
-    matrices = [identity_hash_matrix(d) if h is None else h for h in matrices]
+def packed_split(net: Network, split: Sequence[tuple[SparseInstance, SparseInstance]],
+                 hash_in: HashMatrix | None, hash_out: HashMatrix | None
+                 ) -> tuple[PackedPairs, HashMatrix, HashMatrix]:
+    """`split` packed by :meth:`PackedPairs.of` and both matrices (None = the
+    identity), checked for :func:`train` and ``evaluate_model``: an empty split
+    or target raises ValueError, a matrix that does not fit DataError."""
+    if not split:
+        raise ValueError("the split holds no profiles")
+    data = PackedPairs.of(split)
+    # a target with c >= 1 items sets a bit, so it can be normalized and ranked
+    empty = np.flatnonzero(data.targets.sizes == 0)
+    if empty.size:
+        raise ValueError(f"profile {empty[0]} has no target items")
+    d = data.d
+    matrices = [identity_hash_matrix(d) if h is None else h for h in (hash_in, hash_out)]
     for side, matrix, width in zip(("input", "output"), matrices, (net.n_in, net.n_out)):
         if (matrix.m, matrix.d) != (width, d):
             raise DataError(f"{side} hash matrix has d={matrix.d}, m={matrix.m}; the "
                             f"network has {width} {side} units, the data {d} items")
-    return matrices
+    return data, *matrices
 
 
 def train(net: Network,
@@ -381,28 +392,17 @@ def train(net: Network,
           shuffle_seed: int = 0) -> TrainReport:
     """Train on encoded inputs/targets; hash_in/hash_out None = identity.
 
-    `dataset` is a :class:`PackedPairs` split, or a list of pairs packed
-    once here. Targets are the encoded multi-hot vectors normalized to sum
-    1. Batch order is a seeded permutation per epoch, so runs are
-    reproducible. A matrix that does not fit raises DataError, and a
-    diverging step FloatingPointError naming its 1-based epoch.
+    `dataset` is a :class:`PackedPairs` split or a list of pairs, both
+    taken by :func:`packed_split`; each batch is a view of it. Targets are
+    the encoded multi-hot vectors normalized to sum 1. Batch order is a
+    seeded permutation per epoch, so runs are reproducible. A diverging step
+    raises FloatingPointError naming its 1-based epoch.
     """
-    if not dataset:
-        raise ValueError("dataset must be nonempty")
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    data = PackedPairs.of(dataset)
-    hash_in, hash_out = fitted_matrices(net, data.d, hash_in, hash_out)
-    sides, bounds = data.sides, data.bounds
-    inputs, targets = data.segments(0), data.segments(1)
-    # an instance with c >= 1 items sets at least one bit
-    empty = np.flatnonzero(np.diff(bounds)[targets] == 0)
-    if empty.size:
-        raise ValueError(f"target instance {empty[0]} has no items, so its "
-                         f"encoding has no set bits")
-
+    data, hash_in, hash_out = packed_split(net, dataset, hash_in, hash_out)
     n = len(data)
     rows = min(batch_size, n)
     x_buf = np.empty((rows, net.n_in), net.dtype)
@@ -412,9 +412,9 @@ def train(net: Network,
         """(inputs, targets normalized to sum 1) in net.dtype, in `order`,
         each encoded into the leading rows of the same two buffers."""
         for s in range(0, n, batch_size):
-            idx = order[s:s + batch_size]
-            xb = encode_rows(bounds, sides, inputs[idx], hash_in, x_buf[:idx.size])
-            tb = encode_rows(bounds, sides, targets[idx], hash_out, t_buf[:idx.size])
+            batch = data[order[s:s + batch_size]]
+            xb = encode_rows(batch.inputs, hash_in, x_buf[:len(batch)])
+            tb = encode_rows(batch.targets, hash_out, t_buf[:len(batch)])
             tb /= tb.sum(axis=1, keepdims=True)
             yield xb, tb
 

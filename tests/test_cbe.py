@@ -9,7 +9,7 @@ from bloomemb.cbe import (CooccurrenceTable, average_item_frequency,
                           cooccurrence_stats, count_cooccurrences,
                           rebuild_hash_matrix, stats_report_tsv,
                           threshold_and_order)
-from bloomemb.codec import SparseInstance
+from bloomemb.codec import PackedInstances, SparseInstance
 from bloomemb.hashing import HashMatrix, build_hash_matrix
 from bloomemb.rng import SplitMix64
 
@@ -51,6 +51,18 @@ class TestCounting:
         bad = [SparseInstance.from_items(3, {1}), SparseInstance.from_items(4, {1})]
         with pytest.raises(ValueError, match="mixed"):
             count_cooccurrences(bad)
+
+    def test_view_by_a_shuffled_index_array_counts_like_its_list(self):
+        rng = np.random.default_rng(32)
+        instances = [SparseInstance.from_items(
+            20, rng.choice(20, size=rng.integers(0, 8), replace=False) + 1)
+            for _ in range(60)]
+        order = rng.permutation(60)[:45]
+        got = count_cooccurrences(PackedInstances.of(instances)[order])
+        expected = count_cooccurrences([instances[i] for i in order])
+        assert got.d == expected.d
+        for field in ("diag", "values", "rows", "cols"):
+            assert np.array_equal(getattr(got, field), getattr(expected, field)), field
 
     def test_coordinates_are_strict_lower_triangle(self):
         table = count_cooccurrences(insts(6, {1, 2, 3}, {2, 3, 6}))
@@ -188,6 +200,14 @@ class TestRebuild:
         with pytest.raises(ValueError, match="integers"):
             # cast to int64, (1.7, 2.2) would apply the pair (1, 2)
             rebuild_hash_matrix(matrix, np.array([[1.7, 2.2]]), seed=0)
+
+    @pytest.mark.parametrize("pairs", [[[1, 2, 3], [4, 5, 6]], [1, 2, 3, 4]],
+                             ids=["2x3", "flat-4"])
+    def test_rejects_pairs_not_shaped_n_by_2(self, pairs):
+        # read as rows of two, both would apply valid pairs: (1, 2), (3, 4), ...
+        matrix = build_hash_matrix(d=6, m=5, k=2, seed=0)
+        with pytest.raises(ValueError, match=r"an \(n, 2\) array"):
+            rebuild_hash_matrix(matrix, np.array(pairs), seed=0)
 
 
 class TestStats:

@@ -596,6 +596,7 @@ CONFIG_FAULTS = {
     "file-unknown-key": ["train", "--config", "# comment\n\nwidth=3"],
     "file-bad-int": ["train", "--config", "batch_size=two"],
     "file-bad-bool": ["train", "--config", "baseline=maybe"],
+    "sweep-without-m-ratios": ["sweep", "--k-values", "2"],
 }
 # the start of the fault line, where a test pins it
 FAULT_TEXTS = {
@@ -609,6 +610,7 @@ FAULT_TEXTS = {
     "file-unknown-key": "unrecognized arguments: --width=3",
     "file-bad-int": "argument --batch-size: invalid literal",
     "file-bad-bool": "argument --baseline: expected a boolean",
+    "sweep-without-m-ratios": "the following arguments are required: --m-ratios",
 }
 
 
@@ -628,6 +630,27 @@ def test_config_fault_exits_2_before_training(tmp_path, monkeypatch, capsys,
     assert len(err) == 1, err
     assert err[0].startswith("config error: " + FAULT_TEXTS.get(fault, "")), err
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv,missing", [
+    ([], "command"),
+    (["build-hash", "--d", "10", "--m", "4", "--k", "2"], "--out")],
+    ids=["no-command", "build-hash-without-out"])
+def test_missing_argument_is_one_config_error_line(capsys, argv, missing):
+    # argparse's own handling would print a usage block and raise SystemExit
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: the following arguments are required: {missing}"]
+
+
+def test_config_file_that_is_not_utf8_is_a_config_fault_naming_its_line(
+        tmp_path, monkeypatch, capsys):
+    config = tmp_path / "run.config"
+    config.write_bytes(b"d=\xff\xfe\n")
+    monkeypatch.setattr(experiment, "fit", _must_not_run)
+    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: cannot read config {config}: line 1: not UTF-8 text (byte 2)"]
 
 
 def _nan_checkpoint(model: str) -> str:

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bloomemb.codec import (PackedPairs, ScoreOrder, SparseInstance,
-                            decode_batch, decode_likelihood_batch,
+from bloomemb.codec import (PackedInstances, PackedPairs, ScoreOrder,
+                            SparseInstance, decode_batch, decode_likelihood_batch,
                             decode_nll_batch, encode_batch, encode_rows,
-                            matrix_from_bytes, pack_instances, rank_batch,
+                            matrix_from_bytes, rank_batch,
                             read_bit_vectors, read_instances,
                             read_probabilities, write_bit_vectors)
 from bloomemb.hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
@@ -104,29 +104,42 @@ class TestPackedPairs:
         # an out-of-range position or a non-integer one is rejected
         bad = flat.size and (flat.dtype.kind == "f" or flat.min() < 1 or flat.max() > d)
         assert isinstance(instances, str) == bool(bad), instances
-        if bad:
+        if bad or not instances:
             return
+        packed = PackedInstances.of(instances)
+        assert PackedInstances.of(packed) is PackedInstances.of(packed, d) is packed
+        assert packed.flat.dtype == np.int32 and not packed.flat.flags.writeable
+        sizes = [inst.c for inst in instances]
+        assert packed.sizes.tolist() == sizes
+        assert packed.starts.tolist() == (np.cumsum(sizes) - sizes).tolist()
+        assert list(packed) == instances and list(packed[1::2]) == instances[1::2]
+        order = np.arange(len(instances))[::-1]
+        assert packed[order].flat is packed.flat
+        assert list(packed[order]) == instances[::-1]
+        with pytest.raises(ValueError, match="mixed dimensionalities"):
+            PackedInstances.of(packed, d + 1)
         pairs = list(zip(instances[::2], instances[1::2]))
         if not pairs:
             return
         view = PackedPairs.of(pairs)
         assert PackedPairs.of(view) is view
-        assert view.sides.dtype == np.int32 and len(view) == len(pairs)
+        assert len(view) == len(pairs) and view.d == d
         assert list(view) == pairs and list(view[1::2]) == pairs[1::2]
+        assert list(view[np.arange(len(pairs))[::-1]]) == pairs[::-1]
         assert all(side.positions.dtype == np.int32 and not side.positions.flags.writeable
                    for pair in view for side in pair)
-        sizes = [side.c for pair in pairs for side in pair]
-        assert view.bounds.tolist() == np.cumsum([0, *sizes]).tolist()
 
     def test_view_reads_its_rows_in_order(self):
         # pairs ([2, 7], [5]), ([1, 9], [4]) and ([], [3]), viewed as 2, 0
-        sides = np.array([2, 7, 5, 1, 9, 4, 3], dtype=np.int32)
-        bounds = np.array([0, 2, 3, 5, 6, 6, 7])
-        view = PackedPairs(9, sides, bounds, np.array([2, 0]))
+        flat = np.array([2, 7, 5, 1, 9, 4, 3], dtype=np.int32)
+        sides = PackedInstances(9, flat, np.array([0, 2, 3, 5, 6, 6]),
+                                np.array([2, 1, 2, 1, 0, 1]))
+        view = PackedPairs(sides[0::2], sides[1::2])[np.array([2, 0])]
         got = [[side.positions.tolist() for side in pair] for pair in view]
         assert len(view) == 2 and got == [[[], [3]], [[2, 7], [5]]]
         assert view[-1] == view[1:][0] == (SparseInstance(9, [2, 7]), SparseInstance(9, [5]))
-        assert view.segments(0).tolist() == [4, 0] and view.segments(1).tolist() == [5, 1]
+        assert view.inputs.starts.tolist() == [6, 0] and view.targets.starts.tolist() == [6, 2]
+        assert view.inputs.flat is view.targets.flat is flat
         with pytest.raises(IndexError):
             view[2]
 
@@ -194,10 +207,10 @@ class TestEncode:
         instances = [SparseInstance.from_items(
             60, rng.choice(60, size=rng.integers(0, 7), replace=False) + 1)
             for _ in range(40)]
-        indptr, flat = pack_instances(instances, 60)
+        packed = PackedInstances.of(instances)
         buf = np.full((25, 17), 7.0, dtype=np.float32)
         rows = rng.permutation(40)[:20]
-        got = encode_rows(indptr, flat, rows, matrix, buf[:20])
+        got = encode_rows(packed[rows], matrix, buf[:20])
         assert np.array_equal(got, encode_batch([instances[i] for i in rows], matrix))
         assert (buf[20:] == 7).all()
 

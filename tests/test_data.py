@@ -98,17 +98,27 @@ def test_both_splits_share_one_packed_array(build):
     ds = build()
     train, test = ds.train, ds.test
     assert len(test) and len(train) + len(test) == ds.n
-    sides, bounds = train.sides, train.bounds
-    assert test.sides is sides and test.bounds is bounds
-    assert sides.dtype == np.int32 and not sides.flags.writeable
-    assert bounds.size == 2 * ds.n + 1 and bounds[-1] == sides.size
-    assert sorted([*train.rows.tolist(), *test.rows.tolist()]) == list(range(ds.n))
+    views = [train.inputs, train.targets, test.inputs, test.targets]
+    flat = train.inputs.flat
+    assert all(view.flat is flat for view in views)
+    assert flat.dtype == np.int32 and not flat.flags.writeable
+    # the views' segments tile the array: each position lies in exactly one
+    starts = np.concatenate([view.starts for view in views])
+    sizes = np.concatenate([view.sizes for view in views])
+    assert sizes.sum() == flat.size and (sizes > 0).all()
+    covered = np.zeros(flat.size, dtype=int)
+    for start, size in zip(starts.tolist(), sizes.tolist()):
+        covered[start:start + size] += 1
+    assert (covered == 1).all()
+    # a profile's input lies just before its target
+    for split in (train, test):
+        assert (split.inputs.starts + split.inputs.sizes == split.targets.starts).all()
     # indexing a split builds what SparseInstance builds from each segment
-    segment = [sides[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    for view in (train, test):
-        assert list(view) == [(SparseInstance(ds.d, segment[2 * r]),
-                               SparseInstance(ds.d, segment[2 * r + 1]))
-                              for r in view.rows]
+    for split in (train, test):
+        assert list(split) == [(SparseInstance(ds.d, flat[a:a + m]),
+                                SparseInstance(ds.d, flat[b:b + n]))
+                               for a, m, b, n in zip(split.inputs.starts, split.inputs.sizes,
+                                                     split.targets.starts, split.targets.sizes)]
 
 
 def test_a_run_holds_no_instance_objects():

@@ -167,7 +167,7 @@ def test_evaluate_model_rejects_a_profile_without_targets_before_the_forward_pas
         raise AssertionError("the forward pass ran before the targets were checked")
 
     monkeypatch.setattr(experiment, "forward_batch", forward)
-    with pytest.raises(ValueError, match="test profile 3 has no target items"):
+    with pytest.raises(ValueError, match="^profile 3 has no target items$"):
         evaluate_model(net, test, h_in, h_out, measure=measure)
 
 

@@ -121,7 +121,7 @@ class TestLoss:
         dataset = tiny_dataset(rng)
         dataset[3] = (dataset[3][0], SparseInstance.from_items(20, []))
         net = small_net((20, 4, 20), seed=1)
-        with pytest.raises(ValueError, match="no set bits"):
+        with pytest.raises(ValueError, match="^profile 3 has no target items$"):
             train(net, dataset, None, None, OptimizerSpec("adam"), epochs=1)
 
 
