@@ -269,16 +269,22 @@ def rank_batch(scores: np.ndarray, ordering: ScoreOrder, top_n: int) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _numbered(data: bytes | str) -> list[tuple[int, str]]:
-    """The lines of an artifact's bytes or text, each with its 1-based number;
-    bytes that are not UTF-8 are a fault of the line that holds them."""
+def utf8_text(data: bytes | str) -> str:
+    """A file's bytes (or text, returned as is) as text; bytes that are not
+    UTF-8 raise ``ValueError("line N: ...")`` for the line that holds them."""
+    if isinstance(data, str):
+        return data
     try:
-        text = data.decode() if isinstance(data, bytes) else data
+        return data.decode()
     except UnicodeDecodeError as exc:
-        # the line of the bad byte, counted on the valid prefix as below
+        # the line of the bad byte, counted on the valid prefix as splitlines does
         lineno = len((data[:exc.start].decode() + "x").splitlines())
         raise ValueError(f"line {lineno}: not UTF-8 text (byte {exc.start})") from None
-    return list(enumerate(text.splitlines(), start=1))
+
+
+def _numbered(data: bytes | str) -> list[tuple[int, str]]:
+    """The lines of an artifact's bytes or text, each with its 1-based number."""
+    return list(enumerate(utf8_text(data).splitlines(), start=1))
 
 
 def _parse_lines(lines: Iterable[tuple[int, str]], parse) -> list:

@@ -7,7 +7,8 @@ re-indexed densely to 1..d (lexicographic order of the external ids). A
 random share of the profiles is held out once, at build time, as the test
 list; the rest, in file or generation order, is the training list.
 
-Input files are UTF-8 text in one of two formats:
+Input files are UTF-8 text (a byte that is not UTF-8 is a fault of its
+line) in one of two formats:
 
 * triples — one interaction per line: ``user item [timestamp [rating]]``.
   Every row carries a timestamp or none does; a mixed file is a fault.
@@ -38,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import PackedInstances, PackedPairs
+from .codec import PackedInstances, PackedPairs, utf8_text
 
 
 class DataError(Exception):
@@ -143,9 +144,9 @@ def _read_text(source) -> str:
     if hasattr(source, "read"):
         return source.read()
     try:
-        return Path(source).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{source}: not UTF-8 text (byte {exc.start})") from None
+        return utf8_text(Path(source).read_bytes())
+    except ValueError as exc:
+        raise DataError(f"{source}: {exc}") from None
 
 
 def load_profiles(source,

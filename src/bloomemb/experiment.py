@@ -5,10 +5,12 @@ which :mod:`bloomemb.cli` reads from flags and ``.config`` text. A run loads
 or generates the dataset, builds input/output hash matrices (optionally
 rebuilt from co-occurrence statistics), trains the feed-forward model on
 encoded instances, and evaluates ranked recovery on the held-out test
-profiles, :data:`EVAL_SLICE` profiles at a time, so evaluation's peak memory
-is one slice's (rows, d) score arrays, not the test split's. The
-no-embedding baseline is the identity embedding (m = d, k = 1) and runs
-through the same encode, train, decode and rank path.
+profiles: :data:`EVAL_SLICE` profiles at a time through the network, then
+:data:`DECODE_ROWS` rows at a time through decoding and ranking, so
+evaluation's largest arrays are one block's (rows, d) scores, not a
+slice's or the test split's. The no-embedding baseline is the identity
+embedding (m = d, k = 1) and runs through the same encode, train, decode
+and rank path.
 
 Sweeps run one cell per (k, m/d, seed) plus per-seed baseline cells and
 emit TSV rows with score and time ratios against the seed-matched
@@ -40,8 +42,13 @@ class ConfigError(ValueError):
     """Invalid configuration value, flag combination or sweep grid."""
 
 
-# test profiles that evaluate_model encodes, decodes and ranks at a time
+# test profiles that evaluate_model encodes and runs forward at a time; a
+# row's output bits can change with a BLAS call's row count, so scores are
+# pinned at this size
 EVAL_SLICE = 256
+# rows of a slice's probabilities that evaluate_model decodes and ranks at
+# a time: at d ~ 10k one block's float64 scores (631 kB) stay in cache
+DECODE_ROWS = 8
 
 SWEEP_COLUMNS = ("measure", "variant", "k", "m_ratio", "seed", "S_i", "S_0",
                  "score_ratio", "train_time_ratio", "eval_time_ratio", "error")
@@ -230,9 +237,12 @@ def evaluate_model(net: Network,
     binary searches in a sort of each row's values; no item permutation is
     built. Items ranked below `top_n` count as not retrieved.
 
-    Profiles are encoded, run forward, decoded and ranked :data:`EVAL_SLICE`
-    at a time, so the largest arrays are one slice's (rows, d) scores, not
-    the whole split's; the last slice holds what is left, unpadded.
+    Profiles are encoded and run forward :data:`EVAL_SLICE` at a time; each
+    slice's probabilities are then decoded and ranked :data:`DECODE_ROWS`
+    rows at a time, so the largest arrays are one block's (rows, d) scores,
+    not a slice's or the whole split's. The last slice and block hold what
+    is left, unpadded. Decoding and ranking work row by row, so the block
+    size does not change a score.
     """
     data, hash_in, hash_out = packed_split(net, test_profiles, hash_in, hash_out)
     depth = top_n if top_n is not None else data.d
@@ -249,14 +259,17 @@ def evaluate_model(net: Network,
         part = data[start:start + EVAL_SLICE]
         x = encode_rows(part.inputs, hash_in, np.empty((len(part), hash_in.m), net.dtype))
         probs = forward_batch(net, x)
-        scores, _ = decode_batch(probs, hash_out, decode_mode)
-        for row, positions in zip(scores, part.targets.positions()):
-            # RR is the average precision of the lowest relevant id alone
-            items = positions if measure == "MAP" else positions[:1]
-            ranks = np.sort(_ranks(row, items, descending))
-            ranks = ranks[ranks <= depth]
-            hits = np.arange(1, ranks.size + 1, dtype=np.float64)
-            values.append(float((hits / ranks).sum() / items.size))
+        targets = part.targets.positions()
+        for b in range(0, len(probs), DECODE_ROWS):
+            scores, _ = decode_batch(probs[b:b + DECODE_ROWS], hash_out, decode_mode)
+            # scores first: the end of a block must not use up a target
+            for row, positions in zip(scores, targets):
+                # RR is the average precision of the lowest relevant id alone
+                items = positions if measure == "MAP" else positions[:1]
+                ranks = np.sort(_ranks(row, items, descending))
+                ranks = ranks[ranks <= depth]
+                hits = np.arange(1, ranks.size + 1, dtype=np.float64)
+                values.append(float((hits / ranks).sum() / items.size))
     wall = time.perf_counter() - t0
     return EvaluationResult(score=float(np.mean(values)),
                             measure=measure, n_evaluated=len(values),

@@ -371,13 +371,16 @@ def test_missing_data_file_is_a_data_fault(tmp_path, capsys):
     missing = str(tmp_path / "no-such-file.txt")
     not_utf8 = tmp_path / "latin1.txt"
     not_utf8.write_bytes(b"u1 \xff 1\nu1 2 2\n")
+    bad_line_3 = tmp_path / "bad.txt"
+    bad_line_3.write_bytes(b"u1 1 1\nu1 2 2\nu2 \xff 3\n")
     # short profiles that the auto sniff reads as triples, the last row
     # without a timestamp
     short = tmp_path / "short-profiles.txt"
     short.write_text("10 20 30\n10 40 50\n60 70\n")
     for path, message in [
             (missing, f"[Errno 2] No such file or directory: {missing!r}"),
-            (str(not_utf8), f"{not_utf8}: not UTF-8 text (byte 3)"),
+            (str(not_utf8), f"{not_utf8}: line 1: not UTF-8 text (byte 3)"),
+            (str(bad_line_3), f"{bad_line_3}: line 3: not UTF-8 text (byte 17)"),
             (str(short), "line 3: no timestamp, unlike line 1; as triples "
                          "(data_format 'auto'), every row or none has one")]:
         assert cli.main(["train", "--data", path, "--m", "40",

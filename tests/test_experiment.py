@@ -78,13 +78,21 @@ def test_evaluate_model_map_equals_metric_oracle(trained, measure, decode_mode,
     assert result.n_evaluated == len(test)
 
 
-@pytest.mark.parametrize("eval_slice", [1, 7])
-def test_scores_do_not_depend_on_slice_boundaries(trained, monkeypatch, eval_slice):
+@pytest.mark.parametrize("constant, size", [
+    pytest.param("EVAL_SLICE", 1, id="1"),
+    pytest.param("EVAL_SLICE", 7, id="7"),
+    pytest.param("DECODE_ROWS", 1, id="decode-rows-1"),
+    pytest.param("DECODE_ROWS", 3, id="decode-rows-3"),
+    pytest.param("DECODE_ROWS", 1000, id="decode-rows-1000")])
+def test_scores_do_not_depend_on_slice_boundaries(trained, monkeypatch, constant,
+                                                  size):
     # OpenBLAS sgemm can change a row's output in the last bits with the
     # call's row count: on a 40-100-40 net, 1-, 7- and 33-row calls differed
     # from one 666-row call by up to 7.5e-9 (OpenBLAS 0.3.31, 2 cores). The
     # ranks did not move: these scores and test_frozen's pins held == at
-    # slices of 1, 7, 33 and 256, so the comparison is exact
+    # slices of 1, 7, 33 and 256, so the comparison is exact. Decoding and
+    # ranking work row by row, so no block size may change a bit; 1000
+    # rows decodes each slice in one block
     ds, h_in, h_out, net = trained
     test = ds.test_profiles()
     cases = [dict(decode_mode=mode, measure=measure, top_n=top_n)
@@ -92,7 +100,7 @@ def test_scores_do_not_depend_on_slice_boundaries(trained, monkeypatch, eval_sli
              for top_n in (None, 10)]
     whole = [evaluate_model(net, test, h_in, h_out, **case) for case in cases]
     assert len(test) < experiment.EVAL_SLICE
-    monkeypatch.setattr(experiment, "EVAL_SLICE", eval_slice)
+    monkeypatch.setattr(experiment, constant, size)
     for case, want in zip(cases, whole):
         got = evaluate_model(net, test, h_in, h_out, **case)
         assert got.score == want.score, case
@@ -103,7 +111,8 @@ def test_scores_do_not_depend_on_slice_boundaries(trained, monkeypatch, eval_sli
 def test_evaluation_peak_is_a_few_slices_not_the_split(monkeypatch, traced_peak,
                                                        decode_mode):
     # 8 slices and a 5-profile tail over d = 2000: one call on the whole
-    # split peaked at 19-20 slices' worth, the sliced call at 3.4-3.6
+    # split peaked at 19-20 slices' worth, the sliced call at 3.5-3.7 when
+    # each slice was decoded whole, and at 0.91-0.92 in DECODE_ROWS blocks
     d, m, eval_slice = 2000, 400, 64
     monkeypatch.setattr(experiment, "EVAL_SLICE", eval_slice)
     rng = np.random.default_rng(0)
@@ -116,6 +125,24 @@ def test_evaluation_peak_is_a_few_slices_not_the_split(monkeypatch, traced_peak,
                        decode_mode=decode_mode)
     one_slice = eval_slice * d * 8
     assert peak < 5 * one_slice, peak / one_slice
+
+
+@pytest.mark.parametrize("decode_mode", ["likelihood", "nll"])
+def test_evaluation_peak_is_a_fraction_of_one_slice(traced_peak, decode_mode):
+    # at the default slice and d = 10,000, scores decoded for a whole slice
+    # peaked at 2.09-2.13 of its (rows, d) float64 arrays; in blocks of
+    # DECODE_ROWS rows, at 0.150
+    d, m = 10_000, 400
+    rng = np.random.default_rng(0)
+    test = [tuple(SparseInstance.from_items(d, rng.choice(d, size=6) + 1)
+                  for _ in range(2)) for _ in range(300)]
+    h_in = build_hash_matrix(d, m, 4, 1)
+    h_out = build_hash_matrix(d, m, 4, 2)
+    net = init_network(NetworkSpec(layer_sizes=(m, 100, m)))
+    peak = traced_peak(evaluate_model, net, test, h_in, h_out,
+                       decode_mode=decode_mode)
+    one_slice = experiment.EVAL_SLICE * d * 8
+    assert peak < one_slice / 4, peak / one_slice
 
 
 @pytest.mark.parametrize("descending", [True, False])
