@@ -1,25 +1,29 @@
 """Command-line interface wiring the modules into reproducible pipelines.
 
 Subcommands: build-hash, encode, decode, cbe, train, evaluate, sweep. Each
-parses its flags, calls the library, whose rules it follows, and writes its
-outputs atomically; it exits with code 2 on configuration faults, and 1 on
-data faults and non-finite numbers (``numeric error: <reason>``). This module
-alone owns the ``.config`` grammar, which flags share: a file's line
-``key=value`` is the flag ``--key=value``, an underscore read as a dash, and
-a value reads by its type (``none``, ``true``, commas between tuple items);
-a bad one is the config fault ``argument --flag: <reason>``. ``--config FILE``
-puts the file's flags ahead of the command line's, which override them.
-train, evaluate and sweep have a flag per ``ExperimentConfig`` field, named
-after it, plus ``--m`` and ``--seed``, which set several. Each command logs
-its run to ``<out>.config``: the resolved config's fields, if any, then its
-other flags but ``--out``, keys written with underscores (dashes read too),
-so that ``--config <out>.config --out <new>`` replays it bit for bit, wall
-times aside. Every file a command writes is named after ``--out``: ``cbe``
-writes its report to ``<out>.stats.tsv``, and ``train`` the hash matrices to
-``<out>.hash-in`` and ``<out>.hash-out`` (the identity for the baseline),
-which ``evaluate`` reads next to ``--model``. One loader reads every artifact
-file and hands its bytes to the format's parser; a fault in either step is
-the data fault ``cannot load <what> <path>: <reason>``.
+parses its flags and calls the library, whose rules it follows. It returns
+its resolved config, if any, the text or bytes of each file it outputs, keyed
+by the suffix the file adds to ``--out``, and a summary line, if any; ``main``
+alone writes those files atomically, then the ``.config``, then prints the
+summary, so a command that fails writes nothing. A fault exits with code 2
+if it is in the configuration, and 1 if it is in the data or a number is not
+finite (``numeric error: <reason>``). This module alone owns the ``.config``
+grammar, which flags share: a file's line ``key=value`` is the flag
+``--key=value``, an underscore read as a dash, and a value reads by its type
+(``none``, ``true``, commas between tuple items); a bad one is the config
+fault ``argument --flag: <reason>``. ``--config FILE`` puts the file's flags
+ahead of the command line's, which override them. train, evaluate and sweep
+have a flag per ``ExperimentConfig`` field, named after it, plus ``--m`` and
+``--seed``, which set several. Each run is logged to ``<out>.config``: the
+resolved config's fields, if any, then its other flags but ``--out``, keys
+written with underscores (dashes read too), so that ``--config <out>.config
+--out <new>`` replays it bit for bit, wall times aside. Every file a run
+writes is named after ``--out``: ``cbe`` writes its report to
+``<out>.stats.tsv``, and ``train`` the hash matrices to ``<out>.hash-in`` and
+``<out>.hash-out`` (the identity for the baseline), which ``evaluate`` reads
+next to ``--model``. One loader reads every artifact file and hands its bytes
+to the format's parser; a fault in either step is the data fault ``cannot
+load <what> <path>: <reason>``.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ def atomic_write(path, payload) -> None:
     """Write text or bytes to `path` via a temp file and rename."""
     path = Path(path)
     mode = "wb" if isinstance(payload, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
     try:
         with os.fdopen(fd, mode) as fh:
             fh.write(payload)
@@ -88,17 +92,16 @@ def _format_value(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-def _log_config(args, cfg: experiment.ExperimentConfig | None = None) -> None:
-    """Write ``<out>.config``: the resolved experiment config's fields, if
-    any, then every other flag set, --out and --config aside."""
+def _config_text(args, cfg: experiment.ExperimentConfig | None) -> str:
+    """The ``<out>.config`` of a run: the resolved experiment config's
+    fields, if any, then every other flag set, --out and --config aside."""
     values = {} if cfg is None else {field: getattr(cfg, field) for field in _FIELDS}
     resolved = () if cfg is None else (*_FIELDS, "m", "seed")
     values.update((key, value) for key, value in vars(args).items()
                   if value is not None
                   and key not in (*resolved, "command", "func", "out", "config"))
-    atomic_write(args.out + ".config", "# bloomemb config\n" + "".join(
-        f"{key}={_format_value(value)}\n" for key, value in values.items()))
-    print(f"config logged to {args.out}.config", file=sys.stderr)
+    return "# bloomemb config\n" + "".join(
+        f"{key}={_format_value(value)}\n" for key, value in values.items())
 
 
 def _load(what: str, path: str, parse, *args):
@@ -109,9 +112,8 @@ def _load(what: str, path: str, parse, *args):
         raise DataError(f"cannot load {what} {path}: {exc}") from None
 
 
-def _write_matrix(path: str, matrix: hashing.HashMatrix, fmt: str) -> None:
-    atomic_write(path, codec.matrix_to_binary(matrix) if fmt == "binary"
-                 else codec.matrix_to_text(matrix))
+# the writer of each --format of build-hash and cbe
+_MATRIX_FORMATS = {"text": codec.matrix_to_text, "binary": codec.matrix_to_binary}
 
 
 # ---------------------------------------------------------------------------
@@ -119,26 +121,22 @@ def _write_matrix(path: str, matrix: hashing.HashMatrix, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_build_hash(args) -> int:
+def cmd_build_hash(args):
     try:
         matrix = hashing.build_hash_matrix(args.d, args.m, args.k, args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _write_matrix(args.out, matrix, args.format)
-    _log_config(args)
-    return 0
+    return None, {"": _MATRIX_FORMATS[args.format](matrix)}, None
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args):
     matrix = _load("hash matrix", args.hash, codec.matrix_from_bytes)
     instances = _load("instances", args.instances, codec.read_instances, matrix.d)
     bits = codec.encode_batch(instances, matrix)
-    atomic_write(args.out, codec.write_bit_vectors(bits))
-    _log_config(args)
-    return 0
+    return None, {"": codec.write_bit_vectors(bits)}, None
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args):
     matrix = _load("hash matrix", args.hash, codec.matrix_from_bytes)
     if (args.probs is None) == (args.embeddings is None):
         raise ConfigError("provide exactly one of --probs or --embeddings")
@@ -154,12 +152,10 @@ def cmd_decode(args) -> int:
             scores, ordering, matrix.d if args.top_n is None else args.top_n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    atomic_write(args.out, codec.write_scores_tsv(ranked, scores))
-    _log_config(args)
-    return 0
+    return None, {"": codec.write_scores_tsv(ranked, scores)}, None
 
 
-def cmd_cbe(args) -> int:
+def cmd_cbe(args):
     matrix = _load("hash matrix", args.hash, codec.matrix_from_bytes)
     instances = _load("instances", args.instances, codec.read_instances, matrix.d)
     if not instances:
@@ -170,11 +166,9 @@ def cmd_cbe(args) -> int:
     except ValueError as exc:
         raise DataError(f"co-occurrence {exc}") from None
     pairs = cbe_mod.threshold_and_order(table)
-    _write_matrix(args.out, cbe_mod.rebuild_hash_matrix(matrix, pairs, args.seed),
-                  args.format)
-    atomic_write(args.out + ".stats.tsv", cbe_mod.stats_report_tsv(stats))
-    _log_config(args)
-    return 0
+    rebuilt = cbe_mod.rebuild_hash_matrix(matrix, pairs, args.seed)
+    return None, {"": _MATRIX_FORMATS[args.format](rebuilt),
+                  ".stats.tsv": cbe_mod.stats_report_tsv(stats)}, None
 
 
 # ---------------------------------------------------------------------------
@@ -200,24 +194,21 @@ def _resolve_config(args) -> experiment.ExperimentConfig:
     return experiment.ExperimentConfig(**changes)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args):
     cfg = _resolve_config(args)
     ds = experiment.load_dataset(cfg)
     h_in, h_out = experiment.build_matrices(cfg, ds)
     net, report = experiment.fit(cfg, ds, h_in, h_out)
-    atomic_write(args.out, trainer.network_to_bytes(net))
-    atomic_write(args.out + ".hash-in", codec.matrix_to_text(h_in))
-    atomic_write(args.out + ".hash-out", codec.matrix_to_text(h_out))
-    lines = ["epoch\tloss\tseconds"]
-    for i, (loss, secs) in enumerate(zip(report.epoch_losses, report.epoch_times)):
-        lines.append(f"{i + 1}\t{loss:.10g}\t{secs:.6g}")
-    atomic_write(args.out + ".report.tsv", "\n".join(lines) + "\n")
-    _log_config(args, cfg)
-    print(f"trained {cfg.epochs} epochs, final loss {report.final_loss:.6g}")
-    return 0
+    epochs = enumerate(zip(report.epoch_losses, report.epoch_times), 1)
+    report_tsv = "epoch\tloss\tseconds\n" + "".join(
+        f"{i}\t{loss:.10g}\t{secs:.6g}\n" for i, (loss, secs) in epochs)
+    return cfg, {"": trainer.network_to_bytes(net),
+                 ".hash-in": codec.matrix_to_text(h_in),
+                 ".hash-out": codec.matrix_to_text(h_out), ".report.tsv": report_tsv}, \
+        f"trained {cfg.epochs} epochs, final loss {report.final_loss:.6g}"
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args):
     cfg = _resolve_config(args)
     net = _load("model", args.model, trainer.network_from_bytes)
     h_in = _load("hash matrix", args.model + ".hash-in", codec.matrix_from_bytes)
@@ -228,23 +219,17 @@ def cmd_evaluate(args) -> int:
                                        measure=cfg.measure, top_n=cfg.top_n)
     print(f"measure={result.measure} score={result.score:.6g} "
           f"n={result.n_evaluated} seconds={result.wall_time:.6g}")
-    if args.out:
-        atomic_write(args.out,
-                     "measure\tscore\tn_evaluated\tseconds\n"
+    return cfg, {"": "measure\tscore\tn_evaluated\tseconds\n"
                      f"{result.measure}\t{result.score:.10g}"
-                     f"\t{result.n_evaluated}\t{result.wall_time:.6g}\n")
-        _log_config(args, cfg)
-    return 0
+                     f"\t{result.n_evaluated}\t{result.wall_time:.6g}\n"}, None
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     cfg = _resolve_config(args)
     rows = experiment.run_sweep(cfg, args.m_ratios, args.k_values, args.seeds,
                                 parallel=args.parallel)
-    atomic_write(args.out, experiment.sweep_rows_tsv(rows))
-    _log_config(args, cfg)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    return cfg, {"": experiment.sweep_rows_tsv(rows)}, \
+        f"wrote {len(rows)} rows to {args.out}"
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("text", "binary"), default="text")
+    p.add_argument("--format", choices=_MATRIX_FORMATS, default="text")
     p.add_argument("--out", required=True)
 
     p = add_parser("encode", cmd_encode, "embed an instance file")
@@ -310,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hash", required=True)
     p.add_argument("--instances", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("text", "binary"), default="text")
+    p.add_argument("--format", choices=_MATRIX_FORMATS, default="text")
     p.add_argument("--out", required=True)
 
     p = add_parser("train", cmd_train, "train the feed-forward model")
@@ -365,7 +350,15 @@ def _with_config(argv: list[str] | None) -> list[str] | None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_with_config(argv))
-        return args.func(args)
+        cfg, outputs, summary = args.func(args)
+        if args.out is not None:  # every command but evaluate requires it
+            outputs[".config"] = _config_text(args, cfg)
+            for suffix, payload in outputs.items():
+                atomic_write(args.out + suffix, payload)
+            print(f"config logged to {args.out}.config", file=sys.stderr)
+        if summary is not None:
+            print(summary)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

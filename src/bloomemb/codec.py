@@ -385,6 +385,8 @@ def _from_text(data: bytes | str) -> HashMatrix:
             raise ValueError(f"{len(row)} indices, expected {k}")
         if row and (min(row) < 1 or max(row) > m):
             raise ValueError(f"projection indices must lie in [1, {m}]")
+        if len(set(row)) != len(row):
+            raise ValueError("repeated index within a row")
         return row or None
 
     rows = _parse_lines(lines[1:], parse)

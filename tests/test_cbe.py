@@ -244,3 +244,12 @@ class TestStats:
         table = count_cooccurrences(insts(1, {1}))
         with pytest.raises(ValueError):
             cooccurrence_stats(table, n=1)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: count_cooccurrences([]), "^need at least one instance$"),
+    (lambda: cooccurrence_stats(count_cooccurrences(insts(3, {1, 2})), n=0),
+     "^instance count n must be >= 1, got 0$")], ids=["no-instances", "n-0"])
+def test_empty_input_is_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

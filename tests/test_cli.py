@@ -276,6 +276,12 @@ UNREADABLE = {
         "encode", "--hash", bad, "--instances", f["instances"]]),
     "hash-index-above-m": ("hash matrix", b"2 2 1 0\n1\n5\n", lambda f, bad: [
         "encode", "--hash", bad, "--instances", f["instances"]]),
+    "hash-row-wrong-length": ("hash matrix", b"3 3 2 0\n1 2\n3\n2 1\n",
+                              lambda f, bad: ["encode", "--hash", bad,
+                                              "--instances", f["instances"]]),
+    "hash-repeated-index": ("hash matrix", b"3 3 2 0\n1 2\n3 3\n2 1\n",
+                            lambda f, bad: ["encode", "--hash", bad,
+                                            "--instances", f["instances"]]),
     "instance-not-integer": ("instances", b"1 2\n1 x\n", lambda f, bad: [
         "encode", "--hash", f["hash"], "--instances", bad]),
     "instance-beyond-int32": ("instances", b"1 99999999999\n", lambda f, bad: [
@@ -310,6 +316,8 @@ UNREADABLE_REASONS = {
     "hash-huge-k": "line 1: cannot draw 100000000000000 distinct indices from {1..3}",
     "hash-header-not-integer": "line 1: invalid literal for int() with base 10: 'x'",
     "hash-index-above-m": "line 3: projection indices must lie in [1, 2]",
+    "hash-row-wrong-length": "line 3: 1 indices, expected 2",
+    "hash-repeated-index": "line 3: repeated index within a row",
     "embedding-wrong-width": "line 1: expected 16 characters of 0/1",
     "embedding-not-utf8": "line 2: not UTF-8 text (byte 7)",
     "model-oversized-layers": "checkpoint size does not match layer sizes",
@@ -343,6 +351,48 @@ def test_unreadable_artifact_fault_names_its_reason(tmp_path, capsys, simple_inp
                      "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"data error: cannot load {what} {bad}: {UNREADABLE_REASONS[case]}"]
+
+
+# id: (exit code, the one stderr line, the run given simple_inputs and the
+# path of an empty file); each fault is found before any file is written
+SIMPLE_FAULTS = {
+    "decode-probs-and-embeddings": (
+        2, "config error: provide exactly one of --probs or --embeddings",
+        lambda f, empty: ["decode", "--hash", f["hash"], "--probs", f["probs"],
+                          "--embeddings", f["bits"]]),
+    "decode-neither-probs-nor-embeddings": (
+        2, "config error: provide exactly one of --probs or --embeddings",
+        lambda f, empty: ["decode", "--hash", f["hash"]]),
+    "decode-mode-foo": (
+        2, "config error: decode mode must be likelihood or nll, got 'foo'",
+        lambda f, empty: ["decode", "--hash", f["hash"], "--embeddings", f["bits"],
+                          "--decode", "foo"]),
+    "decode-top-n-0": (
+        2, "config error: top_n 0 out of range [1, 40]",
+        lambda f, empty: ["decode", "--hash", f["hash"], "--embeddings", f["bits"],
+                          "--top-n", "0"]),
+    "decode-top-n-above-d": (
+        2, "config error: top_n 41 out of range [1, 40]",
+        lambda f, empty: ["decode", "--hash", f["hash"], "--embeddings", f["bits"],
+                          "--top-n", "41"]),
+    "cbe-empty-instance-file": (
+        1, "data error: instance file is empty",
+        lambda f, empty: ["cbe", "--hash", f["hash"], "--instances", empty]),
+}
+
+
+@pytest.mark.parametrize("code,line,run", SIMPLE_FAULTS.values(), ids=SIMPLE_FAULTS)
+def test_simple_command_fault_is_one_line_and_writes_nothing(tmp_path, capsys,
+                                                             simple_inputs, code,
+                                                             line, run):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert cli.main([*run(simple_inputs, str(empty)),
+                     "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_cbe_on_one_item_is_one_data_fault_line(tmp_path, capsys):
@@ -578,6 +628,8 @@ CONFIG_FAULTS = {
     "n-clusters-0": ["train", "--n-clusters", "0"],
     "d-1": ["train", "--d", "1"],
     "noise-2": ["train", "--noise", "2"],
+    "profile-size-min-1": ["train", "--profile-size-min", "1"],
+    "profile-size-max-above-d": ["train", "--profile-size-max", "201"],
     "file-optimizer": ["train", "--config", "optimizer=foo"],
     "file-beta1": ["train", "--config", "beta1=1.5"],
     "sweep-batch-size-0": ["sweep", "--batch-size", "0", "--m-ratios", "0.2",
@@ -607,6 +659,8 @@ FAULT_TEXTS = {
     "init-seed-negative": "init_seed must be >= 0, got -2",
     "clip-norm-negative": "clip_norm must be None or > 0, got -1.0",
     "momentum-nan": "momentum must lie in [0, 1), got nan",
+    "profile-size-min-1": "profile sizes must satisfy 2 <= min <= max",
+    "profile-size-max-above-d": "profile size 201 exceeds d=200",
     "rating-threshold-nan": "rating_threshold must not be NaN, got nan",
     "unknown-flag": "unrecognized arguments: --bogus 1",
     "file-no-equals": "line 2: expected key=value, got 'batch_size'",

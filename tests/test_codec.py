@@ -184,6 +184,28 @@ class TestEncode:
         grown = encode_items(40, items | {extra}, matrix)
         assert (grown >= base).all()
 
+    def test_false_positive_rate_meets_the_bloom_formula(self):
+        # (1 - e^{-kc/m})^k (Bloom, CACM 1970) is the chance that an absent
+        # item's k bits are all set by c present items. The probes of one
+        # instance share its bits, so the unit of the bound is an instance:
+        # the mean of the per-instance rates, each instance with its own
+        # matrix and items, lies within 5 standard errors of the formula.
+        # The exact rate for k distinct bits per row, about 0.01177 here,
+        # lies 0.4% below the formula's 0.01181, far inside the bound.
+        d, m, k, c, trials = 5000, 1000, 4, 100, 200
+        rng = np.random.default_rng(5)
+        rates = []
+        for seed in range(trials):
+            matrix = build_hash_matrix(d, m, k, seed)
+            items = rng.choice(d, size=c, replace=False) + 1
+            bits = encode_batch([SparseInstance.from_items(d, items)], matrix)[0]
+            reported = bits[matrix.rows - 1].all(axis=1)
+            assert reported[items - 1].all()  # no present item is missed
+            rates.append((reported.sum() - c) / (d - c))
+        expected = (1 - math.exp(-k * c / m)) ** k
+        error = 5 * np.std(rates, ddof=1) / math.sqrt(trials)
+        assert abs(np.mean(rates) - expected) < error
+
     def test_popcount_bound(self):
         matrix = build_hash_matrix(d=100, m=29, k=3, seed=1)
         u = encode_items(100, range(1, 12), matrix)

@@ -121,6 +121,17 @@ def test_both_splits_share_one_packed_array(build):
                                                      split.targets.starts, split.targets.sizes)]
 
 
+def test_one_item_clusters_top_profiles_up_to_two_items():
+    # each of the 4 clusters holds one item, so every draw from a profile's
+    # cluster repeats and the size-2 profile is topped up from all d items
+    ds = generate_synthetic(SyntheticSpec(d=4, n=3, n_clusters=4, noise=0.0,
+                                          profile_size_min=2, profile_size_max=2))
+    assert ds.n == 3
+    for split in (ds.train, ds.test):
+        assert (split.inputs.sizes + split.targets.sizes == 2).all()
+        assert all(not set(inp.positions) & set(out.positions) for inp, out in split)
+
+
 def test_a_run_holds_no_instance_objects():
     # the splits stay packed from set-up to evaluation; built as instance
     # objects, this dataset alone would hold 80 of them

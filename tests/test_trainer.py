@@ -336,13 +336,19 @@ class TestTrain:
         for p, b in zip(net.parameters(), before):
             assert np.array_equal(p, b)
 
-    @pytest.mark.parametrize("batch_size", [0, -5])
-    def test_rejects_batch_size_below_one(self, batch_size):
-        dataset = tiny_dataset(np.random.default_rng(13))
+    @pytest.mark.parametrize("n,epochs,batch_size,message", [
+        (60, 1, 0, "^batch_size must be >= 1, got 0$"),
+        (60, 1, -5, "^batch_size must be >= 1, got -5$"),
+        (60, -1, 128, "^epochs must be >= 0$"),
+        (0, 1, 128, "^the split holds no profiles$")],
+        ids=["batch-size-0", "batch-size--5", "epochs--1", "empty-split"])
+    def test_rejects_bad_arguments_leaving_the_network(self, n, epochs, batch_size,
+                                                       message):
+        dataset = tiny_dataset(np.random.default_rng(13), n=n)
         net = small_net((20, 5, 20), seed=6)
         before = [p.copy() for p in net.parameters()]
-        with pytest.raises(ValueError, match="batch_size"):
-            train(net, dataset, None, None, OptimizerSpec("adam"), epochs=1,
+        with pytest.raises(ValueError, match=message):
+            train(net, dataset, None, None, OptimizerSpec("adam"), epochs=epochs,
                   batch_size=batch_size)
         for p, b in zip(net.parameters(), before):
             assert np.array_equal(p, b)
