@@ -23,8 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .codec import PackedInstances, SparseInstance
-from .hashing import HashMatrix
-from .rng import MASK64, SplitMix64
+from .hashing import HashMatrix, SplitMix64
 
 logger = logging.getLogger(__name__)
 
@@ -107,7 +106,7 @@ def rebuild_hash_matrix(matrix: HashMatrix, pairs: np.ndarray,
     skipped with a warning.
     """
     m, k = matrix.m, matrix.k
-    stream = SplitMix64(seed & MASK64)
+    stream = SplitMix64(seed)
     pairs = np.asarray(pairs)
     if pairs.size and (pairs.shape[1:] != (2,) or pairs.dtype.kind not in "iu"):
         raise ValueError(f"pairs must be an (n, 2) array of integers, got "

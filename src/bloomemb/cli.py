@@ -137,9 +137,9 @@ def cmd_encode(args):
 
 
 def cmd_decode(args):
-    matrix = _load("hash matrix", args.hash, codec.matrix_from_bytes)
     if (args.probs is None) == (args.embeddings is None):
         raise ConfigError("provide exactly one of --probs or --embeddings")
+    matrix = _load("hash matrix", args.hash, codec.matrix_from_bytes)
     if args.probs is not None:
         probs = _load("probabilities", args.probs, codec.read_probabilities,
                       matrix.m)
@@ -217,11 +217,11 @@ def cmd_evaluate(args):
     result = experiment.evaluate_model(net, ds.test_profiles(), h_in, h_out,
                                        decode_mode=cfg.decode_mode,
                                        measure=cfg.measure, top_n=cfg.top_n)
-    print(f"measure={result.measure} score={result.score:.6g} "
-          f"n={result.n_evaluated} seconds={result.wall_time:.6g}")
     return cfg, {"": "measure\tscore\tn_evaluated\tseconds\n"
                      f"{result.measure}\t{result.score:.10g}"
-                     f"\t{result.n_evaluated}\t{result.wall_time:.6g}\n"}, None
+                     f"\t{result.n_evaluated}\t{result.wall_time:.6g}\n"}, \
+        (f"measure={result.measure} score={result.score:.6g} "
+         f"n={result.n_evaluated} seconds={result.wall_time:.6g}")
 
 
 def cmd_sweep(args):
@@ -350,6 +350,8 @@ def _with_config(argv: list[str] | None) -> list[str] | None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_with_config(argv))
+        if args.out == "":
+            raise ConfigError("argument --out: expected a file path, got ''")
         cfg, outputs, summary = args.func(args)
         if args.out is not None:  # every command but evaluate requires it
             outputs[".config"] = _config_text(args, cfg)

@@ -14,10 +14,12 @@ line) in one of two formats:
   Every row carries a timestamp or none does; a mixed file is a fault.
   Profiles come in sorted user-id order, their items in timestamp order
   (stable; file order breaks ties and orders a file without timestamps).
-  A NaN timestamp or rating is a fault. With a rating column,
-  ``rating_threshold`` keeps rows with rating >= threshold.
+  A NaN timestamp or rating is a fault.
 * profiles — one profile per line: space-separated item ids in temporal
   order.
+
+``rating_threshold`` keeps rows with rating >= threshold. It needs a rating
+column, so it is a fault on a profiles file or on triples without ratings.
 
 Loading works on whole arrays: rows become profile and item codes (indices
 among the sorted distinct tokens), which de-duplication, both filters and
@@ -103,8 +105,9 @@ def _sorted_codes(tokens: list[str]) -> tuple[np.ndarray, int]:
 
 
 def _parse_triples(tokens: list[list[str]], rating_threshold: float | None,
-                   fmt: str) -> tuple[np.ndarray, list[str]]:
-    """User codes and items of the kept rows, by user, then timestamp."""
+                   fmt: str) -> tuple[np.ndarray, list[str], bool]:
+    """User codes and items of the kept rows, by user, then timestamp, and
+    whether any row has a rating."""
     users, items, stamps = [], [], []
     saw_rating = False
     first = None  # (line, has a timestamp) of the first row
@@ -133,11 +136,9 @@ def _parse_triples(tokens: list[list[str]], rating_threshold: float | None,
         users.append(parts[0])
         items.append(parts[1])
         stamps.append(ts)
-    if rating_threshold is not None and not saw_rating:
-        raise DataError("rating_threshold given but the file has no rating column")
     user, _ = _sorted_codes(users)
     order = np.lexsort((np.array(stamps), user))  # stable: file order breaks ties
-    return user[order], [items[i] for i in order.tolist()]
+    return user[order], [items[i] for i in order.tolist()], saw_rating
 
 
 def _read_text(source) -> str:
@@ -172,12 +173,14 @@ def load_profiles(source,
         read_as = ("triples" if repeats and all(2 <= len(p) <= 4 for p in rows)
                    else "profiles")
     if read_as == "triples":
-        prof, items = _parse_triples(tokens, rating_threshold, fmt)
+        prof, items, rated = _parse_triples(tokens, rating_threshold, fmt)
     elif read_as == "profiles":
         prof = np.repeat(np.arange(len(rows)), [len(p) for p in rows])
-        items = [it for p in rows for it in p]
+        items, rated = [it for p in rows for it in p], False
     else:
         raise DataError(f"unknown format {fmt!r}")
+    if rating_threshold is not None and not rated:
+        raise DataError("rating_threshold given but the file has no rating column")
     code, n_items = _sorted_codes(items)
 
     # first (earliest) occurrence of each item in its profile

@@ -2,12 +2,25 @@
 
 A hash matrix is a pre-computed d x k table whose rows are drawn uniformly
 at random without replacement from {1..m}, so the k projections of an item
-are pairwise distinct. Rows are stored in RAM and looked up in O(1). All
-randomness comes from the SplitMix64 streams in :mod:`bloomemb.rng`, so
-matrices are bit-reproducible across platforms for a fixed seed. Every row
-has its own stream, and the rows of all d items are drawn at once: the
-streams advance together in uint64 arrays. The matrix file formats live in
-:mod:`bloomemb.codec`.
+are pairwise distinct. Rows are stored in RAM and looked up in O(1). The
+matrix file formats live in :mod:`bloomemb.codec`.
+
+Matrices must be bit-reproducible across platforms and interpreter builds,
+so all randomness on this path comes from SplitMix64 (Steele, Lea & Flood,
+OOPSLA 2014): a 64-bit counter advanced by the golden gamma, finalized with
+a two-round multiply-xorshift mix. The platform default RNG is not used.
+
+* ``mix64(z)`` is the SplitMix64 finalizer; it is a bijection on 64-bit
+  words and mixes a Python int or, elementwise, a uint64 array.
+* A *stream* seeded with ``s`` emits ``mix64(s + GOLDEN_GAMMA)``,
+  ``mix64(s + 2*GOLDEN_GAMMA)``, ...
+* Row ``i`` (0-based) of a matrix with seed ``s`` uses its own stream,
+  seeded with ``mix64(s + (i + 1) * GOLDEN_GAMMA)``, so every row is a pure
+  function of ``(m, k, seed, i)``. :func:`build_hash_matrix` advances the
+  streams of all d rows at once, as uint64 arrays.
+* :class:`SplitMix64` is one stream over Python integers. Only the CBE
+  rebuild draws from it, one pair after another.
+* Bounded draws use bitmask rejection, which is exactly uniform.
 """
 
 from __future__ import annotations
@@ -15,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .rng import GOLDEN_GAMMA, MASK64, mix64
 
 
 def _check_dims(d: int, m: int = 1, k: int = 1) -> None:
@@ -70,6 +81,47 @@ class HashMatrix:
                 and np.array_equal(self.rows, other.rows))
 
 
+MASK64 = (1 << 64) - 1
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+MIX_MULT_1 = 0xBF58476D1CE4E5B9
+MIX_MULT_2 = 0x94D049BB133111EB
+
+
+def mix64(z):
+    """SplitMix64 finalizer: mix a 64-bit word into a well-distributed one.
+
+    `z` is a Python int or a uint64 array, mixed elementwise; array
+    products wrap modulo 2^64, which the masks make explicit for ints.
+    """
+    z = z & MASK64
+    z = ((z ^ (z >> 30)) * MIX_MULT_1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX_MULT_2) & MASK64
+    return z ^ (z >> 31)
+
+
+class SplitMix64:
+    """Sequential SplitMix64 stream over Python integers."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, seed: int):
+        self._state = seed & MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + GOLDEN_GAMMA) & MASK64
+        return mix64(self._state)
+
+    def randbelow(self, n: int) -> int:
+        """Uniform integer in [0, n), exact via bitmask rejection."""
+        if n <= 0:
+            raise ValueError(f"randbelow needs n >= 1, got {n}")
+        mask = (1 << (n - 1).bit_length()) - 1
+        while True:
+            v = self.next_u64() & mask
+            if v < n:
+                return v
+
+
 def _pool_values(slots: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
     """Each row's pool value at slot `at`: the value of the latest move
     recorded in that row's columns of `slots` and `values`, else at + 1."""
@@ -82,12 +134,11 @@ def _pool_values(slots: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.nd
 def _build_rows(d: int, m: int, k: int, seed: int) -> np.ndarray:
     """Draw d rows of k distinct indices from {1..m} by partial Fisher-Yates.
 
-    Each row uses its own SplitMix64 stream (see bloomemb.rng) and shuffles
-    the pool 1..m afresh, so a row is a pure function of (m, k, seed, row
-    index). The streams of all rows advance together as uint64 arrays, one
-    pass per projection j, and a pass redraws only the rows whose bounded
-    draw was rejected. The pool is virtual: step j swaps slots j <= t and
-    records only slot t and its new value, as slot j is never read again.
+    Each row shuffles the pool 1..m afresh from its own stream. The streams
+    of all rows advance together, one pass per projection j, and a pass
+    redraws only the rows whose bounded draw was rejected. The pool is
+    virtual: step j swaps slots j <= t and records only slot t and its new
+    value, as slot j is never read again.
     """
     state = mix64(np.arange(1, d + 1, dtype=np.uint64) * GOLDEN_GAMMA + seed)
     draw = np.empty(d, dtype=np.uint64)

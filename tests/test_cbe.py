@@ -10,8 +10,7 @@ from bloomemb.cbe import (CooccurrenceTable, average_item_frequency,
                           rebuild_hash_matrix, stats_report_tsv,
                           threshold_and_order)
 from bloomemb.codec import PackedInstances, SparseInstance
-from bloomemb.hashing import HashMatrix, build_hash_matrix
-from bloomemb.rng import SplitMix64
+from bloomemb.hashing import HashMatrix, SplitMix64, build_hash_matrix
 
 
 def insts(d, *sets):

@@ -363,6 +363,10 @@ SIMPLE_FAULTS = {
     "decode-neither-probs-nor-embeddings": (
         2, "config error: provide exactly one of --probs or --embeddings",
         lambda f, empty: ["decode", "--hash", f["hash"]]),
+    "decode-neither-before-reading-the-hash": (
+        2, "config error: provide exactly one of --probs or --embeddings",
+        lambda f, empty: ["decode", "--hash",
+                          str(Path(empty).with_name("no-such-file"))]),
     "decode-mode-foo": (
         2, "config error: decode mode must be likelihood or nll, got 'foo'",
         lambda f, empty: ["decode", "--hash", f["hash"], "--embeddings", f["bits"],
@@ -539,6 +543,31 @@ def test_entry_point_exit_codes(tmp_path, argv, code):
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("work started before the config was checked")
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_empty_out_is_one_config_error_line_before_any_work(
+        tmp_path, monkeypatch, capsys, simple_inputs, command):
+    run = next(r for r in SIMPLE_RUNS.values() if r(simple_inputs)[0] == command)
+    monkeypatch.chdir(tmp_path)
+    for name in ("load_dataset", "fit", "evaluate_model"):
+        monkeypatch.setattr(experiment, name, _must_not_run)
+    capsys.readouterr()
+    assert cli.main([*run(simple_inputs), "--out", ""]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: argument --out: expected a file path, got ''"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_evaluate_prints_its_score_only_once_written(tmp_path, capsys,
+                                                     simple_inputs):
+    argv = SIMPLE_RUNS["evaluate"](simple_inputs)
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(tmp_path / "missing" / "eval.tsv")]) == 1
+    assert capsys.readouterr().out == ""
+    assert cli.main([*argv, "--out", str(tmp_path / "eval.tsv")]) == 0
+    assert re.fullmatch(r"measure=MAP score=\S+ n=50 seconds=\S+\n",
+                        capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("top_n", ["0", "-3", "201"])

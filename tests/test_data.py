@@ -67,6 +67,16 @@ def test_rating_threshold_without_rating_column_is_a_data_error():
         load("u1 1 1\nu1 2 2\n", rating_threshold=3)
 
 
+# auto reads a file as profiles when no first column repeats
+@pytest.mark.parametrize("fmt,text", [
+    ("profiles", "1 2 3\n4 5 6\n7 8 9\n1 5 9\n"),
+    ("auto", "1 2 3\n4 5 6\n7 8 9\n2 5 9\n")], ids=["profiles", "auto"])
+def test_rating_threshold_on_a_profiles_file_is_a_data_error(fmt, text):
+    with pytest.raises(DataError) as exc:
+        load(text, fmt=fmt, rating_threshold=3)
+    assert str(exc.value) == "rating_threshold given but the file has no rating column"
+
+
 def test_duplicate_items_keep_their_first_occurrence():
     for seed in range(10):
         ds = load("1 2 1 3 2\n", fmt="profiles", seed=seed)
@@ -284,6 +294,8 @@ def reference_load(text, min_item_count=1, min_profile_size=2, fmt="auto",
             by_user.setdefault(user, []).append(item)
         profiles = list(by_user.values())
     elif fmt == "profiles":
+        if rating_threshold is not None:
+            raise DataError("rating_threshold given but the file has no rating column")
         profiles = tokens
     else:
         raise DataError(f"unknown format {fmt!r}")

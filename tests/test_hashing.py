@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bloomemb.codec import matrix_from_bytes, matrix_to_binary, matrix_to_text
-from bloomemb.hashing import (HashMatrix, _build_rows, build_hash_matrix,
-                              identity_hash_matrix)
-from bloomemb.rng import GOLDEN_GAMMA, MASK64, SplitMix64, mix64
+from bloomemb.hashing import (GOLDEN_GAMMA, MASK64, HashMatrix, SplitMix64,
+                              _build_rows, build_hash_matrix,
+                              identity_hash_matrix, mix64)
 
 
 def row_stream_seed(seed, row):

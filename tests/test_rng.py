@@ -4,7 +4,7 @@ import collections
 
 import pytest
 
-from bloomemb.rng import GOLDEN_GAMMA, SplitMix64, mix64
+from bloomemb.hashing import GOLDEN_GAMMA, SplitMix64, mix64
 
 
 def test_stream_matches_reference_vectors():
