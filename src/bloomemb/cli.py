@@ -46,18 +46,28 @@ from .experiment import ConfigError
 
 
 def atomic_write(path, payload) -> None:
-    """Write text or bytes to `path` via a temp file and rename."""
+    """Write text or bytes to `path` via a temp file and rename; a fault is
+    an OSError that names `path`, and leaves no temp file."""
     path = Path(path)
     mode = "wb" if isinstance(payload, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
         with os.fdopen(fd, mode) as fh:
             fh.write(payload)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+
+
+def _out_path(text: str) -> str:
+    """The argparse type of --out: any path but the empty one."""
+    if not text:
+        raise argparse.ArgumentTypeError(f"expected a file path, got {text!r}")
+    return text
 
 
 def _flag(key: str) -> str:
@@ -267,6 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="replay a .config file: each key=value "
                        "line is the flag --key=value, before the command line's")
+        p.add_argument("--out", type=_out_path, required=name != "evaluate",
+                       help="the output file; any other file adds a suffix to it")
         p.set_defaults(func=func)
         return p
 
@@ -276,12 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=_MATRIX_FORMATS, default="text")
-    p.add_argument("--out", required=True)
 
     p = add_parser("encode", cmd_encode, "embed an instance file")
     p.add_argument("--hash", required=True)
     p.add_argument("--instances", required=True)
-    p.add_argument("--out", required=True)
 
     p = add_parser("decode", cmd_decode, "rank items from probabilities or bits")
     p.add_argument("--hash", required=True)
@@ -289,23 +299,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", help="file with one bit vector per line")
     p.add_argument("--decode", default="likelihood")
     p.add_argument("--top-n", type=int)
-    p.add_argument("--out", required=True)
 
     p = add_parser("cbe", cmd_cbe, "rebuild a hash matrix from co-occurrences")
     p.add_argument("--hash", required=True)
     p.add_argument("--instances", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=_MATRIX_FORMATS, default="text")
-    p.add_argument("--out", required=True)
 
     p = add_parser("train", cmd_train, "train the feed-forward model")
     _add_experiment_flags(p)
-    p.add_argument("--out", required=True, help="model checkpoint path")
 
     p = add_parser("evaluate", cmd_evaluate, "evaluate a trained model")
     _add_experiment_flags(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--out")
 
     p = add_parser("sweep", cmd_sweep, "run a (k, m/d, seed) grid with baselines")
     _add_experiment_flags(p)
@@ -316,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default=(0,), help="comma-separated seeds, one cell "
                    "per seed", type=functools.partial(_parse_value, tuple[int, ...]))
     p.add_argument("--parallel", type=int, default=1)
-    p.add_argument("--out", required=True)
 
     return parser
 
@@ -326,7 +331,7 @@ def _with_config(argv: list[str] | None) -> list[str] | None:
     each ``key=value`` line of FILE, put right after the subcommand, so that
     the command line's own flags override them. A line whose first non-blank
     character is ``#`` is a comment; a ``#`` anywhere else is part of the
-    value, as in a path."""
+    value, as in a path. A ``config`` line is a fault."""
     pre = _Parser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, rest = pre.parse_known_args(argv)
@@ -343,15 +348,16 @@ def _with_config(argv: list[str] | None) -> list[str] | None:
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
             key, _, value = line.partition("=")
-            flags.append(f"{_flag(key.strip())}={value.strip()}")
+            flag = _flag(key.strip())
+            if flag == "--config":
+                raise ConfigError(f"line {lineno}: config files do not nest, got {raw!r}")
+            flags.append(f"{flag}={value.strip()}")
     return [*rest[:1], *flags, *rest[1:]]
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_with_config(argv))
-        if args.out == "":
-            raise ConfigError("argument --out: expected a file path, got ''")
         cfg, outputs, summary = args.func(args)
         if args.out is not None:  # every command but evaluate requires it
             outputs[".config"] = _config_text(args, cfg)

@@ -77,6 +77,8 @@ def _split_dataset(d: int, cuts: np.ndarray, ends: np.ndarray, items: np.ndarray
                    test_size: float, rng: np.random.Generator) -> ProfileDataset:
     """Profile i of `items` ends at ends[i], its target starts at cuts[i]; each
     side is sorted, and `rng` holds out round(n * test_size) profiles."""
+    if not 0 <= test_size <= 1:
+        raise ValueError(f"test_size must lie in [0, 1], got {test_size}")
     n = len(ends)
     # side 2i is profile i's input, side 2i + 1 its target
     bounds = np.zeros(2 * n + 1, dtype=np.int64)
@@ -87,8 +89,7 @@ def _split_dataset(d: int, cuts: np.ndarray, ends: np.ndarray, items: np.ndarray
     flat.setflags(write=False)
     sides = PackedInstances(d, flat, bounds[:-1], sizes)
     held = np.zeros(n, dtype=bool)
-    held[rng.choice(n, size=max(0, min(int(round(n * test_size)), n)),
-                    replace=False)] = True
+    held[rng.choice(n, size=int(round(n * test_size)), replace=False)] = True
     return ProfileDataset(d, *(PackedPairs(sides[0::2][rows], sides[1::2][rows])
                                for rows in (~held, held)))
 

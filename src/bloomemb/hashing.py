@@ -122,28 +122,20 @@ class SplitMix64:
                 return v
 
 
-def _pool_values(slots: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Each row's pool value at slot `at`: the value of the latest move
-    recorded in that row's columns of `slots` and `values`, else at + 1."""
-    out = at + 1
-    for col in range(slots.shape[1]):  # later moves overwrite earlier ones
-        np.copyto(out, values[:, col], where=slots[:, col] == at)
-    return out
-
-
 def _build_rows(d: int, m: int, k: int, seed: int) -> np.ndarray:
     """Draw d rows of k distinct indices from {1..m} by partial Fisher-Yates.
 
     Each row shuffles the pool 1..m afresh from its own stream. The streams
     of all rows advance together, one pass per projection j, and a pass
-    redraws only the rows whose bounded draw was rejected. The pool is
-    virtual: step j swaps slots j <= t and records only slot t and its new
-    value, as slot j is never read again.
+    redraws only the rows whose bounded draw was rejected. Step j swaps
+    slots j and t_j >= j and outputs the value now at t_j. Only the drawn
+    slots are recorded: walking back over steps i = j-1 .. 0, the value at
+    a slot equal to t_i came from slot i, and a slot no step drew still
+    holds its own number.
     """
     state = mix64(np.arange(1, d + 1, dtype=np.uint64) * GOLDEN_GAMMA + seed)
     draw = np.empty(d, dtype=np.uint64)
-    slots = np.empty((d, k), dtype=np.int64)
-    values = np.empty((d, k), dtype=np.int64)
+    drawn = np.empty((k, d), dtype=np.int64)  # row i: t_i of every row, contiguous
     out = np.empty((d, k), dtype=np.int32)
     for j in range(k):
         n = m - j
@@ -153,10 +145,10 @@ def _build_rows(d: int, m: int, k: int, seed: int) -> np.ndarray:
             state[pending] += GOLDEN_GAMMA
             draw[pending] = mix64(state[pending]) & mask
             pending = pending[draw[pending] >= n]
-        t = draw.astype(np.int64) + j
-        out[:, j] = _pool_values(slots[:, :j], values[:, :j], t)
-        values[:, j] = _pool_values(slots[:, :j], values[:, :j], np.full(d, j))
-        slots[:, j] = t
+        drawn[j] = at = draw.astype(np.int64) + j
+        for i in range(j - 1, -1, -1):
+            np.copyto(at, i, where=drawn[i] == at)
+        out[:, j] = at + 1
     return out
 
 

@@ -49,6 +49,7 @@ from .hashing import HashMatrix, identity_hash_matrix
 
 _CHECKPOINT_MAGIC = b"BENC"
 _LOSS_EPS = 1e-12
+_ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,6 @@ class OptimizerSpec:
     momentum: float = 0.9
     beta1: float = 0.9
     beta2: float = 0.999
-    epsilon: float = 1e-8
     clip_norm: float | None = None
 
     def __post_init__(self):
@@ -293,7 +293,7 @@ def _apply_update(net: Network, grads: list[np.ndarray],
             np.divide(m, 1 - b1 ** t, out=u)
             np.divide(v, 1 - b2 ** t, out=g)
             np.sqrt(g, out=g)
-            g += spec.epsilon
+            g += _ADAM_EPS
             np.multiply(lr, u, out=u)
             u /= g
             p -= u
@@ -459,7 +459,7 @@ def network_to_bytes(net: Network) -> bytes:
                      *(p.astype("<f4").tobytes() for p in net.parameters())])
 
 
-def network_from_bytes(data: bytes, dtype=np.float32) -> Network:
+def network_from_bytes(data: bytes) -> Network:
     if data[:4] != _CHECKPOINT_MAGIC:
         raise ValueError("not a network checkpoint (bad magic)")
     (count,) = np.frombuffer(data, dtype="<u4", count=1, offset=4).tolist()
@@ -475,7 +475,7 @@ def network_from_bytes(data: bytes, dtype=np.float32) -> Network:
         offset += w.nbytes
         b = np.frombuffer(data, dtype="<f4", count=fan_out, offset=offset)
         offset += b.nbytes
-        weights.append(w.astype(dtype))
-        biases.append(b.astype(dtype))
+        weights.append(w.astype(np.float32))
+        biases.append(b.astype(np.float32))
     spec = NetworkSpec(layer_sizes=tuple(int(s) for s in sizes))
-    return Network(spec, weights, biases, dtype=dtype)
+    return Network(spec, weights, biases)

@@ -252,3 +252,20 @@ class TestStats:
 def test_empty_input_is_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"d": 0}, "^d must be >= 1, got 0$"),
+    ({"diag": np.ones(3, dtype=np.int64)}, "^diagonal length must equal d$"),
+    ({"values": np.ones(2, dtype=np.int64)},
+     "^coordinate lists must have equal length$"),
+    ({"rows": np.array([1], dtype=np.int32), "cols": np.array([2], dtype=np.int32)},
+     "^coordinates must lie in the strict lower triangle$")],
+    ids=["d-0", "short-diagonal", "uneven-lists", "upper-triangle"])
+def test_malformed_table_is_rejected(changes, message):
+    fields = {"d": 4, "diag": np.ones(4, dtype=np.int64),
+              "values": np.ones(1, dtype=np.int64),
+              "rows": np.array([2], dtype=np.int32), "cols": np.array([1], dtype=np.int32)}
+    CooccurrenceTable(**fields)
+    with pytest.raises(ValueError, match=message):
+        CooccurrenceTable(**{**fields, **changes})

@@ -282,6 +282,11 @@ UNREADABLE = {
     "hash-repeated-index": ("hash matrix", b"3 3 2 0\n1 2\n3 3\n2 1\n",
                             lambda f, bad: ["encode", "--hash", bad,
                                             "--instances", f["instances"]]),
+    # the binary layout of rows [1, 2], [3, 3], [2, 1]
+    "hash-binary-repeated-index": (
+        "hash matrix", b"BEH1" + b"".join(v.to_bytes(4, "little") for v in (3, 3, 2))
+        + bytes(8) + b"".join(v.to_bytes(4, "little") for v in (1, 2, 3, 3, 2, 1)),
+        lambda f, bad: ["encode", "--hash", bad, "--instances", f["instances"]]),
     "instance-not-integer": ("instances", b"1 2\n1 x\n", lambda f, bad: [
         "encode", "--hash", f["hash"], "--instances", bad]),
     "instance-beyond-int32": ("instances", b"1 99999999999\n", lambda f, bad: [
@@ -318,6 +323,7 @@ UNREADABLE_REASONS = {
     "hash-index-above-m": "line 3: projection indices must lie in [1, 2]",
     "hash-row-wrong-length": "line 3: 1 indices, expected 2",
     "hash-repeated-index": "line 3: repeated index within a row",
+    "hash-binary-repeated-index": "repeated index within a row",
     "embedding-wrong-width": "line 1: expected 16 characters of 0/1",
     "embedding-not-utf8": "line 2: not UTF-8 text (byte 7)",
     "model-oversized-layers": "checkpoint size does not match layer sizes",
@@ -382,6 +388,9 @@ SIMPLE_FAULTS = {
     "cbe-empty-instance-file": (
         1, "data error: instance file is empty",
         lambda f, empty: ["cbe", "--hash", f["hash"], "--instances", empty]),
+    "build-hash-k-0": (
+        2, "config error: projection count k must be >= 1, got 0",
+        lambda f, empty: ["build-hash", "--d", "10", "--m", "4", "--k", "0"]),
 }
 
 
@@ -559,6 +568,24 @@ def test_empty_out_is_one_config_error_line_before_any_work(
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("out,reason", [
+    ("outdir", "[Errno 21] Is a directory"),
+    (os.path.join("nodir", "h.txt"), "[Errno 2] No such file or directory")],
+    ids=["out-is-a-directory", "out-in-a-missing-directory"])
+def test_unwritable_out_is_a_data_fault_naming_it(tmp_path, monkeypatch, capsys,
+                                                  out, reason):
+    """The fault names --out, not the temp file the write goes through,
+    and no temp file is left behind."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert cli.main(["build-hash", "--d", "10", "--m", "4", "--k", "2",
+                     "--out", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"data error: {reason}: {out!r}"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_evaluate_prints_its_score_only_once_written(tmp_path, capsys,
                                                      simple_inputs):
     argv = SIMPLE_RUNS["evaluate"](simple_inputs)
@@ -680,6 +707,7 @@ CONFIG_FAULTS = {
     "file-unknown-key": ["train", "--config", "# comment\n\nwidth=3"],
     "file-bad-int": ["train", "--config", "batch_size=two"],
     "file-bad-bool": ["train", "--config", "baseline=maybe"],
+    "file-nested-config": ["train", "--config", "epochs=2\nconfig=does-not-exist.config"],
     "sweep-without-m-ratios": ["sweep", "--k-values", "2"],
 }
 # the start of the fault line, where a test pins it
@@ -696,6 +724,8 @@ FAULT_TEXTS = {
     "file-unknown-key": "unrecognized arguments: --width=3",
     "file-bad-int": "argument --batch-size: invalid literal",
     "file-bad-bool": "argument --baseline: expected a boolean",
+    "file-nested-config": "line 2: config files do not nest, "
+                          "got 'config=does-not-exist.config'",
     "sweep-without-m-ratios": "the following arguments are required: --m-ratios",
 }
 

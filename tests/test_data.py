@@ -15,8 +15,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bloomemb.codec import SparseInstance
-from bloomemb.data import DataError, SyntheticSpec, generate_synthetic, load_profiles
+from bloomemb.codec import PackedInstances, PackedPairs, SparseInstance
+from bloomemb.data import (DataError, ProfileDataset, SyntheticSpec, generate_synthetic,
+                           load_profiles)
 from bloomemb.experiment import (ExperimentConfig, build_matrices, evaluate_model, fit,
                                  load_dataset)
 
@@ -195,6 +196,28 @@ def test_full_size_splits_stay_identical(build, expected):
     ds = build()
     assert (ds.d, len(ds.train), len(ds.test), split_digest(ds.train),
             split_digest(ds.test)) == expected
+
+
+@pytest.mark.parametrize("test_size", [1.5, -1, float("nan")])
+@pytest.mark.parametrize("build", [
+    lambda test_size: load_profiles(io.StringIO("u1 4 2\nu1 2 3\nu2 3 1\nu2 1 2\n"),
+                                    test_size=test_size),
+    lambda test_size: generate_synthetic(SyntheticSpec(d=30, n=40, n_clusters=3,
+                                                       test_size=test_size)),
+], ids=["load_profiles", "generate_synthetic"])
+def test_test_size_outside_the_unit_interval_is_rejected(build, test_size):
+    with pytest.raises(ValueError, match=r"^test_size must lie in \[0, 1\], got "):
+        build(test_size)
+
+
+def test_a_profile_with_an_empty_side_is_rejected():
+    # pair 0 is ([1], [2, 3]); pair 1 is ([], [2, 3])
+    flat = np.array([1, 2, 3], dtype=np.int32)
+    sides = PackedInstances(3, flat, np.array([0, 1, 1, 1]), np.array([1, 2, 0, 2]))
+    pairs = PackedPairs(sides[0::2], sides[1::2])
+    ProfileDataset(3, pairs[:1], pairs[:1])
+    with pytest.raises(ValueError, match="^profile with empty input or output side$"):
+        ProfileDataset(3, pairs[:1], pairs[1:])
 
 
 def test_no_surviving_profile_is_a_data_error():

@@ -20,7 +20,7 @@ def row_stream_seed(seed, row):
 def pool_rows(d, m, k, seed):
     """Partial Fisher-Yates on a shared list pool 1..m whose swaps are
     undone after every row, one row and one sequential stream at a time:
-    the oracle of the all-rows-at-once draw over recorded moves."""
+    the oracle of the all-rows-at-once draw over recorded draws."""
     out = np.empty((d, k), dtype=np.int32)
     pool = list(range(1, m + 1))
     targets = [0] * k
@@ -145,6 +145,11 @@ class TestSerialization:
         with pytest.raises(ValueError, match="integers"):
             # cast to int32, these rows would read [[1], [2], [3]]
             HashMatrix(d=3, m=3, k=1, seed=0, rows=[[1.5], [2.9], [3.0]])
+
+    def test_rows_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^rows shape \(2, 2\) does not match "
+                                             r"header \(3, 2\)$"):
+            HashMatrix(d=3, m=3, k=2, seed=0, rows=np.array([[1, 2], [2, 3]]))
 
     def test_malformed_header_rejected(self):
         with pytest.raises(ValueError):

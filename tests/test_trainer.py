@@ -231,7 +231,7 @@ def _textbook_update(params, grads, first, second, spec, t):
         v += (1 - b2) * g * g
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + spec.epsilon)
+        p -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
 class TestUpdate:
