@@ -4,10 +4,11 @@ Subcommands: build-hash, encode, decode, cbe, train, evaluate, sweep. Each
 parses its flags and calls the library, whose rules it follows. It returns
 its resolved config, if any, the text or bytes of each file it outputs, keyed
 by the suffix the file adds to ``--out``, and a summary line, if any; ``main``
-alone writes those files atomically, then the ``.config``, then prints the
-summary, so a command that fails writes nothing. A fault exits with code 2
-if it is in the configuration, and 1 if it is in the data or a number is not
-finite (``numeric error: <reason>``). This module alone owns the ``.config``
+alone writes those files and the ``.config``, each to a temp file renamed
+into place only once all are written, then prints the summary, so a command
+that fails writes nothing. A fault exits with code 2 if it is in the
+configuration, and 1 if it is in the data or a number is not finite
+(``numeric error: <reason>``). This module alone owns the ``.config``
 grammar, which flags share: a file's line ``key=value`` is the flag
 ``--key=value``, an underscore read as a dash, and a value reads by its type
 (``none``, ``true``, commas between tuple items); a bad one is the config
@@ -29,10 +30,11 @@ load <what> <path>: <reason>``.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
+import secrets
 import sys
-import tempfile
 import types
 import typing
 from pathlib import Path
@@ -45,22 +47,30 @@ from .data import DataError
 from .experiment import ConfigError
 
 
-def atomic_write(path, payload) -> None:
-    """Write text or bytes to `path` via a temp file and rename; a fault is
-    an OSError that names `path`, and leaves no temp file."""
-    path = Path(path)
-    mode = "wb" if isinstance(payload, bytes) else "w"
-    tmp = None
+def write_atomically(files: dict[str, str | bytes]) -> None:
+    """Write each text or bytes payload to a temp file beside its path, then,
+    once all are written and no path is a directory, rename them into place.
+    A fault is an OSError that names the path, and leaves no temp file. The
+    files get the mode that open() gives a new file under the umask."""
+    temps = []
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
-        with os.fdopen(fd, mode) as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
+        for path, payload in files.items():
+            tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            temps.append(tmp)
+            with os.fdopen(fd, "wb" if isinstance(payload, bytes) else "w") as fh:
+                fh.write(payload)
+        for path in files:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for path, tmp in zip(files, temps):
+            os.replace(tmp, path)
     except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise OSError(exc.errno, exc.strerror, path) from None
     finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _out_path(text: str) -> str:
@@ -361,8 +371,8 @@ def main(argv=None) -> int:
         cfg, outputs, summary = args.func(args)
         if args.out is not None:  # every command but evaluate requires it
             outputs[".config"] = _config_text(args, cfg)
-            for suffix, payload in outputs.items():
-                atomic_write(args.out + suffix, payload)
+            write_atomically({args.out + suffix: payload
+                              for suffix, payload in outputs.items()})
             print(f"config logged to {args.out}.config", file=sys.stderr)
         if summary is not None:
             print(summary)

@@ -1,4 +1,4 @@
-"""Dataset ingestion, profile splitting, and synthetic data generation.
+r"""Dataset ingestion, profile splitting, and synthetic data generation.
 
 Profiles are ordered item histories per user. Each profile is split at a
 uniformly random position into a network input (earlier items) and a
@@ -7,8 +7,8 @@ re-indexed densely to 1..d (lexicographic order of the external ids). A
 random share of the profiles is held out once, at build time, as the test
 list; the rest, in file or generation order, is the training list.
 
-Input files are UTF-8 text (a byte that is not UTF-8 is a fault of its
-line) in one of two formats:
+Input files are UTF-8 text (a byte that is not UTF-8, or a NUL byte, is a
+fault of its line) in one of two formats:
 
 * triples — one interaction per line: ``user item [timestamp [rating]]``.
   Every row carries a timestamp or none does; a mixed file is a fault.
@@ -21,12 +21,25 @@ line) in one of two formats:
 ``rating_threshold`` keeps rows with rating >= threshold. It needs a rating
 column, so it is a fault on a profiles file or on triples without ratings.
 
-Loading works on whole arrays: rows become profile and item codes (indices
-among the sorted distinct tokens), which de-duplication, both filters and
-re-indexing act on. The seeded generator draws all cuts in profile order,
-then the held-out profiles; synthetic data draws items and cut per profile
-into one preallocated array. Either way the profiles lie end to end in one
-array, which stays the dataset once each side is sorted: each split is a
+A file is tokenised as bytes, in whole-array passes, into the tokens of
+``str.split`` on the lines of ``str.splitlines``. One 256-entry lookup
+table classes each byte: ``\t \n \x0b \x0c \r \x1c``-``\x1f`` and space
+separate tokens, and ``\n``, ``\r``, ``\r\n``, ``\x0b``, ``\x0c`` and
+``\x1c``-``\x1e`` end a line. Only a file with a byte >= 0x80 is decoded,
+to map str's 19 other whitespace characters (U+0085, U+00A0, U+1680,
+U+2000-U+200A, U+2028, U+2029, U+202F, U+205F, U+3000) to ASCII of their
+kind. Each column that is needed (user, item, or every token of a profiles
+file) is copied into a bytes array as wide as its longest token, or into
+bytes objects where that array would be the larger. Timestamps and ratings
+are cast from such copies as ``float()`` reads them, and the ids' codes are
+their indices among the sorted distinct tokens (UTF-8 byte order is
+code-point order). De-duplication, both filters and re-indexing
+act on those codes.
+
+The seeded generator draws all cuts in profile order, then the held-out
+profiles; synthetic data draws items and cut per profile into one
+preallocated array. Either way the profiles lie end to end in one array,
+which stays the dataset once each side is sorted: each split is a
 :class:`bloomemb.codec.PackedPairs`, a view of its inputs and one of its targets.
 
 Synthetic datasets draw profiles from latent item clusters so that items
@@ -36,8 +49,10 @@ structure and produces nonzero co-occurrence statistics.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,56 +114,144 @@ def _split_dataset(d: int, cuts: np.ndarray, ends: np.ndarray, items: np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _sorted_codes(tokens: list[str]) -> tuple[np.ndarray, int]:
-    """Each token's index among the sorted distinct tokens, and their count."""
-    index = {tok: i for i, tok in enumerate(sorted(set(tokens)))}
-    return np.fromiter(map(index.get, tokens), np.int64, len(tokens)), len(index)
+# what str.split and str.splitlines make of each byte of ASCII text: 0 a token
+# byte, 1 whitespace, 2 a line break (\r\n is one, which _tokenise sees to)
+_BYTE_KIND = np.zeros(256, dtype=np.uint8)
+_BYTE_KIND[list(b"\t\x1f ")] = 1
+_BYTE_KIND[list(b"\n\x0b\x0c\r\x1c\x1d\x1e")] = 2
+# str's non-ASCII whitespace, each as ASCII whitespace of its kind
+_WIDE_SPACES = dict.fromkeys((0xA0, 0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F,
+                              0x3000), " ") | dict.fromkeys((0x85, 0x2028, 0x2029), "\x0c")
+# bytes that a bytes object and its pointer take beyond its contents
+_BYTES_OBJECT = sys.getsizeof(b"") + 8
 
 
-def _parse_triples(tokens: list[list[str]], rating_threshold: float | None,
-                   fmt: str) -> tuple[np.ndarray, list[str], bool]:
-    """User codes and items of the kept rows, by user, then timestamp, and
-    whether any row has a rating."""
-    users, items, stamps = [], [], []
-    saw_rating = False
-    first = None  # (line, has a timestamp) of the first row
-    for lineno, parts in enumerate(tokens, start=1):
-        if not parts:
-            continue
-        if len(parts) < 2 or len(parts) > 4:
-            raise DataError(f"line {lineno}: expected 'user item [timestamp [rating]]'")
-        stamped = len(parts) >= 3
-        first = first or (lineno, stamped)
-        if stamped != first[1]:
-            raise DataError(f"line {lineno}: {'a' if stamped else 'no'} timestamp, unlike "
-                            f"line {first[0]}; as triples (data_format {fmt!r}), "
-                            "every row or none has one")
+class _Tokens(NamedTuple):
+    """Token i of a file is buf[starts[i]:starts[i] + lengths[i]]."""
+
+    buf: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+
+    def column(self, idx) -> np.ndarray:
+        """The tokens `idx` as a fixed-width bytes array or, where that would
+        outgrow a bytes object per token (a few long tokens widen it all),
+        as an array of bytes objects; both sort, unique and cast alike."""
+        starts, lengths = self.starts[idx], self.lengths[idx]
+        width = max(int(lengths.max(initial=0)), 1)
+        if width * len(starts) > _BYTES_OBJECT * len(starts) + lengths.sum():
+            view = memoryview(self.buf)
+            return np.array([bytes(view[a:a + n]) for a, n
+                             in zip(starts.tolist(), lengths.tolist())], dtype=object)
+        grid = np.zeros((len(starts), width), dtype=np.uint8)
+        for j in range(width):
+            has = lengths > j
+            grid[has, j] = self.buf[starts[has] + j]
+        return grid.view(f"S{width}").ravel()
+
+
+def _file_bytes(source) -> bytes:
+    """The bytes of a path, or of what a file-like's read() returns, with
+    str's non-ASCII whitespace made ASCII; a byte that is not UTF-8 is a
+    fault of its line."""
+    data = source.read() if hasattr(source, "read") else Path(source).read_bytes()
+    if not data.isascii():
         try:
-            ts = float(parts[2]) if stamped else 0.0
-            rating = float(parts[3]) if len(parts) == 4 else None
-        except ValueError:
-            raise DataError(f"line {lineno}: non-numeric timestamp or rating") from None
-        if ts != ts or rating != rating:
-            raise DataError(f"line {lineno}: NaN timestamp or rating")
-        if rating is not None:
-            saw_rating = True
-            if rating_threshold is not None and rating < rating_threshold:
-                continue
-        users.append(parts[0])
-        items.append(parts[1])
-        stamps.append(ts)
-    user, _ = _sorted_codes(users)
-    order = np.lexsort((np.array(stamps), user))  # stable: file order breaks ties
-    return user[order], [items[i] for i in order.tolist()], saw_rating
+            data = utf8_text(data).translate(_WIDE_SPACES)
+        except ValueError as exc:
+            raise DataError(f"{source}: {exc}") from None
+    # a lone surrogate in str input keeps its place in code-point order
+    return data.encode(errors="surrogatepass") if isinstance(data, str) else data
 
 
-def _read_text(source) -> str:
-    if hasattr(source, "read"):
-        return source.read()
+def _positions(mask: np.ndarray, dtype) -> np.ndarray:
+    """np.flatnonzero(mask) as `dtype`, found a block at a time, so that no
+    int64 array of all the hits is made."""
+    block = 1 << 16
+    return np.concatenate([np.flatnonzero(mask[i:i + block]).astype(dtype) + i
+                           for i in range(0, max(mask.size, 1), block)])
+
+
+def _tokenise(data: bytes) -> tuple[_Tokens, np.ndarray]:
+    """The tokens of `data`, as str.split finds them, and the first token of
+    each line and past the last, as str.splitlines counts lines (the last
+    line may be empty); a NUL byte is a fault of its line."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    pos = np.int32 if buf.size < 2**31 else np.int64
+    kind = _BYTE_KIND[buf]
+    breaks = _positions(kind == 2, pos)
+    breaks = breaks[(buf[breaks] != ord("\n")) | (buf[breaks - 1] != ord("\r"))
+                    | (breaks == 0)]
+    nul = data.find(b"\0")
+    if nul >= 0:
+        raise DataError(f"line {np.searchsorted(breaks, nul) + 1}: NUL byte")
+    # +1 where a token starts, -1 just past its end
+    edge = np.diff((kind == 0).view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    del kind
+    starts = _positions(edge == 1, pos)
+    lengths = _positions(edge == -1, pos)
+    del edge
+    lengths -= starts
+    lines = np.concatenate(([0], np.searchsorted(starts, breaks), [starts.size]))
+    return _Tokens(buf, starts, lengths), lines.astype(pos)
+
+
+def _codes(column: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each token's index among the sorted distinct tokens, and their count."""
+    distinct, code = np.unique(column, return_inverse=True)
+    return code, len(distinct)
+
+
+def _floats(column: np.ndarray) -> np.ndarray:
+    """float() of each token, up to the first that is not a number."""
     try:
-        return utf8_text(Path(source).read_bytes())
-    except ValueError as exc:
-        raise DataError(f"{source}: {exc}") from None
+        return column.astype(np.float64)
+    except ValueError:  # float() also reads non-ASCII digits
+        values = []
+        for tok in column.tolist():
+            try:
+                values.append(float(tok.decode()))
+            except ValueError:
+                break
+        return np.array(values)
+
+
+def _triples(columns: list[np.ndarray], rows: np.ndarray, width: np.ndarray,
+             rating_threshold: float | None,
+             fmt: str) -> tuple[np.ndarray, np.ndarray, bool]:
+    """User codes and items of the kept rows, by user, then timestamp, and
+    whether any row has a rating. Row r is line rows[r] (0-based) and holds
+    width[r] tokens; columns[j] holds token j of each row that has one. The
+    first row that fails a check, in file order, is the fault."""
+    users, items, stamps, ratings = columns
+    stamps, ratings = _floats(stamps), _floats(ratings)
+    stamped = width >= 3
+    stamp_rows, rating_rows = np.flatnonzero(stamped), np.flatnonzero(width > 3)
+    fault = np.zeros(len(rows), dtype=np.int8)  # the first check a row fails, or 0
+    parsed = ((stamp_rows, stamps), (rating_rows, ratings))
+    for at, values in parsed:
+        fault[at[:len(values)][np.isnan(values)]] = 4
+    for at, values in parsed:  # where parsing stopped, if it did
+        fault[at[len(values):len(values) + 1]] = 3
+    fault[stamped != stamped[:1]] = 2
+    fault[(width < 2) | (width > 4)] = 1
+    bad = np.flatnonzero(fault)
+    if bad.size:
+        row = bad[0]
+        reason = {1: "expected 'user item [timestamp [rating]]'",
+                  2: f"{'a' if stamped[row] else 'no'} timestamp, unlike line "
+                     f"{rows[0] + 1}; as triples (data_format {fmt!r}), every row or "
+                     "none has one",
+                  3: "non-numeric timestamp or rating",
+                  4: "NaN timestamp or rating"}[fault[row]]
+        raise DataError(f"line {rows[row] + 1}: {reason}")
+    keep = np.ones(len(rows), dtype=bool)
+    if rating_threshold is not None:
+        keep[rating_rows[ratings < rating_threshold]] = False
+    user, _ = _codes(users[keep])
+    stamps = stamps[keep] if stamps.size else np.zeros(user.size)
+    order = np.lexsort((stamps, user))  # stable: file order breaks ties
+    return user[order], items[keep][order], rating_rows.size > 0
 
 
 def load_profiles(source,
@@ -165,24 +268,32 @@ def load_profiles(source,
     filtering and de-duplication). Splitting and test selection use a
     generator seeded with `seed`.
     """
-    tokens = [ln.split() for ln in _read_text(source).splitlines()]
-    rows = [p for p in tokens if p]
+    tokens, lines = _tokenise(_file_bytes(source))
+    counts = np.diff(lines)
+    rows = np.flatnonzero(counts)  # the lines that hold a token
+    width, first = counts[rows], lines[rows]  # each row's token count and first token
+    del lines, counts
     read_as = fmt
     if fmt == "auto":
         # triples files repeat the user column; anything else reads as profiles
-        repeats = len({p[0] for p in rows}) < len(rows)
-        read_as = ("triples" if repeats and all(2 <= len(p) <= 4 for p in rows)
-                   else "profiles")
+        repeats = (((width >= 2) & (width <= 4)).all()
+                   and np.unique(tokens.column(first)).size < len(rows))
+        read_as = "triples" if repeats else "profiles"
+    # the token store goes before any sort: only the columns' copies remain
     if read_as == "triples":
-        prof, items, rated = _parse_triples(tokens, rating_threshold, fmt)
+        columns = [tokens.column(first[width > j] + j) for j in range(4)]
+        del tokens, first
+        prof, items, rated = _triples(columns, rows, width, rating_threshold, fmt)
     elif read_as == "profiles":
-        prof = np.repeat(np.arange(len(rows)), [len(p) for p in rows])
-        items, rated = [it for p in rows for it in p], False
+        items, rated = tokens.column(slice(None)), False
+        del tokens, first
+        prof = np.repeat(np.arange(len(rows)), width)
     else:
         raise DataError(f"unknown format {fmt!r}")
     if rating_threshold is not None and not rated:
         raise DataError("rating_threshold given but the file has no rating column")
-    code, n_items = _sorted_codes(items)
+    code, n_items = _codes(items)
+    del items
 
     # first (earliest) occurrence of each item in its profile
     first = np.zeros(code.size, dtype=bool)

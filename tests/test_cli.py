@@ -586,6 +586,40 @@ def test_unwritable_out_is_a_data_fault_naming_it(tmp_path, monkeypatch, capsys,
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_a_failing_write_leaves_no_file(tmp_path, monkeypatch, capsys):
+    """Every output goes to its temp file before any is renamed into place,
+    so a target that is a directory fails the command with no file written,
+    the checkpoint included."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.hash-in").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert cli.main(["train", "--data", "none", "--d", "200", "--n", "500",
+                     "--epochs", "1", "--m", "40", "--out", "m"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: [Errno 21] Is a directory: 'm.hash-in'"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_outputs_get_the_mode_open_gives_under_the_umask(tmp_path, umask):
+    reference = tmp_path / "reference"
+    old = os.umask(umask)
+    try:
+        with open(reference, "w"):
+            pass
+        for argv in (["build-hash", "--d", "10", "--m", "4", "--k", "2"],
+                     ["train", *TINY, "--m", "40"]):
+            assert cli.main([*argv, "--out", str(tmp_path / argv[0])]) == 0
+    finally:
+        os.umask(old)
+    outputs = sorted(p.name for p in tmp_path.iterdir() if p != reference)
+    assert outputs == ["build-hash", "build-hash.config", "train", "train.config",
+                       "train.hash-in", "train.hash-out", "train.report.tsv"]
+    modes = {(tmp_path / name).stat().st_mode for name in outputs}
+    assert modes == {reference.stat().st_mode}
+
+
 def test_evaluate_prints_its_score_only_once_written(tmp_path, capsys,
                                                      simple_inputs):
     argv = SIMPLE_RUNS["evaluate"](simple_inputs)

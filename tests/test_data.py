@@ -404,3 +404,96 @@ def test_load_peak_memory_stays_a_small_multiple_of_the_text(traced_peak):
                    for t in range(20_000))
     peak = traced_peak(load_profiles, io.StringIO(text))
     assert peak < 13 * len(text), peak / len(text)
+
+
+def test_load_peak_memory_stays_a_small_multiple_of_short_token_text(traced_peak):
+    # 20k rows of short user and item ids and a timestamp, the shape of the
+    # Zipf benchmark files; a Python str per token, kept in one list per
+    # line, peaks at about 29 times such a text
+    r = random.Random(0)
+    text = "".join(f"u{r.randrange(2000)} {r.randrange(5000)} {t}\n"
+                   for t in range(20_000))
+    # a first load does the imports that numpy's unique and random generator
+    # make on first use, a fixed cost that would be 6 times this text
+    load_profiles(io.StringIO("u 1 1\nu 2 2\n"))
+    peak = traced_peak(load_profiles, io.StringIO(text))
+    assert peak < 12 * len(text), peak / len(text)
+
+
+def one_long_token_text(fmt: str) -> str:
+    """50k short ids, as 10k profile lines of five or as triples, and one id
+    of 1000 characters."""
+    r = random.Random(0)
+    long_id = "x" * 1000
+    if fmt == "profiles":
+        lines = [" ".join(str(r.randrange(5000)) for _ in range(5)) for _ in range(10_000)]
+        lines[7] += " " + long_id
+    else:
+        lines = [f"u{r.randrange(2000)} {r.randrange(5000)} {t}" for t in range(50_000)]
+        lines[7] = f"u7 {long_id} 7"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["profiles", "triples"])
+def test_one_long_token_loads_in_a_small_multiple_of_the_text(traced_peak, fmt):
+    # with a copy of the ids as wide as the longest, 50k times 1000 bytes,
+    # loading peaks at 660 (profiles) and 260 (triples) times the text; a
+    # Python str per token peaks at 38 and 32 times it
+    text = one_long_token_text(fmt)
+    load_profiles(io.StringIO("1 2\n3 4\n"))  # the one-time imports, as above
+    peak = traced_peak(load_profiles, io.StringIO(text), fmt=fmt)
+    assert peak < 50 * len(text), peak / len(text)
+    assert loaded_lists(text, fmt=fmt) == reference_load(text, fmt=fmt)
+
+
+# ---------------------------------------------------------------------------
+# separators and line numbers as str.split and str.splitlines count them
+# ---------------------------------------------------------------------------
+
+
+SEPARATED = {
+    "crlf": "u1 1 5\r\nu2 2 6\r\nu1 3 7\r\n\r\nu2 1 8\r\n",
+    "lone-cr": "u1 1 5\ru2 2 6\r\ru1 3 7\ru2 1 8",
+    "cr-then-crlf": "u1 1 5\r\r\nu2 2 6\n\ru1 3 7\r\nu2 1 8\n",
+    "tab-vt-ff": "u1\t1\t5\x0bu2 2\t6\x0cu1\x0b3 7\x0c\x0cu2 1 8\n",
+    "file-group-record-unit": "u1\x1f1\x1f5\x1cu2 2 6\x1du1 3 7\x1eu2\x1f1 8\x1e",
+    "nel-nbsp-line-separator": "u1\xa01 5\x85u2 2\xa06 u1 3 7\x85 u2 1 8",
+    "wide-spaces": "u1 1　5\nu2 2 6\nu1 3 7\nu2 1 8\n",
+    "non-ascii-ids": "é 1 5\nü é 6\n日 1 7\né ü 8\n",
+    "non-ascii-digits": "u1 1 ١\nu2 2 ٢\nu1 3 ٠\nu2 1 8\n",
+    "profile-lines": "1 2\t3\r\n4\x0b\x0c5 6\x1c7 8\x859\xa010 \r\n2 　3\n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["auto", "triples", "profiles"])
+@pytest.mark.parametrize("text", SEPARATED.values(), ids=SEPARATED)
+def test_separators_load_as_str_splits_them(text, fmt):
+    kwargs = dict(fmt=fmt, test_size=0.3, seed=3)
+    assert outcome(loaded_lists, text, **kwargs) == outcome(reference_load, text, **kwargs)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("u 1 1\r\nu 2 x\n", "line 2: non-numeric timestamp or rating"),
+    ("u 1 1\r\n\r\nu 2\n", "line 3: no timestamp, unlike line 1; as triples "
+                          "(data_format 'triples'), every row or none has one"),
+    ("u 1 1\x0c\x0cu 2 2 nan\n", "line 3: NaN timestamp or rating"),
+    ("u 1 1\r\r\nu 2 2 3 4 5\n", "line 3: expected 'user item [timestamp [rating]]'"),
+    ("u 1 1 1\x85u 2 x nan\n", "line 2: non-numeric timestamp or rating"),
+    ("u 1 1 1\u2028u 2 2 nan\n", "line 2: NaN timestamp or rating"),
+], ids=["crlf", "crlf-blank", "form-feeds", "cr-then-crlf", "nel", "line-separator"])
+def test_a_fault_after_a_line_break_names_the_line_splitlines_counts(text, message):
+    with pytest.raises(DataError) as exc:
+        load(text, fmt="triples")
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("as_file", [False, True], ids=["text", "file"])
+def test_a_nul_byte_is_a_data_error_naming_its_line(tmp_path, as_file):
+    text = "u1 1 1\r\nu1 2\x00 2\nu1 3 3\n"
+    source = io.StringIO(text)
+    if as_file:
+        source = tmp_path / "data.txt"
+        source.write_bytes(text.encode())
+    with pytest.raises(DataError) as exc:
+        load_profiles(source)
+    assert str(exc.value) == "line 2: NUL byte"
