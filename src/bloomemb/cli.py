@@ -39,8 +39,6 @@ import types
 import typing
 from pathlib import Path
 
-import numpy as np
-
 from . import cbe as cbe_mod
 from . import codec, experiment, hashing, trainer
 from .data import DataError
@@ -160,12 +158,10 @@ def cmd_decode(args):
     if (args.probs is None) == (args.embeddings is None):
         raise ConfigError("provide exactly one of --probs or --embeddings")
     matrix = _load("hash matrix", args.hash, codec.matrix_from_bytes)
-    if args.probs is not None:
-        probs = _load("probabilities", args.probs, codec.read_probabilities,
-                      matrix.m)
-    else:
-        probs = _load("embeddings", args.embeddings, codec.read_bit_vectors,
-                      matrix.m).astype(np.float64)
+    what, path, parse = (
+        ("probabilities", args.probs, codec.read_probabilities) if args.embeddings is None
+        else ("embeddings", args.embeddings, codec.read_bit_vectors))
+    probs = _load(what, path, parse, matrix.m)
     try:  # the decode mode and top_n are checked by the codec
         scores, ordering = codec.decode_batch(probs, matrix, args.decode)
         ranked = codec.rank_batch(

@@ -18,6 +18,13 @@ fault of its line) in one of two formats:
 * profiles — one profile per line: space-separated item ids in temporal
   order.
 
+The ``auto`` format reads a file as triples when every line that holds a
+token holds 2 to 4 of them and some first token repeats, and as profiles
+otherwise. The rule cannot tell every file apart: the four profiles
+``1 2 3``, ``1 4 5``, ``6 7 8`` and ``6 9 10`` read under ``auto`` as
+triples, 2 profiles over d = 4, where ``fmt="profiles"`` reads 4 over
+d = 10. Name the format when a profiles file may look like triples.
+
 ``rating_threshold`` keeps rows with rating >= threshold. It needs a rating
 column, so it is a fault on a profiles file or on triples without ratings.
 
@@ -263,6 +270,10 @@ def load_profiles(source,
                   seed: int = 0) -> ProfileDataset:
     """Load, filter, re-index, and split raw profiles into a dataset.
 
+    `fmt` is "triples", "profiles" or "auto". ``auto`` reads triples when
+    every line that holds a token holds 2 to 4 and some first token repeats,
+    else profiles; a profiles file of short lines that repeat a first item
+    therefore reads as triples (the module docstring gives an example).
     Items appearing in fewer than `min_item_count` profiles are dropped
     first, then profiles shorter than `min_profile_size` (after item
     filtering and de-duplication). Splitting and test selection use a
@@ -334,8 +345,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d < 2 or self.n < 1:
-            raise ValueError("need d >= 2 and n >= 1")
+        if not 2 <= self.d <= 2**31 - 1:  # item ids are stored as int32
+            raise ValueError(f"d must lie in [2, 2**31 - 1], got {self.d}")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
         if not 1 <= self.n_clusters <= self.d:
             raise ValueError("cluster count must lie in [1, d]")
         if not 2 <= self.profile_size_min <= self.profile_size_max:

@@ -121,6 +121,8 @@ class ExperimentConfig:
                 ("data_seed", self.data_seed >= 0, "be >= 0"),
                 ("init_seed", self.init_seed >= 0, "be >= 0"),
                 ("shuffle_seed", self.shuffle_seed >= 0, "be >= 0"),
+                ("m_in", self.baseline or self.m_in >= 1, "be >= 1"),
+                ("m_out", self.baseline or self.m_out >= 1, "be >= 1"),
                 ("k", self.baseline or 1 <= self.k <= m,
                  f"lie in [1, min(m_in, m_out)] = [1, {m}]")):
             if not ok:

@@ -36,7 +36,6 @@ little-endian float32.
 
 from __future__ import annotations
 
-import struct
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -454,28 +453,24 @@ def train(net: Network,
 
 def network_to_bytes(net: Network) -> bytes:
     sizes = net.spec.layer_sizes
-    return b"".join([_CHECKPOINT_MAGIC,
-                     struct.pack(f"<I{len(sizes)}I", len(sizes), *sizes),
+    return b"".join([_CHECKPOINT_MAGIC, np.array([len(sizes), *sizes], "<u4").tobytes(),
                      *(p.astype("<f4").tobytes() for p in net.parameters())])
 
 
 def network_from_bytes(data: bytes) -> Network:
+    """The network a checkpoint holds; its parameters are views of one
+    float32 array, read in one pass and split at the layer sizes."""
     if data[:4] != _CHECKPOINT_MAGIC:
         raise ValueError("not a network checkpoint (bad magic)")
     (count,) = np.frombuffer(data, dtype="<u4", count=1, offset=4).tolist()
-    offset = 8 + 4 * count
     sizes = np.frombuffer(data, dtype="<u4", count=count, offset=8).tolist()
-    params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
-    if offset + 4 * params != len(data):
+    layers = list(zip(sizes, sizes[1:]))
+    # in Python integers: a product of two sizes can wrap in int64
+    if 8 + 4 * (count + sum((i + 1) * o for i, o in layers)) != len(data):
         raise ValueError("checkpoint size does not match layer sizes")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = np.frombuffer(data, dtype="<f4", count=fan_in * fan_out,
-                          offset=offset).reshape(fan_in, fan_out)
-        offset += w.nbytes
-        b = np.frombuffer(data, dtype="<f4", count=fan_out, offset=offset)
-        offset += b.nbytes
-        weights.append(w.astype(np.float32))
-        biases.append(b.astype(np.float32))
-    spec = NetworkSpec(layer_sizes=tuple(int(s) for s in sizes))
-    return Network(spec, weights, biases)
+    spec = NetworkSpec(layer_sizes=sizes)
+    # the size check bounds every prefix sum by the parameter count
+    flat = np.frombuffer(data, dtype="<f4", offset=8 + 4 * count).astype(np.float32)
+    params = np.split(flat, np.cumsum([n for i, o in layers for n in (i * o, o)])[:-1])
+    weights = [w.reshape(shape) for w, shape in zip(params[0::2], layers)]
+    return Network(spec, weights, params[1::2])

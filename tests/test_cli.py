@@ -314,6 +314,14 @@ UNREADABLE = {
     "model-oversized-layers": ("model", b"BENC\2\0\0\0" + b"\xff" * 8,
                                lambda f, bad: ["evaluate", *TINY, "--baseline",
                                                "--model", bad]),
+    # sizes (2**31 - 1, 2**31) take 2**64 bytes of weights, 0 in int64; none given
+    "model-size-wraps-int64": ("model", b"BENC" + np.array([2, 2**31 - 1, 2**31],
+                                                           "<u4").tobytes(),
+                               lambda f, bad: ["evaluate", *TINY, "--baseline",
+                                               "--model", bad]),
+    "model-zero-layer": ("model", b"BENC" + np.array([2, 0, 3], "<u4").tobytes()
+                         + bytes(12), lambda f, bad: ["evaluate", *TINY, "--baseline",
+                                                      "--model", bad]),
 }
 
 # the reason each of these faults gives after "cannot load <what> <path>: "
@@ -327,6 +335,8 @@ UNREADABLE_REASONS = {
     "embedding-wrong-width": "line 1: expected 16 characters of 0/1",
     "embedding-not-utf8": "line 2: not UTF-8 text (byte 7)",
     "model-oversized-layers": "checkpoint size does not match layer sizes",
+    "model-size-wraps-int64": "checkpoint size does not match layer sizes",
+    "model-zero-layer": "all layer sizes must be >= 1, got (0, 3)",
 }
 
 
@@ -717,6 +727,9 @@ CONFIG_FAULTS = {
     "hidden-trailing-comma": ["train", "--hidden", "100,"],
     "n-clusters-0": ["train", "--n-clusters", "0"],
     "d-1": ["train", "--d", "1"],
+    "d-2**31": ["train", "--d", "2147483648"],
+    "d-2**32": ["train", "--d", "4294967296"],
+    "m-out-0": ["train", "--m-in", "40", "--m-out", "0", "--k", "1"],
     "noise-2": ["train", "--noise", "2"],
     "profile-size-min-1": ["train", "--profile-size-min", "1"],
     "profile-size-max-above-d": ["train", "--profile-size-max", "201"],
@@ -746,6 +759,9 @@ CONFIG_FAULTS = {
 }
 # the start of the fault line, where a test pins it
 FAULT_TEXTS = {
+    "d-2**31": "d must lie in [2, 2**31 - 1], got 2147483648",
+    "d-2**32": "d must lie in [2, 2**31 - 1], got 4294967296",
+    "m-out-0": "m_out must be >= 1, got 0",
     "seed-negative": "data_seed must be >= 0, got -1",
     "init-seed-negative": "init_seed must be >= 0, got -2",
     "clip-norm-negative": "clip_norm must be None or > 0, got -1.0",
@@ -774,7 +790,9 @@ def test_config_fault_exits_2_before_training(tmp_path, monkeypatch, capsys,
     before = sorted(tmp_path.iterdir())
     monkeypatch.setattr(experiment, "fit", _must_not_run)
     capsys.readouterr()
-    assert cli.main([command, *TINY, "--m", "40", *flags,
+    # --m sets both widths, so it would override a case's --m-out
+    widths = [] if "--m-out" in flags else ["--m", "40"]
+    assert cli.main([command, *TINY, *widths, *flags,
                      "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err

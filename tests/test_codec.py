@@ -65,6 +65,11 @@ class TestInstance:
         with pytest.raises(ValueError, match=r"d must lie in \[1, 2\*\*31 - 1\]"):
             SparseInstance(d=d, positions=positions)
 
+    def test_equals_only_an_instance(self):
+        instance = SparseInstance.from_items(4, [3, 1])
+        assert instance == SparseInstance(d=4, positions=[1, 3])
+        assert instance.__eq__([1, 3]) is NotImplemented and instance != [1, 3]
+
     @pytest.mark.parametrize("empty", [[], np.array([]), np.empty(0, np.uint64)],
                              ids=["list", "float64", "uint64"])
     def test_empty_input_of_any_dtype_is_the_empty_instance(self, empty):
@@ -457,6 +462,7 @@ PAYLOADS = st.one_of(
 @example(b"2 2 1 0\n1\n5\n")
 @example(b"010\n")
 @example(b"BENC" + struct.pack("<3I", 2, 2**32 - 1, 2**32 - 1))
+@example(b"BENC" + struct.pack("<3I", 2, 2**31 - 1, 2**31))  # 2**64 bytes: 0 in int64
 @settings(derandomize=True, max_examples=300, deadline=None)
 def test_every_artifact_reader_returns_or_raises_value_error(data):
     for read in ARTIFACT_READERS:

@@ -306,11 +306,14 @@ CONFIG_FAULTS = {
     "hidden-0": {"hidden": (0,)},
     "n-clusters-0": {"n_clusters": 0},
     "d-1": {"d": 1},
+    # item ids are int32
+    "d-2**31": {"d": 2**31},
     "noise-2": {"noise": 2.0},
     "optimizer": {"optimizer": "foo"},
     "beta1": {"beta1": 1.5},
     "k-0": {"k": 0},
     "k-above-m": {"k": 5, "m_in": 4},
+    "m-out-0": {"m_out": 0, "k": 1},
     "data-format": {"data_format": "csv"},
     # numpy's generators take no negative seed
     "data-seed-negative": {"data_seed": -1},

@@ -100,6 +100,10 @@ class TestBuild:
         with pytest.raises(ValueError, match=r"d must lie in \[1, 2\*\*31 - 1\]"):
             HashMatrix(d=2**31 + 10, m=4, k=2, seed=0, rows=np.ones((0, 2), np.int32))
 
+    def test_equals_only_a_hash_matrix(self):
+        matrix = identity_hash_matrix(3)
+        assert matrix.__eq__(matrix.rows) is NotImplemented and matrix != "rows"
+
     def test_identity_matrix(self):
         matrix = identity_hash_matrix(5)
         assert matrix.rows.ravel().tolist() == [1, 2, 3, 4, 5]

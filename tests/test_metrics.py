@@ -68,3 +68,6 @@ class TestEvaluationResult:
         with pytest.raises(ValueError):
             EvaluationResult(score=1.5, measure="MAP", n_evaluated=1,
                              wall_time=0.0)
+        with pytest.raises(ValueError, match="wall_time"):
+            EvaluationResult(score=0.5, measure="MAP", n_evaluated=1,
+                             wall_time=-1.0)

@@ -1,6 +1,7 @@
 """Forward/backward correctness, optimizer behavior, and reproducibility."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -186,6 +187,11 @@ class TestGradients:
         delta = math.sqrt(sum(float(((p - b) ** 2).sum())
                               for p, b in zip(net.parameters(), before)))
         assert delta == pytest.approx(clip, rel=1e-6)
+
+    def test_nan_target_is_a_non_finite_loss(self):
+        net = small_net((2, 2))
+        with pytest.raises(FloatingPointError, match="^non-finite training loss$"):
+            gradients(net, np.array([[1.0, 1.0]]), np.array([[np.nan, 1.0]]))
 
     def test_empty_batch_rejected(self):
         net = small_net((2, 2))
@@ -509,6 +515,19 @@ class TestCheckpoints:
         loaded = network_from_bytes(path.read_bytes())
         x = np.linspace(0, 1, 6)[None, :]
         assert np.array_equal(forward_batch(net, x), forward_batch(loaded, x))
+
+    def test_layout_is_frozen(self):
+        # sizes (2, 3, 1): W0 (2, 3), b0 (3,), W1 (3, 1), b1 (1,), 13 floats
+        values = np.arange(13, dtype=np.float32) / 4
+        data = (b"BENC" + struct.pack("<4I", 3, 2, 3, 1)
+                + struct.pack("<13f", *values.tolist()))
+        net = network_from_bytes(data)
+        assert net.spec.layer_sizes == (2, 3, 1)
+        params = net.parameters()
+        assert [p.shape for p in params] == [(2, 3), (3,), (3, 1), (1,)]
+        assert np.array_equal(np.concatenate([p.ravel() for p in params]), values)
+        assert all(p.dtype == np.float32 and p.flags.writeable for p in params)
+        assert network_to_bytes(net) == data
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
