@@ -15,7 +15,8 @@ grammar, which flags share: a file's line ``key=value`` is the flag
 fault ``argument --flag: <reason>``. ``--config FILE`` puts the file's flags
 ahead of the command line's, which override them. train, evaluate and sweep
 have a flag per ``ExperimentConfig`` field, named after it, plus ``--m`` and
-``--seed``, which set several. Each run is logged to ``<out>.config``: the
+``--seed``, which set several where they stand, so that of two flags that
+set one field the later wins. Each run is logged to ``<out>.config``: the
 resolved config's fields, if any, then its other flags but ``--out``, keys
 written with underscores (dashes read too), so that ``--config <out>.config
 --out <new>`` replays it bit for bit, wall times aside. Every file a run
@@ -114,7 +115,7 @@ def _config_text(args, cfg: experiment.ExperimentConfig | None) -> str:
     """The ``<out>.config`` of a run: the resolved experiment config's
     fields, if any, then every other flag set, --out and --config aside."""
     values = {} if cfg is None else {field: getattr(cfg, field) for field in _FIELDS}
-    resolved = () if cfg is None else (*_FIELDS, "m", "seed")
+    resolved = () if cfg is None else _FIELDS
     values.update((key, value) for key, value in vars(args).items()
                   if value is not None
                   and key not in (*resolved, "command", "func", "out", "config"))
@@ -200,14 +201,18 @@ _SEED_FIELDS = ("data_seed", "hash_seed_in", "hash_seed_out", "cbe_seed",
 
 
 def _resolve_config(args) -> experiment.ExperimentConfig:
-    """The config the field flags set, then --m and --seed over them."""
-    changes = {field: getattr(args, field) for field in _FIELDS
-               if getattr(args, field) is not None}
-    if args.m is not None:
-        changes["m_in"] = changes["m_out"] = args.m
-    if args.seed is not None:
-        changes.update({field: args.seed + i for i, field in enumerate(_SEED_FIELDS)})
-    return experiment.ExperimentConfig(**changes)
+    """The config the field flags set."""
+    return experiment.ExperimentConfig(**{
+        field: getattr(args, field) for field in _FIELDS if getattr(args, field) is not None})
+
+
+class _SetFields(argparse.Action):
+    """Sets each field that `const` maps to an offset to the flag's value
+    plus that offset, where the flag stands among the others."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        for field, offset in self.const.items():
+            setattr(namespace, field, value + offset)
 
 
 def cmd_train(args):
@@ -261,8 +266,11 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
         flags = (_flag(field), _ALIASES[field]) if field in _ALIASES else (_flag(field),)
         group.add_argument(*flags, type=functools.partial(_parse_value, hint),
                            **({"nargs": "?", "const": True} if hint is bool else {}))
-    p.add_argument("--m", type=int, help="sets m_in and m_out")
-    p.add_argument("--seed", type=int,
+    p.add_argument("--m", type=int, action=_SetFields, const={"m_in": 0, "m_out": 0},
+                   default=argparse.SUPPRESS, help="sets m_in and m_out")
+    p.add_argument("--seed", type=int, action=_SetFields,
+                   const={field: i for i, field in enumerate(_SEED_FIELDS)},
+                   default=argparse.SUPPRESS,
                    help=f"sets {', '.join(_SEED_FIELDS)}: SEED, SEED+1, ...")
 
 

@@ -301,10 +301,11 @@ def _parse_lines(lines: Iterable[tuple[int, str]], parse) -> list:
     return out
 
 
-def read_instances(data: bytes | str, d: int) -> list[SparseInstance]:
-    """Parse an instance file (see module docstring)."""
-    return _parse_lines(_numbered(data), lambda line: SparseInstance(
+def read_instances(data: bytes | str, d: int) -> PackedInstances:
+    """Parse an instance file (see module docstring) into one packed batch."""
+    instances = _parse_lines(_numbered(data), lambda line: SparseInstance(
         d, [int(tok) for tok in line.split()]))
+    return PackedInstances.of(instances, d)
 
 
 def read_bit_vectors(data: bytes | str, m: int) -> np.ndarray:

@@ -23,7 +23,9 @@ token holds 2 to 4 of them and some first token repeats, and as profiles
 otherwise. The rule cannot tell every file apart: the four profiles
 ``1 2 3``, ``1 4 5``, ``6 7 8`` and ``6 9 10`` read under ``auto`` as
 triples, 2 profiles over d = 4, where ``fmt="profiles"`` reads 4 over
-d = 10. Name the format when a profiles file may look like triples.
+d = 10. Name the format when a profiles file may look like triples. The
+format is checked before the file is read, and the user column's codes are
+taken once: under ``auto`` they choose the format, then order the triples.
 
 ``rating_threshold`` keeps rows with rating >= threshold. It needs a rating
 column, so it is a fault on a profiles file or on triples without ratings.
@@ -223,14 +225,15 @@ def _floats(column: np.ndarray) -> np.ndarray:
         return np.array(values)
 
 
-def _triples(columns: list[np.ndarray], rows: np.ndarray, width: np.ndarray,
-             rating_threshold: float | None,
+def _triples(users: np.ndarray, columns: list[np.ndarray], rows: np.ndarray,
+             width: np.ndarray, rating_threshold: float | None,
              fmt: str) -> tuple[np.ndarray, np.ndarray, bool]:
     """User codes and items of the kept rows, by user, then timestamp, and
-    whether any row has a rating. Row r is line rows[r] (0-based) and holds
-    width[r] tokens; columns[j] holds token j of each row that has one. The
-    first row that fails a check, in file order, is the fault."""
-    users, items, stamps, ratings = columns
+    whether any row has a rating. Row r is line rows[r] (0-based), holds
+    width[r] tokens and has user code users[r]; columns[j] holds token
+    j + 1 of each row that has one. The first row that fails a check, in
+    file order, is the fault."""
+    items, stamps, ratings = columns
     stamps, ratings = _floats(stamps), _floats(ratings)
     stamped = width >= 3
     stamp_rows, rating_rows = np.flatnonzero(stamped), np.flatnonzero(width > 3)
@@ -255,7 +258,7 @@ def _triples(columns: list[np.ndarray], rows: np.ndarray, width: np.ndarray,
     keep = np.ones(len(rows), dtype=bool)
     if rating_threshold is not None:
         keep[rating_rows[ratings < rating_threshold]] = False
-    user, _ = _codes(users[keep])
+    user = users[keep]  # not dense once rows go, but in the same order
     stamps = stamps[keep] if stamps.size else np.zeros(user.size)
     order = np.lexsort((stamps, user))  # stable: file order breaks ties
     return user[order], items[keep][order], rating_rows.size > 0
@@ -270,37 +273,38 @@ def load_profiles(source,
                   seed: int = 0) -> ProfileDataset:
     """Load, filter, re-index, and split raw profiles into a dataset.
 
-    `fmt` is "triples", "profiles" or "auto". ``auto`` reads triples when
-    every line that holds a token holds 2 to 4 and some first token repeats,
-    else profiles; a profiles file of short lines that repeat a first item
-    therefore reads as triples (the module docstring gives an example).
+    `fmt` is "triples", "profiles" or "auto", checked before the file is
+    read. ``auto`` reads triples when every line that holds a token holds 2
+    to 4 and some first token repeats, else profiles; the user codes it
+    takes to decide are the ones the triples are read with. A profiles file
+    of short lines that repeat a first item therefore reads as triples (the
+    module docstring gives an example).
     Items appearing in fewer than `min_item_count` profiles are dropped
     first, then profiles shorter than `min_profile_size` (after item
     filtering and de-duplication). Splitting and test selection use a
     generator seeded with `seed`.
     """
+    if fmt not in ("auto", "triples", "profiles"):
+        raise DataError(f"unknown format {fmt!r}")
     tokens, lines = _tokenise(_file_bytes(source))
     counts = np.diff(lines)
     rows = np.flatnonzero(counts)  # the lines that hold a token
     width, first = counts[rows], lines[rows]  # each row's token count and first token
     del lines, counts
-    read_as = fmt
-    if fmt == "auto":
-        # triples files repeat the user column; anything else reads as profiles
-        repeats = (((width >= 2) & (width <= 4)).all()
-                   and np.unique(tokens.column(first)).size < len(rows))
-        read_as = "triples" if repeats else "profiles"
-    # the token store goes before any sort: only the columns' copies remain
-    if read_as == "triples":
-        columns = [tokens.column(first[width > j] + j) for j in range(4)]
-        del tokens, first
-        prof, items, rated = _triples(columns, rows, width, rating_threshold, fmt)
-    elif read_as == "profiles":
-        items, rated = tokens.column(slice(None)), False
-        del tokens, first
-        prof = np.repeat(np.arange(len(rows)), width)
+    # the user codes, taken once: a triples file repeats its first column
+    if fmt == "triples" or fmt == "auto" and ((width >= 2) & (width <= 4)).all():
+        users, n_users = _codes(tokens.column(first))
     else:
-        raise DataError(f"unknown format {fmt!r}")
+        users, n_users = None, len(rows)
+    # the token store goes before the other columns are sorted
+    if fmt == "triples" or n_users < len(rows):
+        columns = [tokens.column(first[width > j] + j) for j in (1, 2, 3)]
+        del tokens, first
+        prof, items, rated = _triples(users, columns, rows, width, rating_threshold, fmt)
+    else:
+        items, rated = tokens.column(slice(None)), False
+        del tokens, first, users
+        prof = np.repeat(np.arange(len(rows)), width)
     if rating_threshold is not None and not rated:
         raise DataError("rating_threshold given but the file has no rating column")
     code, n_items = _codes(items)

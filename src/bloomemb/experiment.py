@@ -349,10 +349,11 @@ def run_sweep(base: ExperimentConfig, m_ratios: Sequence[float],
 
     The dataset is loaded once, and a cell's m is its ratio of the loaded
     dataset's d. Before any cell runs, `parallel` must be >= 1, the grid
-    nonempty with every ratio in (0, 1], and every cell's config is built
-    and checked against the dataset; a fault, or a split left empty, raises
-    ConfigError. Every cell runs in the calling thread on the one loaded
-    dataset, whatever `parallel` is, so a SIGINT stops the sweep at once.
+    nonempty with every ratio in (0, 1] and no ratio, k or seed repeated,
+    and every cell's config is built and checked against the dataset; a
+    fault, or a split left empty, raises ConfigError. Every cell runs in the
+    calling thread on the one loaded dataset, whatever `parallel` is, so a
+    SIGINT stops the sweep at once.
 
     Returns rows sorted by (k, m/d, seed); baseline rows carry the nominal
     point (k=1, m/d=1.0) and ratio 1 by construction. A cell whose training
@@ -368,6 +369,10 @@ def run_sweep(base: ExperimentConfig, m_ratios: Sequence[float],
         raise ConfigError("sweep grid must be nonempty")
     if any(not 0 < r <= 1.0 for r in m_ratios):
         raise ConfigError("m ratios must lie in (0, 1]")
+    for name, values in (("m ratios", m_ratios), ("k values", k_values),
+                         ("seeds", seeds)):
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{name} must be distinct, got {values}")
     if parallel < 1:
         raise ConfigError(f"parallel must be >= 1, got {parallel}")
     ds = load_dataset(base)

@@ -790,14 +790,40 @@ def test_config_fault_exits_2_before_training(tmp_path, monkeypatch, capsys,
     before = sorted(tmp_path.iterdir())
     monkeypatch.setattr(experiment, "fit", _must_not_run)
     capsys.readouterr()
-    # --m sets both widths, so it would override a case's --m-out
-    widths = [] if "--m-out" in flags else ["--m", "40"]
-    assert cli.main([command, *TINY, *widths, *flags,
+    # a case's own --m-in or --m-out comes later, so it wins
+    assert cli.main([command, *TINY, "--m", "40", *flags,
                      "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
     assert err[0].startswith("config error: " + FAULT_TEXTS.get(fault, "")), err
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("flags,fields", [
+    (["--m", "40", "--m-out", "30"], {"m_in": 40, "m_out": 30}),
+    (["--m-out", "30", "--m", "40"], {"m_in": 40, "m_out": 40}),
+    (["--seed", "7", "--cbe-seed", "3"], {"data_seed": 7, "cbe_seed": 3,
+                                          "shuffle_seed": 12}),
+    (["--cbe-seed", "3", "--seed", "7"], {"data_seed": 7, "cbe_seed": 10})],
+    ids=["m-then-m-out", "m-out-then-m", "seed-then-cbe-seed", "cbe-seed-then-seed"])
+def test_the_later_of_two_flags_setting_a_field_wins(flags, fields):
+    args = cli.build_parser().parse_args(["train", *TINY, *flags, "--out", "o"])
+    cfg = cli._resolve_config(args)
+    assert {field: getattr(cfg, field) for field in fields} == fields
+
+
+def test_seed_after_a_replayed_config_sets_the_six_seeds(tmp_path):
+    # the .config lines come before the command line's flags
+    first, second = str(tmp_path / "first"), str(tmp_path / "second")
+    assert cli.main(["train", *TINY, "--epochs", "1", "--m", "40", "--seed", "2",
+                     "--out", first]) == 0
+    assert cli.main(["train", "--config", first + ".config", "--seed", "7",
+                     "--out", second]) == 0
+    logged = dict(line.split("=", 1) for line in
+                  Path(second + ".config").read_text().splitlines()[1:])
+    assert [logged[field] for field in cli._SEED_FIELDS] == [
+        "7", "8", "9", "10", "11", "12"]
+    assert logged["m_in"] == logged["m_out"] == "40"
 
 
 @pytest.mark.parametrize("argv,missing", [

@@ -388,7 +388,8 @@ class TestFileFormats:
         instances = [SparseInstance.from_items(9, [1, 5, 9]),
                      SparseInstance.from_items(9, []),
                      SparseInstance.from_items(9, [2])]
-        assert read_instances("1 5 9\n\n2\n", 9) == instances
+        packed = read_instances("1 5 9\n\n2\n", 9)
+        assert isinstance(packed, PackedInstances) and list(packed) == instances
 
     def test_bit_vector_text(self):
         bits = np.array([[1, 0, 1], [0, 0, 0]], dtype=np.uint8)

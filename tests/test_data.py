@@ -244,6 +244,11 @@ def test_unknown_format_is_a_data_error():
         load("1 2\n", fmt="csv")
 
 
+def test_unknown_format_is_reported_before_the_file_is_read(tmp_path):
+    with pytest.raises(DataError, match="^unknown format 'csv'$"):
+        load_profiles(tmp_path / "missing.txt", fmt="csv")
+
+
 def test_malformed_triple_names_its_line():
     with pytest.raises(DataError, match="line 2"):
         load("u1 1 1\nu1 2 x\n", fmt="triples")

@@ -249,9 +249,10 @@ def _must_not_run(*args, **kwargs):
 @pytest.mark.parametrize("m_ratios,k_values,seeds,parallel", [
     ([2.0], [2], [0], 1), ([0.2], [0], [0], 1), ([0.2], [201], [0], 1),
     ([], [2], [0], 1), ([0.2], [], [0], 1), ([0.2], [2], [0], 0),
-    ([0.2], [2], [0, -1], 1)],
+    ([0.2], [2], [0, -1], 1), ([0.2, 0.2], [2], [0], 1), ([0.2], [2, 2], [0], 1),
+    ([0.2], [2], [0, 0], 1)],
     ids=["ratio-2", "k-0", "k-above-d", "no-ratio", "no-k", "parallel-0",
-         "seed-negative"])
+         "seed-negative", "ratio-repeated", "k-repeated", "seed-repeated"])
 def test_sweep_grid_faults_raise_before_any_cell(monkeypatch, m_ratios, k_values,
                                                  seeds, parallel):
     monkeypatch.setattr(experiment, "fit", _must_not_run)
@@ -306,6 +307,7 @@ CONFIG_FAULTS = {
     "hidden-0": {"hidden": (0,)},
     "n-clusters-0": {"n_clusters": 0},
     "d-1": {"d": 1},
+    "n-0": {"n": 0},
     # item ids are int32
     "d-2**31": {"d": 2**31},
     "noise-2": {"noise": 2.0},
