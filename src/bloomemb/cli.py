@@ -22,10 +22,12 @@ written with underscores (dashes read too), so that ``--config <out>.config
 --out <new>`` replays it bit for bit, wall times aside. Every file a run
 writes is named after ``--out``: ``cbe`` writes its report to
 ``<out>.stats.tsv``, and ``train`` the hash matrices to ``<out>.hash-in`` and
-``<out>.hash-out`` (the identity for the baseline), which ``evaluate`` reads
-next to ``--model``. One loader reads every artifact file and hands its bytes
-to the format's parser; a fault in either step is the data fault ``cannot
-load <what> <path>: <reason>``.
+``<out>.hash-out`` (the identity for the baseline) and a data file's sorted
+item ids to ``<out>.items``, one per line, which ``evaluate`` reads next to
+``--model``; a data file whose item ids differ from the model's, or
+synthetic data for a model with item ids, is a data fault. One loader reads
+every artifact file and hands its bytes to the format's parser; a fault in
+either step is the data fault ``cannot load <what> <path>: <reason>``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import itertools
 import os
 import secrets
 import sys
@@ -223,10 +226,25 @@ def cmd_train(args):
     epochs = enumerate(zip(report.epoch_losses, report.epoch_times), 1)
     report_tsv = "epoch\tloss\tseconds\n" + "".join(
         f"{i}\t{loss:.10g}\t{secs:.6g}\n" for i, (loss, secs) in epochs)
-    return cfg, {"": trainer.network_to_bytes(net),
-                 ".hash-in": codec.matrix_to_text(h_in),
-                 ".hash-out": codec.matrix_to_text(h_out), ".report.tsv": report_tsv}, \
+    outputs = {"": trainer.network_to_bytes(net),
+               ".hash-in": codec.matrix_to_text(h_in),
+               ".hash-out": codec.matrix_to_text(h_out), ".report.tsv": report_tsv}
+    if ds.item_ids is not None:
+        outputs[".items"] = b"".join(item + b"\n" for item in ds.item_ids.tolist())
+    return cfg, outputs, \
         f"trained {cfg.epochs} epochs, final loss {report.final_loss:.6g}"
+
+
+def _check_items(path: str, ids: list[bytes]) -> None:
+    """DataError naming the first difference, unless the model's item list
+    at `path` is `ids`."""
+    trained = _load("item list", path, bytes.splitlines)
+    for i, (ours, theirs) in enumerate(itertools.zip_longest(ids, trained)):
+        if ours != theirs:
+            ours, theirs = (b"(none)" if x is None else x for x in (ours, theirs))
+            raise DataError(f"the data's items differ from the model's: item {i + 1} "
+                            f"is {ours.decode(errors='replace')} in the data and "
+                            f"{theirs.decode(errors='replace')} in {path}")
 
 
 def cmd_evaluate(args):
@@ -235,6 +253,12 @@ def cmd_evaluate(args):
     h_in = _load("hash matrix", args.model + ".hash-in", codec.matrix_from_bytes)
     h_out = _load("hash matrix", args.model + ".hash-out", codec.matrix_from_bytes)
     ds = experiment.load_dataset(cfg)
+    items = args.model + ".items"
+    if ds.item_ids is not None:
+        _check_items(items, ds.item_ids.tolist())
+    elif os.path.exists(items):
+        raise DataError(f"the model's items are those of a data file ({items}), "
+                        "but the data is synthetic")
     result = experiment.evaluate_model(net, ds.test_profiles(), h_in, h_out,
                                        decode_mode=cfg.decode_mode,
                                        measure=cfg.measure, top_n=cfg.top_n)

@@ -47,9 +47,13 @@ act on those codes.
 
 The seeded generator draws all cuts in profile order, then the held-out
 profiles; synthetic data draws items and cut per profile into one
-preallocated array. Either way the profiles lie end to end in one array,
-which stays the dataset once each side is sorted: each split is a
-:class:`bloomemb.codec.PackedPairs`, a view of its inputs and one of its targets.
+preallocated array. Each of those draws is the value of one scalar
+Generator call, computed bit for bit by numpy's own algorithms from blocks
+of the bit generator's raw outputs, at about a third of the calls' cost.
+Either way the profiles lie end to end in one array, which stays the
+dataset once each side is sorted: each split is a
+:class:`bloomemb.codec.PackedPairs`, a view of its inputs and one of its
+targets.
 
 Synthetic datasets draw profiles from latent item clusters so that items
 within a cluster co-occur, which gives the prediction task learnable
@@ -75,11 +79,14 @@ class DataError(Exception):
 @dataclass
 class ProfileDataset:
     """Split profiles: the training and held-out test lists, as PackedPairs
-    whose views share one read-only int32 array of 2n sorted, nonempty sides."""
+    whose views share one read-only int32 array of 2n sorted, nonempty sides.
+    A loaded dataset's `item_ids` holds the external id of items 1..d, in
+    order, as bytes; synthetic data has none, its ids being the codes."""
 
     d: int
     train: PackedPairs
     test: PackedPairs
+    item_ids: np.ndarray | None = None
 
     def __post_init__(self):
         for split in (self.train, self.test):
@@ -98,7 +105,8 @@ class ProfileDataset:
 
 
 def _split_dataset(d: int, cuts: np.ndarray, ends: np.ndarray, items: np.ndarray,
-                   test_size: float, rng: np.random.Generator) -> ProfileDataset:
+                   test_size: float, rng: np.random.Generator,
+                   item_ids: np.ndarray | None = None) -> ProfileDataset:
     """Profile i of `items` ends at ends[i], its target starts at cuts[i]; each
     side is sorted, and `rng` holds out round(n * test_size) profiles."""
     if not 0 <= test_size <= 1:
@@ -115,7 +123,7 @@ def _split_dataset(d: int, cuts: np.ndarray, ends: np.ndarray, items: np.ndarray
     held = np.zeros(n, dtype=bool)
     held[rng.choice(n, size=int(round(n * test_size)), replace=False)] = True
     return ProfileDataset(d, *(PackedPairs(sides[0::2][rows], sides[1::2][rows])
-                               for rows in (~held, held)))
+                               for rows in (~held, held)), item_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +213,10 @@ def _tokenise(data: bytes) -> tuple[_Tokens, np.ndarray]:
     return _Tokens(buf, starts, lengths), lines.astype(pos)
 
 
-def _codes(column: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each token's index among the sorted distinct tokens, and their count."""
+def _codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each token's index among the sorted distinct tokens, and those tokens."""
     distinct, code = np.unique(column, return_inverse=True)
-    return code, len(distinct)
+    return code, distinct
 
 
 def _floats(column: np.ndarray) -> np.ndarray:
@@ -293,7 +301,8 @@ def load_profiles(source,
     del lines, counts
     # the user codes, taken once: a triples file repeats its first column
     if fmt == "triples" or fmt == "auto" and ((width >= 2) & (width <= 4)).all():
-        users, n_users = _codes(tokens.column(first))
+        users, user_ids = _codes(tokens.column(first))
+        n_users = len(user_ids)
     else:
         users, n_users = None, len(rows)
     # the token store goes before the other columns are sorted
@@ -307,7 +316,8 @@ def load_profiles(source,
         prof = np.repeat(np.arange(len(rows)), width)
     if rating_threshold is not None and not rated:
         raise DataError("rating_threshold given but the file has no rating column")
-    code, n_items = _codes(items)
+    code, item_ids = _codes(items)
+    n_items = len(item_ids)
     del items
 
     # first (earliest) occurrence of each item in its profile
@@ -329,7 +339,7 @@ def load_profiles(source,
     ends = np.cumsum(sizes)
     starts = ends - sizes
     cuts = starts + rng.integers(1, sizes)  # one draw per profile, in order
-    return _split_dataset(d, cuts, ends, dense, test_size, rng)
+    return _split_dataset(d, cuts, ends, dense, test_size, rng, item_ids[kept_item])
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +373,68 @@ class SyntheticSpec:
             raise ValueError("noise must lie in [0, 1]")
 
 
+class _ScalarDraws:
+    """The scalar draws ``random()`` and ``integers(low, high)`` of a PCG64
+    Generator, equal bit for bit to its own, computed from blocks of its raw
+    64-bit outputs.
+
+    numpy's scalar ``integers`` is Lemire's multiply-and-reject (Lemire,
+    "Fast Random Integer Generation in an Interval", ACM TOMACS 2019) on a
+    32-bit draw of PCG64 (O'Neill, 2014): the low half of a raw output,
+    whose high half the bit generator keeps (``has_uint32``, ``uinteger``)
+    for the next 32-bit draw. A span of 1 draws nothing; spans run up to
+    2**32 - 1. ``random()`` is one raw output, ``>> 11``, times 2**-53.
+    The outputs come from a copy of the bit generator. ``close()`` advances
+    the Generator past the outputs used and hands it the spare half, so its
+    stream goes on as if it had made every draw itself.
+    """
+
+    _BLOCK = 4096
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        state = rng.bit_generator.state
+        self._bits = np.random.PCG64()
+        self._bits.state = state
+        self._spare = state["uinteger"] if state["has_uint32"] else None
+        self._raw: list[int] = []  # the block's unused outputs, last one next
+        self._drawn = 0
+
+    def _refill(self) -> list[int]:
+        self._raw = self._bits.random_raw(self._BLOCK).tolist()[::-1]
+        self._drawn += self._BLOCK
+        return self._raw
+
+    def random(self) -> float:
+        return ((self._raw or self._refill()).pop() >> 11) * (1.0 / 9007199254740992.0)
+
+    def integers(self, low: int, high: int) -> int:
+        span = high - low
+        if span == 1:
+            return low
+        while True:  # a 32-bit draw: the spare half, else a new output's low half
+            x = self._spare
+            if x is None:
+                x = (self._raw or self._refill()).pop()
+                self._spare = x >> 32
+                x &= 0xFFFFFFFF
+            else:
+                self._spare = None
+            m = x * span
+            # numpy keeps m at once if its low half is >= span, else while that
+            # half is below 2**32 % span (< span) it draws again: one test
+            if m & 0xFFFFFFFF >= (1 << 32) % span:
+                return low + (m >> 32)
+
+    def close(self) -> None:
+        bits = self._rng.bit_generator
+        bits.advance(self._drawn - len(self._raw))
+        if self._spare is not None:  # advance() drops any spare half
+            state = bits.state
+            state["has_uint32"], state["uinteger"] = 1, self._spare
+            bits.state = state
+
+
 def _cluster_bounds(spec: SyntheticSpec, g: int) -> tuple[int, int]:
     lo = g * spec.d // spec.n_clusters + 1
     hi = (g + 1) * spec.d // spec.n_clusters
@@ -370,28 +442,35 @@ def _cluster_bounds(spec: SyntheticSpec, g: int) -> tuple[int, int]:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> ProfileDataset:
-    """Draw profiles from latent clusters; deterministic given spec.seed."""
+    """Draw profiles from latent clusters; deterministic given spec.seed.
+
+    Each draw is one scalar ``Generator`` call's value, read by
+    :class:`_ScalarDraws` from the bit generator's raw outputs; the held-out
+    profiles are then drawn by the Generator itself."""
     rng = np.random.default_rng(spec.seed)
+    draws = _ScalarDraws(rng)
+    integers, random = draws.integers, draws.random
     flat = np.empty(spec.n * spec.profile_size_max, dtype=np.int32)
     cuts = np.empty(spec.n, dtype=np.int64)
     ends = np.empty(spec.n, dtype=np.int64)
     end = 0
     for i in range(spec.n):
-        g = int(rng.integers(spec.n_clusters))
+        g = integers(0, spec.n_clusters)
         lo, hi = _cluster_bounds(spec, g)
-        size = int(rng.integers(spec.profile_size_min, spec.profile_size_max + 1))
+        size = integers(spec.profile_size_min, spec.profile_size_max + 1)
         items: dict[int, None] = {}  # distinct items in first-draw order
         attempts = 0
         while len(items) < size and attempts < 50 * size:
             attempts += 1
-            if rng.random() < spec.noise:
-                items[int(rng.integers(1, spec.d + 1))] = None
+            if random() < spec.noise:
+                items[integers(1, spec.d + 1)] = None
             else:
-                items[int(rng.integers(lo, hi + 1))] = None
+                items[integers(lo, hi + 1)] = None
         while len(items) < 2:  # degenerate pools: top up deterministically
-            items[int(rng.integers(1, spec.d + 1))] = None
-        cuts[i] = end + int(rng.integers(1, len(items)))
+            items[integers(1, spec.d + 1)] = None
+        cuts[i] = end + integers(1, len(items))
         flat[end:end + len(items)] = list(items)
         end += len(items)
         ends[i] = end
+    draws.close()
     return _split_dataset(spec.d, cuts, ends, flat[:end], spec.test_size, rng)

@@ -506,6 +506,41 @@ def test_evaluate_on_a_mismatched_embedding_is_a_data_fault(
     assert len(err) == 1 and err[0].startswith("data error: input hash matrix "), err
 
 
+def test_evaluate_on_a_file_of_other_items_is_a_data_fault(tmp_path, monkeypatch,
+                                                          capsys):
+    # b.txt is a.txt with every item renamed: as many items, other ids
+    rng = np.random.default_rng(5)
+    rows = [rng.choice(50, size=5, replace=False) for _ in range(200)]
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    for path, first in ((a, 0), (b, 5000)):
+        path.write_text("".join(" ".join(f"i{first + i}" for i in r) + "\n"
+                                for r in rows))
+    model = str(tmp_path / "m")
+    assert cli.main(["train", "--data", str(a), "--m", "20", "--epochs", "1",
+                     "--out", model]) == 0
+    assert Path(model + ".items").read_text().split("\n") == [
+        *sorted(f"i{i}" for i in range(50)), ""]
+    assert cli.main(["evaluate", "--config", model + ".config", "--model", model]) == 0
+    monkeypatch.setattr(experiment, "evaluate_model", _must_not_run)
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", model + ".config", "--model", model,
+                     "--data", str(b)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: the data's items differ from the model's: item 1 is i5000 in "
+        f"the data and i0 in {model}.items"]
+    assert cli.main(["evaluate", "--config", model + ".config", "--model", model,
+                     "--data", "none", "--d", "50", "--n", "300"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: the model's items are those of a data file ({model}.items), "
+        "but the data is synthetic"]
+
+
+def test_train_on_synthetic_data_writes_no_item_list(tmp_path):
+    model = str(tmp_path / "m")
+    assert cli.main(["train", *TINY, "--m", "40", "--out", model]) == 0
+    assert not os.path.exists(model + ".items")
+
+
 SUBCOMMANDS = ("build-hash", "encode", "decode", "cbe", "train", "evaluate", "sweep")
 
 

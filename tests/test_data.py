@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from bloomemb.codec import PackedInstances, PackedPairs, SparseInstance
-from bloomemb.data import (DataError, ProfileDataset, SyntheticSpec, generate_synthetic,
+from bloomemb.data import (DataError, ProfileDataset, SyntheticSpec, _cluster_bounds,
+                           _ScalarDraws, _split_dataset, generate_synthetic,
                            load_profiles)
 from bloomemb.experiment import (ExperimentConfig, build_matrices, evaluate_model, fit,
                                  load_dataset)
@@ -143,6 +144,99 @@ def test_one_item_clusters_top_profiles_up_to_two_items():
         assert all(not set(inp.positions) & set(out.positions) for inp, out in split)
 
 
+def reference_synthetic(spec):
+    """generate_synthetic with one Generator call per scalar draw, as it
+    drew before its draws were read from raw outputs."""
+    rng = np.random.default_rng(spec.seed)
+    flat = np.empty(spec.n * spec.profile_size_max, dtype=np.int32)
+    cuts = np.empty(spec.n, dtype=np.int64)
+    ends = np.empty(spec.n, dtype=np.int64)
+    end = 0
+    for i in range(spec.n):
+        g = int(rng.integers(spec.n_clusters))
+        lo, hi = _cluster_bounds(spec, g)
+        size = int(rng.integers(spec.profile_size_min, spec.profile_size_max + 1))
+        items = {}
+        attempts = 0
+        while len(items) < size and attempts < 50 * size:
+            attempts += 1
+            if rng.random() < spec.noise:
+                items[int(rng.integers(1, spec.d + 1))] = None
+            else:
+                items[int(rng.integers(lo, hi + 1))] = None
+        while len(items) < 2:
+            items[int(rng.integers(1, spec.d + 1))] = None
+        cuts[i] = end + int(rng.integers(1, len(items)))
+        flat[end:end + len(items)] = list(items)
+        end += len(items)
+        ends[i] = end
+    return _split_dataset(spec.d, cuts, ends, flat[:end], spec.test_size, rng)
+
+
+def dataset_arrays(ds):
+    """d and every array of both splits; the test split's starts are the
+    held-out profiles' places in the shared array."""
+    return [ds.d] + [a for split in (ds.train, ds.test)
+                     for side in (split.inputs, split.targets)
+                     for a in (side.flat, side.starts, side.sizes)]
+
+
+@pytest.mark.parametrize("spec", [
+    SyntheticSpec(d=2000, n=3000, n_clusters=50, seed=31),
+    SyntheticSpec(d=2000, n=3000, seed=4, test_size=0.3),
+    SyntheticSpec(d=500, n=2000, n_clusters=20, noise=1.0, seed=7),
+    SyntheticSpec(d=4, n=3, n_clusters=4, noise=0.0, profile_size_min=2,
+                  profile_size_max=2),
+    SyntheticSpec(d=2**31 - 1, n=2000, n_clusters=7, seed=5),
+], ids=["d2000-50-clusters", "default-clusters", "noise-1", "top-up", "d-int32-max"])
+def test_synthetic_data_equals_one_generator_call_per_draw(spec):
+    got = dataset_arrays(generate_synthetic(spec))
+    want = dataset_arrays(reference_synthetic(spec))
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def live_state(rng):
+    """The PCG64 state and its spare half, if it holds one (numpy leaves a
+    used half's stale value in the state)."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"] and state["uinteger"]
+
+
+# spans of integers(low, high); 3 * 2**30 rejects a quarter of its draws
+SPANS = [1, 2, 7, 50, 2000, 2**31 - 1, 3 * 2**30]
+
+
+@pytest.mark.parametrize("spare_at_close", [False, True],
+                         ids=["even-close", "odd-close"])
+@pytest.mark.parametrize("spare_at_start", [False, True], ids=["fresh", "spare-half"])
+def test_scalar_draws_equal_the_generators_and_hand_its_stream_back(spare_at_start,
+                                                                     spare_at_close):
+    rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+    if spare_at_start:  # an odd number of 32-bit draws leaves a high half spare
+        assert rng.integers(0, 9) == ref.integers(0, 9)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    draws = _ScalarDraws(rng)
+    plan = random.Random(3)
+    for _ in range(20_000):  # several blocks of raw outputs
+        if plan.random() < 0.3:
+            assert draws.random() == ref.random()
+        else:
+            low = plan.randrange(-5, 5)
+            high = low + plan.choice(SPANS)
+            assert draws.integers(low, high) == ref.integers(low, high)
+    if (draws._spare is not None) != spare_at_close:  # span 2 never rejects
+        assert draws.integers(0, 2) == ref.integers(0, 2)
+    draws.close()
+    assert live_state(rng) == live_state(ref)
+    assert rng.bit_generator.state["has_uint32"] == spare_at_close
+    assert rng.random() == ref.random()
+    assert rng.integers(3, 3 + 7) == ref.integers(3, 3 + 7)
+    assert np.array_equal(rng.choice(1000, 50, replace=False),
+                          ref.choice(1000, 50, replace=False))
+
+
 def test_a_run_holds_no_instance_objects():
     # the splits stay packed from set-up to evaluation; built as instance
     # objects, this dataset alone would hold 80 of them
@@ -229,6 +323,17 @@ def test_dense_ids_follow_lexicographic_order_of_the_external_ids():
     # sorted as strings: "10" < "9", so "10" -> 1 and "9" -> 2
     ds = load("9 10\n", fmt="profiles")
     assert profile_sets(ds) == [({2}, {1})]
+
+
+@pytest.mark.parametrize("text,kwargs,ids", [
+    ("9 10\n", {"fmt": "profiles"}, [b"10", b"9"]),
+    ("u1 b 1\nu1 a 2\nu2 c 1\nu2 a 2\nu2 b 3\nu3 c 1\nu3 10 2\n",
+     {"min_item_count": 2}, [b"a", b"b", b"c"]),
+], ids=["profiles", "triples-filtered"])
+def test_a_loaded_dataset_keeps_the_ids_of_items_1_to_d(text, kwargs, ids):
+    ds = load(text, **kwargs)
+    assert ds.d == len(ids) and ds.item_ids.tolist() == ids
+    assert generate_synthetic(SyntheticSpec(d=30, n=40, n_clusters=3)).item_ids is None
 
 
 def test_profiles_format_reads_one_profile_per_line():

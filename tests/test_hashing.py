@@ -63,6 +63,14 @@ class TestBuild:
         c = build_hash_matrix(d=1000, m=100, k=1, seed=8)
         assert not np.array_equal(a.rows, c.rows)
 
+    @pytest.mark.parametrize("d,d2,m,k", [(1000, 5000, 200, 4), (10, 11, 5, 2),
+                                          (3, 100, 3, 3)])
+    def test_more_items_extend_the_rows_of_fewer(self, d, d2, m, k):
+        # row i depends on (m, k, seed, i) alone, so a table for d items is
+        # the first d rows of any larger one
+        assert np.array_equal(build_hash_matrix(d2, m, k, seed=9).rows[:d],
+                              build_hash_matrix(d, m, k, seed=9).rows)
+
     def test_rows_have_no_repeats(self):
         matrix = build_hash_matrix(d=2000, m=50, k=10, seed=5)
         srt = np.sort(matrix.rows, axis=1)
