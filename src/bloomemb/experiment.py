@@ -8,7 +8,9 @@ encoded instances, and evaluates ranked recovery on the held-out test
 profiles: :data:`EVAL_SLICE` profiles at a time through the network, then
 :data:`DECODE_ROWS` rows at a time through decoding and ranking, so
 evaluation's largest arrays are one block's (rows, d) scores, not a
-slice's or the test split's. The no-embedding baseline is the identity
+slice's or the test split's. Only a profile's relevant items are ranked:
+by counting the better scores when they are few for d, else by one sort
+of the row's scores. The no-embedding baseline is the identity
 embedding (m = d, k = 1) and runs through the same encode, train, decode
 and rank path.
 
@@ -198,18 +200,44 @@ def build_matrices(cfg: ExperimentConfig, ds: ProfileDataset
     return h_in, h_out
 
 
+def _ranks_by_counting(c: int, d: int) -> bool:
+    """Whether :func:`_ranks` counts the ranks of a row's c relevant items
+    among d rather than sorting the row: while c <= sqrt(d) / 9."""
+    return 81 * c * c <= d
+
+
 def _ranks(row: np.ndarray, items: np.ndarray, descending: bool) -> np.ndarray:
     """1-based ranks of `items` (1-based ids) in the best-first order of `row`.
 
     Item p is preceded by every item that beats it (scores higher when
     `descending`, lower otherwise) and by every lower id that ties it: the
-    order of a stable sort. The items that beat p are a binary search of
-    its score in one sort of the row, so the cost is O(d log d) per row
-    whatever the number of relevant items; a tied item also counts the
-    equal scores at lower ids, O(d) each.
+    order of a stable sort. Two methods give the same integers, and
+    :func:`_ranks_by_counting` picks one from the number c of items and the
+    row's length d:
+
+    - counting, for few items: p with score v ranks 1 + #{j < p : s_j >= v}
+      + #{j > p : s_j > v} (<= and < when ascending), two passes over the
+      row per item, O(c d), with ties settled by the split at p;
+    - sorting, for many: the items that beat p are a binary search of v in
+      one sort of the row, O(d log d) whatever c is, and a tied item also
+      counts the equal scores at lower ids, O(d) each.
+
+    Timed on the decoded scores of trained networks, cut or tiled to each d
+    (2-core x86 VM, numpy 2.4), the sort path took 19-26 us per row at
+    d = 2,000 and 70-100 us at d = 9,862; counting took about 4 us per item
+    at d = 2,000 and 6-7.5 us at 9,862. In two runs counting won through
+    c = 4 at d = 300 and 1,000, c = 4-7 at 2,000, 6-8 at 5,000, 12-13 at
+    9,862, 17-20 at 20,000 and 21-24 at 40,000; c <= sqrt(d) / 9 allows 1,
+    3, 4, 7, 11, 15 and 22 there.
     """
     d = row.size
     values = row[items - 1]
+    if _ranks_by_counting(items.size, d):
+        before, after = ((np.greater_equal, np.greater) if descending
+                         else (np.less_equal, np.less))
+        return np.array([1 + np.count_nonzero(before(row[:p - 1], v))
+                         + np.count_nonzero(after(row[p:], v))
+                         for p, v in zip(items.tolist(), values.tolist())])
     ordered = np.sort(row)
     lo = np.searchsorted(ordered, values, "left")
     hi = np.searchsorted(ordered, values, "right")
@@ -235,9 +263,11 @@ def evaluate_model(net: Network,
     ranked, each by counting: for decoded scores s, item p ranks
     1 + #{j : s_j beats s_p} + #{j < p : s_j = s_p}, where beating means a
     higher likelihood or a lower NLL. Ties thus go to the lower item id, as
-    in :func:`bloomemb.codec.rank_batch`. The better scores are counted by
-    binary searches in a sort of each row's values; no item permutation is
-    built. Items ranked below `top_n` count as not retrieved.
+    in :func:`bloomemb.codec.rank_batch`. A row with few relevant items
+    counts its better scores in passes over the row, one pair per item; a
+    row with more finds them by binary searches in one sort of its values
+    (see :func:`_ranks`). No item permutation is built. Items ranked below
+    `top_n` count as not retrieved.
 
     Profiles are encoded and run forward :data:`EVAL_SLICE` at a time; each
     slice's probabilities are then decoded and ranked :data:`DECODE_ROWS`

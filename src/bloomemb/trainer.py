@@ -136,13 +136,12 @@ class _StepBuffers:
 
     A batch of b rows uses the leading b rows of each. ``out[l]`` is layer
     l's pre-activation, and for the output layer its softmax, computed in
-    place; ``act[l]`` is hidden layer l's ReLU. ``mask`` holds the output's
-    finiteness, then the target's nonzero entries. ``grads`` are the
-    gradients in parameter order. The backward pass writes into spent
-    arrays: the loss gradient into the softmax once the loss is taken, and
-    hidden layer l's gradient into ``act[l]`` once the next layer's weight
-    gradient is taken, then times its ReLU slope, which overwrites
-    ``out[l]``.
+    place; ``act[l]`` is hidden layer l's ReLU. ``mask`` holds the target's
+    nonzero entries. ``grads`` are the gradients in parameter order. The
+    backward pass writes into spent arrays: the loss gradient into the
+    softmax once the loss is taken, and hidden layer l's gradient into
+    ``act[l]`` once the next layer's weight gradient is taken, then times
+    its ReLU slope, which overwrites ``out[l]``.
     """
 
     def __init__(self, net: Network, rows: int):
@@ -155,12 +154,20 @@ class _StepBuffers:
         self.grads = [np.empty_like(p) for p in net.parameters()]
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    """Row softmax of z, in place: subtract the row max, exp, divide."""
+def _softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row softmax of z, in place: subtract the row max, exp, divide; and the
+    (B, 1) row sums it divided by.
+
+    Once the max is subtracted, every entry lies in [-inf, 0] and the max
+    entry is 0, so a sum is at least 1 and finite, unless the row's max was
+    NaN or +-inf, which makes it NaN. So the output is finite exactly where
+    its row sums are.
+    """
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    return z
+    sums = z.sum(axis=1, keepdims=True)
+    z /= sums
+    return z, sums
 
 
 def forward_batch(net: Network, x: np.ndarray,
@@ -182,10 +189,12 @@ def forward_batch(net: Network, x: np.ndarray,
         for l, (w, bias) in enumerate(zip(net.weights, net.biases)):
             z = np.matmul(a, w, out=buffers.out[l][:b])
             z += bias
-            a = np.maximum(z, 0, out=buffers.act[l][:b]) if l < last else _softmax(z)
-    if not np.isfinite(a, out=buffers.mask[:b]).all():
+            if l < last:
+                a = np.maximum(z, 0, out=buffers.act[l][:b])
+        probs, sums = _softmax(z)
+    if not np.isfinite(sums).all():
         raise FloatingPointError("non-finite activation in forward pass")
-    return a
+    return probs
 
 
 def loss_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:

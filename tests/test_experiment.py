@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -145,19 +146,44 @@ def test_evaluation_peak_is_a_fraction_of_one_slice(traced_peak, decode_mode):
     assert peak < one_slice / 4, peak / one_slice
 
 
-@pytest.mark.parametrize("descending", [True, False])
-@pytest.mark.parametrize("c", [1, 3, 40, 300])
-def test_relevant_item_ranks_equal_stable_sort_positions(c, descending):
+def _last_counted(d: int) -> int:
+    """The largest number of relevant items that _ranks counts in a row of d."""
+    return next(c for c in itertools.count(1)
+                if not experiment._ranks_by_counting(c + 1, d))
+
+
+ROWS = {
     # few distinct values (and both zeros) force ties within and across
-    # the relevant items; c = 300 is every item of the row
+    # the relevant items
+    "mixed": lambda rng, d: (rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0], size=d)
+                             + rng.choice([0.0, 1e-3], size=d) * rng.random(d)),
+    "equal": lambda rng, d: np.full(d, 0.5),
+    "zeros": lambda rng, d: rng.choice([-0.0, 0.0], size=d),
+}
+
+
+@pytest.mark.parametrize("descending", [True, False])
+@pytest.mark.parametrize("d, c, kind", [
+    # c = 300 is every item of the row
+    *(pytest.param(300, c, "mixed", id=str(c)) for c in (1, 3, 40, 300)),
+    # the last c that is counted and the first that is sorted
+    *(pytest.param(d, c, kind, id=f"{kind}-d{d}-c{c}")
+      for d, kinds in ((300, ("equal", "zeros")), (2000, ("mixed", "equal")),
+                       (9871, ("mixed", "zeros")))
+      for kind in kinds for c in (_last_counted(d), _last_counted(d) + 1))])
+def test_relevant_item_ranks_equal_stable_sort_positions(d, c, kind, descending):
     rng = np.random.default_rng(c)
-    for _ in range(20):
-        row = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0], size=300) \
-            + rng.choice([0.0, 1e-3], size=300) * rng.random(300)
-        items = np.sort(rng.choice(300, size=c, replace=False)) + 1
+    for i in range(20):
+        row = ROWS[kind](rng, d)
+        items = np.sort(rng.choice(d, size=c, replace=False)) + 1
+        # ids 1 and d leave one of counting's two slices empty
+        if i == 0:
+            items[0] = 1
+        elif i == 1:
+            items[-1] = d
         order = np.argsort(-row if descending else row, kind="stable")
-        position = np.empty(300, dtype=np.int64)
-        position[order] = np.arange(1, 301)
+        position = np.empty(d, dtype=np.int64)
+        position[order] = np.arange(1, d + 1)
         assert (_ranks(row, items, descending) == position[items - 1]).all()
 
 

@@ -62,11 +62,24 @@ class TestForward:
         with pytest.raises(ValueError):
             forward_batch(net, np.ones((1, 3)))
 
-    def test_nonfinite_reported(self):
-        net = small_net((2, 2))
-        net.weights[0][:] = np.inf
-        with pytest.raises(FloatingPointError):
-            forward_batch(net, np.array([[1.0, 1.0]]))
+    @pytest.mark.parametrize("sizes, weights, bias, x", [
+        pytest.param((2, 2), np.inf, 0.0, [[1.0, 1.0]], id="inf-weight"),
+        pytest.param((2, 2, 2), 0.5, [0.0, np.nan], [[1.0, 1.0]],
+                     id="nan-hidden-bias"),
+        # only the second row goes wrong: its logits overflow to [+inf, 0],
+        # or both to -inf, so the row max is inf or -inf
+        pytest.param((2, 2), [[0.0, 0.0], [1e308, 0.0]], 0.0,
+                     [[1.0, 0.0], [0.0, 4.0]], id="logit-overflows-to-inf"),
+        pytest.param((2, 2), [[0.0, 0.0], [-1e308, -1e308]], 0.0,
+                     [[1.0, 0.0], [0.0, 4.0]], id="row-of-minus-inf-logits")])
+    def test_nonfinite_reported(self, sizes, weights, bias, x):
+        # weights and bias set the first layer
+        net = small_net(sizes)
+        net.weights[0][:] = weights
+        net.biases[0][:] = bias
+        with pytest.raises(FloatingPointError,
+                           match="^non-finite activation in forward pass$"):
+            forward_batch(net, np.array(x))
 
 
 class TestLoss:
