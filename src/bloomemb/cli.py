@@ -24,8 +24,9 @@ writes is named after ``--out``: ``cbe`` writes its report to
 ``<out>.stats.tsv``, and ``train`` the hash matrices to ``<out>.hash-in`` and
 ``<out>.hash-out`` (the identity for the baseline) and a data file's sorted
 item ids to ``<out>.items``, one per line, which ``evaluate`` reads next to
-``--model``; a data file whose item ids differ from the model's, or
-synthetic data for a model with item ids, is a data fault. One loader reads
+``--model``, as it reads ``<model>.config``; a data file whose item ids
+differ from the model's, synthetic data for a model with item ids, or a
+data setting other than the model's is a data fault. One loader reads
 every artifact file and hands its bytes to the format's parser; a fault in
 either step is the data fault ``cannot load <what> <path>: <reason>``.
 """
@@ -199,6 +200,9 @@ def cmd_cbe(args):
 _FIELDS = typing.get_type_hints(experiment.ExperimentConfig)
 _ALIASES = {"data_path": "--data", "learning_rate": "--lr",
             "decode_mode": "--decode", "use_cbe": "--cbe"}
+# the fields that decide the data and its split, in declaration order
+_DATA_FIELDS = tuple(_FIELDS)[tuple(_FIELDS).index("data_format"):
+                              tuple(_FIELDS).index("test_size") + 1]
 _SEED_FIELDS = ("data_seed", "hash_seed_in", "hash_seed_out", "cbe_seed",
                 "init_seed", "shuffle_seed")
 
@@ -247,7 +251,27 @@ def _check_items(path: str, ids: list[bytes]) -> None:
                             f"{theirs.decode(errors='replace')} in {path}")
 
 
+def _check_split(path: str, cfg: experiment.ExperimentConfig) -> None:
+    """DataError naming the first data field, ``data_path`` aside, in which
+    `cfg` differs from the config that replaying the model's .config at
+    `path` resolves, so that evaluation scores the model's own test split."""
+    try:  # parsed as evaluate's replay; --model only fills a required flag
+        saved = _resolve_config(build_parser().parse_args(
+            _with_config(["evaluate", "--config", path, "--model", path])))
+    except ConfigError as exc:
+        raise DataError(f"cannot load model config {path}: {exc}") from None
+    for field in _DATA_FIELDS:
+        ours, theirs = getattr(cfg, field), getattr(saved, field)
+        if ours != theirs:
+            raise DataError(f"the data settings differ from the model's: {field} is "
+                            f"{_format_value(ours)} here and {_format_value(theirs)} "
+                            f"in {path}")
+
+
 def cmd_evaluate(args):
+    """Score the model at ``--model`` on the test split of the data the field
+    flags set. When ``<model>.config`` exists, the data fields must equal
+    those it logs (a data file may move); without it they are trusted."""
     cfg = _resolve_config(args)
     net = _load("model", args.model, trainer.network_from_bytes)
     h_in = _load("hash matrix", args.model + ".hash-in", codec.matrix_from_bytes)
@@ -259,6 +283,8 @@ def cmd_evaluate(args):
     elif os.path.exists(items):
         raise DataError(f"the model's items are those of a data file ({items}), "
                         "but the data is synthetic")
+    if os.path.exists(args.model + ".config"):
+        _check_split(args.model + ".config", cfg)
     result = experiment.evaluate_model(net, ds.test_profiles(), h_in, h_out,
                                        decode_mode=cfg.decode_mode,
                                        measure=cfg.measure, top_n=cfg.top_n)

@@ -6,10 +6,13 @@ vector. Every function works on a batch: encoding sets, for every active
 position of every instance, the bits at its k projected embedding
 positions, giving an (n, m) bit array. A batch is a :class:`PackedInstances`
 view of positions laid end to end in one read-only int32 array, and a split
-a :class:`PackedPairs` of an input and a target view. The one scatter
-kernel, :func:`encode_rows`, encodes a view into a caller's array of any
-dtype; :func:`encode_batch` packs a list and encodes it into
-uint8. Decoding maps (n, m) probabilities back to (n, d) per-item
+a :class:`PackedPairs` of an input and a target view. One index kernel
+computes the flat index ``i * m + b`` of each bit a view's instance i sets:
+:func:`encode_rows` scatters ones at them into a caller's array of any
+dtype and layout, :func:`encode_batch` packs a list and encodes it into
+uint8, and :func:`set_bits` sorts them and drops repeats, which gives the
+row-major positions of the encoding's nonzero entries without the (n, m)
+array. Decoding maps (n, m) probabilities back to (n, d) per-item
 scores: the likelihood of item i is the product of the probabilities at
 its k projections, and the negative-log variant is the numerically stable
 form of the same ranking; both decoders fold the k gathered columns in one
@@ -174,19 +177,39 @@ class PackedPairs(Sequence):
         return self.inputs[i], self.targets[i]
 
 
-def encode_rows(instances: PackedInstances, matrix: HashMatrix,
-                out: np.ndarray) -> np.ndarray:
-    """Encode the view `instances` into `out`, an (len(instances), m) array
-    of any dtype: zeroed, then 1 at every bit an active position projects
-    to; O(c*k) per instance past the zeroing."""
+def _bit_codes(instances: PackedInstances, matrix: HashMatrix) -> np.ndarray:
+    """The index kernel: flat index ``i * m + b`` of every bit that an active
+    position of instance i projects to, 0-based b, one per projection, by
+    instance; a bit two positions share appears twice."""
     starts, sizes = instances.starts, instances.sizes
     # index of each position in `flat`: its instance's start plus its offset
     # among that instance's positions
     offsets = np.cumsum(sizes) - sizes
     picks = np.arange(sizes.sum()) + np.repeat(starts - offsets, sizes)
-    owner = np.repeat(np.arange(sizes.size), sizes * matrix.k)
+    owner = np.repeat(np.arange(sizes.size) * matrix.m, sizes * matrix.k)
+    return owner + (matrix.rows[instances.flat[picks] - 1].ravel() - 1)
+
+
+def set_bits(instances: PackedInstances, matrix: HashMatrix) -> np.ndarray:
+    """Sorted distinct flat indices ``i * m + b`` of the bits set in the
+    encoding of the view `instances`: the row-major order of its nonzero
+    entries, without building it; O(c*k log(c*k)) per instance."""
+    codes = np.sort(_bit_codes(instances, matrix))
+    first = np.empty(codes.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    return codes[first]
+
+
+def encode_rows(instances: PackedInstances, matrix: HashMatrix,
+                out: np.ndarray) -> np.ndarray:
+    """Encode the view `instances` into `out`, an (len(instances), m) array
+    of any dtype and layout: zeroed, then 1 at every bit an active position
+    projects to; O(c*k) per instance past the zeroing."""
     out.fill(0)
-    out[owner, matrix.rows[instances.flat[picks] - 1].ravel() - 1] = 1
+    # put indexes `out` as flattened in row-major order whatever its strides,
+    # where a reshape of a non-contiguous `out` would write to a copy
+    np.put(out, _bit_codes(instances, matrix), 1)
     return out
 
 

@@ -3,7 +3,11 @@
 Dense layers with ReLU hidden activations and a softmax output, trained
 on batches with categorical cross-entropy against multi-hot targets
 normalized to a distribution. Inputs and targets are encoded by hash
-matrices; the no-embedding baseline uses the identity matrix.
+matrices; the no-embedding baseline uses the identity matrix. A target
+is sparse: row i of a batch's target is 1/count_i at the count_i bits its
+items set and 0 elsewhere, so a train step takes it as those bits' sorted
+flat indices ``i * m + b`` and their values, and the loss and its gradient
+read and write only those entries of the softmax.
 Optimizers: SGD with momentum and Adam. Everything is plain numpy;
 training runs in float32 by default, gradient checking uses float64
 networks.
@@ -18,9 +22,12 @@ gradient into the softmax, a hidden layer's gradient into its activation
 and its ReLU slope into its pre-activation, Adam's denominator into the
 gradient. Every operation keeps the plain expression and its order, so
 losses and weights match the plain expressions bit for bit. ``train``
-encodes each batch, a view of the packed split, straight into two buffers
-it owns, so it never holds the encoded split. The cross-entropy loss reads
-only the target's nonzero entries.
+encodes each batch's inputs, a view of the packed split, straight into a
+buffer it owns and takes its target's set bits from
+:func:`~bloomemb.codec.set_bits`, so it never holds the encoded split nor
+a (batch, m) target. :func:`gradients`, :func:`backward_and_step` and
+:func:`loss_cross_entropy` take a dense target and pass its nonzero
+entries, in row-major order, to the same kernels.
 
 Weight init is scaled uniform, U(-sqrt(1/fan_in), +sqrt(1/fan_in)), from
 a seeded generator; with fixed init and shuffle seeds a training run is
@@ -42,7 +49,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import PackedPairs, SparseInstance, encode_batch, encode_rows
+from .codec import (PackedInstances, PackedPairs, SparseInstance, encode_batch,
+                    encode_rows, set_bits)
 from .data import DataError
 from .hashing import HashMatrix, identity_hash_matrix
 
@@ -136,12 +144,12 @@ class _StepBuffers:
 
     A batch of b rows uses the leading b rows of each. ``out[l]`` is layer
     l's pre-activation, and for the output layer its softmax, computed in
-    place; ``act[l]`` is hidden layer l's ReLU. ``mask`` holds the target's
-    nonzero entries. ``grads`` are the gradients in parameter order. The
-    backward pass writes into spent arrays: the loss gradient into the
-    softmax once the loss is taken, and hidden layer l's gradient into
-    ``act[l]`` once the next layer's weight gradient is taken, then times
-    its ReLU slope, which overwrites ``out[l]``.
+    place; ``act[l]`` is hidden layer l's ReLU. ``grads`` are the gradients
+    in parameter order. The backward pass writes into spent arrays: the
+    loss gradient into the softmax once the loss is taken, and hidden layer
+    l's gradient into ``act[l]`` once the next layer's weight gradient is
+    taken, then times its ReLU slope, which overwrites ``out[l]``. The
+    target is no buffer: a step takes it as its set bits.
     """
 
     def __init__(self, net: Network, rows: int):
@@ -150,7 +158,6 @@ class _StepBuffers:
         self.rows = rows
         self.out = [np.empty((rows, s), dtype) for s in sizes[1:]]
         self.act = [np.empty((rows, s), dtype) for s in sizes[1:-1]]
-        self.mask = np.empty((rows, sizes[-1]), dtype=bool)
         self.grads = [np.empty_like(p) for p in net.parameters()]
 
 
@@ -201,21 +208,35 @@ def loss_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
     """Mean cross-entropy of (B, m) probabilities against (B, m) targets.
 
     Each target row is a distribution: a multi-hot target normalized to sum 1.
-    Only the target's nonzero entries contribute, so only they are read: the
-    probabilities under them are gathered, taken to float64, clamped at a
-    small epsilon and logged; a zero target entry adds 0 whatever its
-    probability.
+    A zero target entry adds 0 whatever its probability, so only the nonzero
+    entries are read, by :func:`_cross_entropy`.
     """
-    return _cross_entropy(probs, targets, targets != 0)
+    return _cross_entropy(probs, *_nonzeros(targets, probs.shape))
 
 
-def _cross_entropy(probs: np.ndarray, targets: np.ndarray,
-                   hit: np.ndarray) -> float:
-    """:func:`loss_cross_entropy` given the mask `hit` of ``targets != 0``."""
-    logp = probs[hit].astype(np.float64)
+def _nonzeros(targets: np.ndarray,
+              shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """A dense target of `shape` as the sorted flat indices of its nonzero
+    entries and their values: what the kernels take in its place."""
+    if targets.shape != shape:
+        raise ValueError(f"target shape {targets.shape} does not match {shape}")
+    codes = np.flatnonzero(targets)
+    return codes, targets.take(codes)
+
+
+def _cross_entropy(probs: np.ndarray, codes: np.ndarray,
+                   values: np.ndarray) -> float:
+    """The loss kernel: mean cross-entropy of (B, m) probabilities against
+    the target that is `values` at the sorted flat indices `codes` and 0
+    elsewhere. The probabilities there are gathered, taken to float64,
+    clamped at a small epsilon and logged; summed in the order of `codes`,
+    the row-major order of a boolean mask, the products add up as a dense
+    target's would.
+    """
+    logp = probs.take(codes).astype(np.float64)
     np.maximum(logp, _LOSS_EPS, out=logp)
     np.log(logp, out=logp)
-    return float(-(targets[hit] * logp).sum() / probs.shape[0])
+    return float(-(values * logp).sum() / probs.shape[0])
 
 
 class _OptimizerState:
@@ -307,24 +328,42 @@ def _apply_update(net: Network, grads: list[np.ndarray],
             p -= u
 
 
+def _dense_target(net: Network, x: np.ndarray,
+                  targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_nonzeros` of (B, n_out) targets taken to net.dtype."""
+    return _nonzeros(np.asarray(targets, net.dtype), (x.shape[0], net.n_out))
+
+
 def gradients(net: Network, x: np.ndarray, targets: np.ndarray,
               buffers: _StepBuffers | None = None
               ) -> tuple[float, list[np.ndarray]]:
-    """Batch loss and analytic gradients in parameter order (W0, b0, W1, ...).
+    """Batch loss and analytic gradients in parameter order (W0, b0, W1, ...)
+    against dense (B, n_out) targets, through :func:`_gradients`."""
+    return _gradients(net, x, *_dense_target(net, x, targets), buffers)
+
+
+def _gradients(net: Network, x: np.ndarray, codes: np.ndarray,
+               values: np.ndarray, buffers: _StepBuffers | None = None
+               ) -> tuple[float, list[np.ndarray]]:
+    """The gradient kernel: batch loss and gradients against the target
+    that is `values`, in net.dtype, at the sorted distinct flat indices
+    `codes` and 0 elsewhere.
 
     Both passes write into `buffers`, a fresh set when None; the gradients
-    returned are its ``grads``.
+    returned are its ``grads``. The softmax minus the target is the softmax
+    with `values` subtracted at `codes`, since p - 0 is p.
     """
     b = x.shape[0]
     if buffers is None:
         buffers = _StepBuffers(net, b)
     x = np.ascontiguousarray(x, dtype=net.dtype)
     probs = forward_batch(net, x, buffers)
-    t = np.ascontiguousarray(targets, dtype=net.dtype)
-    loss = _cross_entropy(probs, t, np.not_equal(t, 0, out=buffers.mask[:b]))
+    loss = _cross_entropy(probs, codes, values)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite training loss")
-    dz = np.subtract(probs, t, out=probs)
+    # probs is the leading rows of a C-contiguous buffer: the reshape is a view
+    dz = probs
+    dz.reshape(-1)[codes] -= values
     dz /= b
     grads = buffers.grads
     for l in range(len(net.weights) - 1, -1, -1):
@@ -347,9 +386,17 @@ def backward_and_step(net: Network, batch: tuple[np.ndarray, np.ndarray],
                       optimizer: OptimizerSpec,
                       state: _OptimizerState | None = None
                       ) -> tuple[float, _OptimizerState]:
-    """One gradient step on (inputs, normalized targets); returns batch loss.
-    A `state` from an earlier step must carry the same `optimizer`."""
+    """One gradient step on (inputs, normalized dense targets); returns the
+    batch loss. A `state` from an earlier step must carry the same
+    `optimizer`."""
     x, targets = batch
+    return _step(net, x, *_dense_target(net, x, targets), optimizer, state)
+
+
+def _step(net: Network, x: np.ndarray, codes: np.ndarray, values: np.ndarray,
+          optimizer: OptimizerSpec, state: _OptimizerState | None
+          ) -> tuple[float, _OptimizerState]:
+    """:func:`backward_and_step` on the target of :func:`_gradients`."""
     if x.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     if state is None:
@@ -358,7 +405,8 @@ def backward_and_step(net: Network, batch: tuple[np.ndarray, np.ndarray],
         raise ValueError(f"optimizer {optimizer} differs from the state's {state.spec}")
     # an overflowing step leaves non-finite weights the next forward rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, grads = gradients(net, x, targets, state.buffers(net, x.shape[0]))
+        loss, grads = _gradients(net, x, codes, values,
+                                 state.buffers(net, x.shape[0]))
         _apply_update(net, grads, state)
     return loss, state
 
@@ -390,6 +438,18 @@ def packed_split(net: Network, split: Sequence[tuple[SparseInstance, SparseInsta
     return data, *matrices
 
 
+def _target_bits(targets: PackedInstances, matrix: HashMatrix,
+                 dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The encoded `targets` normalized to sum 1, as the sorted flat indices
+    of their set bits and the values there: 1/count_i on row i, in `dtype`,
+    count_i being its distinct bits, which the float sum of its ones gives
+    exactly. Each target must set a bit."""
+    codes = set_bits(targets, matrix)
+    owner = codes // matrix.m
+    counts = np.bincount(owner, minlength=len(targets)).astype(dtype)
+    return codes, (1 / counts)[owner]
+
+
 def train(net: Network,
           dataset: Sequence[tuple[SparseInstance, SparseInstance]],
           hash_in: HashMatrix | None,
@@ -402,8 +462,9 @@ def train(net: Network,
 
     `dataset` is a :class:`PackedPairs` split or a list of pairs, both
     taken by :func:`packed_split`; each batch is a view of it. Targets are
-    the encoded multi-hot vectors normalized to sum 1. Batch order is a
-    seeded permutation per epoch, so runs are reproducible. A diverging step
+    the encoded multi-hot vectors normalized to sum 1, which each step
+    takes as their set bits (:func:`_target_bits`). Batch order is a seeded
+    permutation per epoch, so runs are reproducible. A diverging step
     raises FloatingPointError naming its 1-based epoch.
     """
     if epochs < 0:
@@ -414,17 +475,14 @@ def train(net: Network,
     n = len(data)
     rows = min(batch_size, n)
     x_buf = np.empty((rows, net.n_in), net.dtype)
-    t_buf = np.empty((rows, net.n_out), net.dtype)
 
     def batches(order: np.ndarray):
-        """(inputs, targets normalized to sum 1) in net.dtype, in `order`,
-        each encoded into the leading rows of the same two buffers."""
+        """(inputs in net.dtype, encoded into the leading rows of one buffer,
+        and the target's set bits and their values), in `order`."""
         for s in range(0, n, batch_size):
             batch = data[order[s:s + batch_size]]
             xb = encode_rows(batch.inputs, hash_in, x_buf[:len(batch)])
-            tb = encode_rows(batch.targets, hash_out, t_buf[:len(batch)])
-            tb /= tb.sum(axis=1, keepdims=True)
-            yield xb, tb
+            yield xb, *_target_bits(batch.targets, hash_out, net.dtype)
 
     rng = np.random.default_rng(shuffle_seed)
     state = _OptimizerState(net, optimizer)
@@ -435,8 +493,8 @@ def train(net: Network,
         t0 = time.perf_counter()
         total = 0.0
         try:
-            for xb, tb in batches(rng.permutation(n)):
-                loss, state = backward_and_step(net, (xb, tb), optimizer, state)
+            for xb, codes, values in batches(rng.permutation(n)):
+                loss, state = _step(net, xb, codes, values, optimizer, state)
                 total += loss * xb.shape[0]
         except FloatingPointError as exc:
             raise FloatingPointError(f"epoch {epoch}: {exc}") from exc
@@ -445,8 +503,8 @@ def train(net: Network,
     if epochs == 0:
         # untouched network: report its current loss over the dataset
         buffers = state.buffers(net, rows)
-        total = sum(loss_cross_entropy(forward_batch(net, xb, buffers), tb)
-                    * xb.shape[0] for xb, tb in batches(np.arange(n)))
+        total = sum(_cross_entropy(forward_batch(net, xb, buffers), codes, values)
+                    * xb.shape[0] for xb, codes, values in batches(np.arange(n)))
         final = total / n
     else:
         final = epoch_losses[-1]

@@ -498,12 +498,59 @@ def test_evaluate_on_a_mismatched_embedding_is_a_data_fault(
         assert cli.main(["train", *TINY, "--m", "60", "--out", other]) == 0
         for suffix in (".hash-in", ".hash-out"):
             os.replace(other + suffix, model + suffix)
+    # without <model>.config, evaluate trusts the data flags, so the matrix
+    # check is the one that refuses d = 300
+    flags = str(tmp_path / "run.flags")
+    os.replace(model + ".config", flags)
     monkeypatch.setattr(experiment, "encode_rows", _must_not_run)
     capsys.readouterr()
-    assert cli.main(["evaluate", "--config", model + ".config", *eval_flags,
+    assert cli.main(["evaluate", "--config", flags, *eval_flags,
                      "--model", model]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("data error: input hash matrix "), err
+
+
+# data flags that differ from a model's .config: each would score profiles
+# the model trained on, or profiles of other data
+SPLIT_MISMATCHES = {
+    "data-seed-1": (["--data-seed", "1"], "data_seed is 1 here and 0"),
+    "test-size-0.2": (["--test-size", "0.2"], "test_size is 0.2 here and 0.1"),
+    "d-300": (["--d", "300"], "d is 300 here and 200"),
+    "n-and-data-seed": (["--data-seed", "1", "--n", "400"], "n is 400 here and 500"),
+}
+
+
+@pytest.mark.parametrize("eval_flags,difference", SPLIT_MISMATCHES.values(),
+                         ids=SPLIT_MISMATCHES)
+def test_evaluate_on_other_data_settings_than_the_models_is_a_data_fault(
+        tmp_path, monkeypatch, capsys, eval_flags, difference):
+    model = str(tmp_path / "run.model")
+    assert cli.main(["train", *TINY, "--m", "40", "--out", model]) == 0
+    assert cli.main(["evaluate", "--config", model + ".config",
+                     "--model", model]) == 0
+    monkeypatch.setattr(experiment, "evaluate_model", _must_not_run)
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", model + ".config", *eval_flags,
+                     "--model", model]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: the data settings differ from the model's: "
+        f"{difference} in {model}.config"]
+
+
+def test_evaluate_with_a_malformed_model_config_is_a_data_fault(tmp_path,
+                                                                monkeypatch,
+                                                                capsys):
+    model = str(tmp_path / "run.model")
+    assert cli.main(["train", *TINY, "--m", "40", "--out", model]) == 0
+    flags = str(tmp_path / "run.flags")
+    os.replace(model + ".config", flags)
+    Path(model + ".config").write_text("d=two hundred\n")
+    monkeypatch.setattr(experiment, "evaluate_model", _must_not_run)
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", flags, "--model", model]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        f"data error: cannot load model config {model}.config: "), err
 
 
 def test_evaluate_on_a_file_of_other_items_is_a_data_fault(tmp_path, monkeypatch,

@@ -19,7 +19,7 @@ from bloomemb.codec import (PackedInstances, PackedPairs, ScoreOrder,
                             decode_nll_batch, encode_batch, encode_rows,
                             matrix_from_bytes, rank_batch,
                             read_bit_vectors, read_instances,
-                            read_probabilities, write_bit_vectors)
+                            read_probabilities, set_bits, write_bit_vectors)
 from bloomemb.hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
 from bloomemb.trainer import network_from_bytes
 
@@ -226,20 +226,50 @@ class TestEncode:
         for i, inst in enumerate(instances):
             assert np.array_equal(bits[i], encode_batch([inst], matrix)[0])
 
-    def test_rows_overwrite_the_leading_rows_of_a_used_buffer(self):
+    @pytest.mark.parametrize("layout", ["leading-rows", "every-other-column",
+                                        "column-major"])
+    def test_rows_overwrite_the_leading_rows_of_a_used_buffer(self, layout):
         # train's use: a shuffled subset of the packed split, encoded into
-        # the leading rows of a float buffer that holds an earlier batch
+        # the leading rows of a float buffer that holds an earlier batch;
+        # the same into arrays that are not C-contiguous
         rng = np.random.default_rng(12)
         matrix = build_hash_matrix(d=60, m=17, k=3, seed=2)
         instances = [SparseInstance.from_items(
             60, rng.choice(60, size=rng.integers(0, 7), replace=False) + 1)
             for _ in range(40)]
         packed = PackedInstances.of(instances)
-        buf = np.full((25, 17), 7.0, dtype=np.float32)
+        buf = {"leading-rows": np.full((25, 17), 7.0, dtype=np.float32),
+               "every-other-column": np.full((25, 34), 7.0,
+                                             dtype=np.float32)[:, ::2],
+               "column-major": np.full((25, 17), 7.0, dtype=np.float32,
+                                       order="F")}[layout]
         rows = rng.permutation(40)[:20]
         got = encode_rows(packed[rows], matrix, buf[:20])
         assert np.array_equal(got, encode_batch([instances[i] for i in rows], matrix))
+        assert np.array_equal(buf[:20], got)
         assert (buf[20:] == 7).all()
+
+    def test_set_bits_are_the_row_major_nonzeros_of_the_encoding(self):
+        # empty instances, items whose projections collide, and views of the
+        # packed split by index array, slice and all of it
+        rng = np.random.default_rng(21)
+        matrix = build_hash_matrix(d=60, m=11, k=3, seed=4)
+        instances = [SparseInstance.from_items(
+            60, rng.choice(60, size=rng.integers(0, 9), replace=False) + 1)
+            for _ in range(40)]
+        packed = PackedInstances.of(instances)
+        assert any(inst.c == 0 for inst in instances)
+        views = [packed[rng.permutation(40)[:25]], packed[5:30], packed, packed[:0]]
+        collided = 0
+        for view in views:
+            want = np.flatnonzero(np.array(
+                [naive_encode(inst.positions, matrix) for inst in view],
+                dtype=np.uint8).reshape(len(view), matrix.m))
+            got = set_bits(view, matrix)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, np.flatnonzero(encode_batch(view, matrix)))
+            collided += int((view.sizes * matrix.k).sum()) - got.size
+        assert collided > 0
 
     def test_runtime_independent_of_d(self):
         # O(c*k): the same instance should cost about the same under a

@@ -6,11 +6,12 @@ import struct
 import numpy as np
 import pytest
 
-from bloomemb.codec import SparseInstance, encode_batch
+from bloomemb.codec import PackedInstances, SparseInstance, encode_batch
 from bloomemb.data import DataError, SyntheticSpec, generate_synthetic
 from bloomemb.hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
 from bloomemb.trainer import (NetworkSpec, OptimizerSpec, _apply_update,
-                              _OptimizerState, backward_and_step,
+                              _gradients, _OptimizerState, _step,
+                              _target_bits, backward_and_step,
                               forward_batch, gradients, init_network,
                               loss_cross_entropy, multi_hot,
                               network_from_bytes, network_to_bytes, train)
@@ -343,6 +344,28 @@ class TestTrain:
             runs.append(report.epoch_losses)
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("collisions", [False, True],
+                             ids=["identity", "k3-collisions"])
+    def test_epochs_zero_loss_is_the_dense_loss_over_the_batches(self,
+                                                                 collisions):
+        # batches of 16 in split order, the last one short, each scored by
+        # the dense loss against its encoded targets normalized to sum 1
+        dataset = tiny_dataset(np.random.default_rng(23))
+        dataset[0] = (dataset[0][0], SparseInstance.from_items(20, [1, 2]))
+        h = _collision_matrix() if collisions else None
+        matrix = identity_hash_matrix(20) if h is None else h
+        net = small_net((matrix.m, 5, matrix.m), seed=6, dtype=np.float32)
+        report = train(net, dataset, h, h, OptimizerSpec("adam"), epochs=0,
+                       batch_size=16)
+        total = 0
+        for s in range(0, len(dataset), 16):
+            part = dataset[s:s + 16]
+            x = encode_batch([pair[0] for pair in part], matrix).astype(np.float32)
+            t = encode_batch([pair[1] for pair in part], matrix).astype(np.float32)
+            t /= t.sum(axis=1, keepdims=True)
+            total += loss_cross_entropy(forward_batch(net, x), t) * len(part)
+        assert report.final_loss == total / len(dataset)
+
     def test_epochs_zero_leaves_network_untouched(self):
         rng = np.random.default_rng(11)
         dataset = tiny_dataset(rng)
@@ -511,6 +534,60 @@ class TestTrainOracle:
     def test_collision_matrix_sets_five_bits_for_items_1_and_2(self):
         target = SparseInstance.from_items(20, [1, 2])
         assert encode_batch([target], _collision_matrix()).sum() == 5
+
+
+class TestSetBitStep:
+    """The dense entry points against the set-bit kernels that `train`
+    steps with, on the same target."""
+
+    @staticmethod
+    def batch(dtype):
+        # 128 rows of 1-4 target items under k = 3 over m = 12: many rows
+        # set fewer bits than their items project to
+        rng = np.random.default_rng(22)
+        matrix = build_hash_matrix(40, 12, 3, 6)
+        net = small_net((30, 9, 12), seed=8, dtype=dtype)
+        targets = PackedInstances.of([SparseInstance.from_items(
+            40, rng.choice(40, size=rng.integers(1, 5), replace=False) + 1)
+            for _ in range(128)])
+        bits = encode_batch(targets, matrix).astype(dtype)
+        assert (bits.sum(axis=1) < targets.sizes * matrix.k).sum() > 32
+        dense = bits / bits.sum(axis=1, keepdims=True)
+        x = (rng.random((128, 30)) < 0.2).astype(dtype)
+        return net, x, dense, _target_bits(targets, matrix, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_equal_the_set_bit_kernel_bit_for_bit(self, dtype):
+        net, x, dense, (codes, values) = self.batch(dtype)
+        assert np.array_equal(codes, np.flatnonzero(dense))
+        assert values.dtype == dtype and np.array_equal(values, dense.take(codes))
+        loss, grads = gradients(net, x, dense)
+        grads = [g.copy() for g in grads]
+        want_loss, want = _gradients(net, x, codes, values)
+        assert loss == want_loss
+        for got, exp in zip(grads, want):
+            assert np.array_equal(got, exp)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_backward_and_step_equals_the_set_bit_step(self, kind, dtype):
+        net, x, dense, (codes, values) = self.batch(dtype)
+        ref = small_net((30, 9, 12), seed=8, dtype=dtype)
+        spec = OptimizerSpec(kind, learning_rate=0.01)
+        state, ref_state = None, None
+        for _ in range(2):
+            loss, state = backward_and_step(net, (x, dense), spec, state)
+            want, ref_state = _step(ref, x, codes, values, spec, ref_state)
+            assert loss == want
+        for got, exp in zip(net.parameters(), ref.parameters()):
+            assert np.array_equal(got, exp)
+
+    def test_dense_target_of_another_shape_is_rejected(self):
+        net = small_net((4, 3))
+        with pytest.raises(ValueError, match="^target shape"):
+            gradients(net, np.ones((2, 4)), np.full((2, 4), 0.25))
+        with pytest.raises(ValueError, match="^target shape"):
+            loss_cross_entropy(np.full((2, 3), 1 / 3), np.full((1, 3), 1 / 3))
 
 
 class TestCheckpoints:
