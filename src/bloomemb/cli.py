@@ -34,6 +34,7 @@ either step is the data fault ``cannot load <what> <path>: <reason>``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import itertools
@@ -271,20 +272,28 @@ def _check_split(path: str, cfg: experiment.ExperimentConfig) -> None:
 def cmd_evaluate(args):
     """Score the model at ``--model`` on the test split of the data the field
     flags set. When ``<model>.config`` exists, the data fields must equal
-    those it logs (a data file may move); without it they are trusted."""
+    those it logs (a data file may move); without it they are trusted. These
+    checks run before the data's items are compared with ``<model>.items``,
+    so a data setting that drops items is named as what differs; a config
+    fault that only loading finds is still reported first."""
     cfg = _resolve_config(args)
     net = _load("model", args.model, trainer.network_from_bytes)
     h_in = _load("hash matrix", args.model + ".hash-in", codec.matrix_from_bytes)
     h_out = _load("hash matrix", args.model + ".hash-out", codec.matrix_from_bytes)
-    ds = experiment.load_dataset(cfg)
     items = args.model + ".items"
+    try:
+        if cfg.data_path is None and os.path.exists(items):
+            raise DataError(f"the model's items are those of a data file ({items}), "
+                            "but the data is synthetic")
+        if os.path.exists(args.model + ".config"):
+            _check_split(args.model + ".config", cfg)
+    except DataError:
+        with contextlib.suppress(DataError):
+            experiment.load_dataset(cfg)  # raises the config faults it finds
+        raise
+    ds = experiment.load_dataset(cfg)
     if ds.item_ids is not None:
         _check_items(items, ds.item_ids.tolist())
-    elif os.path.exists(items):
-        raise DataError(f"the model's items are those of a data file ({items}), "
-                        "but the data is synthetic")
-    if os.path.exists(args.model + ".config"):
-        _check_split(args.model + ".config", cfg)
     result = experiment.evaluate_model(net, ds.test_profiles(), h_in, h_out,
                                        decode_mode=cfg.decode_mode,
                                        measure=cfg.measure, top_n=cfg.top_n)

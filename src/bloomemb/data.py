@@ -39,11 +39,14 @@ to map str's 19 other whitespace characters (U+0085, U+00A0, U+1680,
 U+2000-U+200A, U+2028, U+2029, U+202F, U+205F, U+3000) to ASCII of their
 kind. Each column that is needed (user, item, or every token of a profiles
 file) is copied into a bytes array as wide as its longest token, or into
-bytes objects where that array would be the larger. Timestamps and ratings
-are cast from such copies as ``float()`` reads them, and the ids' codes are
+bytes objects where that array would be the larger. The ids' codes are
 their indices among the sorted distinct tokens (UTF-8 byte order is
-code-point order). De-duplication, both filters and re-indexing
-act on those codes.
+code-point order); tokens of at most 8 bytes sort as zero-padded big-endian
+uint64 keys, which order as their bytes do. De-duplication, both filters
+and re-indexing act on those codes. Timestamps and ratings are read as
+``float()`` reads them, each distinct token once, and triples take their
+(user, timestamp) order from one stable sort of one int64 key: the user's
+code and the timestamp's rank among the distinct values.
 
 The seeded generator draws all cuts in profile order, then the held-out
 profiles; synthetic data draws items and cut per profile into one
@@ -51,7 +54,8 @@ preallocated array. Each of those draws is the value of one scalar
 Generator call, computed bit for bit by numpy's own algorithms from blocks
 of the bit generator's raw outputs, at about a third of the calls' cost.
 Either way the profiles lie end to end in one array, which stays the
-dataset once each side is sorted: each split is a
+dataset once each side is sorted (every side in one sort of one int64 key
+per item): each split is a
 :class:`bloomemb.codec.PackedPairs`, a view of its inputs and one of its
 targets.
 
@@ -108,7 +112,8 @@ def _split_dataset(d: int, cuts: np.ndarray, ends: np.ndarray, items: np.ndarray
                    test_size: float, rng: np.random.Generator,
                    item_ids: np.ndarray | None = None) -> ProfileDataset:
     """Profile i of `items` ends at ends[i], its target starts at cuts[i]; each
-    side is sorted, and `rng` holds out round(n * test_size) profiles."""
+    side is sorted, all sides in one sort of one int64 key per position, and
+    `rng` holds out round(n * test_size) profiles."""
     if not 0 <= test_size <= 1:
         raise ValueError(f"test_size must lie in [0, 1], got {test_size}")
     n = len(ends)
@@ -117,7 +122,13 @@ def _split_dataset(d: int, cuts: np.ndarray, ends: np.ndarray, items: np.ndarray
     bounds[1::2] = cuts
     bounds[2::2] = ends
     sizes = np.diff(bounds)
-    flat = items[np.lexsort((items, np.repeat(np.arange(2 * n), sizes)))]
+    # one key per position, side * (d + 1) + item, sorted in place: it stays
+    # below 2**63, as d < 2**31 and there are fewer than 2**32 sides
+    key = np.repeat(np.arange(0, 2 * n * (d + 1), d + 1, dtype=np.int64), sizes)
+    key += items
+    key.sort()
+    flat = np.remainder(key, d + 1, out=key).astype(np.int32)
+    del key  # freed before the held-out draw allocates
     flat.setflags(write=False)
     sides = PackedInstances(d, flat, bounds[:-1], sizes)
     held = np.zeros(n, dtype=bool)
@@ -214,23 +225,61 @@ def _tokenise(data: bytes) -> tuple[_Tokens, np.ndarray]:
 
 
 def _codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each token's index among the sorted distinct tokens, and those tokens."""
-    distinct, code = np.unique(column, return_inverse=True)
-    return code, distinct
+    """Each token's index among the sorted distinct tokens, and those tokens.
+
+    Tokens of at most 8 bytes sort as big-endian uint64 keys, zero-padded
+    on the right: a token holds no NUL byte, so the padding puts a prefix
+    first, as bytes order does. Their codes come from one argsort of the
+    keys, which holds about half the memory that ``np.unique`` with
+    ``return_inverse`` holds. Longer tokens sort as bytes."""
+    width = column.itemsize
+    if column.dtype.kind != "S" or width > 8:
+        distinct, code = np.unique(column, return_inverse=True)
+        return code, distinct
+    keys = np.zeros((len(column), 8), dtype=np.uint8)
+    keys[:, :width] = column.view(np.uint8).reshape(-1, width)
+    keys = keys.view(">u8").astype(np.uint64).ravel()
+    order = keys.argsort()
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)  # a sorted key unlike the one before
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    distinct = keys[new].astype(">u8").view(np.uint8).reshape(-1, 8)[:, :width]
+    del keys
+    new[:1] = False  # so that the running count of new keys is the code
+    code = np.empty_like(order)
+    code[order] = np.cumsum(new)
+    return code, np.ascontiguousarray(distinct).view(column.dtype).ravel()
 
 
-def _floats(column: np.ndarray) -> np.ndarray:
-    """float() of each token, up to the first that is not a number."""
+def _floats(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float() of each token, up to the first row, in file order, that is not
+    a number: each row's index among the sorted distinct values (equal values
+    share one) and those values. Each distinct token is parsed once."""
+    code, tokens = _codes(column)
     try:
-        return column.astype(np.float64)
+        parsed = tokens.astype(np.float64)
     except ValueError:  # float() also reads non-ASCII digits
-        values = []
-        for tok in column.tolist():
+        parsed = np.full(len(tokens), np.nan)
+        number = np.ones(len(tokens), dtype=bool)
+        for i, tok in enumerate(tokens.tolist()):
             try:
-                values.append(float(tok.decode()))
+                parsed[i] = float(tok.decode())
             except ValueError:
-                break
-        return np.array(values)
+                number[i] = False
+        # the rows up to the first, in file order, whose token is not a number
+        code = code[:np.argmin(np.append(number[code], False))]
+    values, rank = np.unique(parsed, return_inverse=True)
+    return rank[code], values
+
+
+def _order(major: np.ndarray, minor: np.ndarray, n_minor: int) -> np.ndarray:
+    """The stable order of rows by (major, minor), codes >= 0 with minor <
+    n_minor: one stable sort of the int64 key major * n_minor + minor where
+    it fits, else stable sorts by minor, then by major."""
+    if (int(major.max(initial=0)) + 1) * n_minor <= 2**63:
+        return np.argsort(major * n_minor + minor, kind="stable")
+    order = np.argsort(minor, kind="stable")
+    return order[np.argsort(major[order], kind="stable")]
 
 
 def _triples(users: np.ndarray, columns: list[np.ndarray], rows: np.ndarray,
@@ -242,15 +291,16 @@ def _triples(users: np.ndarray, columns: list[np.ndarray], rows: np.ndarray,
     j + 1 of each row that has one. The first row that fails a check, in
     file order, is the fault."""
     items, stamps, ratings = columns
-    stamps, ratings = _floats(stamps), _floats(ratings)
     stamped = width >= 3
     stamp_rows, rating_rows = np.flatnonzero(stamped), np.flatnonzero(width > 3)
     fault = np.zeros(len(rows), dtype=np.int8)  # the first check a row fails, or 0
-    parsed = ((stamp_rows, stamps), (rating_rows, ratings))
-    for at, values in parsed:
-        fault[at[:len(values)][np.isnan(values)]] = 4
-    for at, values in parsed:  # where parsing stopped, if it did
-        fault[at[len(values):len(values) + 1]] = 3
+    # the rows of each column, each parsed row's rank among its distinct values,
+    # and those values
+    parsed = ((stamp_rows, *_floats(stamps)), (rating_rows, *_floats(ratings)))
+    for at, rank, values in parsed:
+        fault[at[:len(rank)][np.isnan(values)[rank]]] = 4
+    for at, rank, _ in parsed:  # where parsing stopped, if it did
+        fault[at[len(rank):len(rank) + 1]] = 3
     fault[stamped != stamped[:1]] = 2
     fault[(width < 2) | (width > 4)] = 1
     bad = np.flatnonzero(fault)
@@ -263,12 +313,14 @@ def _triples(users: np.ndarray, columns: list[np.ndarray], rows: np.ndarray,
                   3: "non-numeric timestamp or rating",
                   4: "NaN timestamp or rating"}[fault[row]]
         raise DataError(f"line {rows[row] + 1}: {reason}")
+    (_, stamps, stamp_values), (_, ratings, rating_values) = parsed
     keep = np.ones(len(rows), dtype=bool)
     if rating_threshold is not None:
-        keep[rating_rows[ratings < rating_threshold]] = False
+        keep[rating_rows[(rating_values < rating_threshold)[ratings]]] = False
     user = users[keep]  # not dense once rows go, but in the same order
-    stamps = stamps[keep] if stamps.size else np.zeros(user.size)
-    order = np.lexsort((stamps, user))  # stable: file order breaks ties
+    # stable: file order breaks ties
+    order = (_order(user, stamps[keep], len(stamp_values)) if stamps.size
+             else np.argsort(user, kind="stable"))
     return user[order], items[keep][order], rating_rows.size > 0
 
 

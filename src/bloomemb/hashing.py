@@ -18,8 +18,9 @@ a two-round multiply-xorshift mix. The platform default RNG is not used.
   seeded with ``mix64(s + (i + 1) * GOLDEN_GAMMA)``, so every row is a pure
   function of ``(m, k, seed, i)``. :func:`build_hash_matrix` advances the
   streams of all d rows at once, as uint64 arrays.
-* :class:`SplitMix64` is one stream over Python integers. Only the CBE
-  rebuild draws from it, one pair after another.
+* :class:`SplitMix64` is one stream that computes its outputs 4096 at a
+  time as a uint64 array and hands them out as Python integers. Only the
+  CBE rebuild draws from it, one pair after another.
 * Bounded draws use bitmask rejection, which is exactly uniform.
 """
 
@@ -100,16 +101,22 @@ def mix64(z):
 
 
 class SplitMix64:
-    """Sequential SplitMix64 stream over Python integers."""
+    """Sequential SplitMix64 stream, handed out as Python integers and
+    computed 4096 outputs at a time as a uint64 array."""
 
-    __slots__ = ("_state",)
+    __slots__ = ("_state", "_block")
+    _BLOCK = 4096
+    _STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * GOLDEN_GAMMA  # wraps mod 2**64
 
     def __init__(self, seed: int):
-        self._state = seed & MASK64
+        self._state = seed & MASK64  # the counter of the last output computed
+        self._block: list[int] = []  # the computed outputs not yet used, next last
 
     def next_u64(self) -> int:
-        self._state = (self._state + GOLDEN_GAMMA) & MASK64
-        return mix64(self._state)
+        if not self._block:
+            self._block = mix64(self._STEPS + self._state).tolist()[::-1]
+            self._state = (self._state + self._BLOCK * GOLDEN_GAMMA) & MASK64
+        return self._block.pop()
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n), exact via bitmask rejection."""

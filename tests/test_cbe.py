@@ -10,7 +10,7 @@ from bloomemb.cbe import (CooccurrenceTable, average_item_frequency,
                           rebuild_hash_matrix, stats_report_tsv,
                           threshold_and_order)
 from bloomemb.codec import PackedInstances, SparseInstance
-from bloomemb.hashing import HashMatrix, SplitMix64, build_hash_matrix
+from bloomemb.hashing import GOLDEN_GAMMA, HashMatrix, SplitMix64, build_hash_matrix
 
 
 def insts(d, *sets):
@@ -96,11 +96,30 @@ class TestThreshold:
             assert pairs.tolist() == [[r, c] for _, r, c in triples]
 
 
-def candidates_rebuild(matrix, pairs, seed):
+class PerDrawStream:
+    """SplitMix64 computed one draw at a time in Python-int arithmetic, with
+    bitmask rejection; counts its draws."""
+
+    def __init__(self, seed):
+        self.state, self.draws = seed % 2**64, 0
+
+    def randbelow(self, n):
+        mask = (1 << (n - 1).bit_length()) - 1
+        while True:
+            self.draws += 1
+            self.state = (self.state + GOLDEN_GAMMA) % 2**64
+            z = (self.state ^ (self.state >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+            z = (z ^ (z >> 31)) & mask
+            if z < n:
+                return z
+
+
+def candidates_rebuild(matrix, pairs, seed, stream=None):
     """(rows, skipped pairs) of the rebuild that draws the fresh bit from an
     explicit array of the bits outside both rows; the comparison oracle."""
     rows = matrix.rows.copy()
-    stream = SplitMix64(seed)
+    stream = SplitMix64(seed) if stream is None else stream
     mask = np.ones(matrix.m + 1, dtype=bool)  # mask[idx] — is bit idx admissible
     skipped = 0
     for a, b in pairs:
@@ -140,6 +159,17 @@ class TestRebuild:
             applied_total += len(pairs) - skipped
         assert skipped_total > 100 and applied_total > 100
 
+
+    def test_a_rebuild_over_several_draw_blocks_is_the_per_draw_rebuild(self):
+        # about 9,000 draws, across two of the stream's 4096-output blocks
+        rng = np.random.default_rng(4)
+        matrix = build_hash_matrix(d=400, m=50, k=3, seed=7)
+        a, b = rng.integers(1, 401, size=(2, 3200))
+        pairs = [(x, y) for x, y in zip(a.tolist(), b.tolist()) if x != y]
+        stream = PerDrawStream(11)
+        rows, _ = candidates_rebuild(matrix, pairs, 11, stream)
+        assert stream.draws > 2 * 4096
+        assert np.array_equal(rebuild_hash_matrix(matrix, pairs, seed=11).rows, rows)
 
     def test_empty_pair_list_is_identity(self):
         matrix = build_hash_matrix(d=10, m=6, k=2, seed=3)

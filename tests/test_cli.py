@@ -537,6 +537,25 @@ def test_evaluate_on_other_data_settings_than_the_models_is_a_data_fault(
         f"{difference} in {model}.config"]
 
 
+def test_evaluate_names_a_data_setting_that_drops_items_before_the_items(
+        tmp_path, monkeypatch, capsys):
+    # 12 triples over users u1-u4 and items a-e; items d and e are in one
+    # profile each, so min_item_count 2 drops them and the item lists differ
+    data = tmp_path / "t.txt"
+    data.write_text("u1 a 1\nu1 b 2\nu1 c 3\nu2 a 1\nu2 d 2\nu2 b 3\n"
+                    "u3 c 1\nu3 a 2\nu3 b 3\nu4 e 1\nu4 a 2\nu4 c 3\n")
+    model = str(tmp_path / "m")
+    flags = ["--data", str(data), "--baseline", "--epochs", "1", "--test-size", "0.25"]
+    assert cli.main(["train", *flags, "--out", model]) == 0
+    assert cli.main(["evaluate", *flags, "--model", model]) == 0
+    monkeypatch.setattr(experiment, "evaluate_model", _must_not_run)
+    capsys.readouterr()
+    assert cli.main(["evaluate", *flags, "--min-item-count", "2", "--model", model]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: the data settings differ from the model's: "
+        f"min_item_count is 2 here and 1 in {model}.config"]
+
+
 def test_evaluate_with_a_malformed_model_config_is_a_data_fault(tmp_path,
                                                                 monkeypatch,
                                                                 capsys):

@@ -17,8 +17,8 @@ import pytest
 
 from bloomemb.codec import PackedInstances, PackedPairs, SparseInstance
 from bloomemb.data import (DataError, ProfileDataset, SyntheticSpec, _cluster_bounds,
-                           _ScalarDraws, _split_dataset, generate_synthetic,
-                           load_profiles)
+                           _codes, _floats, _order, _ScalarDraws, _split_dataset,
+                           _tokenise, generate_synthetic, load_profiles)
 from bloomemb.experiment import (ExperimentConfig, build_matrices, evaluate_model, fit,
                                  load_dataset)
 
@@ -273,6 +273,16 @@ def seeded_triples() -> str:
     return "".join(f"u{u} i{i} {t}\n" for u, i, t in zip(users, items, stamps))
 
 
+def shuffled_triples() -> str:
+    """160k timestamped triples in no order: 20k users of 8 bytes, Zipf-skewed
+    items of 1 to 8 bytes, tied stamps."""
+    rng = np.random.default_rng(160)
+    users = rng.integers(0, 20_000, 160_000).tolist()
+    items = (rng.zipf(1.1, 160_000) % 10**8).tolist()
+    stamps = rng.integers(0, 1000, 160_000).tolist()
+    return "".join(f"usr{u:05d} {i} {t}\n" for u, i, t in zip(users, items, stamps))
+
+
 @pytest.mark.parametrize("build,expected", [
     (lambda: load_dataset(ExperimentConfig()),
      (2000, 18000, 2000,
@@ -283,10 +293,15 @@ def seeded_triples() -> str:
      (310, 396, 99,
       "aa3fb06bb0a074847462196bd21b66fa0e1296da9e9de23a6303467baded876c",
       "5e52d53c55c4e69d8275d24248cf6bc27d72caf847b523d13a2edf4232fbf097")),
-], ids=["default-synthetic", "seeded-triples"])
+    (lambda: load_profiles(io.StringIO(shuffled_triples()), test_size=0.1, seed=3),
+     (65846, 17948, 1994,
+      "fa9c009d8d2d3a142eb8ca2ac2e1792da35f256fd0a5e5b0ae068d53183e4a62",
+      "b00950e281b2c50f3f8c64e5fbc3cfaa8b8e5f8fbb3cdbf4fb2bb765506c8563")),
+], ids=["default-synthetic", "seeded-triples", "shuffled-160k-triples"])
 def test_full_size_splits_stay_identical(build, expected):
-    # captured from the per-instance build; must never be edited to make a
-    # change pass
+    # the first two were captured from the per-instance build, the third
+    # from the loader that sorted bytes and key tuples; none may ever be
+    # edited to make a change pass
     ds = build()
     assert (ds.d, len(ds.train), len(ds.test), split_digest(ds.train),
             split_digest(ds.test)) == expected
@@ -607,3 +622,110 @@ def test_a_nul_byte_is_a_data_error_naming_its_line(tmp_path, as_file):
     with pytest.raises(DataError) as exc:
         load_profiles(source)
     assert str(exc.value) == "line 2: NUL byte"
+
+
+# ---------------------------------------------------------------------------
+# integer-key orders against the byte and lexsort orders they replace
+# ---------------------------------------------------------------------------
+
+
+def random_ids(r: random.Random, n: int, longest: int) -> list[bytes]:
+    """n UTF-8 ids of 1 to `longest` bytes, some with bytes >= 0x80, some
+    prefixes of others, plus ids of exactly 8 and 9 bytes where they fit."""
+    fixed = [b"1", b"10", b"9", b"100", "é".encode(), "日".encode(), b"12345678",
+             "ééé1z".encode(), b"123456789", "日本語".encode()]
+    ids = [i for i in fixed if len(i) <= longest]
+    while len(ids) < n:
+        size, token = r.randint(1, longest), b""
+        while True:
+            char = r.choice("019az\x7fé日").encode()
+            if len(token) + len(char) > size:
+                break
+            token += char
+        ids.append(token or b"0")
+    r.shuffle(ids)
+    return ids
+
+
+@pytest.mark.parametrize("longest,kind", [(8, "S8"), (9, "S9"), (12, "S12"),
+                                          (1000, "O")])
+def test_codes_are_the_indices_among_the_sorted_distinct_ids(longest, kind):
+    r = random.Random(longest)
+    ids = random_ids(r, 3000, min(longest, 12)) + [b"x" * longest]
+    tokens, _ = _tokenise(b" ".join(ids))
+    column = tokens.column(slice(None))
+    assert column.dtype.str.lstrip("|") == kind  # one long id makes objects
+    code, distinct = _codes(column)
+    expected = sorted(set(ids))
+    assert distinct.tolist() == expected
+    assert code.tolist() == [expected.index(i) for i in ids]
+    bytes_distinct, bytes_code = np.unique(column, return_inverse=True)
+    assert distinct.dtype == bytes_distinct.dtype
+    assert np.array_equal(distinct, bytes_distinct) and np.array_equal(code, bytes_code)
+
+
+def per_token_floats(tokens: list[bytes]) -> list[float]:
+    values = []
+    for tok in tokens:
+        try:
+            values.append(float(tok.decode()))
+        except ValueError:
+            break
+    return values
+
+
+@pytest.mark.parametrize("tokens", [
+    ["5", "3", "5.0", "1e1", "-0", "0", "inf", "01"],
+    ["2", "x", "1", "!"],     # stops at x, though ! sorts first
+    ["3", "1", "!", "2"],     # the bad token sorts before every good one
+    ["١", "2", "x", "٣"],     # float() reads non-ASCII digits; numpy does not
+    ["nan", "1", "nan"],
+    ["x"],
+], ids=["numbers", "bad-in-the-middle", "bad-sorts-first", "non-ascii-digits",
+        "nan", "none-parse"])
+def test_floats_are_float_of_each_token_up_to_the_first_bad_row(tokens):
+    column = np.array([t.encode() for t in tokens])
+    rank, values = _floats(column)
+    expected = per_token_floats(column.tolist())
+    assert np.array_equal(values[rank], expected, equal_nan=True)
+    assert (np.diff(values[~np.isnan(values)]) > 0).all()  # one rank per value
+
+
+def test_floats_of_random_tokens_are_float_of_each_token():
+    r = random.Random(7)
+    pool = ["1", "1.0", "01", "10", "9", "0.5", "-2", "1e3", "x", "١"]
+    for _ in range(200):
+        column = np.array([r.choice(pool).encode() for _ in range(r.randint(1, 30))])
+        rank, values = _floats(column)
+        assert values[rank].tolist() == per_token_floats(column.tolist())
+
+
+def test_equal_timestamps_written_differently_tie_in_file_order():
+    # items a..e are 1..5; 01, 1.0 and 1 are one time, so c, a, b keep their lines
+    ds = load("u c 01\nu a 1.0\nu d 0.5\nu b 1\nu e 2\n", fmt="triples")
+    assert_order(profile_sets(ds)[0], [4, 3, 1, 2, 5])
+
+
+@pytest.mark.parametrize("n_minor", [7, 2**62], ids=["one-key", "two-sorts"])
+def test_order_is_the_lexsort_order(n_minor):
+    rng = np.random.default_rng(3)
+    major = rng.integers(0, 50, 5000)
+    minor = rng.integers(0, 7, 5000) * (n_minor // 7)
+    assert np.array_equal(_order(major, minor, n_minor), np.lexsort((minor, major)))
+
+
+@pytest.mark.parametrize("d", [50, 2**31 - 1])
+def test_split_sides_are_the_lexsort_order_of_their_items(d):
+    # 300 profiles over the top 50 ids, where the key side * (d + 1) + item
+    # is largest
+    rng = np.random.default_rng(d % 1000)
+    sizes = rng.integers(2, 9, 300)
+    items = np.concatenate([rng.choice(np.arange(d - 49, d + 1), size, replace=False)
+                            for size in sizes.tolist()]).astype(np.int32)
+    ends = np.cumsum(sizes)
+    cuts = ends - sizes + rng.integers(1, sizes)
+    ds = _split_dataset(d, cuts, ends, items, 0.0, rng)
+    side_sizes = np.column_stack((cuts - (ends - sizes), ends - cuts)).ravel()
+    want = items[np.lexsort((items, np.repeat(np.arange(600), side_sizes)))]
+    got = [s for inp, out in ds.train for s in (inp.positions, out.positions)]
+    assert np.array_equal(np.concatenate(got), want)

@@ -37,6 +37,22 @@ def pool_rows(d, m, k, seed):
     return out
 
 
+def python_mix64(z: int) -> int:
+    """The SplitMix64 finalizer in Python-int arithmetic, one word at a time."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 3, 2**63 + 5], ids=["0", "wraps", "high-bit"])
+def test_block_drawn_stream_is_the_per_draw_stream(seed):
+    # 10,000 draws cross two 4096-output blocks; seed 2**64 - 3 wraps the
+    # counter at the first draw
+    stream = SplitMix64(seed)
+    assert [stream.next_u64() for _ in range(10_000)] == [
+        python_mix64((seed + i * GOLDEN_GAMMA) % 2**64) for i in range(1, 10_001)]
+
+
 def test_row_stream_seeds_are_distinct():
     seeds = {row_stream_seed(42, i) for i in range(10_000)}
     assert len(seeds) == 10_000
