@@ -10,12 +10,15 @@ bits survive any overlap with earlier pairs.
 Counting is exact: C[a][b] is the number of instances containing both a
 and b, and the diagonal holds per-item frequencies. The table is kept in
 strict-lower-triangle coordinate form (count, row, col) with row > col.
-Counting is one pass over the packed instances, one group of equal-size
-instances at a time, each group's pairs from one upper-triangle index set.
+Counting writes the code row * (d + 1) + col of every pair, one group of
+equal-size instances at a time, into one preallocated int64 array, sorts
+it in place and counts the runs of equal codes; the diagonal is one
+bincount over the positions.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from typing import Sequence
@@ -55,25 +58,52 @@ class CooccurrenceStats:
     mean_ratio_rho: float
 
 
+def _pair_codes(packed: PackedInstances) -> np.ndarray:
+    """The code hi * (d + 1) + lo of each pair hi > lo of positions that an
+    instance holds, in one int64 array sized for them, written one group of
+    equal-size instances at a time."""
+    d, flat, starts, sizes = packed.d, packed.flat, packed.starts, packed.sizes
+    codes = np.empty(int((sizes.astype(np.int64) * (sizes - 1) // 2).sum()), np.int64)
+    at = 0
+    for c in np.flatnonzero(np.bincount(sizes)).tolist():
+        if c < 2:
+            continue
+        # the (g, c) positions of the g instances of size c, one per row
+        block = flat[starts[sizes == c, None] + np.arange(c)].astype(np.int64)
+        # their pairs as a (g, c(c-1)/2) view of `codes`, those of lower member i
+        # at a time; positions are sorted ascending, so the higher one is later
+        out = codes[at:at + len(block) * c * (c - 1) // 2].reshape(len(block), -1)
+        at += out.size
+        lo = 0
+        for i in range(c - 1):
+            pair = out[:, lo:lo + c - 1 - i]
+            np.multiply(block[:, i + 1:], d + 1, out=pair)
+            pair += block[:, i, None]
+            lo += c - 1 - i
+    return codes
+
+
 def count_cooccurrences(instances: Sequence[SparseInstance]) -> CooccurrenceTable:
     """Exact pairwise co-occurrence counts over a list or a packed view."""
     if not instances:
         raise ValueError("need at least one instance")
     packed = PackedInstances.of(instances)
-    d, starts, sizes = packed.d, packed.starts, packed.sizes
-    diag = np.zeros(d, dtype=np.int64)
-    codes = [np.empty(0, dtype=np.int64)]
-    for c in np.unique(sizes):
-        # the (g, c) positions of the g instances of size c, one per row
-        block = packed.flat[starts[sizes == c, None] + np.arange(c)].astype(np.int64)
-        diag += np.bincount(block.ravel() - 1, minlength=d)
-        lo, hi = np.triu_indices(c, k=1)
-        # positions are sorted ascending, so block[:, hi] > block[:, lo]
-        codes.append((block[:, hi] * (d + 1) + block[:, lo]).ravel())
-    uniq, counts = np.unique(np.concatenate(codes), return_counts=True)
-    return CooccurrenceTable(d=d, diag=diag, values=counts.astype(np.int64),
-                             rows=(uniq // (d + 1)).astype(np.int32),
-                             cols=(uniq % (d + 1)).astype(np.int32))
+    d = packed.d
+    diag = np.bincount(packed.concatenated(), minlength=d + 1)[1:].astype(np.int64)
+    codes = _pair_codes(packed)
+    codes.sort()
+    new = np.ones(codes.size, dtype=bool)  # a sorted code unlike the one before
+    np.not_equal(codes[1:], codes[:-1], out=new[1:])
+    first = np.flatnonzero(new)  # where each run of equal codes starts
+    del new
+    uniq, total = codes[first], codes.size
+    del codes
+    counts = np.diff(first, append=total)
+    del first
+    rows, cols = np.empty(len(uniq), np.int32), np.empty(len(uniq), np.int32)
+    np.floor_divide(uniq, d + 1, out=rows)
+    np.remainder(uniq, d + 1, out=cols)
+    return CooccurrenceTable(d=d, diag=diag, values=counts, rows=rows, cols=cols)
 
 
 def average_item_frequency(table: CooccurrenceTable) -> float:
@@ -111,13 +141,16 @@ def rebuild_hash_matrix(matrix: HashMatrix, pairs: np.ndarray,
     if pairs.size and (pairs.shape[1:] != (2,) or pairs.dtype.kind not in "iu"):
         raise ValueError(f"pairs must be an (n, 2) array of integers, got "
                          f"{pairs.dtype} of shape {pairs.shape}")
-    rows = matrix.rows.tolist()
-    for a, b in pairs.reshape(-1, 2).tolist():
+    rows = matrix.rows.copy()  # the two rows of a pair are edited as views
+    pairs = pairs.reshape(-1, 2)
+    chunks = (pairs[at:at + 256].tolist() for at in range(0, len(pairs), 256))
+    for a, b in itertools.chain.from_iterable(chunks):
         if not (1 <= a <= matrix.d and 1 <= b <= matrix.d):
             raise ValueError(f"pair member out of range [1, {matrix.d}]: ({a}, {b})")
         if a == b:
             raise ValueError(f"pair must join two distinct items, got ({a}, {b})")
-        taken = sorted({*rows[a - 1], *rows[b - 1]})
+        row_a, row_b = rows[a - 1], rows[b - 1]
+        taken = sorted({*row_a.tolist(), *row_b.tolist()})
         if len(taken) == m:
             logger.warning("pair (%d, %d) skipped: rows cover all %d bits", a, b, m)
             continue
@@ -127,10 +160,10 @@ def rebuild_hash_matrix(matrix: HashMatrix, pairs: np.ndarray,
             if bit > r:
                 break
             r += 1
-        rows[a - 1][stream.randbelow(k)] = r
-        rows[b - 1][stream.randbelow(k)] = r
-    return HashMatrix(d=matrix.d, m=m, k=k, seed=matrix.seed,
-                      rows=np.array(rows, dtype=np.int32))
+        row_a[stream.randbelow(k)] = r
+        row_b[stream.randbelow(k)] = r
+    del stream  # its block of draws goes before the new matrix is checked
+    return HashMatrix(d=matrix.d, m=m, k=k, seed=matrix.seed, rows=rows)
 
 
 def cooccurrence_stats(table: CooccurrenceTable, n: int) -> CooccurrenceStats:

@@ -81,6 +81,15 @@ def _checked_positions(d: int, positions) -> np.ndarray:
     return pos
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """`values` sorted, each once: a sort, then adjacent repeats dropped, as
+    a plain ``np.unique`` gives them without its import of ``numpy.ma``."""
+    values = np.sort(values)
+    first = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
 @dataclass(frozen=True, slots=True)
 class SparseInstance:
     """Active positions p (sorted, distinct, 1-based) of a binary vector."""
@@ -89,7 +98,7 @@ class SparseInstance:
     positions: np.ndarray
 
     def __post_init__(self):
-        pos = np.unique(_checked_positions(self.d, self.positions))
+        pos = _sorted_distinct(_checked_positions(self.d, self.positions))
         pos = pos.astype(np.int32, copy=False)
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -147,6 +156,14 @@ class PackedInstances(Sequence):
         start, size = int(self.starts[i]), int(self.sizes[i])
         return SparseInstance(self.d, self.flat[start:start + size])
 
+    def concatenated(self) -> np.ndarray:
+        """Every instance's positions, in order, end to end in one array."""
+        # the index in `flat` of each position: its index here, moved by its
+        # instance's start less the positions before that instance here
+        offsets = np.cumsum(self.sizes) - self.sizes
+        return self.flat[np.arange(self.sizes.sum())
+                         + np.repeat(self.starts - offsets, self.sizes)]
+
     def positions(self) -> Iterator[np.ndarray]:
         """Each instance's positions, in order, as a view of `flat`."""
         for start, size in zip(self.starts.tolist(), self.sizes.tolist()):
@@ -181,24 +198,16 @@ def _bit_codes(instances: PackedInstances, matrix: HashMatrix) -> np.ndarray:
     """The index kernel: flat index ``i * m + b`` of every bit that an active
     position of instance i projects to, 0-based b, one per projection, by
     instance; a bit two positions share appears twice."""
-    starts, sizes = instances.starts, instances.sizes
-    # index of each position in `flat`: its instance's start plus its offset
-    # among that instance's positions
-    offsets = np.cumsum(sizes) - sizes
-    picks = np.arange(sizes.sum()) + np.repeat(starts - offsets, sizes)
+    sizes = instances.sizes
     owner = np.repeat(np.arange(sizes.size) * matrix.m, sizes * matrix.k)
-    return owner + (matrix.rows[instances.flat[picks] - 1].ravel() - 1)
+    return owner + (matrix.rows[instances.concatenated() - 1].ravel() - 1)
 
 
 def set_bits(instances: PackedInstances, matrix: HashMatrix) -> np.ndarray:
     """Sorted distinct flat indices ``i * m + b`` of the bits set in the
     encoding of the view `instances`: the row-major order of its nonzero
     entries, without building it; O(c*k log(c*k)) per instance."""
-    codes = np.sort(_bit_codes(instances, matrix))
-    first = np.empty(codes.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(codes[1:], codes[:-1], out=first[1:])
-    return codes[first]
+    return _sorted_distinct(_bit_codes(instances, matrix))
 
 
 def encode_rows(instances: PackedInstances, matrix: HashMatrix,

@@ -30,23 +30,29 @@ taken once: under ``auto`` they choose the format, then order the triples.
 ``rating_threshold`` keeps rows with rating >= threshold. It needs a rating
 column, so it is a fault on a profiles file or on triples without ratings.
 
-A file is tokenised as bytes, in whole-array passes, into the tokens of
-``str.split`` on the lines of ``str.splitlines``. One 256-entry lookup
-table classes each byte: ``\t \n \x0b \x0c \r \x1c``-``\x1f`` and space
-separate tokens, and ``\n``, ``\r``, ``\r\n``, ``\x0b``, ``\x0c`` and
-``\x1c``-``\x1e`` end a line. Only a file with a byte >= 0x80 is decoded,
-to map str's 19 other whitespace characters (U+0085, U+00A0, U+1680,
-U+2000-U+200A, U+2028, U+2029, U+202F, U+205F, U+3000) to ASCII of their
-kind. Each column that is needed (user, item, or every token of a profiles
-file) is copied into a bytes array as wide as its longest token, or into
-bytes objects where that array would be the larger. The ids' codes are
-their indices among the sorted distinct tokens (UTF-8 byte order is
-code-point order); tokens of at most 8 bytes sort as zero-padded big-endian
-uint64 keys, which order as their bytes do. De-duplication, both filters
-and re-indexing act on those codes. Timestamps and ratings are read as
-``float()`` reads them, each distinct token once, and triples take their
-(user, timestamp) order from one stable sort of one int64 key: the user's
-code and the timestamp's rank among the distinct values.
+A file is tokenised as bytes into the tokens of ``str.split`` on the lines
+of ``str.splitlines``, one block of whole lines (about 256 KiB) at a time,
+in whole-array passes over the block. One 256-entry lookup table classes
+each byte: ``\t \n \x0b \x0c \r \x1c``-``\x1f`` and space separate tokens,
+and ``\n``, ``\r``, ``\r\n``, ``\x0b``, ``\x0c`` and ``\x1c``-``\x1e`` end a
+line. Only a file with a byte >= 0x80 is decoded, to map str's 19 other
+whitespace characters (U+0085, U+00A0, U+1680, U+2000-U+200A, U+2028,
+U+2029, U+202F, U+205F, U+3000) to ASCII of their kind. Of each block only
+each row's token count and line number outlive it, with the tokens of the
+columns that are needed: the first four of each row while the format is
+open or triples are read, every token of a profiles file. Each column is
+gathered into a bytes array as wide as its longest token, or into bytes
+objects where that array would be the larger. No array holds one entry
+per token of a triples file. The file's bytes go once the format is
+settled, and an ``auto`` file that turns out to be profiles is walked
+again first. The ids' codes are their indices among the sorted distinct tokens (UTF-8 byte
+order is code-point order); tokens of at most 8 bytes sort as zero-padded
+big-endian uint64 keys, which order as their bytes do. De-duplication,
+both filters and re-indexing act on those codes, int32 where they fit.
+Timestamps and ratings are read as ``float()`` reads them, each distinct
+token once, and triples take their (user, timestamp) order from one sort
+in place of one int64 key: the user's code, the timestamp's rank among the
+distinct values and the row, which breaks ties in file order.
 
 The seeded generator draws all cuts in profile order, then the held-out
 profiles; synthetic data draws items and cut per profile into one
@@ -54,8 +60,8 @@ preallocated array. Each of those draws is the value of one scalar
 Generator call, computed bit for bit by numpy's own algorithms from blocks
 of the bit generator's raw outputs, at about a third of the calls' cost.
 Either way the profiles lie end to end in one array, which stays the
-dataset once each side is sorted (every side in one sort of one int64 key
-per item): each split is a
+dataset once each side is sorted (every side in one sort in place of one
+integer key per item, int32 where every key fits): each split is a
 :class:`bloomemb.codec.PackedPairs`, a view of its inputs and one of its
 targets.
 
@@ -66,10 +72,10 @@ structure and produces nonzero co-occurrence statistics.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -122,12 +128,14 @@ def _split_dataset(d: int, cuts: np.ndarray, ends: np.ndarray, items: np.ndarray
     bounds[1::2] = cuts
     bounds[2::2] = ends
     sizes = np.diff(bounds)
-    # one key per position, side * (d + 1) + item, sorted in place: it stays
-    # below 2**63, as d < 2**31 and there are fewer than 2**32 sides
-    key = np.repeat(np.arange(0, 2 * n * (d + 1), d + 1, dtype=np.int64), sizes)
+    # one key per position, side * (d + 1) + item, sorted in place: int32
+    # where every key fits, else int64, where it stays below 2**63, as
+    # d < 2**31 and there are fewer than 2**32 sides
+    top = 2 * n * (d + 1)
+    key = np.repeat(np.arange(0, top, d + 1, dtype=_index_dtype(top)), sizes)
     key += items
     key.sort()
-    flat = np.remainder(key, d + 1, out=key).astype(np.int32)
+    flat = np.remainder(key, d + 1, out=key).astype(np.int32, copy=False)
     del key  # freed before the held-out draw allocates
     flat.setflags(write=False)
     sides = PackedInstances(d, flat, bounds[:-1], sizes)
@@ -143,39 +151,69 @@ def _split_dataset(d: int, cuts: np.ndarray, ends: np.ndarray, items: np.ndarray
 
 
 # what str.split and str.splitlines make of each byte of ASCII text: 0 a token
-# byte, 1 whitespace, 2 a line break (\r\n is one, which _tokenise sees to)
+# byte, 1 whitespace, 2 a line break (\r\n is one, which _walk sees to)
 _BYTE_KIND = np.zeros(256, dtype=np.uint8)
 _BYTE_KIND[list(b"\t\x1f ")] = 1
 _BYTE_KIND[list(b"\n\x0b\x0c\r\x1c\x1d\x1e")] = 2
+_LINE_BREAK = re.compile(rb"[\n\x0b\x0c\r\x1c-\x1e]")
 # str's non-ASCII whitespace, each as ASCII whitespace of its kind
 _WIDE_SPACES = dict.fromkeys((0xA0, 0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F,
                               0x3000), " ") | dict.fromkeys((0x85, 0x2028, 0x2029), "\x0c")
 # bytes that a bytes object and its pointer take beyond its contents
 _BYTES_OBJECT = sys.getsizeof(b"") + 8
+# bytes of text tokenised at a time: a block ends at the first line break
+# from here on, so it holds whole lines, and a longer line makes it longer
+_BLOCK = 1 << 18
 
 
-class _Tokens(NamedTuple):
-    """Token i of a file is buf[starts[i]:starts[i] + lengths[i]]."""
+def _index_dtype(n: int):
+    """The integer type of indices and counts below `n`."""
+    return np.int32 if n < 2**31 else np.int64
 
-    buf: np.ndarray
-    starts: np.ndarray
-    lengths: np.ndarray
 
-    def column(self, idx) -> np.ndarray:
-        """The tokens `idx` as a fixed-width bytes array or, where that would
-        outgrow a bytes object per token (a few long tokens widen it all),
-        as an array of bytes objects; both sort, unique and cast alike."""
-        starts, lengths = self.starts[idx], self.lengths[idx]
-        width = max(int(lengths.max(initial=0)), 1)
-        if width * len(starts) > _BYTES_OBJECT * len(starts) + lengths.sum():
-            view = memoryview(self.buf)
-            return np.array([bytes(view[a:a + n]) for a, n
-                             in zip(starts.tolist(), lengths.tolist())], dtype=object)
-        grid = np.zeros((len(starts), width), dtype=np.uint8)
-        for j in range(width):
-            has = lengths > j
-            grid[has, j] = self.buf[starts[has] + j]
-        return grid.view(f"S{width}").ravel()
+def _as_objects(count: int, width: int, total: int) -> bool:
+    """Whether `count` tokens of `total` bytes, the longest `width`, take
+    less memory as bytes objects than as a bytes array that wide."""
+    return width * count > _BYTES_OBJECT * count + total
+
+
+class _Column:
+    """Tokens gathered a block at a time, each block's as a fixed-width bytes
+    array, or as bytes objects where that would be the smaller; `array`
+    joins them into one array of the kind the whole column takes by the
+    same rule. Both kinds sort, unique and cast alike."""
+
+    def __init__(self):
+        self.blocks, self.count, self.width, self.total = [], 0, 1, 0
+
+    def add(self, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> None:
+        count, width, total = len(starts), max(int(lengths.max(initial=0)), 1), \
+            int(lengths.sum())
+        self.count, self.total = self.count + count, self.total + total
+        self.width = max(self.width, width)
+        if _as_objects(count, width, total):
+            view = memoryview(buf)
+            self.blocks.append([bytes(view[a:a + n]) for a, n
+                                in zip(starts.tolist(), lengths.tolist())])
+            return
+        # a clamped gather, then the bytes past each token's end zeroed
+        at = np.arange(width, dtype=starts.dtype)
+        grid = np.minimum(starts[:, None] + at, buf.size - 1)
+        grid = buf[grid]
+        grid *= at < lengths[:, None]
+        self.blocks.append(grid.view(f"S{width}").ravel())
+
+    def array(self) -> np.ndarray:
+        """The column, its blocks dropped; a token holds no NUL, so the cast
+        of a block to the column's kind adds or strips only padding."""
+        out = (np.empty(self.count, dtype=object)
+               if _as_objects(self.count, self.width, self.total)
+               else np.zeros(self.count, dtype=f"S{self.width}"))
+        at, blocks, self.blocks = 0, self.blocks, []
+        for block in blocks:
+            out[at:at + len(block)] = block
+            at += len(block)
+        return out
 
 
 def _file_bytes(source) -> bytes:
@@ -192,36 +230,57 @@ def _file_bytes(source) -> bytes:
     return data.encode(errors="surrogatepass") if isinstance(data, str) else data
 
 
-def _positions(mask: np.ndarray, dtype) -> np.ndarray:
-    """np.flatnonzero(mask) as `dtype`, found a block at a time, so that no
-    int64 array of all the hits is made."""
-    block = 1 << 16
-    return np.concatenate([np.flatnonzero(mask[i:i + block]).astype(dtype) + i
-                           for i in range(0, max(mask.size, 1), block)])
-
-
-def _tokenise(data: bytes) -> tuple[_Tokens, np.ndarray]:
-    """The tokens of `data`, as str.split finds them, and the first token of
-    each line and past the last, as str.splitlines counts lines (the last
-    line may be empty); a NUL byte is a fault of its line."""
-    buf = np.frombuffer(data, dtype=np.uint8)
-    pos = np.int32 if buf.size < 2**31 else np.int64
-    kind = _BYTE_KIND[buf]
-    breaks = _positions(kind == 2, pos)
-    breaks = breaks[(buf[breaks] != ord("\n")) | (buf[breaks - 1] != ord("\r"))
-                    | (breaks == 0)]
-    nul = data.find(b"\0")
-    if nul >= 0:
-        raise DataError(f"line {np.searchsorted(breaks, nul) + 1}: NUL byte")
-    # +1 where a token starts, -1 just past its end
-    edge = np.diff((kind == 0).view(np.int8), prepend=np.int8(0), append=np.int8(0))
-    del kind
-    starts = _positions(edge == 1, pos)
-    lengths = _positions(edge == -1, pos)
-    del edge
-    lengths -= starts
-    lines = np.concatenate(([0], np.searchsorted(starts, breaks), [starts.size]))
-    return _Tokens(buf, starts, lengths), lines.astype(pos)
+def _walk(data: bytes, columns: int | None
+          ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Each row's token count and line (0-based, as str.splitlines counts
+    lines), and token j of each row that has one, for j < `columns`, or
+    every token in one column where `columns` is None. A row is a line that
+    holds a token, as str.split finds them. The text is tokenised one block
+    of whole lines at a time, and only these arrays outlive a block; a NUL
+    byte is a fault of its line."""
+    pos = _index_dtype(len(data))
+    widths, lines = [np.empty(0, pos)], [np.empty(0, pos)]
+    out = [_Column() for _ in range(columns or 1)]
+    start = line = 0
+    while start < len(data):
+        cut = _LINE_BREAK.search(data, start + _BLOCK - 1)
+        end = len(data) if cut is None else cut.end()
+        if data[end - 1:end + 1] == b"\r\n":  # a block never splits \r\n
+            end += 1
+        buf = np.frombuffer(data, np.uint8, end - start, start)
+        kind = _BYTE_KIND[buf]
+        breaks = np.flatnonzero(kind == 2).astype(pos)
+        breaks = breaks[(buf[breaks] != ord("\n")) | (buf[breaks - 1] != ord("\r"))
+                        | (breaks == 0)]
+        nul = data.find(b"\0", start, end)
+        if nul >= 0:
+            raise DataError(f"line {line + np.searchsorted(breaks, nul - start) + 1}: "
+                            "NUL byte")
+        # +1 where a token starts, -1 just past its end
+        edge = np.diff((kind == 0).view(np.int8), prepend=np.int8(0), append=np.int8(0))
+        del kind
+        starts = np.flatnonzero(edge == 1).astype(pos)
+        lengths = np.flatnonzero(edge == -1).astype(pos)
+        del edge
+        lengths -= starts
+        # the first token of each line (those that the breaks end, then the
+        # rest, maybe empty) and past the last
+        first = np.concatenate(([0], np.searchsorted(starts, breaks), [starts.size]))
+        count = np.diff(first)
+        rows = np.flatnonzero(count)
+        width = count[rows].astype(pos)
+        if columns is None:
+            out[0].add(buf, starts, lengths)
+        else:
+            first = first[rows]
+            for j, column in enumerate(out):
+                at = first[width > j] + j
+                column.add(buf, starts[at], lengths[at])
+        widths.append(width)
+        lines.append((rows + line).astype(pos))
+        line += breaks.size
+        start = end
+    return np.concatenate(widths), np.concatenate(lines), [c.array() for c in out]
 
 
 def _codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,25 +288,26 @@ def _codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Tokens of at most 8 bytes sort as big-endian uint64 keys, zero-padded
     on the right: a token holds no NUL byte, so the padding puts a prefix
-    first, as bytes order does. Their codes come from one argsort of the
-    keys, which holds about half the memory that ``np.unique`` with
+    first, as bytes order does. The keys are byteswapped in place into
+    native order, and their codes come from one argsort and one sort in
+    place, which hold about a third of the memory that ``np.unique`` with
     ``return_inverse`` holds. Longer tokens sort as bytes."""
-    width = column.itemsize
+    width, index = column.itemsize, _index_dtype(len(column))
     if column.dtype.kind != "S" or width > 8:
         distinct, code = np.unique(column, return_inverse=True)
-        return code, distinct
+        return code.astype(index), distinct
     keys = np.zeros((len(column), 8), dtype=np.uint8)
     keys[:, :width] = column.view(np.uint8).reshape(-1, width)
-    keys = keys.view(">u8").astype(np.uint64).ravel()
+    keys = keys.view(">u8").ravel().byteswap(inplace=True).view("<u8")
     order = keys.argsort()
-    keys = keys[order]
+    keys.sort()
     new = np.ones(len(keys), dtype=bool)  # a sorted key unlike the one before
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
     distinct = keys[new].astype(">u8").view(np.uint8).reshape(-1, 8)[:, :width]
     del keys
     new[:1] = False  # so that the running count of new keys is the code
-    code = np.empty_like(order)
-    code[order] = np.cumsum(new)
+    code = np.empty(len(order), dtype=index)
+    code[order] = np.cumsum(new, dtype=index)
     return code, np.ascontiguousarray(distinct).view(column.dtype).ravel()
 
 
@@ -269,14 +329,26 @@ def _floats(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # the rows up to the first, in file order, whose token is not a number
         code = code[:np.argmin(np.append(number[code], False))]
     values, rank = np.unique(parsed, return_inverse=True)
-    return rank[code], values
+    return rank.astype(code.dtype)[code], values
 
 
 def _order(major: np.ndarray, minor: np.ndarray, n_minor: int) -> np.ndarray:
     """The stable order of rows by (major, minor), codes >= 0 with minor <
-    n_minor: one stable sort of the int64 key major * n_minor + minor where
-    it fits, else stable sorts by minor, then by major."""
-    if (int(major.max(initial=0)) + 1) * n_minor <= 2**63:
+    n_minor. Where it fits in int64, the key (major * n_minor + minor) *
+    rows + row, sorted in place: the row breaks ties, and the order is the
+    key's remainder by rows. Else one stable sort of major * n_minor + minor
+    where that fits, else stable sorts by minor, then by major."""
+    rows = len(major)
+    top = (int(major.max(initial=0)) + 1) * n_minor  # above every major * n_minor + minor
+    if top * rows <= 2**63:
+        key = major.astype(np.int64)
+        key *= n_minor
+        key += minor
+        key *= rows
+        key += np.arange(rows)
+        key.sort()
+        return np.remainder(key, max(rows, 1), out=key)
+    if top <= 2**63:
         return np.argsort(major * n_minor + minor, kind="stable")
     order = np.argsort(minor, kind="stable")
     return order[np.argsort(major[order], kind="stable")]
@@ -292,7 +364,8 @@ def _triples(users: np.ndarray, columns: list[np.ndarray], rows: np.ndarray,
     file order, is the fault."""
     items, stamps, ratings = columns
     stamped = width >= 3
-    stamp_rows, rating_rows = np.flatnonzero(stamped), np.flatnonzero(width > 3)
+    stamp_rows, rating_rows = (np.flatnonzero(w).astype(users.dtype)
+                               for w in (stamped, width > 3))
     fault = np.zeros(len(rows), dtype=np.int8)  # the first check a row fails, or 0
     # the rows of each column, each parsed row's rank among its distinct values,
     # and those values
@@ -314,14 +387,15 @@ def _triples(users: np.ndarray, columns: list[np.ndarray], rows: np.ndarray,
                   4: "NaN timestamp or rating"}[fault[row]]
         raise DataError(f"line {rows[row] + 1}: {reason}")
     (_, stamps, stamp_values), (_, ratings, rating_values) = parsed
-    keep = np.ones(len(rows), dtype=bool)
     if rating_threshold is not None:
+        keep = np.ones(len(rows), dtype=bool)
         keep[rating_rows[(rating_values < rating_threshold)[ratings]]] = False
-    user = users[keep]  # not dense once rows go, but in the same order
+        users, items = users[keep], items[keep]  # users not dense, but in order
+        stamps = stamps[keep] if stamps.size else stamps
     # stable: file order breaks ties
-    order = (_order(user, stamps[keep], len(stamp_values)) if stamps.size
-             else np.argsort(user, kind="stable"))
-    return user[order], items[keep][order], rating_rows.size > 0
+    order = (_order(users, stamps, len(stamp_values)) if stamps.size
+             else np.argsort(users, kind="stable"))
+    return users[order], items[order], rating_rows.size > 0
 
 
 def load_profiles(source,
@@ -346,35 +420,44 @@ def load_profiles(source,
     """
     if fmt not in ("auto", "triples", "profiles"):
         raise DataError(f"unknown format {fmt!r}")
-    tokens, lines = _tokenise(_file_bytes(source))
-    counts = np.diff(lines)
-    rows = np.flatnonzero(counts)  # the lines that hold a token
-    width, first = counts[rows], lines[rows]  # each row's token count and first token
-    del lines, counts
-    # the user codes, taken once: a triples file repeats its first column
-    if fmt == "triples" or fmt == "auto" and ((width >= 2) & (width <= 4)).all():
-        users, user_ids = _codes(tokens.column(first))
-        n_users = len(user_ids)
-    else:
-        users, n_users = None, len(rows)
-    # the token store goes before the other columns are sorted
-    if fmt == "triples" or n_users < len(rows):
-        columns = [tokens.column(first[width > j] + j) for j in (1, 2, 3)]
-        del tokens, first
+    data = _file_bytes(source)
+    users = None
+    if fmt != "profiles":  # the first four tokens of each row
+        width, rows, (user, *columns) = _walk(data, 4)
+        # the user codes, taken once: a triples file repeats its first column
+        if fmt == "triples" or ((width >= 2) & (width <= 4)).all():
+            users, distinct = _codes(user)
+            if fmt == "auto" and len(distinct) == len(rows):
+                users = None
+            del distinct
+        del user
+    if users is not None:  # the format is settled, and the bytes go
+        del data
         prof, items, rated = _triples(users, columns, rows, width, rating_threshold, fmt)
-    else:
-        items, rated = tokens.column(slice(None)), False
-        del tokens, first, users
-        prof = np.repeat(np.arange(len(rows)), width)
+        del users, columns, rows
+    else:  # every token of a profiles file, walked again under auto
+        columns = rows = None
+        width, _, (items,) = _walk(data, None)
+        del data
+        prof, rated = np.repeat(np.arange(len(width), dtype=width.dtype), width), False
     if rating_threshold is not None and not rated:
         raise DataError("rating_threshold given but the file has no rating column")
     code, item_ids = _codes(items)
     n_items = len(item_ids)
     del items
 
-    # first (earliest) occurrence of each item in its profile
+    # first (earliest) occurrence of each item in its profile: the first row
+    # of each run of equal (profile, item) in their stable order
+    order = _order(prof, code, n_items)
+    repeat = np.ones(code.size, dtype=bool)  # the same as the row before it there
+    repeat[:1] = False
+    for column in (prof, code):
+        ordered = column[order]
+        repeat[1:] &= ordered[1:] == ordered[:-1]
+    del ordered
     first = np.zeros(code.size, dtype=bool)
-    first[np.unique(prof * n_items + code, return_index=True)[1]] = True
+    first[order[~repeat]] = True
+    del order, repeat
     kept_item = np.bincount(code[first], minlength=n_items) >= min_item_count
     keep = first & kept_item[code]
     prof, code = prof[keep], code[keep]

@@ -16,11 +16,14 @@ A warm train step allocates nothing of batch or parameter size. The
 optimizer state owns every array the step writes: each layer's
 pre-activation and activation, the softmax output (computed in place), the
 gradients and Adam's scratch. The batch-sized ones are sized for the
-largest batch, and a shorter batch uses their leading rows. The backward
-pass and the update write into arrays whose values are spent: the loss
-gradient into the softmax, a hidden layer's gradient into its activation
-and its ReLU slope into its pre-activation, Adam's denominator into the
-gradient. Every operation keeps the plain expression and its order, so
+largest batch, and a shorter batch uses their leading rows. Adam's
+scratch is one array the size of the largest parameter, and each
+parameter's update uses a view of its leading entries, so a step holds
+each parameter four times (weights, gradients and both moments) plus that
+array. The backward pass and the update write into arrays whose values are
+spent: the loss gradient into the softmax, a hidden layer's gradient into
+its activation and its ReLU slope into its pre-activation, Adam's
+denominator into the gradient. Every operation keeps the plain expression and its order, so
 losses and weights match the plain expressions bit for bit. ``train``
 encodes each batch's inputs, a view of the packed split, straight into a
 buffer it owns and takes its target's set bits from
@@ -243,9 +246,10 @@ class _OptimizerState:
     """Moments of each parameter, the scratch of its update and the buffers
     of the step's passes.
 
-    The update's arrays are allocated here, once: Adam's one scratch array
-    per parameter, and clipping's one float64 array the size of the largest
-    parameter. SGD scales the gradient in place; Adam writes its step term
+    The update's arrays are allocated here, once: Adam's scratch and
+    clipping's float64 squares, each one array the size of the largest
+    parameter, of which each parameter uses a view of the leading entries.
+    SGD scales the gradient in place; Adam writes its step term
     into the scratch and its denominator into the gradient, which is spent
     once both moments are updated. The passes' buffers are allocated on the
     first batch with more rows than any before. So a warm step allocates
@@ -259,7 +263,8 @@ class _OptimizerState:
         self.momenta = [np.zeros_like(p) for p in params]
         if spec.kind == "adam":
             self.second = [np.zeros_like(p) for p in params]
-            self.scratch = [np.empty_like(p) for p in params]
+            self.scratch = np.empty(max(p.size for p in params),
+                                    np.result_type(*params))
         self.squares = (None if spec.clip_norm is None
                         else np.empty(max(p.size for p in params), np.float64))
         self._buffers: _StepBuffers | None = None
@@ -310,8 +315,8 @@ def _apply_update(net: Network, grads: list[np.ndarray],
         state.step += 1
         t = state.step
         b1, b2 = spec.beta1, spec.beta2
-        for p, g, m, v, u in zip(params, grads, state.momenta,
-                                 state.second, state.scratch):
+        for p, g, m, v in zip(params, grads, state.momenta, state.second):
+            u = state.scratch[:p.size].reshape(p.shape)
             m *= b1
             np.multiply(1 - b1, g, out=u)
             m += u

@@ -10,6 +10,7 @@ from bloomemb.cbe import (CooccurrenceTable, average_item_frequency,
                           rebuild_hash_matrix, stats_report_tsv,
                           threshold_and_order)
 from bloomemb.codec import PackedInstances, SparseInstance
+from bloomemb.data import SyntheticSpec, generate_synthetic
 from bloomemb.hashing import GOLDEN_GAMMA, HashMatrix, SplitMix64, build_hash_matrix
 
 
@@ -66,6 +67,19 @@ class TestCounting:
     def test_coordinates_are_strict_lower_triangle(self):
         table = count_cooccurrences(insts(6, {1, 2, 3}, {2, 3, 6}))
         assert (table.rows > table.cols).all()
+
+    def test_peak_stays_within_two_and_a_half_times_its_pair_codes(self, traced_peak):
+        # the int64 code of every pair, sorted in place, then the distinct
+        # codes and their counts, 16 bytes per distinct pair; clustered
+        # profiles repeat their pairs, so those come to well under the codes.
+        # Counting that kept each size group's codes, joined them and ran
+        # np.unique on them peaked at about 4.5 times the codes.
+        side = generate_synthetic(SyntheticSpec(d=2000, n=20000, n_clusters=50)).train.inputs
+        sizes = side.sizes.astype(np.int64)
+        code_bytes = 8 * int((sizes * (sizes - 1) // 2).sum())
+        count_cooccurrences(side)
+        peak = traced_peak(count_cooccurrences, side)
+        assert peak <= 2.5 * code_bytes, peak / code_bytes
 
 
 class TestThreshold:
@@ -170,6 +184,16 @@ class TestRebuild:
         rows, _ = candidates_rebuild(matrix, pairs, 11, stream)
         assert stream.draws > 2 * 4096
         assert np.array_equal(rebuild_hash_matrix(matrix, pairs, seed=11).rows, rows)
+
+    def test_peak_at_ten_thousand_items_stays_under_half_a_megabyte(self, traced_peak):
+        # an int32 copy of the 160 kB of rows, whose pair's two rows are edited
+        # as views; a list of d Python rows peaked at about 2.4 MB
+        rng = np.random.default_rng(9)
+        matrix = build_hash_matrix(d=10_000, m=1000, k=4, seed=2)
+        a, b = rng.integers(1, 10_001, size=(2, 4000))
+        pairs = np.stack([a, b], axis=1)[a != b].astype(np.int32)
+        rebuild_hash_matrix(matrix, pairs, seed=5)
+        assert traced_peak(rebuild_hash_matrix, matrix, pairs, 5) <= 500_000
 
     def test_empty_pair_list_is_identity(self):
         matrix = build_hash_matrix(d=10, m=6, k=2, seed=3)

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 from bloomemb.codec import PackedInstances, PackedPairs, SparseInstance
+from bloomemb import data
 from bloomemb.data import (DataError, ProfileDataset, SyntheticSpec, _cluster_bounds,
                            _codes, _floats, _order, _ScalarDraws, _split_dataset,
-                           _tokenise, generate_synthetic, load_profiles)
+                           _walk, generate_synthetic, load_profiles)
 from bloomemb.experiment import (ExperimentConfig, build_matrices, evaluate_model, fit,
                                  load_dataset)
 
@@ -652,8 +653,7 @@ def random_ids(r: random.Random, n: int, longest: int) -> list[bytes]:
 def test_codes_are_the_indices_among_the_sorted_distinct_ids(longest, kind):
     r = random.Random(longest)
     ids = random_ids(r, 3000, min(longest, 12)) + [b"x" * longest]
-    tokens, _ = _tokenise(b" ".join(ids))
-    column = tokens.column(slice(None))
+    _, _, (column,) = _walk(b" ".join(ids), None)
     assert column.dtype.str.lstrip("|") == kind  # one long id makes objects
     code, distinct = _codes(column)
     expected = sorted(set(ids))
@@ -729,3 +729,109 @@ def test_split_sides_are_the_lexsort_order_of_their_items(d):
     want = items[np.lexsort((items, np.repeat(np.arange(600), side_sizes)))]
     got = [s for inp, out in ds.train for s in (inp.positions, out.positions)]
     assert np.array_equal(np.concatenate(got), want)
+
+
+@pytest.mark.parametrize("top_plus", [0, 1], ids=["at-2**63", "past-2**63"])
+def test_order_on_both_sides_of_the_one_key_bound(top_plus):
+    # (max major + 1) * n_minor * rows is 2**63, where the key with the row
+    # folded in takes its largest values, or just past it, where the stable
+    # sorts take over; few distinct (major, minor) make ties, which file
+    # order breaks
+    rng = np.random.default_rng(5)
+    rows, n_minor = 2**10, 2**20
+    major = rng.choice([0, 1, 2**33 - 2, 2**33 - 1 + top_plus], rows)
+    minor = rng.choice([0, 1, n_minor - 1], rows)
+    assert ((int(major.max()) + 1) * n_minor * rows > 2**63) == bool(top_plus)
+    order = _order(major, minor, n_minor)
+    assert np.array_equal(order, np.lexsort((np.arange(rows), minor, major)))
+
+
+def test_order_breaks_ties_by_file_order():
+    major = np.array([2, 0, 2, 0, 1, 2, 0], dtype=np.int32)
+    minor = np.array([1, 0, 1, 0, 0, 0, 0], dtype=np.int32)
+    assert _order(major, minor, 2).tolist() == [1, 3, 6, 4, 5, 0, 2]
+
+
+# ---------------------------------------------------------------------------
+# the block walk against one block of the whole file
+# ---------------------------------------------------------------------------
+
+
+def load_in_blocks(monkeypatch, block, text, **kwargs):
+    """What `load_profiles` makes of `text` tokenised `block` bytes at a
+    time, or the DataError it raises, with the item ids and their dtype."""
+    monkeypatch.setattr(data, "_BLOCK", block)
+    try:
+        ds = load_profiles(io.StringIO(text), **kwargs)
+    except DataError as exc:
+        return f"DataError: {exc}"
+    return (loaded_lists(text, **kwargs), ds.item_ids.dtype.str, ds.item_ids.tolist())
+
+
+BLOCK_CUTS = {
+    "crlf": "u1 1 5\r\nu2 2 6\r\nu1 3 7\r\n\r\nu2 1 8\r\n",
+    "cr-then-crlf": "u1 1 5\r\r\nu2 2 6\n\ru1 3 7\r\nu2 1 8\n",
+    "long-line": "u1 1 5\nu2 " + "9" * 40 + " 6\nu1 3 7\nu2 1 8\n",
+    "long-line-profiles": " ".join(map(str, range(30))) + "\n1 2\n3 4 5\n",
+    "nine-byte-id-in-one-block": "u1 1 5\nu2 2 6\nu1 123456789 7\nu2 1 8\n",
+    "object-ids-in-one-block": "u1 1 5\nu2 2 6\n" + "u1 " + "x" * 400 + " 7\nu2 1 8\n",
+    "no-trailing-newline": "u1 1 5\nu2 2 6\nu1 3 7\nu2 1 8",
+    "empty": "",
+    "whitespace-only": " \n\t\r\n  \x0c \n",
+    "auto-reads-profiles": "1 2 3\n4 5 6 7 8\n1 6 9\n",
+    "auto-reads-profiles-after-the-users": "1 2 3\n4 5 6\n7 8 9\n",
+    "non-ascii": "é 1 5\nü é 6\n日 1 7\né ü 8\n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["auto", "triples", "profiles"])
+@pytest.mark.parametrize("text", BLOCK_CUTS.values(), ids=BLOCK_CUTS)
+def test_every_block_size_loads_as_one_block(monkeypatch, text, fmt):
+    # a block size of 1 to past the text's end puts the first cut at every
+    # byte, a \r\n's two bytes among them
+    kwargs = dict(fmt=fmt, test_size=0.3, seed=3)
+    whole = load_in_blocks(monkeypatch, 2**30, text, **kwargs)
+    if not isinstance(whole, str):
+        assert whole[0] == reference_load(text, **kwargs)
+    else:
+        assert whole == outcome(reference_load, text, **kwargs)
+    for block in range(1, len(text.encode()) + 2):
+        assert load_in_blocks(monkeypatch, block, text, **kwargs) == whole, block
+
+
+def test_a_nul_byte_in_a_later_block_names_its_line(monkeypatch):
+    text = "u1 1 1\r\nu1 2 2\nu1 3 3\r\n\r\nu2 4\x00 4\nu2 5 5\n"
+    for block in range(1, len(text) + 2):
+        assert load_in_blocks(monkeypatch, block, text) == "DataError: line 5: NUL byte"
+
+
+@pytest.mark.parametrize("build,block", [
+    (lambda: load_profiles(io.StringIO(seeded_triples()), min_item_count=2,
+                           test_size=0.2, seed=9), 64),
+    (lambda: load_profiles(io.StringIO(shuffled_triples()), test_size=0.1, seed=3), 4096),
+], ids=["seeded-triples", "shuffled-160k-triples"])
+def test_small_blocks_keep_the_pinned_splits(monkeypatch, build, block):
+    # test_full_size_splits_stay_identical pins the digests of the default block
+    whole = build()
+    monkeypatch.setattr(data, "_BLOCK", block)
+    ds = build()
+    assert (ds.d, split_digest(ds.train), split_digest(ds.test)) == \
+        (whole.d, split_digest(whole.train), split_digest(whole.test))
+    assert ds.item_ids.tolist() == whole.item_ids.tolist()
+
+
+def test_load_from_a_path_peaks_under_five_times_the_file(tmp_path, traced_peak):
+    # 100k rows of the Zipf benchmark files' shape, over 1 MiB; the loader
+    # that kept each token's start and length for the whole file peaked at 7
+    # times such a file
+    rng = np.random.default_rng(11)
+    users = np.repeat(np.arange(12_500), 8)
+    items = (rng.zipf(1.2, 100_000) % 9000).tolist()
+    path = tmp_path / "triples.txt"
+    path.write_text("".join(f"u{u} {i} {t % 8}\n" for t, (u, i)
+                            in enumerate(zip(users.tolist(), items))))
+    size = path.stat().st_size
+    assert size >= 2**20
+    load_profiles(io.StringIO("u 1 1\nu 2 2\n"))  # the one-time imports
+    peak = traced_peak(load_profiles, path)
+    assert peak <= 5 * size, peak / size

@@ -437,6 +437,33 @@ def test_import_does_not_load_scipy():
     assert out.strip() == "False"
 
 
+def test_a_cbe_run_does_not_load_numpy_ma(tmp_path):
+    # a plain np.unique imports numpy.ma, a fixed cost in time and memory of
+    # every process that calls it; loading triples, CBE, training and
+    # evaluation call none
+    data = tmp_path / "triples.txt"
+    data.write_text("".join(f"u{u} {(u * 7 + j) % 40} {j}\n"
+                            for u in range(120) for j in range(5)))
+    code = f"""
+import sys
+from bloomemb.codec import SparseInstance
+from bloomemb.experiment import ExperimentConfig, build_matrices, evaluate_model, fit, load_dataset
+cfg = ExperimentConfig(data_path={str(data)!r}, use_cbe=True, m_in=20, m_out=20, k=3,
+                       epochs=1, hidden=(8,))
+ds = load_dataset(cfg)
+h_in, h_out = build_matrices(cfg, ds)
+net, _ = fit(cfg, ds, h_in, h_out)
+evaluate_model(net, ds.test, h_in, h_out)
+SparseInstance.from_items(ds.d, [3, 1, 3])
+print("numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(bloomemb.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_benchmark_imports_against_the_package():
     # importing the benchmark in a fresh process, against the package alone,
     # catches a package API change that would break it

@@ -275,6 +275,15 @@ class TestUpdate:
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adam_scratch_is_one_array_the_size_of_the_largest_parameter(self, dtype):
+        # each update uses a view of it, so a step holds each parameter four
+        # times (weights, gradients, two moments) plus this one array
+        net = small_net((37, 19, 23), seed=4, dtype=dtype)
+        state = _OptimizerState(net, OptimizerSpec("adam"))
+        largest = max(p.size for p in net.parameters())
+        assert state.scratch.shape == (largest,) and state.scratch.dtype == dtype
+
     @pytest.mark.parametrize("kind,clip_norm", [
         ("adam", None), ("sgd", None), ("adam", 1.0), ("sgd", 1.0)],
         ids=["adam", "sgd", "adam-clip-1.0", "sgd-clip-1.0"])
@@ -314,7 +323,8 @@ class TestStep:
     @pytest.mark.parametrize("kind,bound", [("adam", 5.5), ("sgd", 3.5)])
     def test_cold_step_peak_in_parameter_bytes(self, kind, bound, traced_peak):
         # the first step allocates its state: the moments, the gradients,
-        # Adam's one scratch array per parameter and the passes' buffers,
+        # Adam's one scratch array, as large as the largest parameter, and the
+        # passes' buffers,
         # whose backward pass reuses the forward pass's spent arrays
         net, x, t = step_inputs()
         params = sum(p.nbytes for p in net.parameters())
