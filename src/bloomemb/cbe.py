@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import PackedInstances, SparseInstance
+from .codec import PackedInstances, SparseInstance, run_starts
 from .hashing import HashMatrix, SplitMix64
 
 logger = logging.getLogger(__name__)
@@ -92,10 +92,7 @@ def count_cooccurrences(instances: Sequence[SparseInstance]) -> CooccurrenceTabl
     diag = np.bincount(packed.concatenated(), minlength=d + 1)[1:].astype(np.int64)
     codes = _pair_codes(packed)
     codes.sort()
-    new = np.ones(codes.size, dtype=bool)  # a sorted code unlike the one before
-    np.not_equal(codes[1:], codes[:-1], out=new[1:])
-    first = np.flatnonzero(new)  # where each run of equal codes starts
-    del new
+    first = np.flatnonzero(run_starts(codes))
     uniq, total = codes[first], codes.size
     del codes
     counts = np.diff(first, append=total)

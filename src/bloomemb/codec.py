@@ -81,13 +81,19 @@ def _checked_positions(d: int, positions) -> np.ndarray:
     return pos
 
 
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal elements of 1-d `values` starts: True at the
+    first element and at each that differs from the one before it."""
+    starts = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     """`values` sorted, each once: a sort, then adjacent repeats dropped, as
     a plain ``np.unique`` gives them without its import of ``numpy.ma``."""
     values = np.sort(values)
-    first = np.ones(values.size, dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=first[1:])
-    return values[first]
+    return values[run_starts(values)]
 
 
 @dataclass(frozen=True, slots=True)

@@ -79,7 +79,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import PackedInstances, PackedPairs, utf8_text
+from .codec import PackedInstances, PackedPairs, run_starts, utf8_text
 
 
 class DataError(Exception):
@@ -301,8 +301,7 @@ def _codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys = keys.view(">u8").ravel().byteswap(inplace=True).view("<u8")
     order = keys.argsort()
     keys.sort()
-    new = np.ones(len(keys), dtype=bool)  # a sorted key unlike the one before
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    new = run_starts(keys)
     distinct = keys[new].astype(">u8").view(np.uint8).reshape(-1, 8)[:, :width]
     del keys
     new[:1] = False  # so that the running count of new keys is the code
@@ -336,8 +335,7 @@ def _order(major: np.ndarray, minor: np.ndarray, n_minor: int) -> np.ndarray:
     """The stable order of rows by (major, minor), codes >= 0 with minor <
     n_minor. Where it fits in int64, the key (major * n_minor + minor) *
     rows + row, sorted in place: the row breaks ties, and the order is the
-    key's remainder by rows. Else one stable sort of major * n_minor + minor
-    where that fits, else stable sorts by minor, then by major."""
+    key's remainder by rows. Else stable sorts by minor, then by major."""
     rows = len(major)
     top = (int(major.max(initial=0)) + 1) * n_minor  # above every major * n_minor + minor
     if top * rows <= 2**63:
@@ -348,8 +346,6 @@ def _order(major: np.ndarray, minor: np.ndarray, n_minor: int) -> np.ndarray:
         key += np.arange(rows)
         key.sort()
         return np.remainder(key, max(rows, 1), out=key)
-    if top <= 2**63:
-        return np.argsort(major * n_minor + minor, kind="stable")
     order = np.argsort(minor, kind="stable")
     return order[np.argsort(major[order], kind="stable")]
 
@@ -449,15 +445,11 @@ def load_profiles(source,
     # first (earliest) occurrence of each item in its profile: the first row
     # of each run of equal (profile, item) in their stable order
     order = _order(prof, code, n_items)
-    repeat = np.ones(code.size, dtype=bool)  # the same as the row before it there
-    repeat[:1] = False
-    for column in (prof, code):
-        ordered = column[order]
-        repeat[1:] &= ordered[1:] == ordered[:-1]
-    del ordered
+    starts = run_starts(prof[order])
+    starts |= run_starts(code[order])
     first = np.zeros(code.size, dtype=bool)
-    first[order[~repeat]] = True
-    del order, repeat
+    first[order[starts]] = True
+    del order, starts
     kept_item = np.bincount(code[first], minlength=n_items) >= min_item_count
     keep = first & kept_item[code]
     prof, code = prof[keep], code[keep]

@@ -19,7 +19,8 @@ from bloomemb.codec import (PackedInstances, PackedPairs, ScoreOrder,
                             decode_nll_batch, encode_batch, encode_rows,
                             matrix_from_bytes, rank_batch,
                             read_bit_vectors, read_instances,
-                            read_probabilities, set_bits, write_bit_vectors)
+                            read_probabilities, run_starts, set_bits,
+                            write_bit_vectors)
 from bloomemb.hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
 from bloomemb.trainer import network_from_bytes
 
@@ -95,6 +96,13 @@ def outcome(build):
         return build()
     except ValueError as exc:
         return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("values, starts", [
+    ([], []), ([7], [0]), ([3, 3, 3], [0]), ([1, 1, 2, 5, 5, 5, 9], [0, 2, 3, 6])])
+def test_run_starts_mark_each_element_unlike_the_one_before(values, starts):
+    got = run_starts(np.array(values, dtype=np.int64))
+    assert got.dtype == bool and np.flatnonzero(got).tolist() == starts
 
 
 class TestPackedPairs:

@@ -731,17 +731,22 @@ def test_split_sides_are_the_lexsort_order_of_their_items(d):
     assert np.array_equal(np.concatenate(got), want)
 
 
-@pytest.mark.parametrize("top_plus", [0, 1], ids=["at-2**63", "past-2**63"])
-def test_order_on_both_sides_of_the_one_key_bound(top_plus):
+@pytest.mark.parametrize("majors, n_minor, past", [
+    (np.array([0, 1, 2**33 - 2, 2**33 - 1]), 2**20, False),
+    (np.array([0, 1, 2**33 - 2, 2**33]), 2**20, True),
+    (np.array([0, 1, 2**31 - 2, 2**31 - 1], dtype=np.int32), 2**23, True)],
+    ids=["at-2**63", "past-2**63", "int32-past-2**63"])
+def test_order_on_both_sides_of_the_one_key_bound(majors, n_minor, past):
     # (max major + 1) * n_minor * rows is 2**63, where the key with the row
-    # folded in takes its largest values, or just past it, where the stable
-    # sorts take over; few distinct (major, minor) make ties, which file
-    # order breaks
+    # folded in takes its largest values, or past it, where the stable
+    # sorts take over; int32 codes, as the loader passes them, where
+    # major * n_minor also leaves int32; few distinct (major, minor) make
+    # ties, which file order breaks
     rng = np.random.default_rng(5)
-    rows, n_minor = 2**10, 2**20
-    major = rng.choice([0, 1, 2**33 - 2, 2**33 - 1 + top_plus], rows)
-    minor = rng.choice([0, 1, n_minor - 1], rows)
-    assert ((int(major.max()) + 1) * n_minor * rows > 2**63) == bool(top_plus)
+    rows = 2**10
+    major = rng.choice(majors, rows)
+    minor = rng.choice(np.array([0, 1, n_minor - 1], dtype=majors.dtype), rows)
+    assert ((int(major.max()) + 1) * n_minor * rows > 2**63) == past
     order = _order(major, minor, n_minor)
     assert np.array_equal(order, np.lexsort((np.arange(rows), minor, major)))
 
