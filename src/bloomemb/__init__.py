@@ -18,8 +18,7 @@ from .experiment import (ExperimentConfig, ExperimentOutcome, evaluate_model,
 from .hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
 from .metrics import EvaluationResult, average_precision
 from .trainer import (Network, NetworkSpec, OptimizerSpec, TrainReport,
-                      backward_and_step, forward_batch, init_network,
-                      loss_cross_entropy, multi_hot, network_from_bytes,
-                      network_to_bytes, train)
+                      backward_and_step, forward_batch, init_network, multi_hot,
+                      network_from_bytes, network_to_bytes, train)
 
 __version__ = "0.1.0"

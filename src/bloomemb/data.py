@@ -37,18 +37,20 @@ each byte: ``\t \n \x0b \x0c \r \x1c``-``\x1f`` and space separate tokens,
 and ``\n``, ``\r``, ``\r\n``, ``\x0b``, ``\x0c`` and ``\x1c``-``\x1e`` end a
 line. Only a file with a byte >= 0x80 is decoded, to map str's 19 other
 whitespace characters (U+0085, U+00A0, U+1680, U+2000-U+200A, U+2028,
-U+2029, U+202F, U+205F, U+3000) to ASCII of their kind. Of each block only
-each row's token count and line number outlive it, with the tokens of the
-columns that are needed: the first four of each row while the format is
-open or triples are read, every token of a profiles file. Each column is
-gathered into a bytes array as wide as its longest token, or into bytes
-objects where that array would be the larger. No array holds one entry
-per token of a triples file. The file's bytes go once the format is
-settled, and an ``auto`` file that turns out to be profiles is walked
-again first. The ids' codes are their indices among the sorted distinct tokens (UTF-8 byte
-order is code-point order); tokens of at most 8 bytes sort as zero-padded
-big-endian uint64 keys, which order as their bytes do. De-duplication,
-both filters and re-indexing act on those codes, int32 where they fit.
+U+2029, U+202F, U+205F, U+3000) to ASCII of their kind. Every file is
+walked once, whatever its format, into four columns plus the rest: of each
+block only each row's token count and line number outlive it, with token j
+of each row that has one, for j < 4, and every later token, in file order.
+Each column is gathered into a bytes array as wide as its longest token, or
+into bytes objects where that array would be the larger. Triples, and
+``auto`` choosing the format, read the first four columns; a triples row
+holds no fifth token, so no array holds one entry per token of a triples
+file. A profiles file's five columns are put back in file order. The
+file's bytes go when the walk ends. The ids' codes are their indices among
+the sorted distinct tokens (UTF-8 byte order is code-point order); tokens
+of at most 8 bytes sort as zero-padded big-endian uint64 keys, which order
+as their bytes do. De-duplication, both filters and re-indexing act on
+those codes, int32 where they fit.
 Timestamps and ratings are read as ``float()`` reads them, each distinct
 token once, and triples take their (user, timestamp) order from one sort
 in place of one int64 key: the user's code, the timestamp's rank among the
@@ -230,17 +232,17 @@ def _file_bytes(source) -> bytes:
     return data.encode(errors="surrogatepass") if isinstance(data, str) else data
 
 
-def _walk(data: bytes, columns: int | None
-          ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+def _walk(data: bytes) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Each row's token count and line (0-based, as str.splitlines counts
-    lines), and token j of each row that has one, for j < `columns`, or
-    every token in one column where `columns` is None. A row is a line that
-    holds a token, as str.split finds them. The text is tokenised one block
-    of whole lines at a time, and only these arrays outlive a block; a NUL
-    byte is a fault of its line."""
+    lines), and its tokens in four columns plus the rest: token j of each
+    row that has one, for j < 4, then every later token, in file order. Every
+    format reads the file in this one walk. A row is a line that holds a
+    token, as str.split finds them. The text is tokenised one block of whole
+    lines at a time, and only these arrays outlive a block; a NUL byte is a
+    fault of its line."""
     pos = _index_dtype(len(data))
     widths, lines = [np.empty(0, pos)], [np.empty(0, pos)]
-    out = [_Column() for _ in range(columns or 1)]
+    out = [_Column() for _ in range(5)]
     start = line = 0
     while start < len(data):
         cut = _LINE_BREAK.search(data, start + _BLOCK - 1)
@@ -269,13 +271,13 @@ def _walk(data: bytes, columns: int | None
         count = np.diff(first)
         rows = np.flatnonzero(count)
         width = count[rows].astype(pos)
-        if columns is None:
-            out[0].add(buf, starts, lengths)
-        else:
-            first = first[rows]
-            for j, column in enumerate(out):
-                at = first[width > j] + j
-                column.add(buf, starts[at], lengths[at])
+        first = first[rows]
+        for j, column in enumerate(out[:4]):
+            at = first[width > j] + j
+            column.add(buf, starts[at], lengths[at])
+        if width.max(initial=0) > 4:  # the tokens past each row's fourth
+            rest = np.arange(starts.size) >= np.repeat(first + 4, width)
+            out[4].add(buf, starts[rest], lengths[rest])
         widths.append(width)
         lines.append((rows + line).astype(pos))
         line += breaks.size
@@ -408,7 +410,9 @@ def load_profiles(source,
     to 4 and some first token repeats, else profiles; the user codes it
     takes to decide are the ones the triples are read with. A profiles file
     of short lines that repeat a first item therefore reads as triples (the
-    module docstring gives an example).
+    module docstring gives an example). The file is walked once, whatever
+    `fmt`, into four columns plus the rest, which a profiles file puts back
+    in file order.
     Items appearing in fewer than `min_item_count` profiles are dropped
     first, then profiles shorter than `min_profile_size` (after item
     filtering and de-duplication). Splitting and test selection use a
@@ -416,26 +420,27 @@ def load_profiles(source,
     """
     if fmt not in ("auto", "triples", "profiles"):
         raise DataError(f"unknown format {fmt!r}")
-    data = _file_bytes(source)
+    width, rows, (user, *columns, rest) = _walk(_file_bytes(source))
+    # the user codes, taken once: a triples file repeats its first column
     users = None
-    if fmt != "profiles":  # the first four tokens of each row
-        width, rows, (user, *columns) = _walk(data, 4)
-        # the user codes, taken once: a triples file repeats its first column
-        if fmt == "triples" or ((width >= 2) & (width <= 4)).all():
-            users, distinct = _codes(user)
-            if fmt == "auto" and len(distinct) == len(rows):
-                users = None
-            del distinct
-        del user
-    if users is not None:  # the format is settled, and the bytes go
-        del data
+    if fmt == "triples" or (fmt == "auto" and ((width >= 2) & (width <= 4)).all()):
+        users, distinct = _codes(user)
+        if fmt == "auto" and len(distinct) == len(rows):
+            users = None
+        del distinct
+    if users is not None:
+        del user, rest
         prof, items, rated = _triples(users, columns, rows, width, rating_threshold, fmt)
         del users, columns, rows
-    else:  # every token of a profiles file, walked again under auto
-        columns = rows = None
-        width, _, (items,) = _walk(data, None)
-        del data
+    else:  # every token of a profiles file, back in file order: token j < 4
+        # of row r at first[r] + j, the fifth column's after first[r] + 3
         prof, rated = np.repeat(np.arange(len(width), dtype=width.dtype), width), False
+        first = np.cumsum(width, dtype=width.dtype) - width
+        items = np.empty(prof.size, dtype=np.result_type(user, *columns, rest))
+        for j, column in enumerate([user, *columns]):
+            items[first[width > j] + j] = column
+        items[np.arange(prof.size, dtype=prof.dtype) >= first[prof] + 4] = rest
+        del user, columns, rest, rows, first
     if rating_threshold is not None and not rated:
         raise DataError("rating_threshold given but the file has no rating column")
     code, item_ids = _codes(items)

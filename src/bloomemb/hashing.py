@@ -16,8 +16,10 @@ a two-round multiply-xorshift mix. The platform default RNG is not used.
   ``mix64(s + 2*GOLDEN_GAMMA)``, ...
 * Row ``i`` (0-based) of a matrix with seed ``s`` uses its own stream,
   seeded with ``mix64(s + (i + 1) * GOLDEN_GAMMA)``, so every row is a pure
-  function of ``(m, k, seed, i)``. :func:`build_hash_matrix` advances the
-  streams of all d rows at once, as uint64 arrays.
+  function of ``(m, k, seed, i)``: the rows of any item ids, drawn alone,
+  are the table's rows of those ids, so a row can be computed on the fly.
+  :func:`build_hash_matrix` advances the streams of all d rows at once, as
+  uint64 arrays.
 * :class:`SplitMix64` is one stream that computes its outputs 4096 at a
   time as a uint64 array and hands them out as Python integers. Only the
   CBE rebuild draws from it, one pair after another.
@@ -129,10 +131,11 @@ class SplitMix64:
                 return v
 
 
-def _build_rows(d: int, m: int, k: int, seed: int) -> np.ndarray:
-    """Draw d rows of k distinct indices from {1..m} by partial Fisher-Yates.
+def _build_rows(items: np.ndarray, m: int, k: int, seed: int) -> np.ndarray:
+    """Draw the rows of the 0-based item ids `items`, in their order, each k
+    distinct indices from {1..m} by partial Fisher-Yates.
 
-    Each row shuffles the pool 1..m afresh from its own stream. The streams
+    Each row shuffles the pool 1..m afresh from its item's stream. The streams
     of all rows advance together, one pass per projection j, and a pass
     redraws only the rows whose bounded draw was rejected. Step j swaps
     slots j and t_j >= j and outputs the value now at t_j. Only the drawn
@@ -140,14 +143,14 @@ def _build_rows(d: int, m: int, k: int, seed: int) -> np.ndarray:
     a slot equal to t_i came from slot i, and a slot no step drew still
     holds its own number.
     """
-    state = mix64(np.arange(1, d + 1, dtype=np.uint64) * GOLDEN_GAMMA + seed)
-    draw = np.empty(d, dtype=np.uint64)
-    drawn = np.empty((k, d), dtype=np.int64)  # row i: t_i of every row, contiguous
-    out = np.empty((d, k), dtype=np.int32)
+    state = mix64((np.asarray(items, np.uint64) + 1) * GOLDEN_GAMMA + seed)
+    draw = np.empty_like(state)
+    drawn = np.empty((k, state.size), dtype=np.int64)  # row i: t_i of every row
+    out = np.empty((state.size, k), dtype=np.int32)
     for j in range(k):
         n = m - j
         mask = (1 << (n - 1).bit_length()) - 1
-        pending = np.arange(d)
+        pending = np.arange(state.size)
         while pending.size:
             state[pending] += GOLDEN_GAMMA
             draw[pending] = mix64(state[pending]) & mask
@@ -162,7 +165,7 @@ def _build_rows(d: int, m: int, k: int, seed: int) -> np.ndarray:
 def build_hash_matrix(d: int, m: int, k: int, seed: int) -> HashMatrix:
     """Construct the pre-computed matrix; pure function of (d, m, k, seed)."""
     _check_dims(d, m, k)
-    rows = _build_rows(d, m, k, seed & MASK64)
+    rows = _build_rows(np.arange(d), m, k, seed & MASK64)
     return HashMatrix(d=d, m=m, k=k, seed=seed, rows=rows)
 
 

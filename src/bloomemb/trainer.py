@@ -28,9 +28,9 @@ losses and weights match the plain expressions bit for bit. ``train``
 encodes each batch's inputs, a view of the packed split, straight into a
 buffer it owns and takes its target's set bits from
 :func:`~bloomemb.codec.set_bits`, so it never holds the encoded split nor
-a (batch, m) target. :func:`gradients`, :func:`backward_and_step` and
-:func:`loss_cross_entropy` take a dense target and pass its nonzero
-entries, in row-major order, to the same kernels.
+a (batch, m) target. :func:`gradients` and :func:`backward_and_step` take
+a dense target and pass its nonzero entries, in row-major order, to the
+same kernels.
 
 Weight init is scaled uniform, U(-sqrt(1/fan_in), +sqrt(1/fan_in)), from
 a seeded generator; with fixed init and shuffle seeds a training run is
@@ -207,26 +207,6 @@ def forward_batch(net: Network, x: np.ndarray,
     return probs
 
 
-def loss_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean cross-entropy of (B, m) probabilities against (B, m) targets.
-
-    Each target row is a distribution: a multi-hot target normalized to sum 1.
-    A zero target entry adds 0 whatever its probability, so only the nonzero
-    entries are read, by :func:`_cross_entropy`.
-    """
-    return _cross_entropy(probs, *_nonzeros(targets, probs.shape))
-
-
-def _nonzeros(targets: np.ndarray,
-              shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """A dense target of `shape` as the sorted flat indices of its nonzero
-    entries and their values: what the kernels take in its place."""
-    if targets.shape != shape:
-        raise ValueError(f"target shape {targets.shape} does not match {shape}")
-    codes = np.flatnonzero(targets)
-    return codes, targets.take(codes)
-
-
 def _cross_entropy(probs: np.ndarray, codes: np.ndarray,
                    values: np.ndarray) -> float:
     """The loss kernel: mean cross-entropy of (B, m) probabilities against
@@ -335,8 +315,14 @@ def _apply_update(net: Network, grads: list[np.ndarray],
 
 def _dense_target(net: Network, x: np.ndarray,
                   targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_nonzeros` of (B, n_out) targets taken to net.dtype."""
-    return _nonzeros(np.asarray(targets, net.dtype), (x.shape[0], net.n_out))
+    """(B, n_out) targets, taken to net.dtype, as the sorted flat indices of
+    their nonzero entries and their values: what the kernels take in their
+    place."""
+    targets, shape = np.asarray(targets, net.dtype), (x.shape[0], net.n_out)
+    if targets.shape != shape:
+        raise ValueError(f"target shape {targets.shape} does not match {shape}")
+    codes = np.flatnonzero(targets)
+    return codes, targets.take(codes)
 
 
 def gradients(net: Network, x: np.ndarray, targets: np.ndarray,

@@ -653,7 +653,7 @@ def random_ids(r: random.Random, n: int, longest: int) -> list[bytes]:
 def test_codes_are_the_indices_among_the_sorted_distinct_ids(longest, kind):
     r = random.Random(longest)
     ids = random_ids(r, 3000, min(longest, 12)) + [b"x" * longest]
-    _, _, (column,) = _walk(b" ".join(ids), None)
+    column = np.concatenate(_walk(b" ".join(ids))[2])  # the five columns of one row
     assert column.dtype.str.lstrip("|") == kind  # one long id makes objects
     code, distinct = _codes(column)
     expected = sorted(set(ids))
@@ -786,6 +786,9 @@ BLOCK_CUTS = {
     "auto-reads-profiles": "1 2 3\n4 5 6 7 8\n1 6 9\n",
     "auto-reads-profiles-after-the-users": "1 2 3\n4 5 6\n7 8 9\n",
     "non-ascii": "é 1 5\nü é 6\n日 1 7\né ü 8\n",
+    # rows of 1, 4, 5 and 30 tokens; the one long id is the fifth of its row
+    "object-id-in-the-rest": "7\n1 2 3 4\n5 6 7 8 " + "x" * 400 + "\n"
+                             + " ".join(map(str, range(30))) + "\n",
 }
 
 
@@ -802,6 +805,26 @@ def test_every_block_size_loads_as_one_block(monkeypatch, text, fmt):
         assert whole == outcome(reference_load, text, **kwargs)
     for block in range(1, len(text.encode()) + 2):
         assert load_in_blocks(monkeypatch, block, text, **kwargs) == whole, block
+
+
+@pytest.mark.parametrize("text,fmts", [
+    ("u1 1 5\nu2 2 6\nu1 3 7\nu2 1 8\n", ["auto", "triples", "profiles"]),
+    ("1 2 3\n4 5 6 7 8\n1 6 9\n", ["auto", "profiles"]),
+], ids=["triples", "profiles"])
+def test_every_format_walks_the_file_once(monkeypatch, text, fmts):
+    # auto chooses the format from the columns of the one walk that every
+    # format reads
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return _walk(*args)
+
+    monkeypatch.setattr(data, "_walk", counted)
+    for fmt in fmts:
+        walks.clear()
+        load_profiles(io.StringIO(text), fmt=fmt, test_size=0.3)
+        assert len(walks) == 1, fmt
 
 
 def test_a_nul_byte_in_a_later_block_names_its_line(monkeypatch):

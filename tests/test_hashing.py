@@ -117,7 +117,20 @@ class TestBuild:
     @example((80, 60, 60, 2**64 - 1))  # k = m, seed at the top of the range
     @example((5, 1, 1, 2**63))
     def test_rows_match_the_shared_pool_oracle(self, case):
-        assert np.array_equal(_build_rows(*case), pool_rows(*case))
+        d, m, k, seed = case
+        assert np.array_equal(_build_rows(np.arange(d), m, k, seed), pool_rows(*case))
+
+    @pytest.mark.parametrize("d,m,k,seed", [(500, 40, 4, 3), (64, 64, 64, 2**64 - 1),
+                                            (3, 2, 1, 0)])
+    def test_rows_of_any_items_are_the_table_rows(self, d, m, k, seed):
+        # on the fly: each row is drawn from its item's id alone, so the rows
+        # of any ids, in any order and with repeats, are the table's rows
+        table = build_hash_matrix(d, m, k, seed).rows
+        rng = np.random.default_rng(d)
+        for size in (1, 2, d // 2, d):
+            for items in (rng.choice(d, size=size, replace=False),
+                          rng.integers(d, size=size)):
+                assert np.array_equal(_build_rows(items, m, k, seed), table[items])
 
     def test_rejects_item_count_beyond_int32(self):
         # checked with no rows at all: a build at this d would allocate GiBs

@@ -10,15 +10,22 @@ from bloomemb.codec import PackedInstances, SparseInstance, encode_batch
 from bloomemb.data import DataError, SyntheticSpec, generate_synthetic
 from bloomemb.hashing import HashMatrix, build_hash_matrix, identity_hash_matrix
 from bloomemb.trainer import (NetworkSpec, OptimizerSpec, _apply_update,
-                              _gradients, _OptimizerState, _step,
-                              _target_bits, backward_and_step,
+                              _cross_entropy, _gradients, _OptimizerState,
+                              _step, _target_bits, backward_and_step,
                               forward_batch, gradients, init_network,
-                              loss_cross_entropy, multi_hot,
-                              network_from_bytes, network_to_bytes, train)
+                              multi_hot, network_from_bytes, network_to_bytes,
+                              train)
 
 
 def small_net(sizes, seed=0, dtype=np.float64):
     return init_network(NetworkSpec(layer_sizes=sizes, init_seed=seed), dtype=dtype)
+
+
+def set_bits_of(dense):
+    """A dense target as the loss kernel takes it: the sorted flat indices
+    of its nonzero entries and their values."""
+    codes = np.flatnonzero(dense)
+    return codes, dense.take(codes)
 
 
 class TestForward:
@@ -87,13 +94,14 @@ class TestLoss:
     def test_perfect_prediction_loss_vanishes(self):
         target = np.array([[0.0, 1.0, 0.0]])
         almost_one = np.array([[5e-13, 1.0 - 1e-12, 5e-13]])
-        assert loss_cross_entropy(almost_one, target) == pytest.approx(0.0, abs=1e-9)
+        loss = _cross_entropy(almost_one, *set_bits_of(target))
+        assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_prediction_single_bit_target(self):
         m = 7
         probs = np.full((1, m), 1 / m)
         target = np.eye(m)[2:3]
-        assert loss_cross_entropy(probs, target) == pytest.approx(math.log(m))
+        assert _cross_entropy(probs, *set_bits_of(target)) == pytest.approx(math.log(m))
 
     def test_matches_arithmetic_oracle(self):
         # mean over a batch of rows of the per-row cross-entropy against the
@@ -117,7 +125,7 @@ class TestLoss:
             oracle = sum(-sum(t[b, i] * math.log(probs[b, i]) for i in range(m)
                               if t[b, i])
                          for b in range(batch)) / batch
-            assert loss_cross_entropy(probs, t) == pytest.approx(oracle)
+            assert _cross_entropy(probs, *set_bits_of(t)) == pytest.approx(oracle)
 
     def test_allocates_less_than_the_probabilities(self, traced_peak):
         # a (128, 2000) float32 batch with 6 target bits per row: only the
@@ -128,7 +136,7 @@ class TestLoss:
         t = np.zeros_like(probs)
         for row in t:
             row[rng.choice(2000, size=6, replace=False)] = 1 / 6
-        assert traced_peak(loss_cross_entropy, probs, t) < probs.nbytes
+        assert traced_peak(_cross_entropy, probs, *set_bits_of(t)) < probs.nbytes
 
     def test_all_zero_target_rejected(self):
         # train refuses a profile whose encoded target cannot be normalized
@@ -359,7 +367,8 @@ class TestTrain:
     def test_epochs_zero_loss_is_the_dense_loss_over_the_batches(self,
                                                                  collisions):
         # batches of 16 in split order, the last one short, each scored by
-        # the dense loss against its encoded targets normalized to sum 1
+        # the loss kernel against its dense encoded targets normalized to
+        # sum 1, taken as their nonzero entries
         dataset = tiny_dataset(np.random.default_rng(23))
         dataset[0] = (dataset[0][0], SparseInstance.from_items(20, [1, 2]))
         h = _collision_matrix() if collisions else None
@@ -373,7 +382,7 @@ class TestTrain:
             x = encode_batch([pair[0] for pair in part], matrix).astype(np.float32)
             t = encode_batch([pair[1] for pair in part], matrix).astype(np.float32)
             t /= t.sum(axis=1, keepdims=True)
-            total += loss_cross_entropy(forward_batch(net, x), t) * len(part)
+            total += _cross_entropy(forward_batch(net, x), *set_bits_of(t)) * len(part)
         assert report.final_loss == total / len(dataset)
 
     def test_epochs_zero_leaves_network_untouched(self):
@@ -597,7 +606,7 @@ class TestSetBitStep:
         with pytest.raises(ValueError, match="^target shape"):
             gradients(net, np.ones((2, 4)), np.full((2, 4), 0.25))
         with pytest.raises(ValueError, match="^target shape"):
-            loss_cross_entropy(np.full((2, 3), 1 / 3), np.full((1, 3), 1 / 3))
+            gradients(net, np.ones((2, 4)), np.full((1, 3), 1 / 3))
 
 
 class TestCheckpoints:
